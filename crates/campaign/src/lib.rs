@@ -50,7 +50,8 @@
 //!   pluggable [`Transport`](oranges_harness::transport::Transport)
 //!   (newline-delimited JSON envelopes over a `unix:` socket or a
 //!   `tcp:` connection — `docs/PROTOCOL.md` is the normative wire
-//!   spec), one thread per connection, all submitting units to one
+//!   spec), every connection served by one readiness-driven reactor
+//!   loop ([`oranges_harness::reactor`]), all submitting units to one
 //!   shared engine over the warm cache — overlapping requests from
 //!   different clients coalesce, and each client's provenance-stamped
 //!   `MetricSet` JSON streams back the moment its units complete;

@@ -546,12 +546,17 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. Far above
+/// anything the workspace emits; it bounds the parser's recursion, so a
+/// hostile line of a million `[` is an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, nesting deeper than [`MAX_DEPTH`] rejected).
 pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing characters after document", pos));
@@ -581,7 +586,8 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonParseError>
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+/// Parse one value; `depth` counts the containers enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
@@ -589,8 +595,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
         Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+            *pos,
+        )),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(_) => parse_number(bytes, pos),
     }
 }
@@ -680,7 +690,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError>
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -689,7 +699,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -702,7 +712,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -715,7 +725,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErr
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -868,6 +878,26 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "nul", "1 2", "\"open"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        // Exactly at the cap parses; one level deeper is a typed error
+        // pointing at the container that crossed it.
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        let error = parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(error.offset, MAX_DEPTH);
+        assert!(error.message.contains("nesting"), "{error}");
+        // Hostile depths fail the same way, fast, at the same offset.
+        let error = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(error.offset, MAX_DEPTH);
+        let error = parse(&"{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert_eq!(error.offset, MAX_DEPTH * 5);
+        assert!(error.message.contains("nesting"), "{error}");
     }
 
     #[test]

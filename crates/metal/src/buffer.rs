@@ -33,14 +33,12 @@ pub enum BufferOrigin {
 pub struct Buffer {
     inner: Arc<RwLock<UnifiedBuffer<f32>>>,
     origin: BufferOrigin,
-    label: Arc<str>,
 }
 
 impl std::fmt::Debug for Buffer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let guard = self.inner.read();
         f.debug_struct("Buffer")
-            .field("label", &self.label)
             .field("len", &guard.len())
             .field("capacity_bytes", &guard.capacity_bytes())
             .field("origin", &self.origin)
@@ -49,7 +47,8 @@ impl std::fmt::Debug for Buffer {
 }
 
 impl Buffer {
-    /// `newBufferWithLength:options:` — zero-initialized allocation.
+    /// `newBufferWithLength:options:` — zero-initialized allocation whose
+    /// host storage is built on first element access.
     pub fn new(
         space: &SharedAddressSpace,
         len: usize,
@@ -59,7 +58,6 @@ impl Buffer {
         Ok(Buffer {
             inner: Arc::new(RwLock::new(unified)),
             origin: BufferOrigin::Allocated,
-            label: Arc::from(""),
         })
     }
 
@@ -74,7 +72,6 @@ impl Buffer {
         Ok(Buffer {
             inner: Arc::new(RwLock::new(unified)),
             origin: BufferOrigin::CopiedIn,
-            label: Arc::from(""),
         })
     }
 
@@ -96,19 +93,7 @@ impl Buffer {
         Ok(Buffer {
             inner: Arc::new(RwLock::new(unified)),
             origin: BufferOrigin::NoCopyWrap,
-            label: Arc::from(""),
         })
-    }
-
-    /// Attach a debug label (like `MTLBuffer.label`).
-    pub fn with_label(mut self, label: &str) -> Self {
-        self.label = Arc::from(label);
-        self
-    }
-
-    /// The debug label.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// How the buffer was created.
@@ -144,6 +129,19 @@ impl Buffer {
     /// CPU write into the buffer.
     pub fn write_from_slice(&self, data: &[f32]) -> Result<(), MetalError> {
         Ok(self.inner.write().copy_from_slice(data)?)
+    }
+
+    /// CPU fill of the logical contents, as a loop through `contents`
+    /// would write it. On a buffer nothing has read or written yet this
+    /// only records the value; storage is built on first element access.
+    pub fn fill(&self, value: f32) -> Result<(), MetalError> {
+        Ok(self.inner.write().fill(value)?)
+    }
+
+    /// Whether host storage has been built (see
+    /// [`UnifiedBuffer::is_materialized`]).
+    pub fn is_materialized(&self) -> bool {
+        self.inner.read().is_materialized()
     }
 
     /// Run `f` with a read view of the logical contents (CPU side).
@@ -210,15 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_attach() {
-        let buf = Buffer::new(&space(), 4, StorageMode::Shared)
-            .unwrap()
-            .with_label("matA");
-        assert_eq!(buf.label(), "matA");
-        assert!(format!("{buf:?}").contains("matA"));
-    }
-
-    #[test]
     fn aliasing_detection() {
         let s = space();
         let a = Buffer::new(&s, 4, StorageMode::Shared).unwrap();
@@ -233,6 +222,18 @@ mod tests {
         let buf = Buffer::new(&space(), 16, StorageMode::Private).unwrap();
         assert!(matches!(buf.read_to_vec(), Err(MetalError::Memory(_))));
         assert!(buf.with_read(|_| ()).is_err());
+    }
+
+    #[test]
+    fn fill_is_deferred_until_first_read() {
+        let buf = Buffer::new(&space(), 1000, StorageMode::Shared).unwrap();
+        buf.fill(2.0).unwrap();
+        assert!(!buf.is_materialized());
+        assert!(format!("{buf:?}").contains("len: 1000"));
+        assert_eq!(buf.read_to_vec().unwrap(), vec![2.0; 1000]);
+        assert!(buf.is_materialized());
+        let private = Buffer::new(&space(), 16, StorageMode::Private).unwrap();
+        assert!(matches!(private.fill(1.0), Err(MetalError::Memory(_))));
     }
 
     #[test]

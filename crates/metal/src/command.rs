@@ -488,8 +488,11 @@ mod tests {
         cb.commit().unwrap();
         let reports = cb.wait_until_completed().unwrap();
         assert!(!reports[0].functional);
-        // Output untouched in modeled-only mode.
+        // Output untouched in modeled-only mode: not even its storage is
+        // built until the CPU reads it.
+        assert!(!buf_c.is_materialized());
         assert!(buf_c.read_to_vec().unwrap().iter().all(|&v| v == 0.0));
+        assert!(buf_c.is_materialized());
         // But timing still present.
         assert!(reports[0].duration.as_nanos() > 0);
     }

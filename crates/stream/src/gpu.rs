@@ -10,7 +10,7 @@
 use crate::{warmup_factor, KernelResult, StreamRun};
 use oranges_metal::kernel::KernelParams;
 use oranges_metal::types::MtlSize;
-use oranges_metal::{Device, MetalError};
+use oranges_metal::{Buffer, Device, MetalError};
 use oranges_soc::cache::CacheHierarchy;
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::time::SimDuration;
@@ -91,6 +91,11 @@ impl GpuStream {
 
     /// Run the benchmark: `reps` repetitions of the four-kernel sequence.
     pub fn run(&self) -> Result<StreamRun, MetalError> {
+        self.run_keeping_arrays().map(|(run, _)| run)
+    }
+
+    /// [`GpuStream::run`], also handing back the `a`, `b`, `c` arrays.
+    fn run_keeping_arrays(&self) -> Result<(StreamRun, [Buffer; 3]), MetalError> {
         let n = self.config.elements;
         let lib = self.device.new_default_library();
         let copy = lib.pipeline("stream_copy")?;
@@ -98,13 +103,13 @@ impl GpuStream {
         let add = lib.pipeline("stream_add")?;
         let triad = lib.pipeline("stream_triad")?;
 
-        // stream.c initialization, f32.
-        let buf_a = self
-            .device
-            .new_buffer_with_data(&vec![1.0f32; n], StorageMode::Shared)?;
-        let buf_b = self
-            .device
-            .new_buffer_with_data(&vec![2.0f32; n], StorageMode::Shared)?;
+        // stream.c initialization, f32. The fills are recorded, not
+        // written: a model-only run never reads the arrays, so their host
+        // storage is only built if a functional pass or validation does.
+        let buf_a = self.device.new_buffer(n, StorageMode::Shared)?;
+        buf_a.fill(1.0)?;
+        let buf_b = self.device.new_buffer(n, StorageMode::Shared)?;
+        buf_b.fill(2.0)?;
         let buf_c = self.device.new_buffer(n, StorageMode::Shared)?;
 
         let queue = self.device.new_command_queue();
@@ -209,14 +214,15 @@ impl GpuStream {
             });
         }
 
-        Ok(StreamRun {
+        let run = StreamRun {
             agent: "GPU",
             elements: n,
             element_bytes: 4,
             reps: self.config.reps,
             results,
             validated,
-        })
+        };
+        Ok((run, [buf_a, buf_b, buf_c]))
     }
 }
 
@@ -257,11 +263,23 @@ mod tests {
 
     #[test]
     fn functional_run_validates_the_recurrence() {
-        let run = GpuStream::with_config(ChipGeneration::M1, GpuStreamConfig::functional_small())
-            .run()
-            .unwrap();
+        let (run, arrays) =
+            GpuStream::with_config(ChipGeneration::M1, GpuStreamConfig::functional_small())
+                .run_keeping_arrays()
+                .unwrap();
         assert!(run.validated);
         assert_eq!(run.element_bytes, 4);
+        assert!(arrays.iter().all(Buffer::is_materialized));
+    }
+
+    #[test]
+    fn model_only_run_never_materializes_its_arrays() {
+        let (run, arrays) = GpuStream::new(ChipGeneration::M4)
+            .run_keeping_arrays()
+            .unwrap();
+        assert!(!run.validated);
+        assert!(arrays.iter().all(|a| a.len() == run.elements));
+        assert!(arrays.iter().all(|a| !a.is_materialized()));
     }
 
     #[test]

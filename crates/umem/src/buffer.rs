@@ -8,14 +8,20 @@
 //! - [`StorageMode::Shared`] — visible to CPU and GPU (zero-copy);
 //! - [`StorageMode::Private`] — GPU-optimal, CPU access is an error.
 //!
-//! The element data is an ordinary host `Vec<T>` (real arithmetic happens
-//! on it); the *address* is simulated and always page-aligned.
+//! The *address* is simulated and always page-aligned, and it is claimed
+//! at allocation. The element data is backed lazily: until something
+//! reads or writes individual elements, a buffer holds only one fill value
+//! for its logical extent (zero padding beyond it). The first element
+//! access builds an ordinary host `Vec<T>` with exactly those contents,
+//! and real arithmetic happens on it from then on. A buffer that only the
+//! timing model ever looks at — a model-only GPU STREAM array, say —
+//! therefore never costs host memory or fill time.
 
 use crate::address::{AddressSpace, Allocation};
 use crate::error::UmemError;
 use crate::page::is_page_aligned;
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Metal-style storage mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,18 +81,23 @@ pub struct UnifiedBuffer<T: Copy + Default> {
     mode: StorageMode,
     /// Requested length in elements (the logical length).
     len: usize,
-    /// Host backing store. Its byte length equals the page-rounded
-    /// allocation so GPU wraps see whole pages, like the paper's harness.
-    data: Vec<T>,
+    /// Host backing store, built on first element access. Its byte length
+    /// equals the page-rounded allocation so GPU wraps see whole pages,
+    /// like the paper's harness. A `OnceLock` so that shared (`&self`)
+    /// views can build it too.
+    data: OnceLock<Vec<T>>,
+    /// Value of every logical element while `data` is unbuilt; `None`
+    /// while they still read as `T::default()`.
+    fill: Option<T>,
 }
 
 impl<T: Copy + Default> UnifiedBuffer<T> {
     /// Allocate `len` elements in `space` with the given storage mode.
     ///
     /// The underlying allocation is rounded up to whole pages and the
-    /// padding elements are zero-initialized — exactly the paper's
-    /// "allocation lengths were automatically extended to the nearest page
-    /// multiple" discipline.
+    /// padding elements read as zero — exactly the paper's "allocation
+    /// lengths were automatically extended to the nearest page multiple"
+    /// discipline. Host storage is not built yet (see the module docs).
     pub fn allocate(
         space: &SharedAddressSpace,
         len: usize,
@@ -95,14 +106,39 @@ impl<T: Copy + Default> UnifiedBuffer<T> {
         let elem = std::mem::size_of::<T>() as u64;
         let requested_bytes = len as u64 * elem;
         let allocation = space.allocate(requested_bytes)?;
-        let padded_len = (allocation.len / elem) as usize;
         Ok(UnifiedBuffer {
             space: space.clone(),
             allocation,
             mode,
             len,
-            data: vec![T::default(); padded_len],
+            data: OnceLock::new(),
+            fill: None,
         })
+    }
+
+    /// The host backing store, built on first use: the recorded fill value
+    /// over the logical extent, zeros over the page padding.
+    fn storage(&self) -> &[T] {
+        self.data.get_or_init(|| {
+            let padded_len = (self.allocation.len / std::mem::size_of::<T>() as u64) as usize;
+            let mut data = vec![T::default(); padded_len];
+            if let Some(value) = self.fill {
+                data[..self.len].fill(value);
+            }
+            data
+        })
+    }
+
+    /// Mutable access to the backing store, building it first if needed.
+    fn storage_mut(&mut self) -> &mut [T] {
+        self.storage();
+        self.data.get_mut().expect("storage was just built")
+    }
+
+    /// Whether host storage has been built yet (any element access builds
+    /// it; [`UnifiedBuffer::fill`] on an unbuilt buffer does not).
+    pub fn is_materialized(&self) -> bool {
+        self.data.get().is_some()
     }
 
     /// Logical length in elements.
@@ -146,33 +182,33 @@ impl<T: Copy + Default> UnifiedBuffer<T> {
 
     /// CPU view of the logical elements. Errors on `Private` buffers.
     pub fn as_slice(&self) -> Result<&[T], UmemError> {
-        match self.mode {
-            StorageMode::Shared => Ok(&self.data[..self.len]),
-            StorageMode::Private => Err(UmemError::StorageModeViolation {
-                operation: "CPU read of Private buffer",
-            }),
-        }
+        self.check_cpu_access("CPU read of Private buffer")?;
+        Ok(&self.storage()[..self.len])
     }
 
     /// Mutable CPU view of the logical elements. Errors on `Private`.
     pub fn as_mut_slice(&mut self) -> Result<&mut [T], UmemError> {
+        self.check_cpu_access("CPU write of Private buffer")?;
+        let len = self.len;
+        Ok(&mut self.storage_mut()[..len])
+    }
+
+    fn check_cpu_access(&self, operation: &'static str) -> Result<(), UmemError> {
         match self.mode {
-            StorageMode::Shared => Ok(&mut self.data[..self.len]),
-            StorageMode::Private => Err(UmemError::StorageModeViolation {
-                operation: "CPU write of Private buffer",
-            }),
+            StorageMode::Shared => Ok(()),
+            StorageMode::Private => Err(UmemError::StorageModeViolation { operation }),
         }
     }
 
     /// Device-side view (GPU executors may read any mode, including the
     /// page padding — they see whole pages).
     pub fn device_slice(&self) -> &[T] {
-        &self.data
+        self.storage()
     }
 
     /// Mutable device-side view over the full padded extent.
     pub fn device_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
+        self.storage_mut()
     }
 
     /// Copy from a host slice into the buffer (CPU path, `Shared` only).
@@ -188,9 +224,15 @@ impl<T: Copy + Default> UnifiedBuffer<T> {
         Ok(())
     }
 
-    /// Fill the logical extent with a value.
+    /// Fill the logical extent with a value. Before the storage is built
+    /// this only records the value.
     pub fn fill(&mut self, value: T) -> Result<(), UmemError> {
-        self.as_mut_slice()?.fill(value);
+        if self.is_materialized() {
+            self.as_mut_slice()?.fill(value);
+        } else {
+            self.check_cpu_access("CPU write of Private buffer")?;
+            self.fill = Some(value);
+        }
         Ok(())
     }
 }
@@ -285,6 +327,39 @@ mod tests {
         // 3000 × 8 B = 24,000 B → 2 pages = 32,768 B → 4096 f64 elements.
         assert_eq!(buf.as_slice().unwrap().len(), 3000);
         assert_eq!(buf.device_slice().len(), 4096);
+    }
+
+    #[test]
+    fn storage_is_built_on_first_element_access_only() {
+        let s = space();
+        let mut buf = UnifiedBuffer::<f32>::allocate(&s, 100, StorageMode::Shared).unwrap();
+        assert!(!buf.is_materialized(), "allocation alone builds nothing");
+        assert!(s.allocated() > 0, "the address range is claimed up front");
+        buf.fill(2.5).unwrap();
+        assert_eq!(buf.len(), 100);
+        assert!(!buf.is_materialized(), "a fill is only recorded");
+        let device = buf.device_slice();
+        assert_eq!(device.len(), PAGE_SIZE as usize / 4);
+        assert!(device[..100].iter().all(|&x| x == 2.5));
+        assert!(
+            device[100..].iter().all(|&x| x == 0.0),
+            "padding stays zero"
+        );
+        assert!(buf.is_materialized());
+        buf.fill(-1.0).unwrap();
+        assert!(buf.as_slice().unwrap().iter().all(|&x| x == -1.0));
+    }
+
+    #[test]
+    fn private_fill_is_rejected_without_building_storage() {
+        let s = space();
+        let mut buf = UnifiedBuffer::<f32>::allocate(&s, 8, StorageMode::Private).unwrap();
+        assert!(matches!(
+            buf.fill(1.0),
+            Err(UmemError::StorageModeViolation { .. })
+        ));
+        assert!(buf.copy_from_slice(&[1.0]).is_err());
+        assert!(!buf.is_materialized());
     }
 
     #[test]

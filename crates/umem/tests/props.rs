@@ -75,6 +75,76 @@ proptest! {
         }
     }
 
+    /// Lazy backing is invisible: a random mix of fills, copies, logical
+    /// and padding writes and reads leaves the buffer bit-identical to an
+    /// eagerly built `Vec` model, and storage is built exactly when the
+    /// first element access happens.
+    #[test]
+    fn lazy_buffer_matches_an_eager_model(
+        len in prop_oneof![1usize..64, 1usize..5000],
+        ops in proptest::collection::vec(
+            (
+                0u8..6,
+                any::<usize>(),
+                prop_oneof![any::<f32>(), Just(-0.0f32), Just(f32::NAN)],
+                0usize..80,
+            ),
+            0..24,
+        ),
+    ) {
+        let space = SharedAddressSpace::with_gib(1);
+        let mut buf = UnifiedBuffer::<f32>::allocate(&space, len, StorageMode::Shared).unwrap();
+        let mut model = vec![0.0f32; buf.capacity_bytes() as usize / 4];
+        let mut touched = false;
+        for (op, at, value, span) in ops {
+            match op {
+                0 => {
+                    buf.fill(value).unwrap();
+                    model[..len].fill(value);
+                }
+                1 => {
+                    let src: Vec<f32> =
+                        (0..span).map(|i| f32::from_bits(value.to_bits() ^ i as u32)).collect();
+                    if span > len {
+                        prop_assert!(buf.copy_from_slice(&src).is_err());
+                    } else {
+                        buf.copy_from_slice(&src).unwrap();
+                        model[..span].copy_from_slice(&src);
+                        touched = true;
+                    }
+                }
+                2 => {
+                    buf.as_mut_slice().unwrap()[at % len] = value;
+                    model[at % len] = value;
+                    touched = true;
+                }
+                3 => {
+                    let padding = model.len() - len;
+                    let index = if padding == 0 { at % len } else { len + at % padding };
+                    buf.device_mut_slice()[index] = value;
+                    model[index] = value;
+                    touched = true;
+                }
+                4 => {
+                    let read: Vec<u32> = buf.as_slice().unwrap().iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = model[..len].iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(read, want);
+                    touched = true;
+                }
+                _ => {
+                    let read: Vec<u32> = buf.device_slice().iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = model.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(read, want);
+                    touched = true;
+                }
+            }
+            prop_assert_eq!(buf.is_materialized(), touched);
+        }
+        let read: Vec<u32> = buf.device_slice().iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = model.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(read, want);
+    }
+
     #[test]
     fn stream_bandwidth_bounded_by_theoretical(
         gen in any_generation(),

@@ -193,6 +193,37 @@ fn protocol_errors_are_in_band_and_do_not_kill_the_connection_over<T: TestTransp
     assert_eq!(summary.runs, 1, "failed requests are not runs");
 }
 
+fn hostile_nesting_is_an_in_band_error_and_the_daemon_survives_over<T: TestTransport>() {
+    use oranges_harness::envelope::Response;
+    use std::io::{BufRead, BufReader, Write};
+
+    let (endpoint, daemon) = start_daemon::<T>("nesting", |c| c);
+    // Unbounded recursion on either line would overflow the dispatch
+    // thread's stack and abort the whole process.
+    for hostile in ["[".repeat(1_000_000), "{\"a\":".repeat(200_000)] {
+        let mut stream = T::connect(&endpoint).expect("connect hostile client");
+        stream.write_all(hostile.as_bytes()).expect("send line");
+        stream.write_all(b"\n").expect("send newline");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("read reply");
+        let reply = Response::from_line(&line).expect("reply is an envelope");
+        assert_eq!((reply.id, reply.kind.as_str()), (0, "error"), "{line}");
+        assert!(
+            reply.error.unwrap_or_default().contains("nesting"),
+            "{line}"
+        );
+
+        let mut client = ServiceClient::<T>::connect(&endpoint).expect("fresh connection");
+        client.ping().expect("daemon survived the hostile line");
+    }
+
+    let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+}
+
 fn a_client_vanishing_mid_request_does_not_kill_the_daemon_over<T: TestTransport>() {
     use std::io::Write;
 
@@ -1046,6 +1077,11 @@ macro_rules! transport_matrix {
             #[test]
             fn protocol_errors_are_in_band_and_do_not_kill_the_connection() {
                 protocol_errors_are_in_band_and_do_not_kill_the_connection_over::<$transport>();
+            }
+
+            #[test]
+            fn hostile_nesting_is_an_in_band_error_and_the_daemon_survives() {
+                hostile_nesting_is_an_in_band_error_and_the_daemon_survives_over::<$transport>();
             }
 
             #[test]
