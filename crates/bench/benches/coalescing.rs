@@ -16,35 +16,35 @@ fn spec() -> CampaignSpec {
     CampaignSpec::paper_grid()
 }
 
-/// Wall time of two concurrent runs of `spec` given a pool+cache per
-/// client (`shared == false`) or one pool+cache for both (`true`).
+/// Wall time of two concurrent runs of `spec` given an engine+cache per
+/// client (`shared == false`) or one engine+cache for both (`true`).
 /// Returns (total wall, computed units, coalesced joins).
 fn duplicate_clients(shared: bool) -> (Duration, u64, u64) {
-    let pool_a = WorkerPool::new(4);
+    let engine_a = ExecutionEngine::new(4);
     let cache_a = ResultCache::new();
-    let (pool_b, cache_b) = if shared {
+    let (engine_b, cache_b) = if shared {
         (None, None)
     } else {
-        (Some(WorkerPool::new(4)), Some(ResultCache::new()))
+        (Some(ExecutionEngine::new(4)), Some(ResultCache::new()))
     };
     let started = Instant::now();
     std::thread::scope(|scope| {
-        let a = scope.spawn(|| pool_a.run(&spec(), &cache_a).expect("client A"));
+        let a = scope.spawn(|| run_campaign_on(&engine_a, &spec(), &cache_a).expect("client A"));
         let b = scope.spawn(|| {
-            let pool = pool_b.as_ref().unwrap_or(&pool_a);
+            let engine = engine_b.as_ref().unwrap_or(&engine_a);
             let cache = cache_b.as_ref().unwrap_or(&cache_a);
-            pool.run(&spec(), cache).expect("client B")
+            run_campaign_on(engine, &spec(), cache).expect("client B")
         });
         let report_a = a.join().expect("thread A");
         let report_b = b.join().expect("thread B");
         assert_eq!(report_a.fingerprint(), report_b.fingerprint());
     });
     let wall = started.elapsed();
-    let mut computed = pool_a.engine().stats().units_computed;
-    let mut coalesced = pool_a.engine().stats().coalesced_joins;
-    if let Some(pool_b) = &pool_b {
-        computed += pool_b.engine().stats().units_computed;
-        coalesced += pool_b.engine().stats().coalesced_joins;
+    let mut computed = engine_a.stats().units_computed;
+    let mut coalesced = engine_a.stats().coalesced_joins;
+    if let Some(engine_b) = &engine_b {
+        computed += engine_b.stats().units_computed;
+        coalesced += engine_b.stats().coalesced_joins;
     }
     (wall, computed, coalesced)
 }
@@ -53,11 +53,9 @@ fn main() {
     println!("=== Duplicate-spec clients: coalescing on vs off (Fig. 1-4 x M1-M4) ===\n");
 
     // Baseline for scale: one client alone.
-    let solo_pool = WorkerPool::new(4);
+    let solo_engine = ExecutionEngine::new(4);
     let solo_started = Instant::now();
-    solo_pool
-        .run(&spec(), &ResultCache::new())
-        .expect("solo run");
+    run_campaign_on(&solo_engine, &spec(), &ResultCache::new()).expect("solo run");
     let solo = solo_started.elapsed();
     println!(
         "single client:          {:8.3} s (16 units computed)",

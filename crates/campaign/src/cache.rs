@@ -35,7 +35,8 @@ use oranges_harness::metric::MetricSet;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -174,6 +175,12 @@ impl ResultCache {
     /// preserving value identity. Non-finite values are rejected here,
     /// at write time: they would serialize as `null` and produce a file
     /// [`load`](ResultCache::load) can never parse.
+    ///
+    /// The replace is crash-safe: the document goes to a temp file in
+    /// `path`'s directory, is fsynced, and only then renamed over
+    /// `path` (the directory is fsynced too, so the rename itself is
+    /// durable), so a process dying at any moment leaves either the old
+    /// file or the new one — never a torn mix.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CachePersistError> {
         let store = self.inner.store.lock().expect("cache lock");
         let mut keyed: Vec<(&UnitKey, &Arc<ExperimentOutput>)> = store.iter().collect();
@@ -199,8 +206,20 @@ impl ResultCache {
         drop(store);
         let text = oranges_harness::json::to_json_string(&document)
             .map_err(|e| CachePersistError::Serialize(e.to_string()))?;
-        std::fs::write(path.as_ref(), text)
-            .map_err(|e| CachePersistError::Io(path.as_ref().display().to_string(), e.to_string()))
+        let path = path.as_ref();
+        let temp = temp_sibling(path);
+        let replaced = std::fs::File::create(&temp)
+            .and_then(|mut file| {
+                file.write_all(text.as_bytes())?;
+                file.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&temp, path));
+        if replaced.is_err() {
+            std::fs::remove_file(&temp).ok();
+        }
+        replaced
+            .and_then(|()| sync_parent_dir(path))
+            .map_err(|e| CachePersistError::Io(path.display().to_string(), e.to_string()))
     }
 
     /// Rebuild a cache from a [`save`](ResultCache::save)d file,
@@ -217,11 +236,14 @@ impl ResultCache {
     /// reproduce, so they are **invalidated** — the load succeeds with
     /// an empty store (stamped with the *current* digest) and
     /// [`CacheLoad::invalidated`] counts what was dropped. Malformed
-    /// documents still fail with typed [`CachePersistError`]s.
+    /// documents (including bytes that are not UTF-8) fail with
+    /// [`CachePersistError::Parse`]; unreadable files with
+    /// [`CachePersistError::Io`].
     pub fn load_checked(path: impl AsRef<Path>) -> Result<CacheLoad, CachePersistError> {
-        let text = std::fs::read_to_string(path.as_ref()).map_err(|e| {
+        let bytes = std::fs::read(path.as_ref()).map_err(|e| {
             CachePersistError::Io(path.as_ref().display().to_string(), e.to_string())
         })?;
+        let text = String::from_utf8(bytes).map_err(|e| CachePersistError::Parse(e.to_string()))?;
         let document = json::parse(&text).map_err(|e| CachePersistError::Parse(e.to_string()))?;
         let version = document
             .get("version")
@@ -419,6 +441,31 @@ impl std::error::Error for CacheMergeError {}
 /// On-disk format version; bumped on any envelope change. Version 2
 /// added the `model_digest` stamp.
 const DISK_FORMAT_VERSION: u32 = 2;
+
+/// A fresh temp path next to `path` (same directory, so the final
+/// rename never crosses a filesystem).
+fn temp_sibling(path: &Path) -> PathBuf {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    path.with_file_name(format!(
+        ".{name}.tmp-{}-{}",
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
+/// Make a rename into `path`'s directory durable by fsyncing the
+/// directory (unix; elsewhere rename durability is the platform's).
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    if !cfg!(unix) {
+        return Ok(());
+    }
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}
 
 /// Parse one flat disk entry (id/params alongside the output envelope:
 /// sets, rendered, wall_time_s) via the shared rebuild path in
@@ -842,12 +889,9 @@ mod tests {
         cache.insert(key("fig1"), entry);
         let path = temp_path("torn");
         cache.save(&path).expect("save");
-        let full = std::fs::read_to_string(&path).expect("saved bytes");
+        let full = std::fs::read(&path).expect("saved bytes");
 
         for cut in 0..full.len() {
-            if !full.is_char_boundary(cut) {
-                continue;
-            }
             std::fs::write(&path, &full[..cut]).expect("write torn prefix");
             match ResultCache::load(&path) {
                 Err(CachePersistError::Parse(_)) => {}
@@ -859,6 +903,30 @@ mod tests {
         std::fs::write(&path, &full).expect("restore");
         assert_eq!(ResultCache::load(&path).expect("intact").stats().entries, 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn save_replaces_an_existing_file_and_leaves_no_temp_residue() {
+        let dir =
+            std::env::temp_dir().join(format!("oranges-cache-{}-replace", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("cache.json");
+        std::fs::write(&path, "an older, torn document").expect("seed old file");
+
+        let cache = ResultCache::new();
+        cache.insert(key("fig1"), output(1.5));
+        cache.save(&path).expect("save over the old file");
+        cache.insert(key("tables"), output(3.0));
+        cache.save(&path).expect("save over its own output");
+
+        assert_eq!(ResultCache::load(&path).expect("valid").stats().entries, 2);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list dir")
+            .map(|entry| entry.expect("dir entry").file_name())
+            .collect();
+        assert_eq!(names, ["cache.json"], "no temp file left behind");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -882,6 +950,12 @@ mod tests {
             Err(CachePersistError::Parse(_))
         ));
         std::fs::write(&path, "not json").unwrap();
+        assert!(matches!(
+            ResultCache::load(&path),
+            Err(CachePersistError::Parse(_))
+        ));
+        // Bytes that are not UTF-8 are a malformed document too.
+        std::fs::write(&path, b"{\"version\":\xff").unwrap();
         assert!(matches!(
             ResultCache::load(&path),
             Err(CachePersistError::Parse(_))

@@ -1,7 +1,7 @@
 //! The unit-granular execution engine: the crate's scheduling core.
 //!
-//! Earlier revisions scheduled whole campaigns — `WorkerPool::run(spec)`
-//! blocked on one spec end to end, so a long-running service serialized
+//! Earlier revisions scheduled whole campaigns — one call blocked on
+//! one spec end to end, so a long-running service serialized
 //! clients and two overlapping specs computed the same units twice. The
 //! paper's grid is embarrassingly parallel at the *unit* level, though,
 //! and the unit (experiment id + chip + params digest) is the natural
@@ -32,13 +32,13 @@
 //! job.
 //!
 //! The layers above are thin adapters: [`run_campaign`] and
-//! [`WorkerPool::run`] submit a whole plan and assemble deliveries back
+//! [`run_campaign_on`] submit a whole plan and assemble deliveries back
 //! into deterministic plan order (value-identical to a serial run), and
 //! [`CampaignService`] feeds every client connection into one shared
 //! engine.
 //!
 //! [`run_campaign`]: crate::scheduler::run_campaign
-//! [`WorkerPool::run`]: crate::scheduler::WorkerPool::run
+//! [`run_campaign_on`]: crate::scheduler::run_campaign_on
 //! [`CampaignService`]: crate::service::CampaignService
 
 use crate::cache::ResultCache;
@@ -579,7 +579,7 @@ impl CancelHandle {
 /// The shared, unit-granular execution core: persistent worker threads,
 /// one in-flight table, per-subscription delivery channels. `Sync` by
 /// design — any number of callers (service connections, concurrent
-/// `WorkerPool::run`s, tests) may submit at once, and overlapping
+/// `run_campaign_on`s, tests) may submit at once, and overlapping
 /// submissions against the same cache coalesce instead of recomputing.
 pub struct ExecutionEngine {
     shared: Arc<EngineShared>,

@@ -16,8 +16,8 @@
 //!   in-flight table that **coalesces** overlapping submissions — two
 //!   concurrent campaigns compute each shared unit exactly once;
 //! - [`scheduler`] — thin campaign adapters over the engine:
-//!   [`run_campaign`] (call-scoped engine) and [`WorkerPool`]
-//!   (persistent, `Sync`, re-entered by concurrent campaigns), both
+//!   [`run_campaign`] (call-scoped engine) and [`run_campaign_on`] (a
+//!   caller-owned engine, re-entered by concurrent campaigns), both
 //!   assembling unit deliveries back into deterministic plan order;
 //! - [`cache::ResultCache`] — a content-keyed result store
 //!   (experiment id + chip + params) that deduplicates repeated units,
@@ -179,7 +179,7 @@ pub use engine::{
 pub use orchestrate::{OrchestrateError, OrchestratedRun, Orchestrator};
 pub use plan::{Plan, PlanUnit, UnitKey};
 pub use report::{CampaignReport, UnitReport};
-pub use scheduler::{run_campaign, run_campaign_serial, CampaignError, WorkerPool};
+pub use scheduler::{run_campaign, run_campaign_on, run_campaign_serial, CampaignError};
 pub use service::{CancelAck, HealthReport, RunOptions, ServiceGauges, ServiceSummary};
 pub use spec::{CampaignSpec, ExperimentKind, SpecParseError};
 
@@ -189,7 +189,7 @@ pub mod prelude {
     pub use crate::engine::{ExecutionEngine, Priority, SubmitOptions, UnitSource};
     pub use crate::orchestrate::Orchestrator;
     pub use crate::report::CampaignReport;
-    pub use crate::scheduler::{run_campaign, run_campaign_serial, WorkerPool};
+    pub use crate::scheduler::{run_campaign, run_campaign_on, run_campaign_serial};
     pub use crate::spec::{CampaignSpec, ExperimentKind};
     pub use crate::Experiment;
     pub use oranges_harness::metric::{MetricRow, MetricSet, MetricValue};

@@ -1,15 +1,14 @@
 //! Campaign-level adapters over the unit-granular [`ExecutionEngine`].
 //!
 //! The engine schedules *units*; campaigns are just batches of them.
-//! Both entry points here expand a spec to its plan, submit every unit
-//! under one subscription, and assemble the deliveries back into
-//! deterministic plan order:
-//!
-//! - [`run_campaign`] — spins up a private engine for the call (the
-//!   one-shot CLI shape: threads live exactly as long as the campaign);
-//! - [`WorkerPool`] — keeps one engine alive across calls (the service
-//!   shape: warm platform pools, and *concurrent* `run`s coalesce
-//!   overlapping units instead of computing them twice).
+//! [`run_campaign_on`] expands a spec to its plan, submits every unit
+//! under one subscription to a caller-owned engine, and assembles the
+//! deliveries back into deterministic plan order. [`run_campaign`] does
+//! the same on a private, call-scoped engine (the one-shot CLI shape:
+//! threads live exactly as long as the campaign). A caller that keeps
+//! one engine alive across calls gets warm platform pools, and
+//! *concurrent* calls on it coalesce overlapping units instead of
+//! computing them twice.
 //!
 //! Because each unit is deterministic and assembly sorts by plan index,
 //! a concurrent campaign is value-identical to a serial one — the same
@@ -102,49 +101,33 @@ pub(crate) fn expand_plan(spec: &CampaignSpec) -> Result<Plan, CampaignError> {
     }
 }
 
-/// Drain a whole-plan subscription into plan-ordered unit reports,
-/// invoking `on_unit` for every successful unit *as it is delivered*
-/// (completion order — this is how the service streams responses).
+/// Drain a whole-plan subscription into plan-ordered unit reports.
 /// Every unit is awaited (units are independent, so siblings of a
 /// failing unit finish and land in the cache for the next run); the
-/// inner error reported is the earliest failing unit's, matching serial
-/// semantics. The outer `Result` carries the observer's own failures
-/// (e.g. a dead client socket), which abort the drain immediately.
-pub(crate) fn assemble_streamed<E>(
-    plan: &Plan,
-    subscription: &Subscription,
-    mut on_unit: impl FnMut(&UnitReport) -> Result<(), E>,
-) -> Result<Result<Vec<UnitReport>, CampaignError>, E> {
+/// error reported is the earliest failing unit's, matching serial
+/// semantics.
+fn assemble(plan: &Plan, subscription: &Subscription) -> Result<Vec<UnitReport>, CampaignError> {
     let mut slots: Vec<Option<UnitReport>> = (0..plan.len()).map(|_| None).collect();
     let mut first_error: Option<(usize, CampaignError)> = None;
     for _ in 0..subscription.expected() {
-        let delivery = match subscription.recv() {
-            Some(delivery) => delivery,
-            None => {
-                return Ok(Err(CampaignError::Worker(
-                    "engine shut down mid-campaign".to_string(),
-                )))
-            }
-        };
+        let delivery = subscription
+            .recv()
+            .ok_or_else(|| CampaignError::Worker("engine shut down mid-campaign".to_string()))?;
         match delivery.outcome {
             Ok(outcome) => {
                 let unit = &plan.units[delivery.index];
-                let report = UnitReport {
+                slots[delivery.index] = Some(UnitReport {
                     index: unit.index,
                     key: unit.key.clone(),
                     source: outcome.source,
-
                     wall: outcome.wall,
                     output: outcome.output,
-                };
-                on_unit(&report)?;
-                slots[delivery.index] = Some(report);
+                });
             }
             Err(error) => {
                 if first_error
                     .as_ref()
-                    .map(|(index, _)| delivery.index < *index)
-                    .unwrap_or(true)
+                    .is_none_or(|(index, _)| delivery.index < *index)
                 {
                     first_error = Some((delivery.index, error));
                 }
@@ -152,49 +135,57 @@ pub(crate) fn assemble_streamed<E>(
         }
     }
     if let Some((_, error)) = first_error {
-        return Ok(Err(error));
+        return Err(error);
     }
-    let mut units = Vec::with_capacity(plan.len());
-    for (unit, slot) in plan.units.iter().zip(slots) {
-        match slot {
-            Some(report) => units.push(report),
-            None => {
-                return Ok(Err(CampaignError::Worker(format!(
-                    "unit {} never reported",
-                    unit.key
-                ))))
-            }
-        }
-    }
-    Ok(Ok(units))
+    plan.units
+        .iter()
+        .zip(slots)
+        .map(|(unit, slot)| {
+            slot.ok_or_else(|| CampaignError::Worker(format!("unit {} never reported", unit.key)))
+        })
+        .collect()
 }
 
-/// [`assemble_streamed`] without an observer.
-fn assemble(plan: &Plan, subscription: &Subscription) -> Result<Vec<UnitReport>, CampaignError> {
-    match assemble_streamed(plan, subscription, |_| {
-        Ok::<(), std::convert::Infallible>(())
-    }) {
-        Ok(inner) => inner,
-        Err(never) => match never {},
-    }
-}
-
-/// Run a campaign on a private, call-scoped engine. The cache persists
-/// across calls: pass the same instance again and an identical spec
-/// re-run is served entirely from it.
+/// Run a campaign on a private, call-scoped engine sized by
+/// `spec.workers` (clamped to the plan). The cache persists across
+/// calls: pass the same instance again and an identical spec re-run is
+/// served entirely from it.
 pub fn run_campaign(
     spec: &CampaignSpec,
     cache: &ResultCache,
 ) -> Result<CampaignReport, CampaignError> {
     let plan = expand_plan(spec)?;
-    let workers = spec.workers.clamp(1, plan.len().max(1));
+    let engine = ExecutionEngine::new(spec.workers.clamp(1, plan.len().max(1)));
+    run_plan_on(&engine, &plan, cache)
+}
+
+/// Run a campaign on a caller-owned engine — the persistent shape: the
+/// engine's workers stay warm across calls, any number of threads may
+/// call this at once on the same engine, and overlapping campaigns
+/// against the same [`ResultCache`] compute each shared unit exactly
+/// once (the later one coalesces). Semantically identical to
+/// [`run_campaign`] (same plan expansion, sharding, cache protocol,
+/// deterministic assembly, earliest-failure error); `spec.workers` is
+/// ignored — the engine's own size governs parallelism.
+pub fn run_campaign_on(
+    engine: &ExecutionEngine,
+    spec: &CampaignSpec,
+    cache: &ResultCache,
+) -> Result<CampaignReport, CampaignError> {
+    run_plan_on(engine, &expand_plan(spec)?, cache)
+}
+
+fn run_plan_on(
+    engine: &ExecutionEngine,
+    plan: &Plan,
+    cache: &ResultCache,
+) -> Result<CampaignReport, CampaignError> {
     let started = Instant::now();
-    let engine = ExecutionEngine::new(workers);
     let subscription = engine.submit(&plan.units, cache);
-    let units = assemble(&plan, &subscription)?;
+    let units = assemble(plan, &subscription)?;
     Ok(CampaignReport::new(
         units,
-        workers,
+        engine.workers().clamp(1, plan.len().max(1)),
         started.elapsed(),
         cache.stats(),
     ))
@@ -206,67 +197,6 @@ pub fn run_campaign(
 pub fn run_campaign_serial(spec: &CampaignSpec) -> Result<CampaignReport, CampaignError> {
     let serial_spec = spec.clone().with_workers(1);
     run_campaign(&serial_spec, &ResultCache::new())
-}
-
-/// A *persistent* campaign runner: one long-lived
-/// [`ExecutionEngine`] that successive — and *concurrent* — campaigns
-/// re-enter without paying thread spawn or platform construction again.
-///
-/// [`run_campaign`] builds an engine per call — right for a one-shot CLI
-/// run. A long-running process (the campaign service) instead keeps one
-/// `WorkerPool` alive and pushes every incoming spec through it: the
-/// workers' platform state stays warm across requests, and because all
-/// submissions share the engine's in-flight table, two overlapping
-/// campaigns against the same [`ResultCache`] compute each shared unit
-/// exactly once (the later one coalesces). The pool is `Sync`: `run`
-/// takes `&self` and any number of threads may call it at once, each
-/// getting its own subscription.
-///
-/// Dropping the pool shuts the engine's threads down.
-pub struct WorkerPool {
-    engine: ExecutionEngine,
-}
-
-impl WorkerPool {
-    /// Spawn `workers` (≥ 1 enforced) persistent engine threads.
-    pub fn new(workers: usize) -> Self {
-        WorkerPool {
-            engine: ExecutionEngine::new(workers),
-        }
-    }
-
-    /// Number of persistent threads.
-    pub fn workers(&self) -> usize {
-        self.engine.workers()
-    }
-
-    /// The underlying engine (e.g. to read its dedupe/coalesce
-    /// counters).
-    pub fn engine(&self) -> &ExecutionEngine {
-        &self.engine
-    }
-
-    /// Run one campaign through the shared engine. Semantically
-    /// identical to [`run_campaign`] (same plan expansion, sharding,
-    /// cache protocol, deterministic assembly, earliest-failure error) —
-    /// only the engine lifetime differs. `spec.workers` is ignored; the
-    /// pool's own size governs parallelism.
-    pub fn run(
-        &self,
-        spec: &CampaignSpec,
-        cache: &ResultCache,
-    ) -> Result<CampaignReport, CampaignError> {
-        let plan = expand_plan(spec)?;
-        let started = Instant::now();
-        let subscription = self.engine.submit(&plan.units, cache);
-        let units = assemble(&plan, &subscription)?;
-        Ok(CampaignReport::new(
-            units,
-            self.engine.workers().clamp(1, plan.len().max(1)),
-            started.elapsed(),
-            cache.stats(),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -353,37 +283,27 @@ mod tests {
     }
 
     #[test]
-    fn persistent_pool_matches_scoped_scheduler_and_reenters_warm() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.workers(), 3);
+    fn a_persistent_engine_matches_the_scoped_scheduler_and_reenters_warm() {
+        let engine = ExecutionEngine::new(3);
         let cache = ResultCache::new();
-        let first = pool.run(&tiny_spec(3), &cache).unwrap();
+        let first = run_campaign_on(&engine, &tiny_spec(3), &cache).unwrap();
         let scoped = run_campaign(&tiny_spec(3), &ResultCache::new()).unwrap();
         assert_eq!(first.digest(), scoped.digest(), "same values either way");
+        assert_eq!(first.workers, 3);
         assert!(first.units.iter().all(|u| !u.from_cache()));
 
         // Re-entry over the warm cache: zero computed units.
-        let second = pool.run(&tiny_spec(3), &cache).unwrap();
+        let second = run_campaign_on(&engine, &tiny_spec(3), &cache).unwrap();
         assert!(second.units.iter().all(|u| u.from_cache()));
         assert_eq!(second.computed_units(), 0);
         assert_eq!(second.fingerprint(), first.fingerprint());
 
         // A different spec re-enters the same threads.
         let sharded = tiny_spec(3).with_shard(0, 2).expect("valid shard");
-        let other = pool.run(&sharded, &cache).unwrap();
+        let other = run_campaign_on(&engine, &sharded, &cache).unwrap();
         assert_eq!(other.units.len(), 2);
-        assert_eq!(
-            pool.engine().stats().units_computed,
-            4,
-            "nothing recomputed"
-        );
-        drop(pool); // joins cleanly
-    }
-
-    #[test]
-    fn pool_shuts_down_even_when_never_used() {
-        let pool = WorkerPool::new(4);
-        drop(pool);
+        assert_eq!(engine.stats().units_computed, 4, "nothing recomputed");
+        drop(engine); // joins cleanly
     }
 
     #[test]

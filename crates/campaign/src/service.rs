@@ -73,7 +73,8 @@
 //!
 //! The shared cache warm-starts from disk when
 //! [`ServiceConfig::cache_path`] is set (a file stamped with a stale
-//! model digest is invalidated, not an error) and is saved back on
+//! model digest is invalidated, and one that does not parse is moved
+//! aside — neither is an error) and is saved back, crash-safely, on
 //! shutdown, so a repeat of any spec the daemon has seen — in this
 //! process or a previous one — computes nothing: `tests/service_mode.rs`
 //! proves it. `done` and `stats` bodies carry the daemon's
@@ -519,26 +520,44 @@ pub struct CampaignService<T: Transport> {
 }
 
 impl<T: Transport> CampaignService<T> {
-    /// Bind the configured endpoint and warm-start the cache (a cache
-    /// file stamped with a stale model digest is invalidated — logged,
-    /// not fatal). The service is not serving yet — call
+    /// Bind the configured endpoint and warm-start the cache. A cache
+    /// file stamped with a stale model digest is invalidated; one that
+    /// does not parse (a torn write, say) is renamed to
+    /// `<path>.corrupt-<unix_ms>` and the daemon starts cold — both
+    /// logged, neither fatal. An unreadable file still fails the bind.
+    /// The service is not serving yet — call
     /// [`serve`](CampaignService::serve).
     pub fn bind(config: ServiceConfig) -> Result<Self, ServiceError> {
         let cache = match &config.cache_path {
-            Some(path) if path.exists() => {
-                let load = ResultCache::load_checked(path)?;
-                if load.invalidated > 0 {
-                    eprintln!(
-                        "campaign service: cache {} invalidated ({} stale units, \
-                         model digest {} != {})",
-                        path.display(),
-                        load.invalidated,
-                        load.file_digest,
-                        load.cache.model_digest(),
-                    );
+            Some(path) if path.exists() => match ResultCache::load_checked(path) {
+                Ok(load) => {
+                    if load.invalidated > 0 {
+                        eprintln!(
+                            "campaign service: cache {} invalidated ({} stale units, \
+                             model digest {} != {})",
+                            path.display(),
+                            load.invalidated,
+                            load.file_digest,
+                            load.cache.model_digest(),
+                        );
+                    }
+                    load.cache
                 }
-                load.cache
-            }
+                Err(CachePersistError::Parse(cause)) => {
+                    let quarantine = quarantine_path(path);
+                    std::fs::rename(path, &quarantine).map_err(|e| {
+                        io_err(&format!("quarantining cache {}", path.display()), e)
+                    })?;
+                    eprintln!(
+                        "campaign service: warning: cache {} does not parse ({cause}); \
+                         kept as {}, starting cold",
+                        path.display(),
+                        quarantine.display(),
+                    );
+                    ResultCache::new()
+                }
+                Err(error) => return Err(error.into()),
+            },
             _ => ResultCache::new(),
         };
         let listener = T::bind(&config.listen)
@@ -636,6 +655,18 @@ impl<T: Transport> CampaignService<T> {
     }
 }
 
+/// Where [`CampaignService::bind`] moves a cache file that does not
+/// parse: `<path>.corrupt-<unix_ms>`, beside the original.
+fn quarantine_path(path: &std::path::Path) -> PathBuf {
+    let unix_ms = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .unwrap_or_default()
+        .as_millis();
+    let mut name = path.as_os_str().to_owned();
+    name.push(format!(".corrupt-{unix_ms}"));
+    PathBuf::from(name)
+}
+
 /// The accept thread's whole job: hand accepted streams to the reactor
 /// over its wakeup channel. Transient accept failures (EMFILE under fd
 /// pressure, say) are retried; only a persistent streak aborts the
@@ -696,7 +727,7 @@ enum ConnState {
 }
 
 /// One in-flight `run`, pumped incrementally from notify wakeups — the
-/// reactor-shaped twin of `scheduler::assemble_streamed`, preserving
+/// reactor-shaped twin of the scheduler's blocking assembly, preserving
 /// its semantics exactly: units stream as delivered, the
 /// earliest-plan-index error wins, a shut-down engine or a
 /// never-reported unit is a worker error.

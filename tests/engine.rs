@@ -1,7 +1,7 @@
 //! Execution-engine semantics, through the public API:
 //!
-//! (a) two concurrent overlapping campaigns on one shared
-//!     `WorkerPool` + cache compute each shared unit exactly once, and
+//! (a) two concurrent overlapping campaigns on one shared engine +
+//!     cache compute each shared unit exactly once, and
 //!     both reports stay digest-identical to serial runs;
 //! (b) a panicking unit fails only its subscribers — the engine, its
 //!     workers, and unrelated submissions keep going.
@@ -34,12 +34,12 @@ fn overlapping_specs() -> (CampaignSpec, CampaignSpec) {
 fn concurrent_overlapping_campaigns_compute_each_shared_unit_exactly_once() {
     let (spec_a, spec_b) = overlapping_specs();
     // 4 + 4 units with contention[M3] shared: 7 distinct keys.
-    let pool = WorkerPool::new(3);
+    let engine = ExecutionEngine::new(3);
     let cache = ResultCache::new();
 
     let (report_a, report_b) = std::thread::scope(|scope| {
-        let a = scope.spawn(|| pool.run(&spec_a, &cache).expect("campaign A"));
-        let b = scope.spawn(|| pool.run(&spec_b, &cache).expect("campaign B"));
+        let a = scope.spawn(|| run_campaign_on(&engine, &spec_a, &cache).expect("campaign A"));
+        let b = scope.spawn(|| run_campaign_on(&engine, &spec_b, &cache).expect("campaign B"));
         (a.join().expect("thread A"), b.join().expect("thread B"))
     });
 
@@ -56,7 +56,7 @@ fn concurrent_overlapping_campaigns_compute_each_shared_unit_exactly_once() {
     // Exactly-once: however the two campaigns interleaved, the shared
     // unit was computed by one of them and *reused* by the other —
     // whether as a coalesced join (temporal overlap) or a cache hit.
-    let stats = pool.engine().stats();
+    let stats = engine.stats();
     assert_eq!(stats.units_submitted, 8);
     assert_eq!(stats.units_computed, 7, "7 distinct keys, each once");
     assert_eq!(
@@ -134,8 +134,8 @@ fn a_panicking_unit_fails_its_subscribers_but_not_other_campaigns() {
 #[test]
 fn a_panicking_unit_fails_the_whole_campaign_with_a_typed_error() {
     // Through the campaign adapter: the report-level error names the
-    // unit and the panic, and the pool survives for the next campaign.
-    let pool = WorkerPool::new(2);
+    // unit and the panic, and the engine survives for the next campaign.
+    let engine = ExecutionEngine::new(2);
     let cache = ResultCache::new();
 
     let experiment: Arc<dyn Experiment> = Arc::new(PanickingExperiment);
@@ -144,16 +144,16 @@ fn a_panicking_unit_fails_the_whole_campaign_with_a_typed_error() {
         key: UnitKey::of(experiment.as_ref()),
         experiment,
     };
-    let subscription = pool.engine().submit(&[plan_unit], &cache);
+    let subscription = engine.submit(&[plan_unit], &cache);
     let delivery = subscription.recv().expect("delivered");
     assert!(matches!(
         delivery.outcome,
         Err(CampaignError::UnitPanicked { .. })
     ));
 
-    // The pool still runs ordinary campaigns to completion.
+    // The engine still runs ordinary campaigns to completion.
     let spec = CampaignSpec::new(vec![ExperimentKind::Fig1], vec![ChipGeneration::M3]);
-    let report = pool.run(&spec, &cache).expect("pool survived the panic");
+    let report = run_campaign_on(&engine, &spec, &cache).expect("engine survived the panic");
     assert_eq!(report.units.len(), 1);
     assert!(!report.units[0].from_cache());
 }

@@ -161,6 +161,48 @@ fn daemon_persists_its_cache_and_warm_starts_the_next_incarnation_over<T: TestTr
     std::fs::remove_file(&cache_file).ok();
 }
 
+/// A cache file torn by a crash mid-write must not keep the daemon
+/// down: bind moves it aside byte for byte, the daemon starts cold, and
+/// its shutdown writes a valid cache back at the original path.
+fn a_torn_cache_file_is_quarantined_and_the_daemon_starts_cold_over<T: TestTransport>() {
+    let dir = temp_path(&format!("torn-{}", T::TAG));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let cache_file = dir.join("cache.json");
+    let warm = ResultCache::new();
+    run_campaign(&small_spec(), &warm).expect("local run");
+    warm.save(&cache_file).expect("save");
+    let full = std::fs::read(&cache_file).expect("saved bytes");
+    let torn = &full[..full.len() / 2];
+    std::fs::write(&cache_file, torn).expect("tear the file");
+
+    let (endpoint, daemon) = start_daemon::<T>("torn", |c| c.with_cache_path(&cache_file));
+    let quarantined: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("list dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            name.starts_with("cache.json.corrupt-")
+        })
+        .collect();
+    assert_eq!(quarantined.len(), 1, "the torn file was moved aside");
+    assert_eq!(
+        std::fs::read(&quarantined[0]).expect("quarantined bytes"),
+        torn,
+        "kept byte for byte"
+    );
+
+    let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
+    let cold = client.run(&small_spec()).expect("cold run");
+    assert_eq!(cold.computed_units, 4, "the daemon started cold");
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+
+    let saved = ResultCache::load(&cache_file).expect("shutdown wrote a valid cache");
+    assert_eq!(saved.stats().entries, 4);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn protocol_errors_are_in_band_and_do_not_kill_the_connection_over<T: TestTransport>() {
     let (endpoint, daemon) = start_daemon::<T>("errors", |c| c);
     let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
@@ -474,9 +516,56 @@ fn unit_responses_stream_before_the_run_completes_over<T: TestTransport>() {
     daemon.join().expect("daemon");
 }
 
-/// The observability surface: `metrics` returns a parseable exposition
-/// carrying per-experiment latency histograms, `health` reports ready,
-/// and the exposition agrees with the `stats` counter set.
+/// Strict-enough exposition parse: every non-comment line must be
+/// `name{labels} value` (or `name value`) with a float-parseable value
+/// and balanced, quote-escaped labels. Returns the sample count.
+fn assert_exposition_parses(text: &str) -> usize {
+    let mut samples = 0;
+    for line in text.lines() {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (series, value) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("no value separator in {line:?}"));
+        assert!(
+            value == "+Inf" || value == "-Inf" || value == "NaN" || value.parse::<f64>().is_ok(),
+            "unparseable value in {line:?}"
+        );
+        let name = series.split('{').next().unwrap_or("");
+        assert!(
+            !name.is_empty()
+                && name
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+            "illegal metric name in {line:?}"
+        );
+        if let Some(open) = series.find('{') {
+            assert!(series.ends_with('}'), "unterminated labels in {line:?}");
+            let labels = &series[open + 1..series.len() - 1];
+            // Quotes must balance after unescaping — the cheap proof
+            // that label values were escaped correctly.
+            let unescaped_quotes = labels
+                .as_bytes()
+                .iter()
+                .enumerate()
+                .filter(|(i, b)| **b == b'"' && (*i == 0 || labels.as_bytes()[i - 1] != b'\\'))
+                .count();
+            assert!(
+                unescaped_quotes % 2 == 0,
+                "unbalanced label quotes in {line:?}"
+            );
+        }
+        samples += 1;
+    }
+    samples
+}
+
+/// The observability surface: `metrics` returns an exposition that
+/// parses line by line and carries per-experiment latency histograms,
+/// `health` reports ready, the exposition agrees with the `stats`
+/// counter set, and once the drain completes the endpoint refuses
+/// connections — the supervisor's not-ready signal after exit.
 fn metrics_and_health_expose_one_agreeing_counter_set_over<T: TestTransport>() {
     let (endpoint, daemon) = start_daemon::<T>("metrics", |c| c);
     let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
@@ -496,6 +585,8 @@ fn metrics_and_health_expose_one_agreeing_counter_set_over<T: TestTransport>() {
 
     let stats = client.stats().expect("stats");
     let text = client.metrics().expect("metrics");
+    let samples = assert_exposition_parses(&text);
+    assert!(samples > 20, "suspiciously small exposition: {samples}");
 
     // stats and metrics agree on one counter set.
     for (name, value) in [
@@ -549,6 +640,10 @@ fn metrics_and_health_expose_one_agreeing_counter_set_over<T: TestTransport>() {
 
     client.shutdown().expect("shutdown");
     daemon.join().expect("daemon");
+    assert!(
+        ServiceClient::<T>::connect(&endpoint).is_err(),
+        "daemon still reachable after the drain"
+    );
 }
 
 /// The `subscribe` acceptance property: a watching client sees the
@@ -632,6 +727,10 @@ fn a_subscriber_observes_the_complete_lifecycle_of_a_concurrent_run_over<T: Test
     assert_eq!(started.len(), 4, "one compute per distinct unit");
     assert_eq!(completed.len(), 4, "every started unit completed");
     assert!(of_kind(EventKind::UnitFailed).is_empty());
+    assert!(
+        of_kind(EventKind::ConnectionOpened).len() >= 2,
+        "both run clients' connections were announced: {events:?}"
+    );
     // Every distinct unit key has a started + completed pair, and the
     // keys match what the clients were served.
     let keys = |events: &[&oranges_harness::obs::CampaignEvent]| -> Vec<String> {
@@ -724,28 +823,45 @@ fn busy_rejections_and_priorities_are_typed_over<T: TestTransport>() {
 }
 
 /// The cancellation contract over the wire: a batch run registered
-/// under a `run_token` is cancelled from another connection and gets a
-/// *typed* `cancelled` terminal; a sibling whose units coalesced onto
-/// the cancelled run's in-flight computations still receives every one
-/// of its units.
+/// under a `run_token` — its units visibly queued in the batch class —
+/// is cancelled from another connection and gets a *typed* `cancelled`
+/// terminal; a sibling whose units coalesced onto the cancelled run's
+/// in-flight computations still receives every one of its units.
 fn cancelling_a_run_spares_a_coalesced_sibling_over<T: TestTransport>() {
     // Cancellation inherently races completion; the choreography below
-    // makes the cancel win overwhelmingly (16-unit victim, 1 worker,
-    // the sibling's synchronous run buys the window) — but it *is* a
-    // race, so an attempt where the victim finished first is retried.
+    // makes the cancel win overwhelmingly (16-unit victim whose 4-unit
+    // tail each functionally verifies a GEMM, 1 worker, the sibling's
+    // synchronous run buys the window) — but it *is* a race, so an
+    // attempt where the victim finished first is retried.
     for attempt in 0..3 {
         let (endpoint, daemon) =
             start_daemon::<T>(&format!("cancel{attempt}"), |c| c.with_workers(1));
 
-        // The victim: the 16-unit smoke grid at batch priority, under a
-        // cancellation token. Signal the moment its first unit streams.
+        // The victim: a 16-unit grid at batch priority, under a
+        // cancellation token. Fig4 runs first, so the sibling below can
+        // ride it; the Fig2 tail verifies a 96³ GEMM per chip — a
+        // backlog far slower than the sibling's round trips, which the
+        // cancel abandons before most of it ever runs. Signal the
+        // moment the first unit streams.
+        let victim_spec = CampaignSpec::new(
+            vec![
+                ExperimentKind::Fig4,
+                ExperimentKind::Fig1,
+                ExperimentKind::Fig3,
+                ExperimentKind::Fig2,
+            ],
+            ChipGeneration::ALL.to_vec(),
+        )
+        .with_gemm_sizes(vec![96])
+        .with_power_sizes(vec![2048, 4096])
+        .with_verify_max_flops(2 * 96 * 96 * 96);
         let (first_unit_tx, first_unit_rx) = std::sync::mpsc::channel::<()>();
         let victim_endpoint = endpoint.clone();
         let victim = std::thread::spawn(move || {
             let mut client = ServiceClient::<T>::connect(&victim_endpoint).expect("victim connect");
             let options = RunOptions::priority(Priority::Batch).with_token("victim-run");
             let mut signalled = false;
-            client.run_streamed_with(&CampaignSpec::smoke(), &options, |_| {
+            client.run_streamed_with(&victim_spec, &options, |_| {
                 if !signalled {
                     signalled = true;
                     let _ = first_unit_tx.send(());
@@ -756,18 +872,21 @@ fn cancelling_a_run_spares_a_coalesced_sibling_over<T: TestTransport>() {
             .recv_timeout(std::time::Duration::from_secs(30))
             .expect("victim's first unit streamed");
 
-        // The sibling: a 4-unit subset of the victim's grid (same key
-        // overrides), run synchronously at default priority — its units
-        // ride the victim's in-flight computations (coalesce or hit),
-        // and its completion guarantees the victim is still mid-run
-        // with a deep batch backlog when the cancel lands.
+        // The sibling: the victim's 4 Fig4 units (whose keys depend
+        // only on chip and power sizes), run synchronously at default
+        // priority — its units ride the victim's computations (coalesce
+        // or hit), and its completion guarantees the victim is still
+        // mid-run with a batch backlog when the cancel lands.
         let sibling_spec =
             CampaignSpec::new(vec![ExperimentKind::Fig4], ChipGeneration::ALL.to_vec())
-                .with_gemm_sizes(vec![256, 1024])
-                .with_power_sizes(vec![2048, 4096])
-                .with_verify_max_flops(0);
+                .with_power_sizes(vec![2048, 4096]);
         let mut sibling = ServiceClient::<T>::connect(&endpoint).expect("sibling connect");
         let sibling_outcome = sibling.run(&sibling_spec).expect("sibling run");
+        let queued = sibling.stats().expect("stats before the cancel").gauges;
+        assert!(
+            queued.queue_batch > 0,
+            "the victim's units wait in the batch class: {queued:?}"
+        );
 
         // Cancel the victim by token, from the sibling's connection.
         let ack = sibling.cancel("victim-run").expect("cancel answers");
@@ -923,6 +1042,7 @@ fn a_thousand_idle_subscribers_ride_along_eight_active_clients_over<T: TestTrans
 
     let (endpoint, daemon) = start_daemon::<T>("soak", |c| c);
     let mut probe = ServiceClient::<T>::connect(&endpoint).expect("probe connect");
+    let baseline_workers = probe.health().expect("health").workers_alive;
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(180);
 
     // Open every subscription, draining as we go so no subscriber is
@@ -981,6 +1101,10 @@ fn a_thousand_idle_subscribers_ride_along_eight_active_clients_over<T: TestTrans
     );
     assert_eq!(stats.summary.active_connections as usize, subscribers + 1);
     assert_eq!(stats.summary.events_dropped, 0);
+    assert_eq!(
+        stats.gauges.workers_alive, baseline_workers,
+        "idle connections must not touch the compute plane"
+    );
 
     // 8 active clients, all racing the same 4-unit spec: the engine
     // must compute each distinct unit exactly once and serve the rest
@@ -1072,6 +1196,11 @@ macro_rules! transport_matrix {
             #[test]
             fn daemon_persists_its_cache_and_warm_starts_the_next_incarnation() {
                 daemon_persists_its_cache_and_warm_starts_the_next_incarnation_over::<$transport>();
+            }
+
+            #[test]
+            fn a_torn_cache_file_is_quarantined_and_the_daemon_starts_cold() {
+                a_torn_cache_file_is_quarantined_and_the_daemon_starts_cold_over::<$transport>();
             }
 
             #[test]
