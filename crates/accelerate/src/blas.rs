@@ -71,8 +71,9 @@ pub struct Blas {
 
 impl Blas {
     /// BLAS bound to a chip generation; functional work is parallelized
-    /// over as many host threads as the chip has performance cores, with
-    /// cache-blocking geometry from the chip's per-core L1/L2.
+    /// over as many host threads as the chip has performance cores (at
+    /// most the host's parallelism), with cache-blocking geometry from the
+    /// chip's per-core L1/L2.
     pub fn new(chip: ChipGeneration) -> Self {
         let spec = chip.spec();
         Blas {

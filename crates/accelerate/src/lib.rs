@@ -12,8 +12,9 @@
 //!   by the AMX model;
 //! - [`vdsp`]: vDSP-style vector ops (`vsmul`, `vadd`, `dotpr`, `mmul`) —
 //!   the paper reports vDSP and BLAS "perform nearly identically";
-//! - [`threading`]: the scoped row-block thread pool used by the blocked
-//!   driver (crossbeam; one worker per performance core);
+//! - [`threading`]: the scoped row-block thread pool behind blocked
+//!   `sgemm` (crossbeam; one worker per performance core, capped at the
+//!   host's parallelism);
 //! - [`timing`]: the calibrated sustained-throughput model (Figure 2
 //!   Accelerate anchors: 0.90 / 1.09 / 1.38 / 1.49 TFLOPS on M1–M4).
 

@@ -3,8 +3,23 @@
 //! Accelerate parallelizes large GEMMs across the performance cluster; the
 //! simulator's functional path does the same on host threads: the output
 //! row range is split into contiguous blocks, one crossbeam scoped thread
-//! per block. (The *modeled* time comes from the AMX model — host threads
-//! only make functional verification fast.)
+//! per block, the calling thread taking the first. The block count is the
+//! caller's worker count capped at the host's parallelism (read once per
+//! process), so a chip with more cores than the host never oversubscribes
+//! it. (The *modeled* time comes from the AMX model — host threads only
+//! make functional verification fast.)
+
+use std::sync::OnceLock;
+
+/// The host's available parallelism, read once per process.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
+}
 
 /// Split `rows` into at most `workers` contiguous, non-empty ranges.
 pub fn row_blocks(rows: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
@@ -27,7 +42,8 @@ pub fn row_blocks(rows: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
 /// Run `body` over disjoint row-blocks of `output` in parallel.
 ///
 /// `output` is a row-major matrix of `rows` rows × `row_len` columns;
-/// each worker receives its row range and the matching mutable slice.
+/// it is split into at most `min(workers, host_parallelism())` blocks,
+/// and each receives its row range and the matching mutable slice.
 pub fn parallel_row_blocks<F>(
     output: &mut [f32],
     rows: usize,
@@ -38,32 +54,24 @@ pub fn parallel_row_blocks<F>(
     F: Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
 {
     assert!(output.len() >= rows * row_len, "output too short");
-    let blocks = row_blocks(rows, workers);
-    if blocks.len() <= 1 {
-        if let Some(range) = blocks.into_iter().next() {
-            let slice = &mut output[range.start * row_len..range.end * row_len];
-            body(range, slice);
-        }
-        return;
-    }
-    // Carve disjoint mutable slices, then run them on scoped threads.
+    // Blocks are contiguous and cover `0..rows`, so carving each off the
+    // front of the remaining output hands every worker its own slice.
     let mut remaining = &mut output[..rows * row_len];
-    let mut work: Vec<(std::ops::Range<usize>, &mut [f32])> = Vec::with_capacity(blocks.len());
-    let mut consumed = 0usize;
-    for range in blocks {
-        let len = (range.end - range.start) * row_len;
-        let (head, tail) = remaining.split_at_mut(range.start * row_len - consumed + len);
-        // head spans [consumed, range.end*row_len): its tail part is ours.
-        let own_start = head.len() - len;
-        let (_, own) = head.split_at_mut(own_start);
-        work.push((range.clone(), own));
-        consumed = range.end * row_len;
-        remaining = tail;
-    }
+    let mut work = row_blocks(rows, workers.min(host_parallelism()))
+        .into_iter()
+        .map(|range| {
+            let (own, tail) = std::mem::take(&mut remaining).split_at_mut(range.len() * row_len);
+            remaining = tail;
+            (range, own)
+        });
+    let first = work.next();
+    let body = &body;
     crossbeam::thread::scope(|scope| {
         for (range, slice) in work {
-            let body = &body;
             scope.spawn(move |_| body(range, slice));
+        }
+        if let Some((range, slice)) = first {
+            body(range, slice);
         }
     })
     .expect("parallel row-block execution panicked");

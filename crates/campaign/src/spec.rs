@@ -150,7 +150,8 @@ pub struct CampaignSpec {
     pub gemm_sizes: Option<Vec<usize>>,
     /// Override Figures 3/4's size sweep (`None` = the paper's sizes).
     pub power_sizes: Option<Vec<usize>>,
-    /// Override Figure 2's verification FLOP ceiling.
+    /// Override Figure 2's verification FLOP ceiling (a value above the
+    /// backends' functional ceiling, 600 MFLOP, is clamped to it).
     pub verify_max_flops: Option<u64>,
     /// Worker threads (clamped to ≥ 1 by the scheduler).
     pub workers: usize,

@@ -5,19 +5,24 @@
 //! runs once per cell up to a configurable FLOP ceiling (the paper's
 //! harness verifies numerics at small scale for the same reason: full
 //! verification of an 8.8 TFLOP product is itself an 8.8 TFLOP job).
+//! The ceiling is clamped to the backends' own functional ceiling
+//! ([`DEFAULT_FUNCTIONAL_LIMIT`]): above it no backend computes, so a cell
+//! there is reported unverified rather than generating operands that
+//! nothing multiplies.
 
 use crate::experiments::experiment::{
     chip_mismatch, digest_sizes, Experiment, ExperimentError, ExperimentOutput,
 };
 use crate::platform::Platform;
 use oranges_gemm::suite::{paper_sizes, skips_size};
-use oranges_gemm::{gemm_flops, verify_sampled, GemmError, Matrix};
+use oranges_gemm::{gemm_flops, verify_sampled, GemmError, Matrix, DEFAULT_FUNCTIONAL_LIMIT};
 use oranges_harness::experiment::RepetitionProtocol;
 use oranges_harness::figure::{series_chart, Series, SeriesChartConfig};
 use oranges_harness::metric::{self, MetricSet, PowerContext};
 use oranges_harness::stats::Summary;
 use oranges_soc::chip::ChipGeneration;
 use serde::Serialize;
+use std::collections::HashMap;
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -26,7 +31,8 @@ pub struct Fig2Config {
     pub sizes: Vec<usize>,
     /// Repetition protocol (paper: 5 reps).
     pub protocol: RepetitionProtocol,
-    /// Verify numerics functionally for cells at or below this many FLOPs.
+    /// Verify numerics functionally for cells at or below this many FLOPs
+    /// (at most [`DEFAULT_FUNCTIONAL_LIMIT`]; a larger value is clamped).
     pub verify_max_flops: u64,
     /// Chips to run (default all four).
     pub chips: Vec<ChipGeneration>,
@@ -68,7 +74,11 @@ pub struct Fig2Point {
     pub gflops: f64,
     /// Repetition statistics (of GFLOPS).
     pub stats: Summary,
-    /// Whether this cell's numerics were functionally verified.
+    /// The cell's one-shot functional verification: `Some(passed)` when
+    /// its FLOPs are within the verification ceiling (the configured
+    /// `verify_max_flops`, clamped to [`DEFAULT_FUNCTIONAL_LIMIT`]), `None`
+    /// above it — those cells are only modeled, and carry no `verified`
+    /// metric.
     pub verified: Option<bool>,
     /// Power/thermal context of the measured window (mean over reps).
     pub power: PowerContext,
@@ -103,20 +113,14 @@ impl Fig2Data {
 /// platform's chip decides the cells). `config.chips` is ignored here.
 pub fn run_chip(platform: &mut Platform, config: &Fig2Config) -> Result<Vec<Fig2Point>, GemmError> {
     let chip = platform.chip();
-    let mut points = Vec::new();
     let names = platform.implementation_names();
+    let verdicts = verify_sizes(platform, &names, config)?;
+    let mut points = Vec::new();
     for name in names {
         for &n in &config.sizes {
             if skips_size(name, n) {
                 continue;
             }
-            // Optional one-shot functional verification.
-            let flops = gemm_flops(n as u64);
-            let verified = if flops <= config.verify_max_flops {
-                Some(verify_cell(platform, name, n)?)
-            } else {
-                None
-            };
             // The five timed repetitions (model path — deterministic),
             // with power piggybacked on the same windows.
             let runs = config
@@ -134,7 +138,7 @@ pub fn run_chip(platform: &mut Platform, config: &Fig2Config) -> Result<Vec<Fig2
                 n,
                 gflops: stats.mean,
                 stats,
-                verified,
+                verified: verdicts.get(&(name, n)).copied(),
                 power: PowerContext {
                     package_watts: mean(&|p| p.package_watts),
                     energy_j: mean(&|p| p.energy_j),
@@ -147,6 +151,48 @@ pub fn run_chip(platform: &mut Platform, config: &Fig2Config) -> Result<Vec<Fig2
     Ok(points)
 }
 
+/// The verification ceiling a requested one amounts to: no backend
+/// computes above [`DEFAULT_FUNCTIONAL_LIMIT`].
+fn verify_ceiling(requested: u64) -> u64 {
+    requested.min(DEFAULT_FUNCTIONAL_LIMIT)
+}
+
+/// One-shot functional verification of every (implementation, size) cell
+/// under the ceiling, size by size: each verified size's A and B are
+/// generated once and shared by the whole suite.
+fn verify_sizes(
+    platform: &mut Platform,
+    names: &[&'static str],
+    config: &Fig2Config,
+) -> Result<HashMap<(&'static str, usize), bool>, GemmError> {
+    let ceiling = verify_ceiling(config.verify_max_flops);
+    let mut sizes: Vec<usize> = config
+        .sizes
+        .iter()
+        .copied()
+        .filter(|&n| gemm_flops(n as u64) <= ceiling)
+        .collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    let mut verdicts = HashMap::new();
+    for n in sizes {
+        let a = Matrix::random(platform.address_space(), n, 1)?;
+        let b = Matrix::random(platform.address_space(), n, 2)?;
+        let mut c = vec![0.0f32; n * n];
+        for &name in names {
+            if skips_size(name, n) {
+                continue;
+            }
+            c.fill(0.0);
+            let outcome = platform.gemm_on(name, n, a.as_slice(), b.as_slice(), &mut c)?;
+            let passed = outcome.functional
+                && verify_sampled(n, a.as_slice(), b.as_slice(), &c, 64, 7, 1e-5).passed;
+            verdicts.insert((name, n), passed);
+        }
+    }
+    Ok(verdicts)
+}
+
 /// Run the experiment.
 pub fn run(config: &Fig2Config) -> Result<Fig2Data, GemmError> {
     let mut points = Vec::new();
@@ -155,24 +201,6 @@ pub fn run(config: &Fig2Config) -> Result<Fig2Data, GemmError> {
         points.extend(run_chip(&mut platform, config)?);
     }
     Ok(Fig2Data { points })
-}
-
-fn verify_cell(platform: &mut Platform, name: &'static str, n: usize) -> Result<bool, GemmError> {
-    let space = platform.address_space().clone();
-    let a = Matrix::random(&space, n, 1)?;
-    let b = Matrix::random(&space, n, 2)?;
-    let mut c = vec![0.0f32; n * n];
-    let mut suite = oranges_gemm::suite::suite_for(platform.chip());
-    let implementation = suite
-        .iter_mut()
-        .find(|i| i.name() == name)
-        .expect("implementation exists");
-    let outcome = implementation.run(n, a.as_slice(), b.as_slice(), &mut c)?;
-    if !outcome.functional {
-        return Ok(false);
-    }
-    let verdict = verify_sampled(n, a.as_slice(), b.as_slice(), &c, 64, 7, 1e-5);
-    Ok(verdict.passed)
 }
 
 /// Render one chip's panel of Figure 2 (log-y GFLOPS vs size).
@@ -240,7 +268,8 @@ pub struct Fig2Experiment {
     pub chip: ChipGeneration,
     /// Matrix sizes to sweep.
     pub sizes: Vec<usize>,
-    /// Verification ceiling in FLOPs.
+    /// Verification ceiling in FLOPs (clamped to
+    /// [`DEFAULT_FUNCTIONAL_LIMIT`] when run and in [`Experiment::params`]).
     pub verify_max_flops: u64,
 }
 
@@ -275,7 +304,7 @@ impl Experiment for Fig2Experiment {
             "chip={};sizes={};verify_max_flops={}",
             self.chip.name(),
             digest_sizes(&self.sizes),
-            self.verify_max_flops
+            verify_ceiling(self.verify_max_flops)
         )
     }
 

@@ -109,19 +109,9 @@ impl Platform {
         let a = Matrix::random(&self.space, n, 0xA11CE)?;
         let b = Matrix::random(&self.space, n, 0xB0B)?;
         let mut c = Matrix::zeros(&self.space, n)?;
-        let implementation = self
-            .suite
-            .iter_mut()
-            .find(|i| i.name() == implementation)
-            .ok_or_else(|| {
-                GemmError::Dimension(format!("unknown implementation {implementation}"))
-            })?;
-        let outcome = implementation.run(n, a.as_slice(), b.as_slice(), c.as_mut_slice())?;
-        let power = self
-            .power
-            .measure(implementation.work_class(), outcome.duration, outcome.duty)
-            .map_err(|e: SamplerError| GemmError::Verification(e.to_string()))?;
-        Ok(MeasuredRun { outcome, power })
+        self.measured(implementation, |i| {
+            i.run(n, a.as_slice(), b.as_slice(), c.as_mut_slice())
+        })
     }
 
     /// Model-only GEMM run (no matrices) with piggybacked power — what the
@@ -131,17 +121,47 @@ impl Platform {
         implementation: &str,
         n: usize,
     ) -> Result<MeasuredRun, GemmError> {
-        let implementation = self
-            .suite
-            .iter_mut()
-            .find(|i| i.name() == implementation)
-            .ok_or_else(|| {
-                GemmError::Dimension(format!("unknown implementation {implementation}"))
-            })?;
-        let outcome = implementation.model_run(n)?;
+        self.measured(implementation, |i| i.model_run(n))
+    }
+
+    /// `c := a · b` through one implementation of this platform's suite,
+    /// on the caller's `n×n` operands and with no power window — Figure
+    /// 2's one-shot verification, which reuses one A and B across the
+    /// whole suite. The outcome's `functional` flag says whether real
+    /// arithmetic ran (the size was under the implementation's ceiling).
+    pub fn gemm_on(
+        &mut self,
+        implementation: &str,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) -> Result<GemmOutcome, GemmError> {
+        self.implementation(implementation)?.run(n, a, b, c)
+    }
+
+    /// The suite member named `name`.
+    fn implementation(&mut self, name: &str) -> Result<&mut dyn GemmImplementation, GemmError> {
+        match self.suite.iter_mut().find(|i| i.name() == name) {
+            Some(implementation) => Ok(implementation.as_mut()),
+            None => Err(GemmError::Dimension(format!(
+                "unknown implementation {name}"
+            ))),
+        }
+    }
+
+    /// Run `name` through `run` and measure power over its window.
+    fn measured(
+        &mut self,
+        name: &str,
+        run: impl FnOnce(&mut dyn GemmImplementation) -> Result<GemmOutcome, GemmError>,
+    ) -> Result<MeasuredRun, GemmError> {
+        let implementation = self.implementation(name)?;
+        let outcome = run(&mut *implementation)?;
+        let class = implementation.work_class();
         let power = self
             .power
-            .measure(implementation.work_class(), outcome.duration, outcome.duty)
+            .measure(class, outcome.duration, outcome.duty)
             .map_err(|e: SamplerError| GemmError::Verification(e.to_string()))?;
         Ok(MeasuredRun { outcome, power })
     }

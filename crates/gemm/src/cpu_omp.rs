@@ -13,9 +13,9 @@
 use crate::error::GemmError;
 use crate::matrix::gemm_flops;
 use crate::suite::Hardware;
-use crate::{GemmImplementation, GemmOutcome};
+use crate::{chip_cache_params, GemmImplementation, GemmOutcome, DEFAULT_FUNCTIONAL_LIMIT};
 use oranges_accelerate::threading::parallel_row_blocks;
-use oranges_kernels::{sgemm_f32_blocked, CacheParams};
+use oranges_kernels::sgemm_f32_blocked;
 use oranges_powermetrics::WorkClass;
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::time::SimDuration;
@@ -38,9 +38,6 @@ fn ramp(n: usize) -> f64 {
     let nf = n as f64;
     1.0 / (1.0 + (110.0 / nf).powf(1.4))
 }
-
-/// The default functional ceiling (FLOPs).
-pub const DEFAULT_FUNCTIONAL_LIMIT: u64 = 600_000_000;
 
 /// OpenMP-style blocked multi-threaded CPU GEMM.
 #[derive(Debug)]
@@ -106,13 +103,9 @@ impl GemmImplementation for CpuOmp {
         let functional = flops <= self.functional_limit;
         if functional {
             // Blocked macrokernel per worker: each thread runs the Goto
-            // schedule over its disjoint MC-aligned row slab with private
-            // pack buffers, block sizes from the chip's per-core caches.
-            let spec = self.chip.spec();
-            let cache = CacheParams::new(
-                spec.l1_p_kib as usize * 1024,
-                spec.l2_p_mib as usize * 1024 * 1024,
-            );
+            // schedule over its disjoint row slab with private pack
+            // buffers, block sizes from the chip's per-core caches.
+            let cache = chip_cache_params(self.chip);
             parallel_row_blocks(c, n, n, self.workers, |rows, block| {
                 sgemm_f32_blocked(
                     rows.len(),

@@ -36,9 +36,31 @@ pub use matrix::{gemm_flops, Matrix};
 pub use suite::{paper_sizes, suite_for, Hardware, ImplementationInfo};
 pub use verify::{verify_sampled, VerifyOutcome};
 
+use oranges_kernels::CacheParams;
 use oranges_powermetrics::WorkClass;
+use oranges_soc::chip::ChipGeneration;
 use oranges_soc::time::SimDuration;
 use serde::Serialize;
+
+/// The functional ceiling (FLOPs) every Table 2 backend enforces by
+/// default: at or below it a run computes real results, above it only the
+/// timing model runs. The CPU loops, Accelerate and the Metal device all
+/// share this one value, so n ≤ 512 is the largest paper size that can
+/// be verified.
+pub const DEFAULT_FUNCTIONAL_LIMIT: u64 = oranges_metal::device::DEFAULT_FUNCTIONAL_LIMIT;
+
+const _: () =
+    assert!(DEFAULT_FUNCTIONAL_LIMIT == oranges_accelerate::blas::DEFAULT_FUNCTIONAL_LIMIT);
+
+/// Block-size geometry of one of the chip's performance cores (L1d and
+/// the P-cluster L2), for the blocked macrokernel the CPU loops run.
+pub(crate) fn chip_cache_params(chip: ChipGeneration) -> CacheParams {
+    let spec = chip.spec();
+    CacheParams::new(
+        spec.l1_p_kib as usize * 1024,
+        spec.l2_p_mib as usize * 1024 * 1024,
+    )
+}
 
 /// Outcome of one GEMM run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]

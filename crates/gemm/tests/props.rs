@@ -1,5 +1,6 @@
-//! Property tests: all six implementations agree on random inputs, and
-//! the model invariants hold across the size grid.
+//! Property tests: all six implementations agree on random inputs — bit
+//! for bit with the scalar reference — and the model invariants hold
+//! across the size grid.
 
 use oranges_gemm::gemm_flops;
 use oranges_gemm::suite::{paper_sizes, skips_size, suite_for};
@@ -30,25 +31,6 @@ fn random_matrix(n: usize, seed: u64) -> Vec<f32> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn all_implementations_agree(gen in any_generation(), n in 1usize..40, seed in 0u64..500) {
-        let a = random_matrix(n, seed);
-        let b = random_matrix(n, seed + 1);
-        let mut expected = vec![0.0f32; n * n];
-        reference_gemm(n, &a, &b, &mut expected);
-        for mut implementation in suite_for(gen) {
-            let mut c = vec![0.0f32; n * n];
-            let outcome = implementation.run(n, &a, &b, &mut c).unwrap();
-            prop_assert!(outcome.functional);
-            prop_assert_eq!(outcome.flops, gemm_flops(n as u64));
-            let tol = 1e-4f32 * n as f32 + 1e-5;
-            for idx in 0..n * n {
-                prop_assert!((c[idx] - expected[idx]).abs() <= tol * (1.0 + expected[idx].abs()),
-                    "{} n={} idx={}: {} vs {}", implementation.name(), n, idx, c[idx], expected[idx]);
-            }
-        }
-    }
 
     #[test]
     fn model_run_matches_run_timing(gen in any_generation(), n in 8usize..64) {
@@ -101,5 +83,42 @@ proptest! {
         }
         prop_assert_eq!(skips_size("CPU-Single", n), n >= 8192);
         prop_assert_eq!(skips_size("CPU-OMP", n), n >= 8192);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every functional path — CPU-Single and CPU-OMP (one blocked worker
+    /// and per-core row slabs), Accelerate, and the three Metal paths
+    /// (one band per host thread) — is bitwise `sgemm_f32_scalar`. The
+    /// sizes include n that are not multiples of MR = 4 or NR = 8, and
+    /// fewer rows than the chip has cores.
+    #[test]
+    fn all_implementations_agree(
+        gen in any_generation(),
+        n in 1usize..=80,
+        seed in 0u64..500,
+    ) {
+        let signed = |m: Vec<f32>| m.into_iter().map(|v| v - 0.5).collect::<Vec<f32>>();
+        let a = signed(random_matrix(n, seed));
+        let b = signed(random_matrix(n, seed + 1));
+        let mut expected = vec![0.0f32; n * n];
+        reference_gemm(n, &a, &b, &mut expected);
+        for mut implementation in suite_for(gen) {
+            let mut c = vec![f32::NAN; n * n];
+            let outcome = implementation.run(n, &a, &b, &mut c).unwrap();
+            prop_assert!(outcome.functional);
+            prop_assert_eq!(outcome.flops, gemm_flops(n as u64));
+            let mismatch = c
+                .iter()
+                .zip(&expected)
+                .position(|(got, want)| got.to_bits() != want.to_bits());
+            prop_assert!(
+                mismatch.is_none(),
+                "{} on {gen} n={n}: first differing element {mismatch:?}",
+                implementation.name()
+            );
+        }
     }
 }

@@ -10,11 +10,14 @@
 //! enc.endEncoding(); cb.commit(); cb.waitUntilCompleted()
 //! ```
 //!
-//! `commit` executes each encoded pass: functionally (real FP32 results,
-//! parallelized over threadgroup bands with crossbeam) when the work volume
-//! is under the device's functional limit, and always through the timing
-//! model. `wait_until_completed` then exposes per-pass [`PassReport`]s —
-//! the numbers every benchmark in the paper reads.
+//! `commit` executes each encoded pass: functionally (real FP32 results)
+//! when the work volume is under the device's functional limit, and
+//! always through the timing model. Functional execution splits the
+//! output into one contiguous band per host thread (at most one per
+//! threadgroup) and runs the bands on crossbeam scoped threads, the
+//! calling thread taking the first. `wait_until_completed` then exposes
+//! per-pass [`PassReport`]s — the numbers every benchmark in the paper
+//! reads.
 
 use crate::buffer::Buffer;
 use crate::device::Device;
@@ -317,37 +320,40 @@ fn run_functional(
     let out_len = out_guard.len();
     let out_slice = &mut out_guard.device_mut_slice()[..out_len];
 
-    let band_count = (pass.threadgroups.count() as usize).min(out_len.max(1));
-    let band_len = out_len.div_ceil(band_count);
+    // One contiguous band per host thread (never more bands than
+    // threadgroups or output elements): an SGEMM band then packs B once
+    // for all of its rows.
+    let band_count = device
+        .inner
+        .host_threads
+        .min(pass.threadgroups.count() as usize)
+        .min(out_len)
+        .max(1);
+    let band_len = out_len.div_ceil(band_count).max(1);
     let kernel: &dyn ComputeKernel = pass.kernel.as_ref();
     let params = &pass.params;
-    let threads = device.inner.host_threads.min(band_count).max(1);
-
-    // Round-robin static partition of bands over host threads; each band is
-    // a disjoint &mut chunk of the output.
-    type BandTask<'a> = (usize, std::ops::Range<usize>, &'a mut [f32]);
-    let mut per_thread: Vec<Vec<BandTask<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-    for (band_index, chunk) in out_slice.chunks_mut(band_len).enumerate() {
+    let input_slices = &input_slices;
+    let run_band = move |band_index: usize, output: &mut [f32]| {
         let start = band_index * band_len;
-        let range = start..start + chunk.len();
-        per_thread[band_index % threads].push((band_index, range, chunk));
-    }
+        kernel.execute_band(BandInvocation {
+            band_index,
+            band_count,
+            range: start..start + output.len(),
+            inputs: input_slices,
+            output,
+            params,
+        });
+    };
 
+    // The calling thread runs the first band itself.
+    let mut bands = out_slice.chunks_mut(band_len).enumerate();
+    let first = bands.next();
     crossbeam::thread::scope(|scope| {
-        for bands in per_thread {
-            let input_slices = &input_slices;
-            scope.spawn(move |_| {
-                for (band_index, range, chunk) in bands {
-                    kernel.execute_band(BandInvocation {
-                        band_index,
-                        band_count,
-                        range,
-                        inputs: input_slices,
-                        output: chunk,
-                        params,
-                    });
-                }
-            });
+        for (band_index, chunk) in bands {
+            scope.spawn(move |_| run_band(band_index, chunk));
+        }
+        if let Some((band_index, chunk)) = first {
+            run_band(band_index, chunk);
         }
     })
     .expect("functional shader execution panicked");

@@ -2,7 +2,7 @@
 //!
 //! A kernel in this simulator plays the role of an MSL compute function: it
 //! can *execute* (real FP32 arithmetic over buffer slices, parallelized
-//! across threadgroup bands) and it can *describe* its workload so the
+//! across output bands) and it can *describe* its workload so the
 //! timing model can price the dispatch without executing it. Keeping both
 //! behind one trait guarantees the modeled time and the functional results
 //! always refer to the same computation.
@@ -75,13 +75,15 @@ impl Workload {
     }
 }
 
-/// One threadgroup band's view of the dispatch during functional execution.
+/// One band's view of the dispatch during functional execution.
 ///
-/// The simulator partitions the *output* buffer into contiguous bands, one
-/// per threadgroup, and runs bands in parallel — the same disjoint-write
-/// discipline a real Metal grid enforces spatially.
+/// The simulator partitions the *output* buffer into contiguous bands —
+/// one per host thread, never more than the dispatch has threadgroups —
+/// and runs bands in parallel: the same disjoint-write discipline a real
+/// Metal grid enforces spatially. A band boundary may fall anywhere,
+/// including mid-row; a kernel's result must not depend on where.
 pub struct BandInvocation<'a> {
-    /// Band (threadgroup) index, `0..band_count`.
+    /// Band index, `0..band_count`.
     pub band_index: usize,
     /// Total number of bands in this dispatch.
     pub band_count: usize,

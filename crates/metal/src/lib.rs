@@ -16,9 +16,9 @@
 //! - [`library`] — the compiled shader registry (our `.metallib`):
 //!   naive SGEMM, tiled "Cutlass-style" SGEMM, and the four STREAM kernels;
 //! - [`kernel`] — the `ComputeKernel` trait: every shader both *executes*
-//!   (real FP32 arithmetic, parallelized over threadgroup bands with
-//!   crossbeam) and *describes itself* (a [`kernel::Workload`] consumed by
-//!   the timing model);
+//!   (real FP32 arithmetic over contiguous output bands, one per host
+//!   thread, on crossbeam scoped threads) and *describes itself* (a
+//!   [`kernel::Workload`] consumed by the timing model);
 //! - [`command`] — `CommandQueue` / `CommandBuffer` / compute encoder with
 //!   commit/wait semantics and per-pass execution reports;
 //! - [`timing`] — the analytic dispatch-time model (roofline + overhead);

@@ -1,8 +1,9 @@
 //! Property tests: shader functional correctness through the full
 //! command-buffer path, and timing-model invariants.
 
-use oranges_metal::kernel::KernelParams;
-use oranges_metal::mps::{Matrix, MatrixDescriptor, MatrixMultiplication};
+use oranges_metal::kernel::{BandInvocation, ComputeKernel, KernelParams};
+use oranges_metal::mps::{Matrix, MatrixDescriptor, MatrixMultiplication, MpsSgemm};
+use oranges_metal::shaders::{SgemmNaive, SgemmTiled};
 use oranges_metal::types::MtlSize;
 use oranges_metal::Device;
 use oranges_soc::chip::ChipGeneration;
@@ -30,6 +31,11 @@ fn reference_gemm(n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         }
     }
     c
+}
+
+/// Bit patterns, so results compare exactly (and NaN never hides).
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 fn run_shader(dev: &Device, shader: &str, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
@@ -112,13 +118,21 @@ proptest! {
         }
     }
 
+    /// Functional dispatch runs one band per host thread, so a dispatch
+    /// alone would only ever see one or two bands. Drive `execute_band`
+    /// directly instead: arbitrary uneven cuts of the output (most of
+    /// them through the middle of a row) must reassemble, for every
+    /// SGEMM kernel, into exactly the unbanded result. One dispatch
+    /// through a command buffer with an arbitrary threadgroup grid keeps
+    /// the banding in `commit` itself under the same check.
     #[test]
     fn band_count_does_not_change_results(
+        n in 1usize..20,
+        cuts in proptest::collection::vec(0usize..400, 0..12),
         bands_x in 1u64..16,
         bands_y in 1u64..16,
         seed in 0u64..100,
     ) {
-        let n = 12usize;
         let mut s = seed.wrapping_mul(0x853C49E6748FEA9B).wrapping_add(7);
         let mut next = move || {
             s ^= s << 13; s ^= s >> 7; s ^= s << 17;
@@ -126,6 +140,38 @@ proptest! {
         };
         let a: Vec<f32> = (0..n * n).map(|_| next()).collect();
         let b: Vec<f32> = (0..n * n).map(|_| next()).collect();
+        let expected = reference_gemm(n, &a, &b);
+
+        let total = n * n;
+        let mut bounds: Vec<usize> = cuts.iter().map(|cut| cut % (total + 1)).collect();
+        bounds.extend([0, total]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let square = KernelParams::with_n(n as u64);
+        let mps = KernelParams { uints: vec![n as u64; 3], floats: Vec::new() };
+        let kernels: [(&dyn ComputeKernel, &KernelParams); 3] =
+            [(&SgemmNaive, &square), (&SgemmTiled, &square), (&MpsSgemm, &mps)];
+        for (kernel, params) in kernels {
+            let mut out = vec![f32::NAN; total];
+            let mut rest = out.as_mut_slice();
+            for (band_index, band) in bounds.windows(2).enumerate() {
+                let (output, tail) = std::mem::take(&mut rest).split_at_mut(band[1] - band[0]);
+                rest = tail;
+                kernel.execute_band(BandInvocation {
+                    band_index,
+                    band_count: bounds.len() - 1,
+                    range: band[0]..band[1],
+                    inputs: &[&a, &b],
+                    output,
+                    params,
+                });
+            }
+            prop_assert!(
+                bits(&out) == bits(&expected),
+                "{} n={n} bounds={bounds:?}", kernel.name()
+            );
+        }
+
         let dev = Device::with_memory(ChipGeneration::M1, 1);
         let lib = dev.new_default_library();
         let pipeline = lib.pipeline("sgemm_naive").unwrap();
@@ -144,14 +190,12 @@ proptest! {
             enc.dispatch_threadgroups(MtlSize::d2(bands_x, bands_y), MtlSize::d2(8, 8)).unwrap();
         }
         cb.commit().unwrap();
-        prop_assert_eq!(buf_c.read_to_vec().unwrap(), reference_gemm(n, &a, &b));
+        prop_assert_eq!(bits(&buf_c.read_to_vec().unwrap()), bits(&expected));
     }
 
     #[test]
     fn modeled_duration_monotone_in_n(gen in any_generation(), step in 1usize..6) {
         // Pure timing query via workload pricing — no functional execution.
-        use oranges_metal::kernel::ComputeKernel;
-        use oranges_metal::shaders::SgemmNaive;
         let dev = Device::with_memory(gen, 1);
         let n1 = 128 * step as u64;
         let n2 = n1 * 2;

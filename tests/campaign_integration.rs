@@ -148,3 +148,31 @@ fn mixed_grid_includes_chip_independent_units() {
     let csv = report.to_csv();
     assert!(csv.contains("mixed_precision,M4"));
 }
+
+/// A wire or CLI spec may ask Figure 2 to verify any size, but no
+/// backend computes above its functional ceiling: such cells are
+/// reported unverified (no `verified` metric) instead of generating
+/// operands nothing multiplies, and the unit's parameters — its cache
+/// key — carry the clamped ceiling.
+#[test]
+fn verification_ceiling_is_clamped_to_what_the_backends_compute() {
+    let spec = CampaignSpec::new(vec![ExperimentKind::Fig2], vec![ChipGeneration::M1])
+        .with_gemm_sizes(vec![64, 1024])
+        .with_verify_max_flops(u64::MAX);
+    let report = run_campaign(&spec, &ResultCache::new()).expect("fig2 campaign");
+    let unit = &report.units[0];
+    assert!(
+        unit.key.params.ends_with("verify_max_flops=600000000"),
+        "{}",
+        unit.key.params
+    );
+    let sets = &unit.output.sets;
+    assert_eq!(sets.len(), 6 * 2);
+    for set in sets {
+        let verified = set.get("verified").map(|m| m.value.clone());
+        match set.n {
+            Some(64) => assert_eq!(verified, Some(MetricValue::Bool(true)), "{set:?}"),
+            _ => assert_eq!(verified, None, "{set:?}"),
+        }
+    }
+}
