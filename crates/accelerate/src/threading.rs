@@ -4,22 +4,13 @@
 //! simulator's functional path does the same on host threads: the output
 //! row range is split into contiguous blocks, one crossbeam scoped thread
 //! per block, the calling thread taking the first. The block count is the
-//! caller's worker count capped at the host's parallelism (read once per
-//! process), so a chip with more cores than the host never oversubscribes
-//! it. (The *modeled* time comes from the AMX model — host threads only
-//! make functional verification fast.)
+//! caller's worker count capped at the host's parallelism
+//! ([`host_parallelism`], read once per process), so a chip with more
+//! cores than the host never oversubscribes it. (The *modeled* time comes
+//! from the AMX model — host threads only make functional verification
+//! fast.)
 
-use std::sync::OnceLock;
-
-/// The host's available parallelism, read once per process.
-fn host_parallelism() -> usize {
-    static HOST: OnceLock<usize> = OnceLock::new();
-    *HOST.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    })
-}
+use oranges_kernels::host_parallelism;
 
 /// Split `rows` into at most `workers` contiguous, non-empty ranges.
 pub fn row_blocks(rows: usize, workers: usize) -> Vec<std::ops::Range<usize>> {

@@ -1,122 +1,23 @@
-//! Criterion micro-benchmarks of the real host kernels underneath the
-//! simulation: STREAM array passes, blocked GEMM, AMX tile FMAs, and the
-//! Metal-path functional dispatch. These measure *host* throughput (the
-//! cost of running the simulator), not simulated M-series time.
-//!
-//! Besides the criterion groups, the run times every `oranges-kernels`
-//! microkernel against its scalar twin (min-of-reps, `Instant`-based) and
-//! writes the per-kernel trajectory — GB/s, GFLOPS, unrolled-vs-scalar
-//! speedup — to `BENCH_kernels.json` at the workspace root, following the
-//! `BENCH_campaign.json` convention so later PRs can diff against it.
-//! The trajectory includes an SGEMM sweep at sizes straddling the modeled
-//! L2, pitting the cache-blocked macrokernel against the unblocked
-//! microkernel (and, where affordable, the scalar triple loop).
+//! Host-kernel trajectory: times every `oranges-kernels` microkernel
+//! against its scalar twin (min-of-reps, `Instant`-based) and writes the
+//! per-kernel results — GB/s, GFLOPS, unrolled-vs-scalar speedup — to
+//! `BENCH_kernels.json` at the workspace root, following the
+//! `BENCH_campaign.json` convention so later changes can diff against
+//! it. These measure *host* throughput (the cost of running the
+//! simulator), not simulated M-series time. The trajectory includes an
+//! SGEMM sweep at sizes straddling the modeled L2, pitting the
+//! cache-blocked macrokernel against the unblocked microkernel (and,
+//! where affordable, the scalar triple loop).
 //!
 //! Two env switches support CI smoke runs:
 //!
-//! - `KERNELS_BENCH_QUICK=1` skips the criterion groups and shrinks the
-//!   trajectory (fewer reps, smaller sizes) so the whole run finishes in
-//!   seconds.
+//! - `KERNELS_BENCH_QUICK=1` shrinks the trajectory (fewer reps, smaller
+//!   sizes) so the whole run finishes in seconds.
 //! - `KERNELS_BENCH_CHECK=1` re-reads the written `BENCH_kernels.json`,
 //!   validates its schema, and asserts the blocked macrokernel keeps a
 //!   ≥ 1.0× speedup over the unblocked microkernel.
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use oranges_amx::insn::Instruction;
-use oranges_amx::unit::AmxUnit;
-use oranges_gemm::suite::suite_for;
-use oranges_soc::chip::ChipGeneration;
-use oranges_stream::kernels::StreamArrays;
 use std::hint::black_box;
-
-fn bench_stream_iteration(c: &mut Criterion) {
-    let mut group = c.benchmark_group("stream_host");
-    for elements in [100_000usize, 1_000_000] {
-        group.throughput(Throughput::Bytes((elements * 8 * 10) as u64));
-        group.bench_with_input(
-            BenchmarkId::new("full_iteration", elements),
-            &elements,
-            |b, &elements| {
-                let mut arrays = StreamArrays::new(elements);
-                b.iter(|| {
-                    arrays.run_iteration(4);
-                    black_box(arrays.a[0])
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_gemm_implementations(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm_host_functional");
-    let n = 128usize;
-    group.throughput(Throughput::Elements((n * n * (2 * n - 1)) as u64));
-    let a: Vec<f32> = (0..n * n).map(|i| (i % 97) as f32 / 97.0).collect();
-    let b_mat: Vec<f32> = (0..n * n).map(|i| (i % 89) as f32 / 89.0).collect();
-    for mut implementation in suite_for(ChipGeneration::M1) {
-        let name = implementation.name();
-        group.bench_function(BenchmarkId::new(name, n), |bencher| {
-            let mut c_mat = vec![0.0f32; n * n];
-            bencher.iter(|| {
-                implementation
-                    .run(n, black_box(&a), black_box(&b_mat), &mut c_mat)
-                    .expect("run succeeds");
-                black_box(c_mat[0])
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_amx_tile_fma(c: &mut Criterion) {
-    let mut group = c.benchmark_group("amx_unit");
-    group.throughput(Throughput::Elements(512));
-    group.bench_function("fma32_outer_product", |b| {
-        let mut unit = AmxUnit::new(ChipGeneration::M4);
-        let mut mem = vec![0.5f32; 32];
-        unit.execute(Instruction::LdX { reg: 0, offset: 0 }, &mut mem)
-            .unwrap();
-        unit.execute(Instruction::LdY { reg: 0, offset: 16 }, &mut mem)
-            .unwrap();
-        b.iter(|| {
-            unit.execute(
-                Instruction::Fma32 {
-                    tile: 0,
-                    xr: 0,
-                    yr: 0,
-                },
-                &mut mem,
-            )
-            .unwrap();
-            black_box(unit.flops())
-        });
-    });
-    group.finish();
-}
-
-fn bench_modeled_sweep(c: &mut Criterion) {
-    // How fast is a *modeled* figure cell? (This is what makes the full
-    // paper grid cheap to regenerate.)
-    let mut group = c.benchmark_group("modeled_sweep");
-    group.bench_function("fig2_cell_m4_mps_16384", |b| {
-        let mut platform = oranges::Platform::new(ChipGeneration::M4);
-        b.iter(|| black_box(platform.gemm_modeled("GPU-MPS", 16384).unwrap().gflops()));
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_stream_iteration,
-    bench_gemm_implementations,
-    bench_amx_tile_fma,
-    bench_modeled_sweep
-);
-
-// ---------------------------------------------------------------------------
-// Kernel perf trajectory: scalar twin vs unrolled kernel, per family.
-// ---------------------------------------------------------------------------
 
 /// One scalar-vs-unrolled measurement.
 struct KernelSample {
@@ -632,11 +533,7 @@ fn env_flag(name: &str) -> bool {
 }
 
 fn main() {
-    let quick = env_flag("KERNELS_BENCH_QUICK");
-    if !quick {
-        benches();
-    }
-    let samples = kernel_trajectory(quick);
+    let samples = kernel_trajectory(env_flag("KERNELS_BENCH_QUICK"));
     write_kernel_trajectory(&samples);
     if env_flag("KERNELS_BENCH_CHECK") {
         check_kernel_trajectory();

@@ -10,7 +10,7 @@
 //! | `fig4_efficiency` | Figure 4 — GFLOPS/W grid |
 //! | `tables` | Tables 1–3 |
 //! | `references` | the HPC Perspective comparisons (R1–R3) |
-//! | `kernels_criterion` | criterion micro-benchmarks of the real host kernels |
+//! | `kernels` | host-kernel trajectory: each microkernel vs its scalar twin (`BENCH_kernels.json`) |
 //! | `ablation` | design-choice ablations (thread sweep, no-copy, duty cycle) |
 //! | `campaign` | campaign-orchestrator throughput (cold vs cached, worker sweep) |
 //!

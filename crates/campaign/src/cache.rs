@@ -310,7 +310,7 @@ impl ResultCache {
     }
 
     /// Merge every entry of `other` into this cache — the shard-join
-    /// step of the multi-process orchestrator.
+    /// step of the fleet orchestrator.
     ///
     /// Two rules, in order:
     ///

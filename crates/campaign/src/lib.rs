@@ -40,7 +40,7 @@
 //! platform layer to the emitters. Plans shard deterministically
 //! ([`Plan::shard`](plan::Plan::shard) /
 //! [`CampaignSpec::with_shard`](spec::CampaignSpec::with_shard)) for
-//! multi-process scale-out: the union of all shards equals the unsharded
+//! fleet scale-out: the union of all shards equals the unsharded
 //! campaign.
 //!
 //! Two layers scale the pipeline beyond one process:
@@ -55,15 +55,15 @@
 //!   shared engine over the warm cache — overlapping requests from
 //!   different clients coalesce, and each client's provenance-stamped
 //!   `MetricSet` JSON streams back the moment its units complete;
-//! - [`orchestrate`] — the **shard orchestrator**
-//!   ([`orchestrate::Orchestrator`]): N worker *processes* on this
-//!   host, or — fleet mode ([`Orchestrator::fleet`](orchestrate::Orchestrator::fleet))
-//!   — N remote campaign daemons addressed by
-//!   [`Endpoint`](oranges_harness::transport::Endpoint); either way,
-//!   round-robin [`Plan::shard`](plan::Plan::shard) assignments and
-//!   shard results merged under a strict conflict rule (and the
-//!   model-digest staleness rule) into one unified report,
-//!   value-identical to a single-process run.
+//! - [`orchestrate`] — the **fleet orchestrator**
+//!   ([`Orchestrator::fleet`](orchestrate::Orchestrator::fleet)): N
+//!   campaign daemons addressed by
+//!   [`Endpoint`](oranges_harness::transport::Endpoint), one per
+//!   measurement host (or N loopback daemons for process isolation on
+//!   one host), each given one round-robin
+//!   [`Plan::shard`](plan::Plan::shard); shard results merge under a
+//!   strict conflict rule (and the model-digest staleness rule) into
+//!   one unified report, value-identical to a single-process run.
 //!
 //! ```text
 //!              CampaignSpec ──► Plan ──► ExecutionEngine ──► ResultCache ──► CampaignReport
@@ -74,8 +74,8 @@
 //!  ┌────────────────┴───┐               ▼ channels      save/load/merge_from
 //!  │ service (socket,   │      Experiment::run                 ▲
 //!  │ multiplexed)       │      (oranges crate)                 │
-//!  │ orchestrator (N    │                                      │
-//!  │ worker processes) ─┴──────────────────────────────────────┘
+//!  │ orchestrator (one  │                                      │
+//!  │ shard per daemon) ─┴──────────────────────────────────────┘
 //!  └────────────────────┘
 //! ```
 //!
@@ -114,7 +114,7 @@
 //! Specs cross process and socket boundaries as JSON
 //! ([`CampaignSpec::to_json`](spec::CampaignSpec::to_json) /
 //! [`from_json`](spec::CampaignSpec::from_json)) — the wire format the
-//! service accepts and the orchestrator hands its workers:
+//! service accepts and the orchestrator sends each daemon:
 //!
 //! ```
 //! use oranges_campaign::prelude::*;

@@ -1,93 +1,52 @@
-//! Multi-worker shard orchestration: run a campaign as N round-robin
-//! [`Plan::shard`](crate::plan::Plan::shard)s — across worker
-//! *processes* on this host, or across a **fleet** of remote campaign
-//! daemons — then join the shard results into one unified report.
+//! Fleet orchestration: run a campaign as N round-robin
+//! [`Plan::shard`](crate::plan::Plan::shard)s across a **fleet** of
+//! campaign daemons, then join the shard results into one unified
+//! report.
 //!
-//! PR 2 made plans shardable and caches disk-persistent; this module
-//! closes the loop the ROADMAP named next: a cross-process orchestrator
-//! over one shared cache. In process mode the parent
+//! The paper measures each M-series chip on its own machine, so the
+//! natural scale-out is one daemon per measurement host. The
+//! [`Orchestrator`]
 //!
-//! 1. serializes the spec ([`CampaignSpec::to_json`]) and spawns
-//!    `processes` children of a designated worker `program`, handing
-//!    child *i* the round-robin shard `i/N` and a private cache-out
-//!    file (plus a warm-start file when the parent's cache has entries);
-//! 2. waits for all children, failing loudly (exit status + captured
-//!    stderr) if any shard dies;
-//! 3. merges the shard caches into the shared cache under the strict
-//!    conflict rule ([`ResultCache::merge_from`]): identical value
-//!    identities merge silently, a mismatch aborts the campaign;
+//! 1. probes every [`Endpoint`]'s `health` and fails fast, with a typed
+//!    error naming the shard, if any host is unreachable or not ready;
+//! 2. sends shard *i* of *N* to the *i*-th endpoint as a `run` request
+//!    (the spec's own `shard` field carries the assignment). Endpoints
+//!    are `tcp:host:port` daemons on other machines or `unix:` daemons
+//!    locally, mixed freely. Each shard's unit responses stream back
+//!    through the service subscription machinery
+//!    ([`ServiceClient::run_with`]);
+//! 3. merges each shard's units into the caller's [`ResultCache`] under
+//!    the versioned-cache rules of [`ResultCache::merge_from`]. A daemon
+//!    answering with a different `model_digest` is **stale**: its units
+//!    are dropped, counted in [`MergeStats::stale`], and recomputed by
+//!    the assembly pass. Same-version shards must agree byte for byte,
+//!    or the merge fails loudly with
+//!    [`OrchestrateError::RemoteConflict`];
 //! 4. re-enters the scheduler over the merged cache to assemble one
-//!    unified [`CampaignReport`] in plan order — every unit a cache hit,
-//!    value-identical to a single-process run (`tests/orchestrator.rs`
-//!    proves fingerprint equality).
+//!    [`CampaignReport`] in plan order. Every unit is a cache hit unless
+//!    a stale shard was dropped.
 //!
-//! Any binary becomes a worker by calling [`maybe_run_worker`] first
-//! thing in `main` — `examples/campaign.rs` does exactly that, so
-//! `--spawn N` re-invokes the example itself N times.
-//!
-//! **Fleet mode** ([`Orchestrator::fleet`]) replaces step 1–2 with
-//! remote dispatch: shard *i* travels as a `CampaignSpec` `run` request
-//! (the spec's own `shard` field carries the assignment) to the *i*-th
-//! service [`Endpoint`] — `tcp:host:port` daemons on other machines,
-//! `unix:` daemons locally, mixed freely — and the shard's unit
-//! responses stream back through the service subscription machinery
-//! ([`ServiceClient::run_streamed`]). The join step is unchanged in
-//! spirit and code path: each remote shard's units land in a local
-//! [`ResultCache`] and merge under the same rules as a shard *file* —
-//! a daemon answering with a different `model_digest` is **stale**
-//! (its units are dropped, counted in [`MergeStats::stale`], and
-//! recomputed by the assembly pass), while same-version shards must
-//! agree byte-for-byte or the merge fails loudly. A fleet run is
-//! therefore value-identical to a single-process run
-//! (`tests/fleet.rs` proves fingerprint equality against two loopback
-//! TCP daemons).
+//! A fleet run is therefore value-identical to a single-process run
+//! (`tests/fleet.rs` proves fingerprint equality against loopback
+//! daemons). For process isolation on one host, start N loopback
+//! daemons and list them all as the fleet.
 
-use crate::cache::{CacheMergeError, CachePersistError, MergeStats, ResultCache};
+use crate::cache::{CacheMergeError, MergeStats, ResultCache};
 use crate::engine::Priority;
 use crate::report::CampaignReport;
 use crate::scheduler::{run_campaign, CampaignError};
 use crate::service::{RunOptions, RunOutcome, ServiceClient, ServiceError};
-use crate::spec::{CampaignSpec, SpecParseError};
+use crate::spec::CampaignSpec;
 use oranges_harness::transport::{AnyTransport, Endpoint};
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The marker flag a worker invocation carries. A program that calls
-/// [`maybe_run_worker`] at the top of `main` turns into a shard worker
-/// whenever this flag is present in its arguments.
-pub const WORKER_FLAG: &str = "--campaign-worker";
 
 /// Failure of an orchestrated campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OrchestrateError {
-    /// The spec would not serialize/parse across the process boundary.
-    Spec(SpecParseError),
-    /// Filesystem or process-spawn failure (context, cause).
-    Io(String, String),
-    /// A worker process failed.
-    Worker {
-        /// Which shard (0-based).
-        shard: usize,
-        /// Its exit code, when it exited at all.
-        status: Option<i32>,
-        /// Captured stderr.
-        stderr: String,
-    },
-    /// A shard cache would not load or the warm cache would not save.
-    Cache(CachePersistError),
-    /// Two shards disagreed on a unit's value identity. The shard cache
-    /// files are left in `scratch` for post-mortem comparison.
-    Merge {
-        /// The underlying conflict.
-        error: CacheMergeError,
-        /// Directory holding the preserved shard caches.
-        scratch: String,
-    },
     /// The assembly run over the merged cache failed.
     Campaign(CampaignError),
-    /// A worker invocation had missing/malformed arguments.
+    /// The fleet or the spec cannot be orchestrated (no endpoints, or
+    /// a spec that is already sharded).
     Args(String),
     /// A fleet shard's remote service call failed (connect, protocol,
     /// or an in-band error from the daemon).
@@ -125,27 +84,8 @@ pub enum OrchestrateError {
 impl fmt::Display for OrchestrateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OrchestrateError::Spec(e) => write!(f, "orchestrator spec: {e}"),
-            OrchestrateError::Io(context, cause) => {
-                write!(f, "orchestrator io ({context}): {cause}")
-            }
-            OrchestrateError::Worker {
-                shard,
-                status,
-                stderr,
-            } => write!(
-                f,
-                "shard {shard} worker failed (exit {}): {}",
-                status.map_or_else(|| "signal".to_string(), |c| c.to_string()),
-                stderr.trim()
-            ),
-            OrchestrateError::Cache(e) => write!(f, "orchestrator cache: {e}"),
-            OrchestrateError::Merge { error, scratch } => write!(
-                f,
-                "orchestrator merge: {error} (shard caches kept in {scratch} for post-mortem)"
-            ),
             OrchestrateError::Campaign(e) => write!(f, "orchestrator assembly: {e}"),
-            OrchestrateError::Args(message) => write!(f, "worker arguments: {message}"),
+            OrchestrateError::Args(message) => write!(f, "orchestrator: {message}"),
             OrchestrateError::Remote {
                 shard,
                 endpoint,
@@ -171,18 +111,6 @@ impl fmt::Display for OrchestrateError {
 
 impl std::error::Error for OrchestrateError {}
 
-impl From<SpecParseError> for OrchestrateError {
-    fn from(e: SpecParseError) -> Self {
-        OrchestrateError::Spec(e)
-    }
-}
-
-impl From<CachePersistError> for OrchestrateError {
-    fn from(e: CachePersistError) -> Self {
-        OrchestrateError::Cache(e)
-    }
-}
-
 impl From<CampaignError> for OrchestrateError {
     fn from(e: CampaignError) -> Self {
         OrchestrateError::Campaign(e)
@@ -195,61 +123,26 @@ pub struct OrchestratedRun {
     /// The unified report, in plan order — value-identical to a
     /// single-process run of the same spec.
     pub report: CampaignReport,
-    /// Totals of the shard-cache merges.
+    /// Totals of the shard merges.
     pub merged: MergeStats,
-    /// Shard workers used: spawned processes, or fleet endpoints.
-    pub processes: usize,
 }
 
-/// Scratch-directory uniquifier so concurrent orchestrators (e.g. test
-/// threads) never collide.
-static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Where the orchestrator's shard workers live.
-#[derive(Debug, Clone)]
-enum Backend {
-    /// Child processes of `program` on this host, shard results joined
-    /// through per-shard cache files.
-    Processes {
-        program: PathBuf,
-        base_args: Vec<String>,
-    },
-    /// One running campaign daemon per shard, shard results streamed
-    /// back over the service protocol.
-    Fleet { endpoints: Vec<Endpoint> },
-}
-
-/// Dispatches shard workers — local child processes or remote service
-/// endpoints — and joins their results into one report.
+/// Dispatches one shard per campaign daemon and joins their results
+/// into one report.
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
-    backend: Backend,
-    processes: usize,
-    scratch_dir: Option<PathBuf>,
+    endpoints: Vec<Endpoint>,
 }
 
 impl Orchestrator {
-    /// An orchestrator spawning `processes` (≥ 1 enforced) instances of
-    /// `program`. The program must call [`maybe_run_worker`] before its
-    /// own argument parsing.
-    pub fn new(program: impl Into<PathBuf>, processes: usize) -> Self {
-        Orchestrator {
-            backend: Backend::Processes {
-                program: program.into(),
-                base_args: Vec::new(),
-            },
-            processes: processes.max(1),
-            scratch_dir: None,
-        }
-    }
-
     /// An orchestrator dispatching one shard to each of `endpoints` —
     /// running campaign daemons (`cargo run --example serve -- --listen
     /// tcp:…`), one per measurement host. Shard *i* of *N* travels as a
     /// `run` request to endpoint *i*; results stream back over the
-    /// service protocol and merge under the same versioned-cache rules
-    /// as shard files, so the unified report is value-identical to a
-    /// single-process run.
+    /// service protocol and merge under the versioned-cache rules, so
+    /// the unified report is value-identical to a single-process run.
+    /// An endpoint may repeat: each listing is its own connection and
+    /// shard.
     ///
     /// ```no_run
     /// use oranges_campaign::prelude::*;
@@ -264,36 +157,12 @@ impl Orchestrator {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn fleet(endpoints: Vec<Endpoint>) -> Self {
-        Orchestrator {
-            processes: endpoints.len(),
-            backend: Backend::Fleet { endpoints },
-            scratch_dir: None,
-        }
+        Orchestrator { endpoints }
     }
 
-    /// Extra arguments to pass to every worker, before the worker
-    /// flags. Process mode only — fleet daemons take no arguments.
-    pub fn with_base_args(mut self, args: Vec<String>) -> Self {
-        if let Backend::Processes { base_args, .. } = &mut self.backend {
-            *base_args = args;
-        }
-        self
-    }
-
-    /// Where to put shard cache files (process mode only — fleet shards
-    /// never touch disk). With the default (a fresh directory under the
-    /// system temp dir) the whole directory is removed after the run; a
-    /// caller-supplied directory is left in place — only the shard/warm
-    /// files the run wrote are removed.
-    pub fn with_scratch_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.scratch_dir = Some(dir.into());
-        self
-    }
-
-    /// Run `spec` across the shard workers — child processes or fleet
-    /// endpoints — merging every shard into `cache` (so a warm cache
-    /// skips work in child processes too, and the caller can persist
-    /// the union afterwards).
+    /// Run `spec` across the fleet, one shard per endpoint, merging
+    /// every shard into `cache` so the caller can persist the union
+    /// afterwards.
     ///
     /// `spec` must be unsharded: shard assignment is the orchestrator's
     /// job, and silently combining a caller shard with orchestrator
@@ -306,64 +175,14 @@ impl Orchestrator {
         if spec.shard.is_some() {
             return Err(OrchestrateError::Args(
                 "cannot orchestrate an already-sharded spec: drop the shard \
-                 (the orchestrator assigns one shard per worker)"
+                 (the orchestrator assigns one shard per endpoint)"
                     .to_string(),
             ));
         }
-        let (program, base_args) = match &self.backend {
-            Backend::Fleet { endpoints } => return self.run_fleet(endpoints, spec, cache),
-            Backend::Processes { program, base_args } => (program, base_args),
-        };
-        // A caller-supplied scratch directory may hold unrelated files;
-        // only a directory we created ourselves is removed wholesale.
-        let (scratch, owned) = match &self.scratch_dir {
-            Some(dir) => (dir.clone(), false),
-            None => (
-                std::env::temp_dir().join(format!(
-                    "oranges-orchestrator-{}-{}",
-                    std::process::id(),
-                    SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
-                )),
-                true,
-            ),
-        };
-        std::fs::create_dir_all(&scratch).map_err(|e| {
-            OrchestrateError::Io(format!("creating {}", scratch.display()), e.to_string())
-        })?;
-        let result = self.run_in(program, base_args, spec, cache, &scratch);
-        // Clean up only on success: on failure the shard caches *are*
-        // the evidence (a merge conflict names two value identities the
-        // operator will want to diff), so they stay on disk.
-        if result.is_ok() {
-            if owned {
-                std::fs::remove_dir_all(&scratch).ok();
-            } else {
-                std::fs::remove_file(scratch.join("warm.json")).ok();
-                for index in 0..self.processes {
-                    std::fs::remove_file(scratch.join(format!("shard-{index}.json"))).ok();
-                }
-            }
-        }
-        result
-    }
-
-    /// Fleet dispatch: one shard per endpoint, concurrently, each a
-    /// `run` request whose spec carries the shard assignment. The join
-    /// step mirrors [`run_in`](Orchestrator::run_in)'s file merge: each
-    /// shard's served units land in a local [`ResultCache`] and merge
-    /// under the versioned-cache rules — a remote `model_digest`
-    /// mismatch makes the whole shard *stale* (dropped, counted,
-    /// recomputed by the assembly pass), same-version shards merge
-    /// under the strict identity rule.
-    fn run_fleet(
-        &self,
-        endpoints: &[Endpoint],
-        spec: &CampaignSpec,
-        cache: &ResultCache,
-    ) -> Result<OrchestratedRun, OrchestrateError> {
+        let endpoints = &self.endpoints;
         if endpoints.is_empty() {
             return Err(OrchestrateError::Args(
-                "fleet mode needs at least one endpoint".to_string(),
+                "a fleet needs at least one endpoint".to_string(),
             ));
         }
         let count = endpoints.len();
@@ -397,9 +216,8 @@ impl Orchestrator {
             }
         }
         // Dispatch every shard concurrently and join them all before
-        // judging any (mirrors process mode: no shard is abandoned
-        // mid-flight when a sibling fails), then report the earliest
-        // failed shard.
+        // judging any (no shard is abandoned mid-flight when a sibling
+        // fails), then report the earliest failed shard.
         let outcomes: Vec<Result<RunOutcome, ServiceError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = endpoints
                 .iter()
@@ -421,6 +239,8 @@ impl Orchestrator {
                 .collect()
         });
 
+        // Join: each shard's served units land in a local cache and
+        // merge into the caller's under the versioned-cache rules.
         let mut merged = MergeStats::default();
         for (index, (endpoint, outcome)) in endpoints.iter().zip(outcomes).enumerate() {
             let outcome = outcome.map_err(|error| OrchestrateError::Remote {
@@ -429,10 +249,9 @@ impl Orchestrator {
                 message: error.to_string(),
             })?;
             if outcome.model_digest != cache.model_digest() {
-                // The rule a stale shard *file* gets: its entries are
-                // dropped (counted), never merged and never conflicting;
-                // the assembly pass recomputes them under this host's
-                // constants.
+                // A stale shard's entries are dropped (counted), never
+                // merged and never conflicting; the assembly pass
+                // recomputes them under this host's constants.
                 eprintln!(
                     "orchestrator: fleet shard {index} ({endpoint}) is stale \
                      (model digest {} != {}); recomputing its {} units locally",
@@ -458,301 +277,27 @@ impl Orchestrator {
             merged.stale += stats.stale;
         }
 
-        // Assembly: identical to process mode — re-enter the scheduler
-        // over the merged cache for one plan-ordered, value-identical
-        // report (every unit a hit unless a stale shard was dropped).
+        // Assembly: re-enter the scheduler over the merged cache for one
+        // plan-ordered, value-identical report (every unit a hit unless a
+        // stale shard was dropped).
         let report = run_campaign(spec, cache)?;
-        Ok(OrchestratedRun {
-            report,
-            merged,
-            processes: count,
-        })
+        Ok(OrchestratedRun { report, merged })
     }
-
-    fn run_in(
-        &self,
-        program: &Path,
-        base_args: &[String],
-        spec: &CampaignSpec,
-        cache: &ResultCache,
-        scratch: &Path,
-    ) -> Result<OrchestratedRun, OrchestrateError> {
-        let spec_json = spec.to_json();
-
-        // Warm start: ship the parent's cache to the children so units
-        // the parent already knows are not recomputed anywhere.
-        let warm_path = scratch.join("warm.json");
-        let warm = if cache.stats().entries > 0 {
-            cache.save(&warm_path)?;
-            Some(warm_path)
-        } else {
-            None
-        };
-
-        let shard_path = |index: usize| scratch.join(format!("shard-{index}.json"));
-        let mut children: Vec<(usize, Child)> = Vec::with_capacity(self.processes);
-        for index in 0..self.processes {
-            let mut command = Command::new(program);
-            command
-                .args(base_args)
-                .arg(WORKER_FLAG)
-                .arg("--spec-json")
-                .arg(&spec_json)
-                .arg("--shard")
-                .arg(format!("{index}/{}", self.processes))
-                .arg("--cache-out")
-                .arg(shard_path(index))
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .stderr(Stdio::piped());
-            if let Some(warm) = &warm {
-                command.arg("--cache-in").arg(warm);
-            }
-            match command.spawn() {
-                Ok(child) => children.push((index, child)),
-                Err(e) => {
-                    // Reap what already started: a Child dropped without
-                    // kill/wait keeps running (and turns into a zombie)
-                    // while we delete its scratch out from under it.
-                    for (_, mut running) in children {
-                        running.kill().ok();
-                        running.wait().ok();
-                    }
-                    return Err(OrchestrateError::Io(
-                        format!("spawning {}", program.display()),
-                        e.to_string(),
-                    ));
-                }
-            }
-        }
-
-        // Wait for *every* child before judging any, so no process is
-        // left running past this point, then report the earliest failed
-        // shard.
-        let mut first_failure: Option<OrchestrateError> = None;
-        for (index, child) in children {
-            let outcome = child.wait_with_output();
-            if first_failure.is_some() {
-                continue; // already failing; this wait was just a reap
-            }
-            match outcome {
-                Ok(output) if output.status.success() => {}
-                Ok(output) => {
-                    first_failure = Some(OrchestrateError::Worker {
-                        shard: index,
-                        status: output.status.code(),
-                        stderr: String::from_utf8_lossy(&output.stderr).into_owned(),
-                    });
-                }
-                Err(e) => {
-                    first_failure = Some(OrchestrateError::Io(
-                        format!("waiting for shard {index}"),
-                        e.to_string(),
-                    ));
-                }
-            }
-        }
-        if let Some(failure) = first_failure {
-            return Err(failure);
-        }
-
-        // Join: every shard cache merges into the shared cache. Two
-        // rules, mirroring `ResultCache::merge_from`: a shard file
-        // stamped with a different model digest is *stale* — its entries
-        // are invalidated (counted, recomputed by the assembly pass
-        // below), never conflicting — while same-version shards merge
-        // under the strict identity rule that turns a corrupt shard into
-        // a loud error.
-        let mut merged = MergeStats::default();
-        for index in 0..self.processes {
-            let load = ResultCache::load_checked(shard_path(index))?;
-            merged.stale += load.invalidated;
-            let stats = cache
-                .merge_from(&load.cache)
-                .map_err(|error| OrchestrateError::Merge {
-                    error,
-                    scratch: scratch.display().to_string(),
-                })?;
-            merged.added += stats.added;
-            merged.identical += stats.identical;
-            merged.stale += stats.stale;
-        }
-
-        // Assembly: re-enter the scheduler over the merged cache. Every
-        // unit is a hit, so this is cheap — it exists to produce the one
-        // unified, plan-ordered report.
-        let report = run_campaign(spec, cache)?;
-        Ok(OrchestratedRun {
-            report,
-            merged,
-            processes: self.processes,
-        })
-    }
-}
-
-/// Worker-process entry point. Call first thing in `main`:
-///
-/// ```no_run
-/// if let Some(code) = oranges_campaign::orchestrate::maybe_run_worker() {
-///     std::process::exit(code);
-/// }
-/// // … normal argument parsing …
-/// ```
-///
-/// Returns `None` when the arguments carry no [`WORKER_FLAG`] (the
-/// process is not a worker). Otherwise runs the assigned shard — parse
-/// spec, apply shard, run over a (possibly warm-started) private cache,
-/// save it to `--cache-out` — and returns the exit code to terminate
-/// with, printing any failure to stderr.
-pub fn maybe_run_worker() -> Option<i32> {
-    let args: Vec<String> = std::env::args().collect();
-    if !args.iter().any(|arg| arg == WORKER_FLAG) {
-        return None;
-    }
-    Some(match run_worker(&args) {
-        Ok(()) => 0,
-        Err(error) => {
-            eprintln!("campaign worker: {error}");
-            1
-        }
-    })
-}
-
-/// The worker body, separated for testability: runs one shard as
-/// directed by `--spec-json`, `--shard I/N`, `--cache-out PATH`, and an
-/// optional `--cache-in PATH` warm start.
-pub fn run_worker(args: &[String]) -> Result<(), OrchestrateError> {
-    let value_of = |flag: &str| -> Option<&str> {
-        args.windows(2)
-            .find(|pair| pair[0] == flag)
-            .map(|pair| pair[1].as_str())
-    };
-    let require = |flag: &str| -> Result<&str, OrchestrateError> {
-        value_of(flag).ok_or_else(|| OrchestrateError::Args(format!("missing {flag} <value>")))
-    };
-
-    let spec_json = require("--spec-json")?;
-    let shard = require("--shard")?;
-    let cache_out = PathBuf::from(require("--cache-out")?);
-
-    let (index, count) = shard
-        .split_once('/')
-        .and_then(|(i, n)| Some((i.parse::<usize>().ok()?, n.parse::<usize>().ok()?)))
-        .filter(|&(index, count)| count > 0 && index < count)
-        .ok_or_else(|| OrchestrateError::Args(format!("bad --shard '{shard}', want I/N")))?;
-
-    let spec = CampaignSpec::from_json(spec_json)?.with_shard(index, count)?;
-    let cache = match value_of("--cache-in") {
-        Some(path) if Path::new(path).exists() => ResultCache::load(path)?,
-        _ => ResultCache::new(),
-    };
-    run_campaign(&spec, &cache)?;
-    cache.save(&cache_out)?;
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::ExperimentKind;
-    use oranges_soc::chip::ChipGeneration;
-
-    fn temp_file(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("oranges-worker-{}-{name}.json", std::process::id()))
-    }
-
-    fn args(pairs: &[(&str, &str)]) -> Vec<String> {
-        let mut args = vec!["worker".to_string(), WORKER_FLAG.to_string()];
-        for (flag, value) in pairs {
-            args.push(flag.to_string());
-            args.push(value.to_string());
-        }
-        args
-    }
-
-    #[test]
-    fn worker_runs_its_shard_and_saves_the_cache() {
-        let spec = CampaignSpec::new(
-            vec![ExperimentKind::Fig4],
-            vec![ChipGeneration::M1, ChipGeneration::M2],
-        )
-        .with_power_sizes(vec![2048])
-        .with_workers(1);
-        let out = temp_file("shard-ok");
-        run_worker(&args(&[
-            ("--spec-json", &spec.to_json()),
-            ("--shard", "0/2"),
-            ("--cache-out", out.to_str().unwrap()),
-        ]))
-        .expect("worker runs");
-        let cache = ResultCache::load(&out).expect("saved cache loads");
-        assert_eq!(cache.stats().entries, 1, "half of the 2-unit plan");
-        std::fs::remove_file(&out).ok();
-    }
-
-    #[test]
-    fn worker_rejects_malformed_invocations() {
-        let ok_spec = CampaignSpec::smoke().to_json();
-        let out = temp_file("shard-bad");
-        let out_str = out.to_str().unwrap();
-        for (pairs, want) in [
-            (
-                vec![("--shard", "0/2"), ("--cache-out", out_str)],
-                "spec-json",
-            ),
-            (
-                vec![("--spec-json", ok_spec.as_str()), ("--cache-out", out_str)],
-                "shard",
-            ),
-            (
-                vec![
-                    ("--spec-json", ok_spec.as_str()),
-                    ("--shard", "2/2"),
-                    ("--cache-out", out_str),
-                ],
-                "shard",
-            ),
-            (
-                vec![
-                    ("--spec-json", "nope"),
-                    ("--shard", "0/2"),
-                    ("--cache-out", out_str),
-                ],
-                "spec",
-            ),
-        ] {
-            let error = run_worker(&args(&pairs)).expect_err("must reject");
-            assert!(
-                error.to_string().contains(want),
-                "{error} should mention {want}"
-            );
-        }
-        assert!(!out.exists(), "no cache file on failure");
-    }
 
     #[test]
     fn orchestrator_rejects_already_sharded_specs() {
         let spec = CampaignSpec::smoke().with_shard(0, 2).expect("valid shard");
-        let error = Orchestrator::new("unused", 2)
+        // The spec is checked before any endpoint is dialed.
+        let endpoint = "tcp:127.0.0.1:1".parse().expect("endpoint");
+        let error = Orchestrator::fleet(vec![endpoint])
             .run(&spec, &ResultCache::new())
             .expect_err("shard assignment belongs to the orchestrator");
         assert!(matches!(error, OrchestrateError::Args(_)), "{error}");
         assert!(error.to_string().contains("already-sharded"));
-    }
-
-    #[test]
-    fn errors_render_their_context() {
-        let error = OrchestrateError::Worker {
-            shard: 2,
-            status: Some(1),
-            stderr: "boom\n".to_string(),
-        };
-        assert_eq!(error.to_string(), "shard 2 worker failed (exit 1): boom");
-        let signal = OrchestrateError::Worker {
-            shard: 0,
-            status: None,
-            stderr: String::new(),
-        };
-        assert!(signal.to_string().contains("signal"));
     }
 }

@@ -67,9 +67,12 @@
 //!
 //! Any failure is an in-band `error` response carrying the request id
 //! (id 0 if the request line itself would not parse); the connection
-//! stays up. A `run` that fails mid-campaign may have streamed some
-//! `unit` responses already — the terminal line is then an `error`
-//! instead of `done`.
+//! stays up. The one exception is a line longer than
+//! [`MAX_LINE_BYTES`](oranges_harness::reactor::MAX_LINE_BYTES): it
+//! gets an id-0 `error` naming the limit, and the connection closes
+//! once the peer hangs up. A `run` that fails mid-campaign may have
+//! streamed some `unit` responses already — the terminal line is then
+//! an `error` instead of `done`.
 //!
 //! The shared cache warm-starts from disk when
 //! [`ServiceConfig::cache_path`] is set (a file stamped with a stale
@@ -118,7 +121,7 @@ use oranges_harness::envelope::{EnvelopeError, Request, Response};
 use oranges_harness::json::{self, JsonValue};
 use oranges_harness::obs::{CampaignEvent, EventKind, EventStream, Exposition};
 use oranges_harness::reactor::{
-    Event, Reactor, ReadInterest, Token, WakeHandle, WRITE_BACKLOG_THRESHOLD,
+    Event, FrameError, Reactor, ReadInterest, Token, WakeHandle, WRITE_BACKLOG_THRESHOLD,
 };
 use oranges_harness::transport::{Endpoint, Listener, Stream, Transport};
 use std::collections::{HashMap, VecDeque};
@@ -799,6 +802,15 @@ impl<T: Transport> Dispatcher<'_, T> {
         match event {
             Event::Accepted(token) => self.on_accepted(token),
             Event::Line(token, line) => self.on_line(token, line),
+            // The reactor already stopped framing this connection; it
+            // closes once the answer is flushed and the peer hangs up.
+            Event::LineTooLong(token) => self.respond(
+                token,
+                &Response::failure(
+                    0,
+                    format!("{}; closing the connection", FrameError::TooLong),
+                ),
+            ),
             Event::Notify(token) => self.on_notify(token),
             Event::Timer(token) => self.on_timer(token),
             Event::Writable(token) => self.on_writable(token),

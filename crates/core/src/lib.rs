@@ -34,8 +34,9 @@
 //!
 //! `oranges-campaign` sits above this crate and fans whole experiment
 //! grids out across a worker pool with content-keyed result caching; its
-//! service mode serves specs over a Unix socket and its orchestrator
-//! shards campaigns across worker processes. The data flow, end to end:
+//! service mode serves specs over a Unix socket or TCP and its fleet
+//! orchestrator shards campaigns across daemons. The data flow, end to
+//! end:
 //!
 //! ```text
 //!  CampaignSpec ──► Plan ──► scheduler ──► ResultCache ──► CampaignReport

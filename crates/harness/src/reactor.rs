@@ -37,8 +37,9 @@
 //!
 //! What belongs to the reactor vs. its owner:
 //!
-//! - the reactor frames lines, flushes queued writes, detects EOF and
-//!   I/O errors, fires timers, and forwards wakes;
+//! - the reactor frames lines (at most [`MAX_LINE_BYTES`] each),
+//!   flushes queued writes, detects EOF and I/O errors, fires timers,
+//!   and forwards wakes;
 //! - the owner (the campaign service) interprets lines, decides read
 //!   interest per connection state, enqueues responses, and removes
 //!   connections when the protocol says so.
@@ -97,6 +98,11 @@ pub enum Event {
     Accepted(Token),
     /// A complete newline-framed line arrived (terminator stripped).
     Line(Token, String),
+    /// The peer sent a line longer than [`MAX_LINE_BYTES`]. The reactor
+    /// dropped the buffered input and switched the connection to
+    /// [`ReadInterest::EofOnly`]: the owner answers, and the connection
+    /// closes once that answer is flushed and the peer hangs up.
+    LineTooLong(Token),
     /// The connection left the table. `None` is a clean close (peer
     /// EOF, or a requested close-after-flush that finished); `Some`
     /// describes an I/O failure. Either way the token is now dead and
@@ -205,6 +211,37 @@ impl std::fmt::Debug for NotifyHandle {
 // Framing
 // ---------------------------------------------------------------------
 
+/// The longest line a peer may send, terminator excluded: 1 MiB. A
+/// `run` spec is a few KB, so the cap only stops a peer that would
+/// otherwise pin daemon memory with one unterminated line.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Why buffered bytes could not be framed into a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// A line, terminated or not, is longer than [`MAX_LINE_BYTES`].
+    TooLong,
+    /// A complete line is not valid UTF-8.
+    NotUtf8,
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::TooLong => write!(f, "line exceeds the {MAX_LINE_BYTES}-byte limit"),
+            FrameError::NotUtf8 => f.write_str("line is not valid UTF-8"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+impl From<FrameError> for io::Error {
+    fn from(error: FrameError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, error)
+    }
+}
+
 /// Incremental newline framing over arbitrarily segmented bytes.
 ///
 /// The wire protocol is newline-delimited JSON in which a raw `0x0A`
@@ -233,34 +270,45 @@ impl FrameBuffer {
     }
 
     /// Pop the next complete line (terminator stripped), or `None` if
-    /// no full line is buffered yet. A complete line that is not valid
-    /// UTF-8 is a protocol error.
-    pub fn next_line(&mut self) -> io::Result<Option<String>> {
+    /// no full line is buffered yet. A line longer than
+    /// [`MAX_LINE_BYTES`] — complete, or still unterminated past the
+    /// cap — and a complete line that is not valid UTF-8 are protocol
+    /// errors.
+    pub fn next_line(&mut self) -> Result<Option<String>, FrameError> {
         let Some(offset) = self.buffer[self.scanned..].iter().position(|&b| b == b'\n') else {
             // Remember how far we scanned so a long line arriving in
             // many segments is not rescanned from the start each time.
             self.scanned = self.buffer.len();
+            if self.scanned > MAX_LINE_BYTES {
+                return Err(FrameError::TooLong);
+            }
             return Ok(None);
         };
         let newline = self.scanned + offset;
+        if newline > MAX_LINE_BYTES {
+            return Err(FrameError::TooLong);
+        }
         let line = self.buffer.drain(..=newline).take(newline).collect();
         self.scanned = 0;
         String::from_utf8(line)
             .map(Some)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "line is not valid UTF-8"))
+            .map_err(|_| FrameError::NotUtf8)
     }
 
     /// Drain the unterminated tail at EOF, if any. A peer that sends a
     /// final line and closes without a trailing newline still gets it
     /// processed — the behavior a buffered blocking reader had.
-    pub fn take_remainder(&mut self) -> io::Result<Option<String>> {
+    pub fn take_remainder(&mut self) -> Result<Option<String>, FrameError> {
         if self.buffer.is_empty() {
             return Ok(None);
+        }
+        if self.buffer.len() > MAX_LINE_BYTES {
+            return Err(FrameError::TooLong);
         }
         self.scanned = 0;
         String::from_utf8(std::mem::take(&mut self.buffer))
             .map(Some)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "line is not valid UTF-8"))
+            .map_err(|_| FrameError::NotUtf8)
     }
 
     /// Bytes buffered and not yet framed.
@@ -515,6 +563,7 @@ impl<S: Stream> Reactor<S> {
     pub fn set_read_interest(&mut self, token: Token, interest: ReadInterest) {
         let mut lines = Vec::new();
         let mut framing_error = None;
+        let mut too_long = false;
         {
             let Some(registration) = self.table.get_mut(&token.0) else {
                 return;
@@ -528,15 +577,9 @@ impl<S: Stream> Reactor<S> {
                     // without any new bytes; scan promptly either way.
                     registration.last_input = now;
                     registration.next_scan = Some(now);
-                    loop {
-                        match registration.frame.next_line() {
-                            Ok(Some(line)) => lines.push(line),
-                            Ok(None) => break,
-                            Err(error) => {
-                                framing_error = Some(error);
-                                break;
-                            }
-                        }
+                    match registration.frame_lines(&mut lines) {
+                        Ok(over) => too_long = over,
+                        Err(error) => framing_error = Some(error),
                     }
                 }
                 ReadInterest::EofOnly => {
@@ -553,6 +596,10 @@ impl<S: Stream> Reactor<S> {
         }
         for line in lines {
             self.pending.push_back(Event::Line(token, line));
+        }
+        if too_long {
+            self.pending.push_back(Event::LineTooLong(token));
+            return; // the owner's answer flushes before any close
         }
         if let Some(error) = framing_error {
             self.fail(token, error);
@@ -825,6 +872,7 @@ impl<S: Stream> Reactor<S> {
         // table borrow never overlaps event emission.
         let mut lines: Vec<String> = Vec::new();
         let mut failure: Option<io::Error> = None;
+        let mut too_long = false;
         let saw_eof = {
             let registration = self
                 .table
@@ -861,21 +909,15 @@ impl<S: Stream> Reactor<S> {
 
             // Frame complete lines out of whatever is buffered.
             if registration.interest == ReadInterest::Framed && failure.is_none() {
-                loop {
-                    match registration.frame.next_line() {
-                        Ok(Some(line)) => lines.push(line),
-                        Ok(None) => break,
-                        Err(error) => {
-                            failure = Some(error);
-                            break;
-                        }
-                    }
+                match registration.frame_lines(&mut lines) {
+                    Ok(over) => too_long = over,
+                    Err(error) => failure = Some(error),
                 }
-                if registration.peer_eof && failure.is_none() {
+                if registration.peer_eof && failure.is_none() && !too_long {
                     match registration.frame.take_remainder() {
                         Ok(Some(tail)) => lines.push(tail),
                         Ok(None) => {}
-                        Err(error) => failure = Some(error),
+                        Err(error) => failure = Some(error.into()),
                     }
                 }
             }
@@ -899,19 +941,22 @@ impl<S: Stream> Reactor<S> {
             registration.peer_eof
         };
 
-        let delivered_lines = !lines.is_empty();
+        let delivered = !lines.is_empty() || too_long;
         for line in lines {
             self.pending.push_back(Event::Line(token, line));
+        }
+        if too_long {
+            self.pending.push_back(Event::LineTooLong(token));
         }
         if let Some(error) = failure {
             self.fail(token, error);
             return;
         }
-        // Close on EOF only when no lines were delivered this scan: a
+        // Close on EOF only when nothing was delivered this scan: a
         // peer that wrote a request and closed its write half still
         // gets its response — the close follows the response flush (or
         // an explicit [`sweep_eof`](Reactor::sweep_eof)) instead.
-        if saw_eof && !delivered_lines && registration_is_closable(self.table.get(&token.0)) {
+        if saw_eof && !delivered && registration_is_closable(self.table.get(&token.0)) {
             self.close_clean(token);
         }
     }
@@ -964,6 +1009,29 @@ impl<S: Stream> Reactor<S> {
 
     fn drop_registration(&mut self, token: Token) -> bool {
         self.table.remove(&token.0).is_some()
+    }
+}
+
+impl<S> Registration<S> {
+    /// Frame every complete buffered line into `lines`. A line over
+    /// [`MAX_LINE_BYTES`] drops the buffered input and switches the
+    /// connection to [`ReadInterest::EofOnly`], so reads continue (a
+    /// peer's unread bytes would turn the close into a reset that can
+    /// destroy the answer) but nothing more is buffered; `Ok(true)`
+    /// tells the caller to report [`Event::LineTooLong`].
+    fn frame_lines(&mut self, lines: &mut Vec<String>) -> io::Result<bool> {
+        loop {
+            match self.frame.next_line() {
+                Ok(Some(line)) => lines.push(line),
+                Ok(None) => return Ok(false),
+                Err(FrameError::TooLong) => {
+                    self.frame = FrameBuffer::new();
+                    self.interest = ReadInterest::EofOnly;
+                    return Ok(true);
+                }
+                Err(error) => return Err(error.into()),
+            }
+        }
     }
 }
 
@@ -1030,6 +1098,24 @@ mod tests {
         // …but a complete line with a stray continuation byte errors.
         frame.extend(&[b'x', 0x80, b'\n']);
         assert!(frame.next_line().is_err());
+    }
+
+    #[test]
+    fn frame_buffer_caps_lines_at_max_line_bytes() {
+        // Exactly the cap frames, terminated now or later…
+        let mut frame = FrameBuffer::new();
+        frame.extend(&vec![b'x'; MAX_LINE_BYTES]);
+        assert_eq!(frame.next_line(), Ok(None), "may still be terminated");
+        frame.extend(b"\n");
+        let line = frame.next_line().unwrap().expect("a full line");
+        assert_eq!(line.len(), MAX_LINE_BYTES);
+        // …one more byte errors, terminated or not.
+        for tail in [&b""[..], b"\n"] {
+            let mut frame = FrameBuffer::new();
+            frame.extend(&vec![b'x'; MAX_LINE_BYTES + 1]);
+            frame.extend(tail);
+            assert_eq!(frame.next_line(), Err(FrameError::TooLong));
+        }
     }
 
     /// A writer that accepts at most `cap` bytes per call and

@@ -55,3 +55,16 @@ pub use gemm::{sgemm_f32, sgemm_f32_scalar};
 pub use reduce::{dot_f32, dot_f64, max_f32, sum_f32, sum_f64};
 pub use stream::fused_iteration_f64;
 pub use ulp::{diff_stats_f32, ulp_distance_f32, ulp_distance_f64, DiffStats};
+
+/// The host's available parallelism (4 if it cannot be read), read once
+/// per process. Every host-parallel functional path sizes its worker
+/// count from this one reading: the Accelerate row blocks and the Metal
+/// shader bands.
+pub fn host_parallelism() -> usize {
+    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
+}

@@ -284,7 +284,7 @@ fn execute_pass(device: &Device, pass: &ComputePass) -> Result<PassReport, Metal
     let volume = workload.flops.max(workload.total_bytes());
     let functional = volume <= device.functional_limit();
     if functional {
-        run_functional(device, pass, inputs, output)?;
+        run_functional(pass, inputs, output)?;
     }
 
     Ok(PassReport {
@@ -302,7 +302,6 @@ fn execute_pass(device: &Device, pass: &ComputePass) -> Result<PassReport, Metal
 }
 
 fn run_functional(
-    device: &Device,
     pass: &ComputePass,
     inputs: &[&Buffer],
     output: &Buffer,
@@ -323,9 +322,7 @@ fn run_functional(
     // One contiguous band per host thread (never more bands than
     // threadgroups or output elements): an SGEMM band then packs B once
     // for all of its rows.
-    let band_count = device
-        .inner
-        .host_threads
+    let band_count = oranges_kernels::host_parallelism()
         .min(pass.threadgroups.count() as usize)
         .min(out_len)
         .max(1);
@@ -336,8 +333,6 @@ fn run_functional(
     let run_band = move |band_index: usize, output: &mut [f32]| {
         let start = band_index * band_len;
         kernel.execute_band(BandInvocation {
-            band_index,
-            band_count,
             range: start..start + output.len(),
             inputs: input_slices,
             output,

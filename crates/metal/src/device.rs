@@ -24,8 +24,6 @@ pub(crate) struct DeviceInner {
     pub space: SharedAddressSpace,
     pub timing: TimingModel,
     pub functional_limit: u64,
-    /// Host threads used for functional shader execution.
-    pub host_threads: usize,
 }
 
 /// A simulated Metal device.
@@ -63,9 +61,6 @@ impl Device {
                 space: SharedAddressSpace::with_gib(memory_gb),
                 timing: TimingModel::new(gpu, bandwidth),
                 functional_limit: DEFAULT_FUNCTIONAL_LIMIT,
-                host_threads: std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4),
             }),
         }
     }
@@ -81,7 +76,6 @@ impl Device {
                 space: inner.space.clone(),
                 timing: inner.timing.clone(),
                 functional_limit: limit,
-                host_threads: inner.host_threads,
             }),
         }
     }

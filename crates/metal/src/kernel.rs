@@ -83,10 +83,6 @@ impl Workload {
 /// Metal grid enforces spatially. A band boundary may fall anywhere,
 /// including mid-row; a kernel's result must not depend on where.
 pub struct BandInvocation<'a> {
-    /// Band index, `0..band_count`.
-    pub band_index: usize,
-    /// Total number of bands in this dispatch.
-    pub band_count: usize,
     /// Output element range this band owns.
     pub range: Range<usize>,
     /// Read-only views of the input buffers, in binding order.

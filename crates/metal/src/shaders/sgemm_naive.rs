@@ -101,8 +101,6 @@ mod tests {
     fn run_full(n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; n * n];
         SgemmNaive.execute_band(BandInvocation {
-            band_index: 0,
-            band_count: 1,
             range: 0..n * n,
             inputs: &[a, b],
             output: &mut out,
@@ -142,8 +140,6 @@ mod tests {
         for (bi, chunk) in banded.chunks_mut(band_len).enumerate() {
             let start = bi * band_len;
             SgemmNaive.execute_band(BandInvocation {
-                band_index: bi,
-                band_count: 4,
                 range: start..start + chunk.len(),
                 inputs: &[&a, &b],
                 output: chunk,

@@ -102,8 +102,6 @@ mod tests {
     fn run(kernel: &dyn ComputeKernel, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; n * n];
         kernel.execute_band(BandInvocation {
-            band_index: 0,
-            band_count: 1,
             range: 0..n * n,
             inputs: &[a, b],
             output: &mut out,

@@ -210,8 +210,6 @@ mod tests {
     ) -> Vec<f32> {
         let mut out = vec![0.0f32; out_len];
         kernel.execute_band(BandInvocation {
-            band_index: 0,
-            band_count: 1,
             range: 0..out_len,
             inputs,
             output: &mut out,
@@ -262,8 +260,6 @@ mod tests {
         let a: Vec<f32> = (0..100).map(|i| i as f32).collect();
         let mut out = vec![-1.0f32; 10];
         StreamCopy.execute_band(BandInvocation {
-            band_index: 9,
-            band_count: 10,
             range: 95..105, // extends past n=100
             inputs: &[&a],
             output: &mut out,

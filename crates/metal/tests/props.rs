@@ -154,12 +154,10 @@ proptest! {
         for (kernel, params) in kernels {
             let mut out = vec![f32::NAN; total];
             let mut rest = out.as_mut_slice();
-            for (band_index, band) in bounds.windows(2).enumerate() {
+            for band in bounds.windows(2) {
                 let (output, tail) = std::mem::take(&mut rest).split_at_mut(band[1] - band[0]);
                 rest = tail;
                 kernel.execute_band(BandInvocation {
-                    band_index,
-                    band_count: bounds.len() - 1,
                     range: band[0]..band[1],
                     inputs: &[&a, &b],
                     output,

@@ -12,9 +12,6 @@
 //!   --cache PATH    load the result cache from PATH if it exists and
 //!                   save it back after the run — a second invocation
 //!                   with the same PATH is served entirely from disk
-//!   --spawn N       multi-process mode: re-invoke this example as N
-//!                   shard worker processes, merge their caches, and
-//!                   emit one unified (value-identical) report
 //!   --fleet LIST    fleet mode: dispatch one shard to each of the
 //!                   comma-separated service endpoints (e.g.
 //!                   tcp:hostA:7771,tcp:hostB:7771 — daemons started
@@ -23,10 +20,11 @@
 //!                   (value-identical) report. Endpoints may repeat:
 //!                   the daemon's reactor multiplexes every connection
 //!                   off one event loop, so listing one daemon N times
-//!                   runs N shards against it concurrently
+//!                   runs N shards against it concurrently. For process
+//!                   isolation on one host, start N loopback daemons
+//!                   and list them all
 //! ```
 
-use oranges_campaign::orchestrate;
 use oranges_campaign::prelude::*;
 use std::path::PathBuf;
 
@@ -34,7 +32,6 @@ struct Options {
     workers: usize,
     shard: Option<(usize, usize)>,
     cache_path: Option<PathBuf>,
-    spawn: Option<usize>,
     fleet: Option<Vec<Endpoint>>,
 }
 
@@ -43,7 +40,6 @@ fn parse_options() -> Options {
         workers: 4,
         shard: None,
         cache_path: None,
-        spawn: None,
         fleet: None,
     };
     let mut args = std::env::args().skip(1);
@@ -67,9 +63,6 @@ fn parse_options() -> Options {
             "--cache" => {
                 options.cache_path = Some(PathBuf::from(value("--cache")));
             }
-            "--spawn" => {
-                options.spawn = Some(value("--spawn").parse().expect("--spawn N"));
-            }
             "--fleet" => {
                 let list = value("--fleet");
                 options.fleet = Some(
@@ -89,11 +82,6 @@ fn parse_options() -> Options {
 }
 
 fn main() {
-    // Orchestrated children re-enter this same binary with worker flags;
-    // intercept them before normal option parsing.
-    if let Some(code) = orchestrate::maybe_run_worker() {
-        std::process::exit(code);
-    }
     let options = parse_options();
     let mut spec = CampaignSpec::paper_grid().with_workers(options.workers);
     if let Some((index, count)) = options.shard {
@@ -130,13 +118,9 @@ fn main() {
     };
 
     // Fleet mode: one shard per remote campaign daemon, streamed back
-    // over the service protocol and merged into one report.
+    // over the service protocol and merged into one report. The
+    // orchestrator assigns the shards, so it refuses a `--shard` spec.
     if let Some(endpoints) = &options.fleet {
-        assert!(
-            options.shard.is_none() && options.spawn.is_none(),
-            "--fleet cannot be combined with --shard or --spawn: the fleet \
-             orchestrator assigns shards"
-        );
         println!(
             "=== Campaign: Figures 1-4 x M1-M4 across a {}-daemon fleet ===\n",
             endpoints.len()
@@ -152,46 +136,7 @@ fn main() {
             "\nFleet: {} daemons, merged {} remote units ({} already known, \
              {} stale-recomputed), assembly computed {} units (0 = the fleet \
              covered the plan), fingerprint {}",
-            run.processes,
-            run.merged.added,
-            run.merged.identical,
-            run.merged.stale,
-            run.report.computed_units(),
-            run.report.fingerprint(),
-        );
-        if let Some(path) = &options.cache_path {
-            cache.save(path).expect("writable cache file");
-            println!(
-                "Saved {} merged units to {}",
-                cache.stats().entries,
-                path.display()
-            );
-        }
-        return;
-    }
-
-    // Multi-process mode: spawn N copies of this example as shard
-    // workers, merge their caches, and report once.
-    if let Some(processes) = options.spawn {
-        assert!(
-            options.shard.is_none(),
-            "--shard cannot be combined with --spawn: the orchestrator assigns shards"
-        );
-        println!(
-            "=== Campaign: Figures 1-4 x M1-M4, {processes} worker processes \
-             ({} threads each) ===\n",
-            spec.workers
-        );
-        let program = std::env::current_exe().expect("own path");
-        let run = Orchestrator::new(program, processes)
-            .run(&spec, &cache)
-            .expect("orchestrated campaign");
-        println!("{}", run.report.render_summary());
-        println!(
-            "\nOrchestrator: {} processes, merged {} shard entries ({} already known, \
-             {} stale-invalidated), assembly computed {} units (0 = shards covered the \
-             plan), fingerprint {}",
-            run.processes,
+            endpoints.len(),
             run.merged.added,
             run.merged.identical,
             run.merged.stale,

@@ -3,15 +3,19 @@
 //! campaign across them, and the acceptance property — the merged
 //! report is **value-identical to a single-process run** (same
 //! `CampaignReport::fingerprint`), with every unit computed remotely.
-//! Also covers the versioned-cache staleness rule for remote shards
-//! and the typed errors for unreachable fleets.
+//! Also covers daemons warm-started from their own cache files, the
+//! versioned-cache staleness rule for remote shards, the loud failure
+//! on a daemon serving a forged value, and the typed errors for
+//! unreachable fleets.
 
+use oranges_campaign::cache::CacheMergeError;
 use oranges_campaign::prelude::*;
 use oranges_campaign::service::{CampaignService, ServiceClient, ServiceConfig, ServiceSummary};
-use oranges_campaign::OrchestrateError;
+use oranges_campaign::{ExperimentOutput, OrchestrateError, Plan};
 #[cfg(unix)]
 use oranges_harness::transport::UnixTransport;
 use oranges_harness::transport::{AnyTransport, TcpTransport};
+use std::path::PathBuf;
 use std::thread::JoinHandle;
 
 /// 3 kinds x 2 chips + 1 chip-independent = 7 units, so 2 fleet
@@ -31,14 +35,22 @@ fn grid_spec() -> CampaignSpec {
     .with_workers(2)
 }
 
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("oranges-fleet-{}-{name}", std::process::id()))
+}
+
+fn tcp_config() -> ServiceConfig {
+    ServiceConfig::new("tcp:127.0.0.1:0".parse::<Endpoint>().expect("endpoint")).with_workers(2)
+}
+
 /// A loopback TCP daemon on an OS-assigned port — the test stand-in
 /// for a remote measurement host.
 fn start_tcp_daemon() -> (Endpoint, JoinHandle<ServiceSummary>) {
-    let service = CampaignService::<TcpTransport>::bind(
-        ServiceConfig::new("tcp:127.0.0.1:0".parse::<Endpoint>().expect("endpoint"))
-            .with_workers(2),
-    )
-    .expect("bind tcp daemon");
+    start_daemon(tcp_config())
+}
+
+fn start_daemon(config: ServiceConfig) -> (Endpoint, JoinHandle<ServiceSummary>) {
+    let service = CampaignService::<TcpTransport>::bind(config).expect("bind tcp daemon");
     let endpoint = service.local_endpoint().clone();
     let daemon = std::thread::spawn(move || service.serve().expect("serve"));
     (endpoint, daemon)
@@ -65,7 +77,6 @@ fn fleet_campaign_is_value_identical_to_single_process() {
         .expect("fleet run");
 
     // The acceptance property: same digests, unit for unit.
-    assert_eq!(run.processes, 2);
     assert_eq!(run.report.units.len(), single.units.len());
     assert_eq!(run.report.digest(), single.digest());
     assert_eq!(run.report.fingerprint(), single.fingerprint());
@@ -142,10 +153,107 @@ fn fleet_merges_into_a_warm_parent_cache_as_identical() {
 }
 
 #[test]
+fn daemons_started_on_a_warm_cache_file_compute_nothing() {
+    // Each daemon warm-starts from its own `--cache` file written by a
+    // prior run, so a cold parent gets every unit without any daemon
+    // recomputing one.
+    let prior = ResultCache::new();
+    let first = run_campaign(&grid_spec(), &prior).expect("prior run");
+    let files = [temp_path("warm-a.json"), temp_path("warm-b.json")];
+    for file in &files {
+        prior.save(file).expect("write a daemon cache file");
+    }
+    let (endpoint_a, daemon_a) = start_daemon(tcp_config().with_cache_path(&files[0]));
+    let (endpoint_b, daemon_b) = start_daemon(tcp_config().with_cache_path(&files[1]));
+
+    let run = Orchestrator::fleet(vec![endpoint_a.clone(), endpoint_b.clone()])
+        .run(&grid_spec(), &ResultCache::new())
+        .expect("fleet over warm daemons");
+    assert_eq!(run.merged.added, 7);
+    assert_eq!(run.report.computed_units(), 0);
+    assert_eq!(run.report.fingerprint(), first.fingerprint());
+
+    let summary_a = stats_and_shutdown(&endpoint_a);
+    let summary_b = stats_and_shutdown(&endpoint_b);
+    assert_eq!(summary_a.units_computed + summary_b.units_computed, 0);
+    assert_eq!(summary_a.unit_cache_hits + summary_b.unit_cache_hits, 7);
+    daemon_a.join().expect("daemon A");
+    daemon_b.join().expect("daemon B");
+    for file in &files {
+        std::fs::remove_file(file).ok();
+    }
+}
+
+#[test]
+fn a_daemon_serving_a_forged_value_fails_the_merge_loudly() {
+    // Daemon B warm-starts from a cache file holding a forged output
+    // under an honest key in its shard. The parent already knows the
+    // honest value, so the join must fail loudly, name the key and the
+    // endpoint, and leave the parent's value untouched.
+    let parent = ResultCache::new();
+    run_campaign(&grid_spec(), &parent).expect("honest run");
+    // Round-robin over 2 endpoints: plan unit 1 is shard 1's.
+    let disputed_key = Plan::expand(&grid_spec()).units[1].key.clone();
+    let honest_json = parent
+        .get(&disputed_key)
+        .expect("honest entry")
+        .json
+        .clone();
+
+    let forged = ResultCache::new();
+    forged.insert(
+        disputed_key.clone(),
+        ExperimentOutput::from_sets(
+            vec![
+                MetricSet::for_chip("fig4", &disputed_key.params, "M1").metric(
+                    "gflops_per_watt",
+                    9999.0,
+                    "GFLOPS/W",
+                ),
+            ],
+            None,
+        )
+        .expect("serializable forgery"),
+    );
+    let forged_file = temp_path("forged.json");
+    forged
+        .save(&forged_file)
+        .expect("write the forged cache file");
+
+    let (endpoint_a, daemon_a) = start_tcp_daemon();
+    let (endpoint_b, daemon_b) = start_daemon(tcp_config().with_cache_path(&forged_file));
+    let error = Orchestrator::fleet(vec![endpoint_a.clone(), endpoint_b.clone()])
+        .run(&grid_spec(), &parent)
+        .expect_err("a forged value must fail the merge");
+    match &error {
+        OrchestrateError::RemoteConflict {
+            error: CacheMergeError::Conflict { key, .. },
+            endpoint,
+        } => {
+            assert_eq!(key, &disputed_key);
+            assert_eq!(endpoint, &endpoint_b.to_string());
+        }
+        other => panic!("expected a remote conflict, got {other}"),
+    }
+    assert!(error.to_string().contains("merge conflict"), "{error}");
+    assert_eq!(
+        parent.get(&disputed_key).expect("honest entry").json,
+        honest_json,
+        "the parent keeps the honest value"
+    );
+
+    stats_and_shutdown(&endpoint_a);
+    stats_and_shutdown(&endpoint_b);
+    daemon_a.join().expect("daemon A");
+    daemon_b.join().expect("daemon B");
+    std::fs::remove_file(&forged_file).ok();
+}
+
+#[test]
 fn stale_remote_shards_are_dropped_and_recomputed_locally() {
     // A parent cache stamped with a *different* model digest makes
     // every remote result stale — the versioned-cache rule a stale
-    // shard *file* gets: dropped and counted, never merged and never a
+    // cache *file* gets: dropped and counted, never merged and never a
     // conflict. The assembly pass recomputes locally, so the campaign
     // still succeeds with this host's values.
     let (endpoint_a, daemon_a) = start_tcp_daemon();
@@ -185,8 +293,7 @@ fn degenerate_fleets_are_typed_errors() {
     assert!(matches!(error, OrchestrateError::Args(_)), "{error}");
     assert!(error.to_string().contains("at least one endpoint"));
 
-    // Pre-sharded specs: shard assignment belongs to the orchestrator,
-    // in fleet mode exactly as in process mode.
+    // Pre-sharded specs: shard assignment belongs to the orchestrator.
     let sharded = grid_spec().with_shard(0, 2).expect("valid shard");
     let error = Orchestrator::fleet(vec!["tcp:127.0.0.1:1".parse().expect("endpoint")])
         .run(&sharded, &ResultCache::new())

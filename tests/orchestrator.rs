@@ -1,25 +1,23 @@
-//! Multi-process orchestration integration: real child processes (the
-//! `campaign_worker` binary), one shared cache, and the acceptance
-//! property — an orchestrated N-process campaign is value-identical to a
-//! single-process run, and shard-cache conflicts fail loudly.
+//! Orchestrator integration over a loopback fleet: N campaign daemons
+//! on OS-assigned TCP ports stand in for N worker processes (one per
+//! measurement host), one shared cache joins their shards, and the
+//! acceptance property holds — an orchestrated N-daemon campaign is
+//! value-identical to a single-process run, and its merged cache
+//! persists to a fully warm rerun.
 
-use oranges_campaign::cache::{CacheMergeError, MergeStats};
 use oranges_campaign::prelude::*;
-use oranges_campaign::{ExperimentOutput, OrchestrateError, Plan};
+use oranges_campaign::service::{CampaignService, ServiceClient, ServiceConfig, ServiceSummary};
+use oranges_harness::transport::{AnyTransport, TcpTransport};
 use std::path::PathBuf;
-
-/// The worker binary cargo builds alongside these tests.
-fn worker_program() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_campaign_worker"))
-}
+use std::thread::JoinHandle;
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("oranges-orch-{}-{name}", std::process::id()))
 }
 
 fn grid_spec() -> CampaignSpec {
-    // 3 kinds x 2 chips + 1 chip-independent = 7 units, so 4 processes
-    // get uneven shards (3/2/1/1) — the merge must still cover exactly.
+    // 3 kinds x 2 chips + 1 chip-independent = 7 units, so 4 daemons
+    // get uneven shards (2/2/2/1) — the merge must still cover exactly.
     CampaignSpec::new(
         vec![
             ExperimentKind::Fig4,
@@ -33,16 +31,51 @@ fn grid_spec() -> CampaignSpec {
     .with_workers(2)
 }
 
+/// Start `count` loopback TCP daemons and return their endpoints.
+fn start_daemons(count: usize) -> (Vec<Endpoint>, Vec<JoinHandle<ServiceSummary>>) {
+    (0..count)
+        .map(|_| {
+            let config =
+                ServiceConfig::new("tcp:127.0.0.1:0".parse::<Endpoint>().expect("endpoint"))
+                    .with_workers(1);
+            let service = CampaignService::<TcpTransport>::bind(config).expect("bind tcp daemon");
+            let endpoint = service.local_endpoint().clone();
+            (
+                endpoint,
+                std::thread::spawn(move || service.serve().expect("serve")),
+            )
+        })
+        .unzip()
+}
+
+/// Ask every daemon for its engine counters, shut it down, and return
+/// the units each one computed.
+fn shut_down(endpoints: &[Endpoint], daemons: Vec<JoinHandle<ServiceSummary>>) -> Vec<u64> {
+    let computed = endpoints
+        .iter()
+        .map(|endpoint| {
+            let mut client = ServiceClient::<AnyTransport>::connect(endpoint).expect("connect");
+            let stats = client.stats().expect("stats");
+            client.shutdown().expect("shutdown");
+            stats.summary.units_computed
+        })
+        .collect();
+    for daemon in daemons {
+        daemon.join().expect("daemon thread");
+    }
+    computed
+}
+
 #[test]
 fn four_process_campaign_is_value_identical_to_single_process() {
     let single = run_campaign(&grid_spec(), &ResultCache::new()).expect("single-process run");
 
+    let (endpoints, daemons) = start_daemons(4);
     let cache = ResultCache::new();
-    let run = Orchestrator::new(worker_program(), 4)
+    let run = Orchestrator::fleet(endpoints.clone())
         .run(&grid_spec(), &cache)
         .expect("orchestrated run");
 
-    assert_eq!(run.processes, 4);
     assert_eq!(run.report.units.len(), single.units.len());
     // The acceptance property: same digests, unit for unit.
     assert_eq!(run.report.digest(), single.digest());
@@ -53,30 +86,11 @@ fn four_process_campaign_is_value_identical_to_single_process() {
     // Every distinct unit arrived from exactly one shard.
     assert_eq!(run.merged.added, 7);
     assert_eq!(run.merged.identical, 0);
-}
 
-#[test]
-fn orchestrator_warm_starts_children_from_the_shared_cache() {
-    let cache = ResultCache::new();
-    // Pre-warm the shared cache with a single-process run.
-    let first = run_campaign(&grid_spec(), &cache).expect("warm-up run");
-    let warm_entries = cache.stats().entries;
-
-    let run = Orchestrator::new(worker_program(), 2)
-        .run(&grid_spec(), &cache)
-        .expect("orchestrated over warm cache");
-    // Children saw the warm file, so every shard cache came back as the
-    // full warm set: nothing new was computed anywhere, and each of the
-    // 2 shard merges found all 7 entries already present and identical.
-    assert_eq!(
-        run.merged,
-        MergeStats {
-            added: 0,
-            identical: warm_entries * 2,
-            stale: 0
-        }
-    );
-    assert_eq!(run.report.fingerprint(), first.fingerprint());
+    // All four daemons did shard work, 7 units between them.
+    let computed = shut_down(&endpoints, daemons);
+    assert!(computed.iter().all(|&units| units > 0), "{computed:?}");
+    assert_eq!(computed.iter().sum::<u64>(), 7);
 }
 
 #[test]
@@ -84,119 +98,19 @@ fn orchestrated_cache_file_round_trips_to_a_fully_warm_rerun() {
     let cache_file = temp_path("shared.json");
     std::fs::remove_file(&cache_file).ok();
 
+    let (endpoints, daemons) = start_daemons(3);
     let cache = ResultCache::new();
-    let run = Orchestrator::new(worker_program(), 3)
+    let run = Orchestrator::fleet(endpoints.clone())
         .run(&grid_spec(), &cache)
         .expect("orchestrated run");
+    shut_down(&endpoints, daemons);
     cache.save(&cache_file).expect("persist the merged cache");
 
     // A later process loads the one shared cache file and recomputes
-    // nothing — multi-process warmth survives on disk.
+    // nothing — fleet warmth survives on disk.
     let warm = ResultCache::load(&cache_file).expect("load shared cache");
     let rerun = run_campaign(&grid_spec(), &warm).expect("warm rerun");
     assert_eq!(rerun.computed_units(), 0);
     assert_eq!(rerun.fingerprint(), run.report.fingerprint());
     std::fs::remove_file(&cache_file).ok();
-}
-
-#[test]
-fn shard_digest_mismatches_fail_the_merge_loudly() {
-    // Two "shards" that disagree on the same key: one honest run, and
-    // one carrying a forged output under the honest unit's key (what a
-    // corrupt file or stale-model shard would look like). Both travel
-    // through disk like real shard caches.
-    let spec = CampaignSpec::new(vec![ExperimentKind::Fig4], vec![ChipGeneration::M1])
-        .with_power_sizes(vec![2048])
-        .with_workers(1);
-    let honest = ResultCache::new();
-    run_campaign(&spec, &honest).expect("honest shard");
-
-    let disputed_key = Plan::expand(&spec).units[0].key.clone();
-    let forged = ResultCache::new();
-    forged.insert(
-        disputed_key.clone(),
-        ExperimentOutput::from_sets(
-            vec![
-                MetricSet::for_chip("fig4", &disputed_key.params, "M1").metric(
-                    "gflops_per_watt",
-                    9999.0,
-                    "GFLOPS/W",
-                ),
-            ],
-            None,
-        )
-        .expect("serializable forgery"),
-    );
-
-    let (honest_file, forged_file) = (temp_path("honest.json"), temp_path("forged.json"));
-    honest.save(&honest_file).expect("save honest");
-    forged.save(&forged_file).expect("save forged");
-
-    // The merge — the orchestrator's join step — is where the
-    // disagreement must be caught.
-    let destination = ResultCache::new();
-    destination
-        .merge_from(&ResultCache::load(&honest_file).expect("load honest"))
-        .expect("first shard merges");
-    let error = destination
-        .merge_from(&ResultCache::load(&forged_file).expect("load forged"))
-        .expect_err("digest mismatch must fail loudly");
-    let CacheMergeError::Conflict { key, .. } = &error;
-    assert_eq!(key, &disputed_key);
-    assert!(error.to_string().contains("merge conflict"));
-    // And nothing half-merged: the destination still holds the honest value.
-    assert_eq!(
-        destination.get(&disputed_key).expect("honest entry").json,
-        honest.get(&disputed_key).expect("honest entry").json
-    );
-
-    std::fs::remove_file(&honest_file).ok();
-    std::fs::remove_file(&forged_file).ok();
-}
-
-#[test]
-fn caller_supplied_scratch_dirs_are_preserved() {
-    // Only the shard/warm files the run wrote may be removed from a
-    // directory the caller owns — never the directory or its contents.
-    let scratch = temp_path("scratch-dir");
-    std::fs::create_dir_all(&scratch).expect("scratch dir");
-    let sentinel = scratch.join("precious-results.txt");
-    std::fs::write(&sentinel, "do not delete").expect("sentinel");
-
-    let run = Orchestrator::new(worker_program(), 2)
-        .with_scratch_dir(&scratch)
-        .run(&grid_spec(), &ResultCache::new())
-        .expect("orchestrated run");
-    assert_eq!(run.merged.added, 7);
-
-    assert!(scratch.is_dir(), "caller directory survives");
-    assert!(sentinel.exists(), "unrelated files survive");
-    assert!(
-        !scratch.join("shard-0.json").exists() && !scratch.join("warm.json").exists(),
-        "only our scratch files are cleaned up"
-    );
-    std::fs::remove_dir_all(&scratch).ok();
-}
-
-#[test]
-fn dead_workers_surface_their_stderr() {
-    // Point the orchestrator at a program that is not a worker: the
-    // campaign_worker binary itself, but with base args that break the
-    // shard parse — it exits non-zero and the orchestrator reports it.
-    let error = Orchestrator::new(worker_program(), 2)
-        .with_base_args(vec!["--shard".to_string(), "bogus".to_string()])
-        .run(&grid_spec(), &ResultCache::new())
-        .expect_err("broken workers must fail the campaign");
-    match error {
-        OrchestrateError::Worker {
-            shard,
-            status,
-            stderr,
-        } => {
-            assert_eq!(shard, 0, "earliest shard reported first");
-            assert_eq!(status, Some(1));
-            assert!(stderr.contains("campaign worker"), "stderr: {stderr}");
-        }
-        other => panic!("expected worker failure, got {other}"),
-    }
 }

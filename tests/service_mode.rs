@@ -33,6 +33,8 @@ trait TestTransport: Transport {
     const TAG: &'static str;
     /// A bindable endpoint for the named test.
     fn endpoint(name: &str) -> Endpoint;
+    /// Close the write half of a client stream: the peer reads EOF.
+    fn shutdown_write(stream: &Self::Stream);
 }
 
 #[cfg(unix)]
@@ -40,6 +42,11 @@ impl TestTransport for UnixTransport {
     const TAG: &'static str = "unix";
     fn endpoint(name: &str) -> Endpoint {
         Endpoint::Unix(temp_path(&format!("{name}.sock")))
+    }
+    fn shutdown_write(stream: &Self::Stream) {
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
     }
 }
 
@@ -49,6 +56,11 @@ impl TestTransport for TcpTransport {
         // Port 0: the OS assigns a private port at bind; the daemon's
         // resolved endpoint is what clients dial.
         "tcp:127.0.0.1:0".parse().expect("static endpoint")
+    }
+    fn shutdown_write(stream: &Self::Stream) {
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
     }
 }
 
@@ -262,6 +274,44 @@ fn hostile_nesting_is_an_in_band_error_and_the_daemon_survives_over<T: TestTrans
     }
 
     let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+}
+
+fn an_over_long_line_gets_one_error_then_the_connection_closes_over<T: TestTransport>() {
+    use oranges_harness::envelope::Response;
+    use oranges_harness::reactor::MAX_LINE_BYTES;
+    use std::io::{BufRead, BufReader, Write};
+
+    let (endpoint, daemon) = start_daemon::<T>("line-cap", |c| c);
+    // One byte over the cap and no newline: uncapped, the daemon would
+    // buffer it for as long as the peer kept sending.
+    let mut stream = T::connect(&endpoint).expect("connect hostile client");
+    stream
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("send the line");
+    T::shutdown_write(&stream);
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read reply");
+    let reply = Response::from_line(&line).expect("reply is an envelope");
+    assert_eq!((reply.id, reply.kind.as_str()), (0, "error"), "{line}");
+    assert!(
+        reply
+            .error
+            .unwrap_or_default()
+            .contains(&MAX_LINE_BYTES.to_string()),
+        "the error names the limit: {line}"
+    );
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).expect("read EOF"),
+        0,
+        "one error, then the daemon closes: {line}"
+    );
+
+    let mut client = ServiceClient::<T>::connect(&endpoint).expect("fresh connection");
+    client.ping().expect("daemon survived the over-long line");
     client.shutdown().expect("shutdown");
     daemon.join().expect("daemon");
 }
@@ -1211,6 +1261,11 @@ macro_rules! transport_matrix {
             #[test]
             fn hostile_nesting_is_an_in_band_error_and_the_daemon_survives() {
                 hostile_nesting_is_an_in_band_error_and_the_daemon_survives_over::<$transport>();
+            }
+
+            #[test]
+            fn an_over_long_line_gets_one_error_then_the_connection_closes() {
+                an_over_long_line_gets_one_error_then_the_connection_closes_over::<$transport>();
             }
 
             #[test]
