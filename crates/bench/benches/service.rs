@@ -122,7 +122,10 @@ fn run_level(idle_connections: usize) -> Level {
             drain(&mut subs);
         }
     }
+    // A lost wake would leave acks unsent forever: fail, do not hang.
+    let deadline = Instant::now() + std::time::Duration::from_secs(60);
     while !subs.iter().all(|s| s.acked) {
+        assert!(Instant::now() < deadline, "subscribe acks never arrived");
         drain(&mut subs);
         std::thread::sleep(std::time::Duration::from_millis(1));
     }

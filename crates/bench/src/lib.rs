@@ -17,6 +17,8 @@
 //! The figure targets print the same rows/series the paper reports and
 //! write CSV snapshots next to the bench output.
 
+#![forbid(unsafe_code)]
+
 /// Shared helper: where figure CSVs are written by the bench binaries.
 pub fn output_path(name: &str) -> std::path::PathBuf {
     let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());

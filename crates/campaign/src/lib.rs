@@ -158,10 +158,12 @@
 
 pub mod cache;
 pub mod engine;
+#[cfg(unix)]
 pub mod orchestrate;
 pub mod plan;
 pub mod report;
 pub mod scheduler;
+#[cfg(unix)]
 pub mod service;
 pub mod spec;
 
@@ -176,10 +178,12 @@ pub use engine::{
     AdmitError, CancelHandle, CancelOutcome, EngineStats, ExecutionEngine, Priority, SubmitOptions,
     Subscription, UnitDelivery, UnitOutcome, UnitSource,
 };
+#[cfg(unix)]
 pub use orchestrate::{OrchestrateError, OrchestratedRun, Orchestrator};
 pub use plan::{Plan, PlanUnit, UnitKey};
 pub use report::{CampaignReport, UnitReport};
 pub use scheduler::{run_campaign, run_campaign_on, run_campaign_serial, CampaignError};
+#[cfg(unix)]
 pub use service::{CancelAck, HealthReport, RunOptions, ServiceGauges, ServiceSummary};
 pub use spec::{CampaignSpec, ExperimentKind, SpecParseError};
 
@@ -187,12 +191,14 @@ pub use spec::{CampaignSpec, ExperimentKind, SpecParseError};
 pub mod prelude {
     pub use crate::cache::ResultCache;
     pub use crate::engine::{ExecutionEngine, Priority, SubmitOptions, UnitSource};
+    #[cfg(unix)]
     pub use crate::orchestrate::Orchestrator;
     pub use crate::report::CampaignReport;
     pub use crate::scheduler::{run_campaign, run_campaign_on, run_campaign_serial};
     pub use crate::spec::{CampaignSpec, ExperimentKind};
     pub use crate::Experiment;
     pub use oranges_harness::metric::{MetricRow, MetricSet, MetricValue};
+    #[cfg(unix)]
     pub use oranges_harness::transport::Endpoint;
     pub use oranges_soc::chip::ChipGeneration;
 }

@@ -1161,9 +1161,7 @@ impl<T: Transport> Dispatcher<'_, T> {
                                     wall: outcome.wall,
                                     output: outcome.output,
                                 };
-                                let line = Response::ok(run.id, "unit")
-                                    .with_body(unit_body(&report))
-                                    .to_line();
+                                let line = unit_line(run.id, &report);
                                 run.slots[delivery.index] = Some(report);
                                 PumpStep::Unit(line, done)
                             }
@@ -1745,13 +1743,32 @@ fn metrics_text(shared: &ServiceShared) -> String {
     exp.finish()
 }
 
-/// The `unit` response body: the unit's coordinates plus its full
+/// The `unit` response line: the unit's coordinates plus its full
 /// provenance-stamped sets — exactly the envelope shape
 /// [`ExperimentOutput::from_json_value`] rebuilds on the client.
-fn unit_body(unit: &UnitReport) -> JsonValue {
-    // `output.json` is the canonical sets array; re-parsing it embeds the
-    // sets as a tree without re-deriving their serialization.
-    let sets = json::parse(&unit.output.json).expect("canonical JSON parses");
+///
+/// The envelope and the body fields before `sets` go through the
+/// emitter; `sets` is the unit's cached canonical JSON, spliced in as
+/// bytes rather than parsed into a tree and emitted again. That is
+/// byte-identical to emitting the whole tree, because `sets` is the
+/// body's last field and `output.json` is emitter output, which never
+/// holds a raw newline.
+fn unit_line(id: u64, unit: &UnitReport) -> String {
+    let mut line = Response::ok(id, "unit")
+        .with_body(JsonValue::Object(unit_head(unit)))
+        .to_line();
+    // Reopen the body: drop its closing brace, the envelope's, and the
+    // newline.
+    line.truncate(line.len() - "}}\n".len());
+    line.reserve(unit.output.json.len() + ",\"sets\":}}\n".len());
+    line.push_str(",\"sets\":");
+    line.push_str(&unit.output.json);
+    line.push_str("}}\n");
+    line
+}
+
+/// The `unit` body fields before `sets`, in wire order.
+fn unit_head(unit: &UnitReport) -> Vec<(String, JsonValue)> {
     let mut fields = vec![
         ("index".to_string(), JsonValue::integer(unit.index as u64)),
         ("id".to_string(), JsonValue::String(unit.key.id.clone())),
@@ -1771,6 +1788,15 @@ fn unit_body(unit: &UnitReport) -> JsonValue {
     if let Some(rendered) = &unit.output.rendered {
         fields.push(("rendered".to_string(), JsonValue::String(rendered.clone())));
     }
+    fields
+}
+
+/// The `unit` body as a tree: the reference [`unit_line`] must match
+/// byte for byte once emitted.
+#[cfg(test)]
+fn unit_body(unit: &UnitReport) -> JsonValue {
+    let sets = json::parse(&unit.output.json).expect("canonical JSON parses");
+    let mut fields = unit_head(unit);
     fields.push(("sets".to_string(), sets));
     JsonValue::Object(fields)
 }
@@ -2487,21 +2513,24 @@ mod tests {
     use oranges_harness::metric::MetricSet;
     use std::sync::Arc as StdArc;
 
-    fn unit_report() -> UnitReport {
+    /// A fig4 unit with the given coordinates, rendering and wall stamp.
+    fn unit_with(params: &str, rendered: Option<&str>, wall: Option<f64>) -> UnitReport {
         let mut output = ExperimentOutput::from_sets(
-            vec![MetricSet::for_chip("fig4", "chip=M2", "M2")
+            vec![MetricSet::for_chip("fig4", params, "M2")
                 .with_implementation("GPU-MPS")
                 .with_n(2048)
                 .metric("gflops_per_watt", 214.5, "GFLOPS/W")],
-            Some("chart".to_string()),
+            rendered.map(str::to_string),
         )
         .expect("serializable");
-        output.stamp_wall_time(0.05);
+        if let Some(wall) = wall {
+            output.stamp_wall_time(wall);
+        }
         UnitReport {
             index: 3,
             key: UnitKey {
                 id: "fig4".to_string(),
-                params: "chip=M2".to_string(),
+                params: params.to_string(),
             },
             source: UnitSource::Coalesced,
             wall: Duration::from_millis(1),
@@ -2510,9 +2539,40 @@ mod tests {
     }
 
     #[test]
+    fn spliced_unit_lines_equal_the_emitted_tree() {
+        let mut units = Vec::new();
+        for rendered in [None, Some("chart")] {
+            for wall in [None, Some(0.05)] {
+                units.push(unit_with("chip=M2", rendered, wall));
+            }
+        }
+        units.push(unit_with(
+            "chip=\"M2\";path=a\\b;note=one\ntwo",
+            Some("a \"quoted\" \\ chart\nline two"),
+            Some(0.05),
+        ));
+        let spec = CampaignSpec::new(
+            vec![crate::ExperimentKind::Fig3, crate::ExperimentKind::Fig4],
+            oranges_soc::chip::ChipGeneration::ALL.to_vec(),
+        );
+        let report = crate::run_campaign(&spec, &ResultCache::new()).expect("campaign runs");
+        assert_eq!(report.units.len(), 8);
+        units.extend(report.units);
+        for unit in &units {
+            let tree = Response::ok(41, "unit")
+                .with_body(unit_body(unit))
+                .to_line();
+            assert_eq!(unit_line(41, unit), tree, "{}", unit.key);
+        }
+    }
+
+    #[test]
     fn unit_body_round_trips_through_the_client_parser() {
-        let report = unit_report();
-        let body = unit_body(&report);
+        let report = unit_with("chip=M2", Some("chart"), Some(0.05));
+        let body = Response::from_line(&unit_line(3, &report))
+            .expect("the unit line parses")
+            .body
+            .expect("a unit line has a body");
         let served = parse_served_unit(&body).expect("parses");
         assert_eq!(served.index, 3);
         assert_eq!(served.key, report.key);

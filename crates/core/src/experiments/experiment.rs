@@ -64,6 +64,12 @@ pub struct ExperimentOutput {
     /// runs (wall-time is excluded from serialization and the
     /// deterministic simulation guarantees the rest); the campaign's
     /// value-identity checks and cache semantics rest on this.
+    ///
+    /// It is always the JSON emitter's output, derived by
+    /// [`from_sets`](ExperimentOutput::from_sets), including for outputs
+    /// rebuilt on cache load and fleet merge, so it never holds a raw
+    /// newline. The campaign service relies on that to splice these
+    /// bytes into a wire line unchanged.
     pub json: String,
     /// The unit's measurements: one [`MetricSet`] per grid coordinate.
     pub sets: Vec<MetricSet>,

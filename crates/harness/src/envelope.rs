@@ -84,15 +84,9 @@ impl Request {
 
     /// Emit as one newline-terminated JSON line.
     pub fn to_line(&self) -> String {
-        let mut fields = vec![
-            ("id".to_string(), JsonValue::integer(self.id)),
-            ("method".to_string(), JsonValue::String(self.method.clone())),
-        ];
-        if let Some(body) = &self.body {
-            fields.push(("body".to_string(), body.clone()));
-        }
-        let mut line = JsonValue::Object(fields).to_json_string();
-        line.push('\n');
+        let mut line = format!("{{\"id\":{},\"method\":", self.id);
+        json::escape_into(&mut line, &self.method);
+        push_body(&mut line, self.body.as_ref());
         line
     }
 
@@ -163,18 +157,13 @@ impl Response {
 
     /// Emit as one newline-terminated JSON line.
     pub fn to_line(&self) -> String {
-        let mut fields = vec![
-            ("id".to_string(), JsonValue::integer(self.id)),
-            ("kind".to_string(), JsonValue::String(self.kind.clone())),
-        ];
+        let mut line = format!("{{\"id\":{},\"kind\":", self.id);
+        json::escape_into(&mut line, &self.kind);
         if let Some(error) = &self.error {
-            fields.push(("error".to_string(), JsonValue::String(error.clone())));
+            line.push_str(",\"error\":");
+            json::escape_into(&mut line, error);
         }
-        if let Some(body) = &self.body {
-            fields.push(("body".to_string(), body.clone()));
-        }
-        let mut line = JsonValue::Object(fields).to_json_string();
-        line.push('\n');
+        push_body(&mut line, self.body.as_ref());
         line
     }
 
@@ -201,6 +190,16 @@ impl Response {
             body: value.get("body").cloned(),
         })
     }
+}
+
+/// Close an envelope line: the `body` field, emitted in place, then the
+/// closing brace and the newline.
+fn push_body(line: &mut String, body: Option<&JsonValue>) {
+    if let Some(body) = body {
+        line.push_str(",\"body\":");
+        body.emit_into(line);
+    }
+    line.push_str("}\n");
 }
 
 fn parse_line(line: &str) -> Result<JsonValue, EnvelopeError> {
@@ -275,6 +274,52 @@ mod tests {
         }
         assert!(Response::from_line("{\"id\":1}").is_err());
         assert!(Response::from_line("{\"id\":1,\"kind\":\"x\",\"error\":7}").is_err());
+    }
+
+    #[test]
+    fn lines_match_the_emitted_envelope_tree() {
+        let text = |s: &str| JsonValue::String(s.to_string());
+        let tree = |fields: &[(&str, JsonValue)]| {
+            let fields = fields
+                .iter()
+                .map(|(key, value)| (key.to_string(), value.clone()))
+                .collect();
+            JsonValue::Object(fields).to_json_string() + "\n"
+        };
+        let id = JsonValue::integer;
+        let body = JsonValue::Object(vec![(
+            "note".to_string(),
+            text("quote \" backslash \\ newline \n"),
+        )]);
+        assert_eq!(
+            Request::new(u64::MAX, "r\"un")
+                .with_body(body.clone())
+                .to_line(),
+            tree(&[
+                ("id", id(u64::MAX)),
+                ("method", text("r\"un")),
+                ("body", body.clone()),
+            ])
+        );
+        assert_eq!(
+            Request::new(1, "ping").to_line(),
+            tree(&[("id", id(1)), ("method", text("ping"))])
+        );
+        assert_eq!(
+            Response::failure(5, "bad \"spec\"\n")
+                .with_body(body.clone())
+                .to_line(),
+            tree(&[
+                ("id", id(5)),
+                ("kind", text("error")),
+                ("error", text("bad \"spec\"\n")),
+                ("body", body),
+            ])
+        );
+        assert_eq!(
+            Response::ok(4, "pong").to_line(),
+            tree(&[("id", id(4)), ("kind", text("pong"))])
+        );
     }
 
     #[test]

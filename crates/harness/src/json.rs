@@ -35,7 +35,8 @@ pub fn to_json_string<T: Serialize>(value: &T) -> Result<String, JsonError> {
     Ok(out)
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -430,7 +431,8 @@ impl JsonValue {
         out
     }
 
-    fn emit_into(&self, out: &mut String) {
+    /// Append this tree's JSON text to `out`.
+    pub(crate) fn emit_into(&self, out: &mut String) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(true) => out.push_str("true"),

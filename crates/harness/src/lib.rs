@@ -76,9 +76,11 @@ pub mod figure;
 pub mod json;
 pub mod metric;
 pub mod obs;
+#[cfg(unix)]
 pub mod reactor;
 pub mod stats;
 pub mod table;
+#[cfg(unix)]
 pub mod transport;
 
 pub use experiment::{ExperimentMeta, RepetitionProtocol};
@@ -111,5 +113,6 @@ pub mod prelude {
     pub use crate::obs::{CampaignEvent, EventBroadcaster, EventKind, Exposition, Histogram};
     pub use crate::stats::Summary;
     pub use crate::table::TextTable;
+    #[cfg(unix)]
     pub use crate::transport::{Endpoint, Listener, Stream, Transport};
 }

@@ -6,9 +6,9 @@
 //! every connection is a **table entry** on one reactor thread, and the
 //! service's thread census is O(1) in the number of connections.
 //!
-//! The design is `poll(2)`-shaped but built entirely from safe std
-//! primitives (the workspace forbids `unsafe`, so no raw descriptor
-//! sets):
+//! The reactor blocks in `poll(2)` on its sockets plus a wake pipe. The
+//! call goes through the `poll` shim in `crates/vendor/poll`, which holds
+//! the workspace's one `unsafe` block; this crate forbids `unsafe`.
 //!
 //! - **Registration table** — the reactor *owns* each registered
 //!   [`Stream`], switched to nonblocking mode. Each entry carries a
@@ -16,24 +16,21 @@
 //!   segmentation), a [`WriteQueue`] (short-write- and
 //!   `WouldBlock`-tolerant output), a read-interest mode, and an
 //!   optional timer.
-//! - **Wakeup channel** — the `poll(2)` self-pipe, as an in-process
-//!   channel: the accept thread posts new connections, engine
-//!   completions post coalesced [`NotifyHandle`] wakes, and shutdown
-//!   posts a drain signal. When the table is idle the reactor blocks
-//!   on this channel and burns nothing.
+//! - **Wakeup channel** — the accept thread posts new connections,
+//!   engine completions post coalesced [`NotifyHandle`] wakes, and
+//!   shutdown posts a drain signal. A poster sends on an in-process
+//!   channel, then rings a *bell*: one byte into a socket pair whose
+//!   read end sits in the poll set. A shared flag keeps a burst of wakes
+//!   to one bell write.
 //! - **Level-triggered dispatch** — [`Reactor::poll`] returns one
 //!   [`Event`] at a time; readiness that has not been consumed
 //!   (buffered complete lines, queued notifies) is re-reported until
 //!   the owner acts on it.
 //!
-//! Readiness for *peer input* is discovered by nonblocking read scans
-//! at an adaptive cadence: connections that spoke recently (or have
-//! queued output) are scanned every millisecond-scale tick, idle ones
-//! every few tens of milliseconds, and long-idle ones (the thousand
-//! parked `subscribe` streams of a soak) a few times per second. That
-//! bounds both the wake latency a chatty client sees and the scan work
-//! a mostly-idle table costs. Engine completions never wait on a scan
-//! at all — they arrive through the wakeup channel.
+//! A connection is watched for input while it is not paused and its
+//! peer has not hung up, and for output while its write queue holds
+//! bytes. An idle daemon therefore sleeps until a byte, a timer or a
+//! wake arrives; each wait hands `poll` the whole table, O(connections).
 //!
 //! What belongs to the reactor vs. its owner:
 //!
@@ -45,11 +42,14 @@
 //!   connections when the protocol says so.
 
 use crate::transport::Stream;
+use poll::{PollFd, POLLIN, POLLOUT};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
+use std::os::fd::AsFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -132,17 +132,36 @@ enum Wake<S> {
     Shutdown,
 }
 
+/// The posting end of the reactor's wake pipe.
+struct Bell {
+    /// Set by the poster that wrote the byte now in the pipe; cleared by
+    /// the reactor only after it has read the pipe dry.
+    rung: AtomicBool,
+    pipe: UnixStream,
+}
+
 /// A clonable handle for posting wakes into the reactor from other
 /// threads — the accept loop's and shutdown path's end of the wakeup
 /// channel.
 pub struct WakeHandle<S> {
     tx: Sender<Wake<S>>,
+    bell: Arc<Bell>,
 }
 
 impl<S> Clone for WakeHandle<S> {
     fn clone(&self) -> Self {
         WakeHandle {
             tx: self.tx.clone(),
+            bell: Arc::clone(&self.bell),
+        }
+    }
+}
+
+impl<S> WakeHandle<S> {
+    /// Send `wake`, then ring the bell unless a ring is already pending.
+    fn post(&self, wake: Wake<S>) {
+        if self.tx.send(wake).is_ok() && !self.bell.rung.swap(true, Ordering::AcqRel) {
+            (&self.bell.pipe).write_all(&[1]).ok();
         }
     }
 }
@@ -152,12 +171,12 @@ impl<S: Stream> WakeHandle<S> {
     /// takes ownership, switches it to nonblocking mode, and reports
     /// it as [`Event::Accepted`].
     pub fn accepted(&self, stream: S) {
-        self.tx.send(Wake::NewConn(stream)).ok();
+        self.post(Wake::NewConn(stream));
     }
 
     /// Post the shutdown wake ([`Event::Shutdown`]).
     pub fn shutdown(&self) {
-        self.tx.send(Wake::Shutdown).ok();
+        self.post(Wake::Shutdown);
     }
 }
 
@@ -168,8 +187,9 @@ impl<S: Stream> WakeHandle<S> {
 /// after the reactor last reported [`Event::Notify`] posts one wake;
 /// further calls before the reactor re-arms the flag are free. This is
 /// what the service installs as the engine's unit-completion hook — a
-/// worker thread finishing a unit costs one atomic swap and at most
-/// one channel send, never a syscall against the connection.
+/// worker thread finishing a unit costs one atomic swap, at most one
+/// channel send, and at most one bell write, never a syscall against
+/// the connection.
 pub struct NotifyHandle {
     pending: Arc<AtomicBool>,
     send: Arc<dyn Fn() + Send + Sync>,
@@ -255,6 +275,9 @@ impl From<FrameError> for io::Error {
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buffer: Vec<u8>,
+    /// Bytes before this offset were framed already.
+    start: usize,
+    /// Bytes before this offset hold no newline after `start`.
     scanned: usize,
 }
 
@@ -266,6 +289,12 @@ impl FrameBuffer {
 
     /// Append a freshly read segment.
     pub fn extend(&mut self, bytes: &[u8]) {
+        // Compact lazily: reclaim the framed prefix once it dominates.
+        if self.start > 4096 && self.start * 2 > self.buffer.len() {
+            self.buffer.drain(..self.start);
+            self.scanned -= self.start;
+            self.start = 0;
+        }
         self.buffer.extend_from_slice(bytes);
     }
 
@@ -279,41 +308,46 @@ impl FrameBuffer {
             // Remember how far we scanned so a long line arriving in
             // many segments is not rescanned from the start each time.
             self.scanned = self.buffer.len();
-            if self.scanned > MAX_LINE_BYTES {
+            if self.buffered() > MAX_LINE_BYTES {
                 return Err(FrameError::TooLong);
             }
             return Ok(None);
         };
         let newline = self.scanned + offset;
-        if newline > MAX_LINE_BYTES {
+        if newline - self.start > MAX_LINE_BYTES {
             return Err(FrameError::TooLong);
         }
-        let line = self.buffer.drain(..=newline).take(newline).collect();
-        self.scanned = 0;
-        String::from_utf8(line)
-            .map(Some)
-            .map_err(|_| FrameError::NotUtf8)
+        self.pop(newline, newline + 1)
     }
 
     /// Drain the unterminated tail at EOF, if any. A peer that sends a
     /// final line and closes without a trailing newline still gets it
     /// processed — the behavior a buffered blocking reader had.
     pub fn take_remainder(&mut self) -> Result<Option<String>, FrameError> {
-        if self.buffer.is_empty() {
+        if self.buffered() == 0 {
             return Ok(None);
         }
-        if self.buffer.len() > MAX_LINE_BYTES {
+        if self.buffered() > MAX_LINE_BYTES {
             return Err(FrameError::TooLong);
         }
-        self.scanned = 0;
-        String::from_utf8(std::mem::take(&mut self.buffer))
-            .map(Some)
-            .map_err(|_| FrameError::NotUtf8)
+        let end = self.buffer.len();
+        self.pop(end, end)
+    }
+
+    /// Take the bytes from the cursor to `end` as a line, and move the
+    /// cursor to `next`, past any terminator.
+    fn pop(&mut self, end: usize, next: usize) -> Result<Option<String>, FrameError> {
+        let line = std::str::from_utf8(&self.buffer[self.start..end])
+            .map(|line| Some(line.to_owned()))
+            .map_err(|_| FrameError::NotUtf8);
+        self.start = next;
+        self.scanned = next;
+        line
     }
 
     /// Bytes buffered and not yet framed.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.buffer.len() - self.start
     }
 }
 
@@ -325,8 +359,8 @@ impl FrameBuffer {
 ///
 /// `flush_into` writes as much as the peer will take and keeps the
 /// rest: short writes and `WouldBlock` are normal outcomes, not
-/// errors. The reactor retries on its scan ticks until the queue
-/// drains.
+/// errors. The reactor retries whenever `poll(2)` reports the socket
+/// writable, until the queue drains.
 #[derive(Debug, Default)]
 pub struct WriteQueue {
     buffer: Vec<u8>,
@@ -392,16 +426,6 @@ impl WriteQueue {
 // The reactor
 // ---------------------------------------------------------------------
 
-/// How long after its last input a connection counts as *hot* and is
-/// scanned every tick.
-const HOT_WINDOW: Duration = Duration::from_millis(100);
-/// A connection idle longer than this is *deep-idle* and scanned at
-/// [`DEEP_IDLE_SCAN`] cadence.
-const DEEP_IDLE_WINDOW: Duration = Duration::from_secs(10);
-/// Scan cadences per idleness class.
-const HOT_SCAN: Duration = Duration::from_millis(1);
-const IDLE_SCAN: Duration = Duration::from_millis(25);
-const DEEP_IDLE_SCAN: Duration = Duration::from_millis(250);
 /// Per-scan read budget, so one firehose peer cannot starve the table.
 const SCAN_READ_BUDGET: usize = 64 * 1024;
 
@@ -415,8 +439,6 @@ struct Registration<S> {
     frame: FrameBuffer,
     writes: WriteQueue,
     interest: ReadInterest,
-    last_input: Instant,
-    next_scan: Option<Instant>,
     notify_pending: Arc<AtomicBool>,
     timer_generation: u64,
     close_after_flush: bool,
@@ -430,7 +452,9 @@ struct Registration<S> {
 /// [`poll`]: Reactor::poll
 pub struct Reactor<S: Stream> {
     rx: Receiver<Wake<S>>,
-    tx: Sender<Wake<S>>,
+    wake: WakeHandle<S>,
+    /// The read end of the wake pipe, the first entry of every poll set.
+    bell: UnixStream,
     table: HashMap<u64, Registration<S>>,
     next_token: u64,
     timers: BinaryHeap<Reverse<(Instant, u64, u64)>>,
@@ -448,11 +472,28 @@ impl<S: Stream> Default for Reactor<S> {
 
 impl<S: Stream> Reactor<S> {
     /// A reactor with an empty table.
+    ///
+    /// # Panics
+    ///
+    /// If the process cannot open the two descriptors of the wake pipe.
     pub fn new() -> Self {
         let (tx, rx) = channel();
+        let (bell, pipe) =
+            UnixStream::pair().expect("the reactor's wake pipe needs two descriptors");
+        for end in [&bell, &pipe] {
+            end.set_nonblocking(true)
+                .expect("a fresh socket accepts nonblocking mode");
+        }
         Reactor {
             rx,
-            tx,
+            wake: WakeHandle {
+                tx,
+                bell: Arc::new(Bell {
+                    rung: AtomicBool::new(false),
+                    pipe,
+                }),
+            },
+            bell,
             table: HashMap::new(),
             next_token: 0,
             timers: BinaryHeap::new(),
@@ -465,9 +506,7 @@ impl<S: Stream> Reactor<S> {
 
     /// A handle other threads use to post wakes.
     pub fn wake_handle(&self) -> WakeHandle<S> {
-        WakeHandle {
-            tx: self.tx.clone(),
-        }
+        self.wake.clone()
     }
 
     /// A coalescing notify hook bound to `token`. Firing it from any
@@ -476,12 +515,10 @@ impl<S: Stream> Reactor<S> {
     pub fn notify_handle(&self, token: Token) -> Option<NotifyHandle> {
         let registration = self.table.get(&token.0)?;
         let pending = Arc::clone(&registration.notify_pending);
-        let tx = self.tx.clone();
+        let wake = self.wake.clone();
         Some(NotifyHandle {
             pending,
-            send: Arc::new(move || {
-                tx.send(Wake::Notify(token)).ok();
-            }),
+            send: Arc::new(move || wake.post(Wake::Notify(token))),
         })
     }
 
@@ -492,7 +529,6 @@ impl<S: Stream> Reactor<S> {
         stream.set_nonblocking(true)?;
         let token = Token(self.next_token);
         self.next_token += 1;
-        let now = Instant::now();
         self.table.insert(
             token.0,
             Registration {
@@ -500,8 +536,6 @@ impl<S: Stream> Reactor<S> {
                 frame: FrameBuffer::new(),
                 writes: WriteQueue::new(),
                 interest: ReadInterest::Framed,
-                last_input: now,
-                next_scan: Some(now),
                 notify_pending: Arc::new(AtomicBool::new(false)),
                 timer_generation: 0,
                 close_after_flush: false,
@@ -569,28 +603,13 @@ impl<S: Stream> Reactor<S> {
                 return;
             };
             registration.interest = interest;
-            let now = Instant::now();
-            match interest {
-                ReadInterest::Framed => {
-                    // Re-framing may surface buffered lines (a
-                    // pipelined request that arrived during a run)
-                    // without any new bytes; scan promptly either way.
-                    registration.last_input = now;
-                    registration.next_scan = Some(now);
-                    match registration.frame_lines(&mut lines) {
-                        Ok(over) => too_long = over,
-                        Err(error) => framing_error = Some(error),
-                    }
-                }
-                ReadInterest::EofOnly => {
-                    registration.next_scan = Some(now);
-                }
-                ReadInterest::Paused => {
-                    registration.next_scan = if registration.writes.is_empty() {
-                        None
-                    } else {
-                        Some(now)
-                    };
+            if interest == ReadInterest::Framed {
+                // Re-framing may surface buffered lines (a pipelined
+                // request that arrived during a run) without any new
+                // bytes.
+                match registration.frame_lines(&mut lines) {
+                    Ok(over) => too_long = over,
+                    Err(error) => framing_error = Some(error),
                 }
             }
         }
@@ -613,7 +632,7 @@ impl<S: Stream> Reactor<S> {
     /// Queue bytes for the connection and start flushing immediately.
     pub fn enqueue_write(&mut self, token: Token, bytes: &[u8]) {
         // Opportunistic immediate flush: the common case (responsive
-        // peer, small response) completes here and never waits a tick.
+        // peer, small response) completes here without a poll.
         let flushed = {
             let Some(registration) = self.table.get_mut(&token.0) else {
                 return;
@@ -622,11 +641,10 @@ impl<S: Stream> Reactor<S> {
             if registration.writes.pending() > WRITE_BACKLOG_THRESHOLD {
                 registration.backlogged = true;
             }
-            let result = registration.writes.flush_into(&mut registration.stream);
-            if result.is_ok() && !registration.writes.is_empty() {
-                registration.next_scan = Some(Instant::now());
-            }
-            result.map(|_| registration.writes.is_empty())
+            registration
+                .writes
+                .flush_into(&mut registration.stream)
+                .map(|_| registration.writes.is_empty())
         };
         match flushed {
             Ok(true) => self.writes_drained(token),
@@ -654,12 +672,7 @@ impl<S: Stream> Reactor<S> {
             };
             registration.close_after_flush = true;
             registration.interest = ReadInterest::Paused;
-            if registration.writes.is_empty() {
-                true
-            } else {
-                registration.next_scan = Some(Instant::now());
-                false
-            }
+            registration.writes.is_empty()
         };
         if flushed {
             self.close_clean(token);
@@ -739,50 +752,65 @@ impl<S: Stream> Reactor<S> {
         self.turn_until(None);
     }
 
-    /// One scheduling turn: fire due timers, scan due connections,
-    /// then block on the wakeup channel until the earliest upcoming
-    /// deadline (or forever, if the table is fully quiescent).
+    /// One scheduling turn: fire due timers; otherwise wait in
+    /// `poll(2)` until a watched socket or the bell is ready, the next
+    /// timer falls due, or `cap` passes; then serve the ready
+    /// connections and drain the wakeup channel, in that order.
     fn turn_until(&mut self, cap: Option<Instant>) {
         let now = Instant::now();
         self.fire_due_timers(now);
-        self.scan_due_connections(now);
         if !self.pending.is_empty() {
             return;
         }
+        let next_timer = self.timers.peek().map(|Reverse((at, _, _))| *at);
+        let deadline = next_timer.into_iter().chain(cap).min();
 
-        let mut deadline = cap;
-        for registration in self.table.values() {
-            if let Some(at) = registration.next_scan {
-                deadline = Some(deadline.map_or(at, |d| d.min(at)));
+        let mut fds = vec![PollFd::new(self.bell.as_fd(), POLLIN)];
+        let mut ids = Vec::new();
+        for (&id, registration) in &self.table {
+            let mut events = 0;
+            if !registration.peer_eof && registration.interest != ReadInterest::Paused {
+                events |= POLLIN;
+            }
+            if !registration.writes.is_empty() {
+                events |= POLLOUT;
+            }
+            // Hangups are reported even when no event is asked for, so
+            // a connection watched for nothing stays out of the set.
+            if events != 0 {
+                fds.push(PollFd::new(registration.stream.as_fd(), events));
+                ids.push(id);
             }
         }
-        if let Some(Reverse((at, _, _))) = self.timers.peek() {
-            deadline = Some(deadline.map_or(*at, |d| d.min(*at)));
+        let timeout = deadline.map(|at| at.saturating_duration_since(now));
+        if poll::poll(&mut fds, timeout).is_err() {
+            // Over descriptors the reactor owns, poll fails only for
+            // want of kernel memory; back off instead of spinning.
+            std::thread::sleep(Duration::from_millis(1));
+            return;
         }
-
-        let wake = match deadline {
-            None => self.rx.recv().ok(),
-            Some(at) => {
-                let now = Instant::now();
-                if at <= now {
-                    self.rx.try_recv().ok()
-                } else {
-                    match self.rx.recv_timeout(at - now) {
-                        Ok(wake) => Some(wake),
-                        Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                            None
-                        }
-                    }
-                }
+        for (fd, id) in fds[1..].iter().zip(ids) {
+            if fd.revents() != 0 {
+                self.scan_connection(Token(id));
             }
-        };
-        if let Some(wake) = wake {
+        }
+        if fds[0].revents() != 0 {
+            self.drain_wakes();
+        }
+    }
+
+    /// Read the bell, re-arm it, then drain the channel. The order is
+    /// what keeps wakes from being lost: re-arming first could swallow
+    /// the byte of a poster that rang in between, leaving the flag set
+    /// over an empty pipe, and no later post would ring again. One read
+    /// empties the pipe: each byte needs the flag to go from clear to
+    /// set, and only this function clears it, so it never holds more
+    /// than two.
+    fn drain_wakes(&mut self) {
+        let _ = (&self.bell).read(&mut [0; 64]);
+        self.wake.bell.rung.swap(false, Ordering::AcqRel);
+        while let Ok(wake) = self.rx.try_recv() {
             self.process_wake(wake);
-            // Batch whatever else is already queued before returning
-            // to the scan loop.
-            while let Ok(wake) = self.rx.try_recv() {
-                self.process_wake(wake);
-            }
         }
     }
 
@@ -825,21 +853,9 @@ impl<S: Stream> Reactor<S> {
         }
     }
 
-    fn scan_due_connections(&mut self, now: Instant) {
-        let due: Vec<u64> = self
-            .table
-            .iter()
-            .filter(|(_, r)| r.next_scan.is_some_and(|at| at <= now))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            self.scan_connection(Token(id), now);
-        }
-    }
-
-    /// One nonblocking service pass over a connection: flush queued
-    /// writes, then read per interest, then reschedule.
-    fn scan_connection(&mut self, token: Token, now: Instant) {
+    /// One nonblocking service pass over a ready connection: flush
+    /// queued writes, then read per interest.
+    fn scan_connection(&mut self, token: Token) {
         // Writes first: a queued response should never wait on reads.
         let flush = {
             let Some(registration) = self.table.get_mut(&token.0) else {
@@ -888,7 +904,6 @@ impl<S: Stream> Reactor<S> {
                             break;
                         }
                         Ok(n) => {
-                            registration.last_input = now;
                             if registration.interest == ReadInterest::Framed {
                                 registration.frame.extend(&scratch[..n]);
                             }
@@ -921,23 +936,6 @@ impl<S: Stream> Reactor<S> {
                     }
                 }
             }
-
-            // Reschedule by idleness class.
-            registration.next_scan = if registration.writes.is_empty()
-                && (registration.peer_eof || registration.interest == ReadInterest::Paused)
-            {
-                // Nothing left to read (EOF or paused), nothing to
-                // flush: quiescent until the owner acts.
-                None
-            } else if !registration.writes.is_empty()
-                || now.duration_since(registration.last_input) < HOT_WINDOW
-            {
-                Some(now + HOT_SCAN)
-            } else if now.duration_since(registration.last_input) < DEEP_IDLE_WINDOW {
-                Some(now + IDLE_SCAN)
-            } else {
-                Some(now + DEEP_IDLE_SCAN)
-            };
             registration.peer_eof
         };
 
@@ -973,12 +971,7 @@ impl<S: Stream> Reactor<S> {
             let Some(registration) = self.table.get_mut(&token.0) else {
                 return;
             };
-            if registration.close_after_flush
-                || (registration.peer_eof
-                    && (registration.interest != ReadInterest::Framed
-                        || registration.frame.buffered() == 0)
-                    && registration.interest != ReadInterest::Paused)
-            {
+            if registration.close_after_flush || registration_is_closable(Some(registration)) {
                 Then::Close
             } else if registration.backlogged {
                 registration.backlogged = false;
@@ -1333,6 +1326,127 @@ mod tests {
                 Some(other) => panic!("unexpected event {other:?}"),
                 None => assert!(Instant::now() < deadline, "hangup never reported"),
             }
+        }
+    }
+
+    /// One thread rings the bell nonstop through B's notify handle while
+    /// another fires A's once per round. Clearing the bell's flag before
+    /// the pipe is read dry loses a ring within a few thousand rounds,
+    /// and every wake after it.
+    #[test]
+    fn wakes_are_never_lost_while_another_handle_keeps_ringing() {
+        const ROUNDS: usize = 20_000;
+        let mut reactor: Reactor<UnixStream> = Reactor::new();
+        let (served_a, _peer_a) = UnixStream::pair().expect("socket pair");
+        let (served_b, _peer_b) = UnixStream::pair().expect("socket pair");
+        let a = reactor.register(served_a).expect("register A");
+        let b = reactor.register(served_b).expect("register B");
+        let notify_a = reactor.notify_handle(a).expect("live token");
+        let notify_b = reactor.notify_handle(b).expect("live token");
+        let stop = AtomicBool::new(false);
+        let lost = std::thread::scope(|scope| {
+            let (round_tx, round_rx) = channel::<()>();
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    notify_b.notify();
+                }
+            });
+            scope.spawn(move || {
+                for () in round_rx {
+                    notify_a.notify();
+                }
+            });
+            let lost = (0..ROUNDS).find(|_| {
+                round_tx.send(()).expect("the firing thread is alive");
+                let deadline = Instant::now() + Duration::from_secs(5);
+                loop {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    match reactor.poll_timeout(left) {
+                        Some(Event::Notify(token)) if token == a => return false,
+                        Some(_) => {}
+                        None => return true,
+                    }
+                }
+            });
+            stop.store(true, Ordering::Relaxed);
+            lost
+        });
+        assert_eq!(lost, None, "Notify(A) never arrived in that round");
+    }
+
+    /// A served stream that counts the reads made on it.
+    struct CountingStream {
+        inner: UnixStream,
+        reads: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Read for CountingStream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.read(buf)
+        }
+    }
+
+    impl Write for CountingStream {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl AsFd for CountingStream {
+        fn as_fd(&self) -> std::os::fd::BorrowedFd<'_> {
+            self.inner.as_fd()
+        }
+    }
+
+    impl Stream for CountingStream {
+        fn try_clone(&self) -> io::Result<Self> {
+            Ok(CountingStream {
+                inner: self.inner.try_clone()?,
+                reads: Arc::clone(&self.reads),
+            })
+        }
+
+        fn shutdown_read(&self) -> io::Result<()> {
+            Stream::shutdown_read(&self.inner)
+        }
+
+        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+            self.inner.set_nonblocking(nonblocking)
+        }
+    }
+
+    #[test]
+    fn an_idle_connection_costs_no_reads() {
+        let (served, mut client) = UnixStream::pair().expect("socket pair");
+        let reads = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut reactor = Reactor::new();
+        let token = reactor
+            .register(CountingStream {
+                inner: served,
+                reads: Arc::clone(&reads),
+            })
+            .expect("register");
+        assert!(
+            reactor.poll_timeout(Duration::from_millis(300)).is_none(),
+            "a silent peer produces no events"
+        );
+        assert_eq!(
+            reads.load(Ordering::Relaxed),
+            0,
+            "the idle connection was read"
+        );
+        client.write_all(b"late\n").expect("send");
+        match reactor.poll() {
+            Event::Line(t, line) => {
+                assert_eq!(t, token);
+                assert_eq!(line, "late");
+            }
+            other => panic!("unexpected event {other:?}"),
         }
     }
 

@@ -22,11 +22,13 @@
 //!   [`AnyTransport`].
 //!
 //! The traits are deliberately minimal: exactly the surface the service
-//! stack uses (`Read` + `Write`, `try_clone`, `shutdown_read`, blocking
-//! `accept`), nothing speculative. Code generic over [`Transport`] is
-//! oblivious to the address family; code that must pick one at runtime
-//! (a `--listen` flag, a `--fleet` list) uses [`AnyTransport`], which
-//! dispatches on the endpoint's scheme.
+//! stack uses (`Read` + `Write`, a descriptor to poll, `try_clone`,
+//! `shutdown_read`, blocking `accept`), nothing speculative. Code generic
+//! over [`Transport`] is oblivious to the address family; code that must
+//! pick one at runtime (a `--listen` flag, a `--fleet` list) uses
+//! [`AnyTransport`], which dispatches on the endpoint's scheme. The
+//! module, like the reactor and the daemon built on it, targets unix
+//! (macOS hosts, Linux CI).
 //!
 //! ## Addressing
 //!
@@ -71,31 +73,10 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::fd::AsRawFd;
-#[cfg(unix)]
+use std::os::fd::{AsFd, BorrowedFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-
-/// An opaque, connection-stable identity for readiness registration.
-///
-/// The reactor ([`crate::reactor`]) keys its registration table by its
-/// own generationed tokens; this is the *transport-level* identity a
-/// stream carries into that table — on unix targets it is the raw file
-/// descriptor number, which is what a `poll(2)`-style readiness set
-/// would be built from. Cloned handles of one connection share a
-/// descriptor table entry but not necessarily a number, so tokens are
-/// compared only for registration bookkeeping and diagnostics, never
-/// for connection equality across clones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReadinessToken(pub u64);
-
-impl fmt::Display for ReadinessToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fd:{}", self.0)
-    }
-}
 
 /// A malformed endpoint string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,8 +110,7 @@ impl std::error::Error for EndpointParseError {}
 /// picked.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Endpoint {
-    /// A Unix-domain socket path (`unix:/path`). Only bindable/dialable
-    /// on unix targets, though the address itself exists everywhere.
+    /// A Unix-domain socket path (`unix:/path`).
     Unix(PathBuf),
     /// A TCP authority (`tcp:host:port`), stored as `host:port`.
     Tcp(String),
@@ -242,7 +222,10 @@ fn scheme_mismatch(transport: &str, endpoint: &Endpoint) -> io::Error {
 /// a peer parked in a blocking read on the other handle wakes with EOF,
 /// while writes on this connection keep working — the primitive behind
 /// the service's shutdown drain.
-pub trait Stream: Read + Write + Send + Sized + 'static {
+///
+/// A stream is also a descriptor ([`AsFd`]): the reactor waits on its
+/// readiness with `poll(2)`.
+pub trait Stream: Read + Write + AsFd + Send + Sized + 'static {
     /// A second owned handle to the same underlying connection.
     fn try_clone(&self) -> io::Result<Self>;
 
@@ -257,10 +240,6 @@ pub trait Stream: Read + Write + Send + Sized + 'static {
     /// ([`crate::reactor`]) runs in. The mode is a property of the
     /// connection, not the handle: it applies to clones too.
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
-
-    /// The transport-level readiness identity of this connection (the
-    /// raw descriptor number on unix targets). See [`ReadinessToken`].
-    fn readiness_token(&self) -> ReadinessToken;
 }
 
 /// Accepts inbound [`Stream`]s for one bound endpoint.
@@ -323,12 +302,10 @@ pub trait Transport: Send + Sync + 'static {
 /// leaves one behind), and [`Listener::cleanup`] removes the file
 /// again after shutdown. A non-socket file at the path is **refused**,
 /// never deleted — a mistyped path must not cost data.
-#[cfg(unix)]
 #[derive(Debug)]
 pub struct UnixTransport;
 
 /// [`UnixTransport`]'s listening half: the socket plus the path it owns.
-#[cfg(unix)]
 #[derive(Debug)]
 pub struct UnixTransportListener {
     inner: UnixListener,
@@ -336,7 +313,6 @@ pub struct UnixTransportListener {
     path: PathBuf,
 }
 
-#[cfg(unix)]
 impl Stream for UnixStream {
     fn try_clone(&self) -> io::Result<Self> {
         UnixStream::try_clone(self)
@@ -349,13 +325,8 @@ impl Stream for UnixStream {
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         UnixStream::set_nonblocking(self, nonblocking)
     }
-
-    fn readiness_token(&self) -> ReadinessToken {
-        ReadinessToken(self.as_raw_fd() as u64)
-    }
 }
 
-#[cfg(unix)]
 impl Listener for UnixTransportListener {
     type Stream = UnixStream;
 
@@ -372,7 +343,6 @@ impl Listener for UnixTransportListener {
     }
 }
 
-#[cfg(unix)]
 impl Transport for UnixTransport {
     type Stream = UnixStream;
     type Listener = UnixTransportListener;
@@ -455,17 +425,6 @@ impl Stream for TcpStream {
 
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         TcpStream::set_nonblocking(self, nonblocking)
-    }
-
-    fn readiness_token(&self) -> ReadinessToken {
-        #[cfg(unix)]
-        {
-            ReadinessToken(self.as_raw_fd() as u64)
-        }
-        #[cfg(not(unix))]
-        {
-            ReadinessToken(0)
-        }
     }
 }
 
@@ -567,7 +526,6 @@ pub struct AnyTransport;
 #[derive(Debug)]
 pub enum AnyStream {
     /// An `AF_UNIX` connection.
-    #[cfg(unix)]
     Unix(UnixStream),
     /// A TCP connection.
     Tcp(TcpStream),
@@ -578,7 +536,6 @@ pub enum AnyStream {
 #[derive(Debug)]
 pub enum AnyListener {
     /// A bound Unix-domain socket.
-    #[cfg(unix)]
     Unix(UnixTransportListener),
     /// A bound TCP socket.
     Tcp(TcpTransportListener),
@@ -587,7 +544,6 @@ pub enum AnyListener {
 impl Read for AnyStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => stream.read(buf),
             AnyStream::Tcp(stream) => stream.read(buf),
         }
@@ -597,7 +553,6 @@ impl Read for AnyStream {
 impl Write for AnyStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => stream.write(buf),
             AnyStream::Tcp(stream) => stream.write(buf),
         }
@@ -605,7 +560,6 @@ impl Write for AnyStream {
 
     fn flush(&mut self) -> io::Result<()> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => stream.flush(),
             AnyStream::Tcp(stream) => stream.flush(),
         }
@@ -615,7 +569,6 @@ impl Write for AnyStream {
 impl Stream for AnyStream {
     fn try_clone(&self) -> io::Result<Self> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => UnixStream::try_clone(stream).map(AnyStream::Unix),
             AnyStream::Tcp(stream) => TcpStream::try_clone(stream).map(AnyStream::Tcp),
         }
@@ -623,7 +576,6 @@ impl Stream for AnyStream {
 
     fn shutdown_read(&self) -> io::Result<()> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => stream.shutdown_read(),
             AnyStream::Tcp(stream) => Stream::shutdown_read(stream),
         }
@@ -631,17 +583,17 @@ impl Stream for AnyStream {
 
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => Stream::set_nonblocking(stream, nonblocking),
             AnyStream::Tcp(stream) => Stream::set_nonblocking(stream, nonblocking),
         }
     }
+}
 
-    fn readiness_token(&self) -> ReadinessToken {
+impl AsFd for AnyStream {
+    fn as_fd(&self) -> BorrowedFd<'_> {
         match self {
-            #[cfg(unix)]
-            AnyStream::Unix(stream) => stream.readiness_token(),
-            AnyStream::Tcp(stream) => stream.readiness_token(),
+            AnyStream::Unix(stream) => stream.as_fd(),
+            AnyStream::Tcp(stream) => stream.as_fd(),
         }
     }
 }
@@ -651,7 +603,6 @@ impl Listener for AnyListener {
 
     fn accept(&self) -> io::Result<Self::Stream> {
         match self {
-            #[cfg(unix)]
             AnyListener::Unix(listener) => listener.accept().map(AnyStream::Unix),
             AnyListener::Tcp(listener) => listener.accept().map(AnyStream::Tcp),
         }
@@ -659,7 +610,6 @@ impl Listener for AnyListener {
 
     fn local_endpoint(&self) -> &Endpoint {
         match self {
-            #[cfg(unix)]
             AnyListener::Unix(listener) => listener.local_endpoint(),
             AnyListener::Tcp(listener) => listener.local_endpoint(),
         }
@@ -667,7 +617,6 @@ impl Listener for AnyListener {
 
     fn dial_endpoint(&self) -> &Endpoint {
         match self {
-            #[cfg(unix)]
             AnyListener::Unix(listener) => listener.dial_endpoint(),
             AnyListener::Tcp(listener) => listener.dial_endpoint(),
         }
@@ -675,7 +624,6 @@ impl Listener for AnyListener {
 
     fn cleanup(&self) {
         match self {
-            #[cfg(unix)]
             AnyListener::Unix(listener) => listener.cleanup(),
             AnyListener::Tcp(listener) => listener.cleanup(),
         }
@@ -688,26 +636,14 @@ impl Transport for AnyTransport {
 
     fn bind(endpoint: &Endpoint) -> io::Result<Self::Listener> {
         match endpoint {
-            #[cfg(unix)]
             Endpoint::Unix(_) => UnixTransport::bind(endpoint).map(AnyListener::Unix),
-            #[cfg(not(unix))]
-            Endpoint::Unix(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("{endpoint}: unix sockets are unavailable on this platform"),
-            )),
             Endpoint::Tcp(_) => TcpTransport::bind(endpoint).map(AnyListener::Tcp),
         }
     }
 
     fn connect(endpoint: &Endpoint) -> io::Result<Self::Stream> {
         match endpoint {
-            #[cfg(unix)]
             Endpoint::Unix(_) => UnixTransport::connect(endpoint).map(AnyStream::Unix),
-            #[cfg(not(unix))]
-            Endpoint::Unix(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("{endpoint}: unix sockets are unavailable on this platform"),
-            )),
             Endpoint::Tcp(_) => TcpTransport::connect(endpoint).map(AnyStream::Tcp),
         }
     }
@@ -819,9 +755,7 @@ mod tests {
         for error in [
             TcpTransport::bind(&unix).expect_err("tcp cannot bind unix"),
             TcpTransport::connect(&unix).expect_err("tcp cannot dial unix"),
-            #[cfg(unix)]
             UnixTransport::bind(&tcp).expect_err("unix cannot bind tcp"),
-            #[cfg(unix)]
             UnixTransport::connect(&tcp).expect_err("unix cannot dial tcp"),
         ] {
             assert_eq!(error.kind(), io::ErrorKind::InvalidInput, "{error}");
@@ -861,9 +795,8 @@ mod tests {
     }
 
     /// The contract the reactor depends on: in nonblocking mode a read
-    /// from a silent peer returns `WouldBlock` instead of parking, data
-    /// that has arrived is still readable, and readiness tokens are
-    /// stable per connection and distinct across connections.
+    /// from a silent peer returns `WouldBlock` instead of parking, and
+    /// data that has arrived is still readable.
     fn nonblocking_readiness_contract<T: Transport>(endpoint: &Endpoint) {
         let listener = T::bind(endpoint).expect("bind");
         let dial = listener.dial_endpoint().clone();
@@ -874,9 +807,6 @@ mod tests {
         let mut buffer = [0u8; 8];
         let error = server.read(&mut buffer).expect_err("peer is silent");
         assert_eq!(error.kind(), io::ErrorKind::WouldBlock, "{error}");
-
-        assert_eq!(server.readiness_token(), server.readiness_token());
-        assert_ne!(server.readiness_token(), client.readiness_token());
 
         client.write_all(b"x").expect("send");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -901,7 +831,6 @@ mod tests {
         nonblocking_readiness_contract::<TcpTransport>(&"tcp:127.0.0.1:0".parse().unwrap());
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_nonblocking_reads_would_block_instead_of_parking() {
         let path = std::env::temp_dir().join(format!(
@@ -912,7 +841,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_read_half_shutdown_keeps_the_write_half() {
         let path = std::env::temp_dir().join(format!(
@@ -923,7 +851,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_bind_replaces_stale_socket_files_and_cleanup_removes_them() {
         let path = std::env::temp_dir().join(format!(
@@ -941,7 +868,6 @@ mod tests {
         assert!(!path.exists(), "cleanup removes the socket file");
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_bind_refuses_to_delete_non_socket_files() {
         let path = std::env::temp_dir().join(format!(
@@ -980,7 +906,6 @@ mod tests {
         server.join().expect("server");
 
         // Unix through the Any layer.
-        #[cfg(unix)]
         {
             let path = std::env::temp_dir()
                 .join(format!("oranges-transport-any-{}.sock", std::process::id()));
