@@ -30,7 +30,7 @@
 
 use crate::plan::UnitKey;
 use oranges::experiments::ExperimentOutput;
-use oranges_harness::json::{self, JsonValue};
+use oranges_harness::json::{JsonParseError, Token, Tokenizer};
 use oranges_harness::metric::MetricSet;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -244,62 +244,7 @@ impl ResultCache {
             CachePersistError::Io(path.as_ref().display().to_string(), e.to_string())
         })?;
         let text = String::from_utf8(bytes).map_err(|e| CachePersistError::Parse(e.to_string()))?;
-        let document = json::parse(&text).map_err(|e| CachePersistError::Parse(e.to_string()))?;
-        let version = document
-            .get("version")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| CachePersistError::Parse("missing version field".to_string()))?;
-        let entries = document
-            .get("entries")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| CachePersistError::Parse("missing entries array".to_string()))?;
-        if version as u32 != DISK_FORMAT_VERSION {
-            // Another build's format (older v1, or a newer one after a
-            // downgrade). The envelope shape is unknown, so the entries
-            // cannot be trusted or even validated — but a cache is a
-            // cache: invalidate and recompute rather than refusing to
-            // start (a daemon restarting across an upgrade must come up
-            // cold, not crash on its own warm file).
-            return Ok(CacheLoad {
-                cache: ResultCache::new(),
-                invalidated: entries.len(),
-                file_digest: format!("format-v{}", version as u32),
-            });
-        }
-        let file_digest = document
-            .get("model_digest")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| CachePersistError::Parse("missing model_digest field".to_string()))?
-            .to_string();
-
-        let cache = ResultCache::new();
-        if file_digest != cache.model_digest() {
-            // Stale model: the entries would not reproduce under the
-            // current constants. Still *parse* them (a torn file must
-            // fail loudly, not masquerade as a clean invalidation), but
-            // keep none.
-            for entry in entries {
-                parse_disk_entry(entry)?;
-            }
-            return Ok(CacheLoad {
-                cache,
-                invalidated: entries.len(),
-                file_digest,
-            });
-        }
-
-        {
-            let mut store = cache.inner.store.lock().expect("cache lock");
-            for entry in entries {
-                let (key, output) = parse_disk_entry(entry)?;
-                store.insert(key, Arc::new(output));
-            }
-        }
-        Ok(CacheLoad {
-            cache,
-            invalidated: 0,
-            file_digest,
-        })
+        decode_document(&text)
     }
 
     /// [`load_checked`](ResultCache::load_checked) without the
@@ -467,21 +412,149 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 
-/// Parse one flat disk entry (id/params alongside the output envelope:
-/// sets, rendered, wall_time_s) via the shared rebuild path in
-/// `oranges`.
-fn parse_disk_entry(entry: &JsonValue) -> Result<(UnitKey, ExperimentOutput), CachePersistError> {
-    let field = |key: &str| {
-        entry.get(key).and_then(JsonValue::as_str).ok_or_else(|| {
-            CachePersistError::Parse(format!("entry is missing string field '{key}'"))
-        })
+/// Decode a [`ResultCache::save`]d document in one pass, straight from
+/// its tokens. Members may come in any order; `entries` can only be
+/// read once `version` is known, so when it comes first its text is set
+/// aside and decoded after the other members.
+pub(crate) fn decode_document(text: &str) -> Result<CacheLoad, CachePersistError> {
+    let parse = |message: &str| CachePersistError::Parse(message.to_string());
+    let mut tokens = Tokenizer::new(text);
+    if tokens.next_token()? != Some(Token::BeginObject) {
+        return Err(parse("cache document is not an object"));
+    }
+    let (mut version, mut digest, mut entries, mut raw_entries) = (None, None, None, None);
+    while let Some(key) = tokens.next_key()? {
+        match key.as_ref() {
+            "version" if version.is_none() => {
+                version = Some(tokens.next_value()?.parse_number::<f64>())
+            }
+            "model_digest" if digest.is_none() => digest = Some(tokens.next_value()?.into_string()),
+            "entries" if entries.is_none() && raw_entries.is_none() => match version {
+                Some(Some(version)) => entries = Some(decode_entries(&mut tokens, version)?),
+                _ => raw_entries = Some(tokens.raw_value()?),
+            },
+            _ => tokens.skip_value()?,
+        }
+    }
+    tokens.finish()?;
+    let version = version
+        .flatten()
+        .ok_or_else(|| parse("missing version field"))?;
+    let entries = match raw_entries {
+        Some(raw) => Some(decode_entries(&mut Tokenizer::new(raw), version)?),
+        None => entries,
+    }
+    .ok_or_else(|| parse("missing entries array"))?;
+    if version as u32 != DISK_FORMAT_VERSION {
+        // Another build's format (older v1, or a newer one after a
+        // downgrade). The envelope shape is unknown, so the entries
+        // cannot be trusted or even validated — but a cache is a cache:
+        // invalidate and recompute rather than refusing to start (a
+        // daemon restarting across an upgrade must come up cold, not
+        // crash on its own warm file).
+        return Ok(CacheLoad {
+            cache: ResultCache::new(),
+            invalidated: entries.count,
+            file_digest: format!("format-v{}", version as u32),
+        });
+    }
+    let file_digest = digest
+        .flatten()
+        .ok_or_else(|| parse("missing model_digest field"))?;
+    let cache = ResultCache::new();
+    if file_digest != cache.model_digest() {
+        // Stale model: the entries would not reproduce under the current
+        // constants. They were still decoded (a torn file must fail
+        // loudly, not masquerade as a clean invalidation), but none is
+        // kept.
+        return Ok(CacheLoad {
+            cache,
+            invalidated: entries.count,
+            file_digest,
+        });
+    }
+    cache.inner.store.lock().expect("cache lock").extend(
+        entries
+            .decoded
+            .into_iter()
+            .map(|(key, output)| (key, Arc::new(output))),
+    );
+    Ok(CacheLoad {
+        cache,
+        invalidated: 0,
+        file_digest,
+    })
+}
+
+/// A document's `entries` array.
+struct DiskEntries {
+    /// Entries in the array.
+    count: usize,
+    /// The decoded entries, in file order — empty unless the document is
+    /// in this build's format.
+    decoded: Vec<(UnitKey, ExperimentOutput)>,
+}
+
+/// Read the `entries` array: in this build's format every entry is
+/// decoded; in another one the entries are only counted.
+fn decode_entries(
+    tokens: &mut Tokenizer<'_>,
+    version: f64,
+) -> Result<DiskEntries, CachePersistError> {
+    if tokens.next_token()? != Some(Token::BeginArray) {
+        return Err(CachePersistError::Parse(
+            "missing entries array".to_string(),
+        ));
+    }
+    let mut entries = DiskEntries {
+        count: 0,
+        decoded: Vec::new(),
     };
-    let key = UnitKey {
-        id: field("id")?.to_string(),
-        params: field("params")?.to_string(),
+    while tokens.next_item()? {
+        if version as u32 == DISK_FORMAT_VERSION {
+            entries.decoded.push(decode_entry(tokens, entries.count)?);
+        } else {
+            tokens.skip_value()?;
+        }
+        entries.count += 1;
+    }
+    Ok(entries)
+}
+
+/// One disk entry: `id` and `params` alongside the output envelope
+/// (`sets`, `rendered`, `wall_time_s`) that [`ExperimentOutput::decode`]
+/// reads. An error names the entry by its key, or by its position when
+/// the key was not read yet.
+fn decode_entry(
+    tokens: &mut Tokenizer<'_>,
+    index: usize,
+) -> Result<(UnitKey, ExperimentOutput), CachePersistError> {
+    let (mut id, mut params) = (None, None);
+    let output = ExperimentOutput::decode(tokens, |key, tokens| {
+        let slot = match key {
+            "id" => &mut id,
+            "params" => &mut params,
+            _ => return Ok(false),
+        };
+        if slot.is_some() {
+            return Ok(false);
+        }
+        *slot = Some(tokens.next_value()?.into_string());
+        Ok(true)
+    });
+    let key = match (id.flatten(), params.flatten()) {
+        (Some(id), Some(params)) => Some(UnitKey { id, params }),
+        _ => None,
     };
-    let output = ExperimentOutput::from_json_value(entry)
-        .map_err(|e| CachePersistError::Parse(format!("entry {key}: {e}")))?;
+    let output = output.map_err(|e| {
+        let entry = key.as_ref().map_or(format!("#{index}"), UnitKey::to_string);
+        CachePersistError::Parse(format!("entry {entry}: {e}"))
+    })?;
+    let key = key.ok_or_else(|| {
+        CachePersistError::Parse(format!(
+            "entry #{index} is missing string field 'id' or 'params'"
+        ))
+    })?;
     Ok((key, output))
 }
 
@@ -551,6 +624,12 @@ impl fmt::Display for CachePersistError {
 }
 
 impl std::error::Error for CachePersistError {}
+
+impl From<JsonParseError> for CachePersistError {
+    fn from(e: JsonParseError) -> Self {
+        CachePersistError::Parse(e.to_string())
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -764,6 +843,45 @@ mod tests {
         let error = cache.save(&path).expect_err("must refuse to persist NaN");
         assert!(matches!(error, CachePersistError::Serialize(_)), "{error}");
         assert!(!path.exists(), "no partial file left behind");
+    }
+
+    #[test]
+    fn load_rejects_values_that_decode_to_infinity_naming_the_entry() {
+        // `1e999` is valid JSON but parses to +inf, which would re-emit
+        // as `null`: accepted, the entry would make the next save fail.
+        let cache = ResultCache::new();
+        cache.insert(
+            key("fig1"),
+            ExperimentOutput::from_sets(
+                vec![MetricSet::for_chip("x", "chip=M1", "M1")
+                    .with_power(oranges_harness::metric::PowerContext {
+                        package_watts: 4.5,
+                        energy_j: 9.0,
+                        window_s: 2.0,
+                        dvfs_cap: 1.0,
+                    })
+                    .metric("v", 1.5, "u")],
+                None,
+            )
+            .expect("serializable"),
+        );
+        let path = temp_path("infinite");
+        cache.save(&path).expect("save");
+        let text = std::fs::read_to_string(&path).expect("saved bytes");
+        for (finite, forged) in [
+            ("{\"Float\":1.5}", "{\"Float\":1e999}"),
+            ("\"package_watts\":4.5", "\"package_watts\":-1e999"),
+        ] {
+            assert!(text.contains(finite), "{text}");
+            std::fs::write(&path, text.replace(finite, forged)).expect("forge");
+            match ResultCache::load_checked(&path) {
+                Err(CachePersistError::Parse(message)) => {
+                    assert!(message.contains("entry fig1[chip=M1]"), "{message}")
+                }
+                other => panic!("a forged {forged} must not load: {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

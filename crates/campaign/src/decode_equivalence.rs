@@ -1,0 +1,751 @@
+//! Differential tests of the typed decoders against the tree walks they
+//! replaced.
+//!
+//! `metric::decode_sets`, `ExperimentOutput::decode`, the cache loader
+//! and the service client's `unit` decoder read JSON straight from
+//! tokens. The functions in [`oracle`] are the previous readers — parse
+//! into a `JsonValue` tree, then look members up — kept as the
+//! reference. Generated `MetricSet`s go through `sets_to_json`,
+//! `unit_line` and saved cache files, then through member shuffles,
+//! unknown and repeated members and malformed edits. Both readers must
+//! accept or reject alike and agree on everything they accept. The one
+//! allowed difference: the typed decoders reject a `Float` or
+//! power-context value that parses to ±infinity, which the tree walks
+//! let through.
+
+use crate::cache::{decode_document, ResultCache};
+use crate::engine::UnitSource;
+use crate::plan::UnitKey;
+use crate::report::UnitReport;
+use crate::service::{decode_served_unit, unit_line};
+use oranges::experiments::ExperimentOutput;
+use oranges_harness::envelope::Response;
+use oranges_harness::json::{self, JsonValue, MAX_DEPTH};
+use oranges_harness::metric::{self, MetricSet, MetricValue, PowerContext};
+use proptest::prelude::*;
+use proptest::test_runner::{TestCaseError, TestRng};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// The readers the typed decoders replaced, as they were.
+mod oracle {
+    use super::*;
+    use oranges_harness::metric::{Metric, Provenance};
+
+    fn optional_string(value: Option<&JsonValue>) -> Result<Option<String>, String> {
+        match value {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(JsonValue::String(s)) => Ok(Some(s.clone())),
+            Some(other) => Err(format!("expected string or null, got {other:?}")),
+        }
+    }
+
+    fn required_str<'a>(object: &'a JsonValue, key: &str) -> Result<&'a str, String> {
+        object
+            .get(key)
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| format!("missing string field '{key}'"))
+    }
+
+    fn metric_value(value: &JsonValue) -> Result<MetricValue, String> {
+        let object = match value {
+            JsonValue::Object(fields) if fields.len() == 1 => &fields[0],
+            _ => return Err("metric value is not a variant object".into()),
+        };
+        match (object.0.as_str(), &object.1) {
+            ("Float", JsonValue::Number(v)) => Ok(MetricValue::Float(v.as_f64())),
+            ("Int", JsonValue::Number(v)) => v
+                .as_i64()
+                .map(MetricValue::Int)
+                .ok_or_else(|| format!("Int value {v:?} is not an exact i64")),
+            ("Bool", JsonValue::Bool(b)) => Ok(MetricValue::Bool(*b)),
+            ("Text", JsonValue::String(s)) => Ok(MetricValue::Text(s.clone())),
+            (variant, _) => Err(format!("bad metric value variant '{variant}'")),
+        }
+    }
+
+    pub fn set(value: &JsonValue) -> Result<MetricSet, String> {
+        let provenance = value.get("provenance").ok_or("set is missing provenance")?;
+        let power = match provenance.get("power") {
+            None | Some(JsonValue::Null) => None,
+            Some(context) => {
+                let field = |key: &str| {
+                    context
+                        .get(key)
+                        .and_then(JsonValue::as_f64)
+                        .ok_or_else(|| format!("power context is missing '{key}'"))
+                };
+                Some(PowerContext {
+                    package_watts: field("package_watts")?,
+                    energy_j: field("energy_j")?,
+                    window_s: field("window_s")?,
+                    dvfs_cap: field("dvfs_cap")?,
+                })
+            }
+        };
+        let metrics = value
+            .get("metrics")
+            .and_then(JsonValue::as_array)
+            .ok_or("set is missing metrics array")?
+            .iter()
+            .map(|m| {
+                let unit = required_str(m, "unit")?;
+                if unit.is_empty() {
+                    return Err("metric unit label was dropped".to_string());
+                }
+                Ok(Metric {
+                    name: required_str(m, "name")?.to_string(),
+                    value: metric_value(m.get("value").ok_or("metric is missing value")?)?,
+                    unit: unit.to_string(),
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(MetricSet {
+            provenance: Provenance {
+                experiment: required_str(provenance, "experiment")?.to_string(),
+                chip: optional_string(provenance.get("chip"))?,
+                params: required_str(provenance, "params")?.to_string(),
+                wall_time_s: None,
+                power,
+            },
+            implementation: optional_string(value.get("implementation"))?,
+            n: match value.get("n") {
+                None | Some(JsonValue::Null) => None,
+                Some(JsonValue::Number(v)) => {
+                    Some(v.as_u64().ok_or_else(|| format!("n {v:?} is not a u64"))?)
+                }
+                Some(other) => return Err(format!("bad n field {other:?}")),
+            },
+            metrics,
+        })
+    }
+
+    pub fn sets(text: &str) -> Result<Vec<MetricSet>, String> {
+        let document = json::parse(text).map_err(|e| e.to_string())?;
+        document
+            .as_array()
+            .ok_or("document is not an array of sets")?
+            .iter()
+            .map(set)
+            .collect()
+    }
+
+    pub fn output(value: &JsonValue) -> Result<ExperimentOutput, String> {
+        let sets = value
+            .get("sets")
+            .and_then(JsonValue::as_array)
+            .ok_or("output has no sets array")?
+            .iter()
+            .map(set)
+            .collect::<Result<Vec<MetricSet>, _>>()?;
+        let rendered = match value.get("rendered") {
+            None | Some(JsonValue::Null) => None,
+            Some(JsonValue::String(s)) => Some(s.clone()),
+            Some(other) => return Err(format!("bad rendered field {other:?}")),
+        };
+        let mut output = ExperimentOutput::from_sets(sets, rendered).map_err(|e| e.to_string())?;
+        if let Some(wall) = value.get("wall_time_s").and_then(JsonValue::as_f64) {
+            output.stamp_wall_time(wall);
+        }
+        Ok(output)
+    }
+
+    /// `Response::from_line` as a tree, then `parse_served_unit`.
+    pub fn unit_line(line: &str) -> Result<Unit, String> {
+        let value = json::parse(line.trim_end_matches(['\n', '\r'])).map_err(|e| e.to_string())?;
+        if !matches!(value, JsonValue::Object(_)) {
+            return Err("envelope line is not an object".into());
+        }
+        let error = match value.get("error") {
+            None | Some(JsonValue::Null) => None,
+            Some(JsonValue::String(message)) => Some(message.clone()),
+            Some(other) => return Err(format!("response 'error' is not a string: {other:?}")),
+        };
+        let id = value
+            .get("id")
+            .and_then(JsonValue::as_u64)
+            .ok_or("envelope has no integer 'id'")?;
+        let kind = value
+            .get("kind")
+            .and_then(JsonValue::as_str)
+            .ok_or("response has no string 'kind'")?
+            .to_string();
+        let body = value.get("body").ok_or("unit has no body")?;
+        let str_field = |name: &str| {
+            body.get(name)
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| format!("unit body has no '{name}'"))
+        };
+        let output = output(body)?;
+        let source = UnitSource::parse(str_field("source")?).ok_or("unknown 'source'")?;
+        let from_cache = body
+            .get("from_cache")
+            .and_then(JsonValue::as_bool)
+            .ok_or("unit body has no 'from_cache'")?;
+        if from_cache != source.from_cache() {
+            return Err("unit body contradicts itself".into());
+        }
+        Ok(Unit {
+            id,
+            kind,
+            error,
+            index: body
+                .get("index")
+                .and_then(JsonValue::as_u64)
+                .ok_or("unit body has no 'index'")? as usize,
+            key: UnitKey {
+                id: str_field("id")?.to_string(),
+                params: str_field("params")?.to_string(),
+            },
+            source,
+            output,
+        })
+    }
+
+    /// `ResultCache::load_checked` over a parsed tree. Every entry of a
+    /// current-format file is decoded, kept or not.
+    pub fn load(text: &str) -> Result<Load, String> {
+        let document = json::parse(text).map_err(|e| e.to_string())?;
+        let version = document
+            .get("version")
+            .and_then(JsonValue::as_f64)
+            .ok_or("missing version field")?;
+        let entries = document
+            .get("entries")
+            .and_then(JsonValue::as_array)
+            .ok_or("missing entries array")?;
+        if version as u32 != 2 {
+            return Ok(Load {
+                invalidated: entries.len(),
+                file_digest: format!("format-v{}", version as u32),
+                decoded: Vec::new(),
+            });
+        }
+        let file_digest = document
+            .get("model_digest")
+            .and_then(JsonValue::as_str)
+            .ok_or("missing model_digest field")?
+            .to_string();
+        let decoded = entries
+            .iter()
+            .map(|entry| {
+                let field = |key: &str| {
+                    entry
+                        .get(key)
+                        .and_then(JsonValue::as_str)
+                        .ok_or_else(|| format!("entry is missing string field '{key}'"))
+                };
+                let key = UnitKey {
+                    id: field("id")?.to_string(),
+                    params: field("params")?.to_string(),
+                };
+                Ok((key, output(entry)?))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let current = file_digest == oranges::paper::model_constants_digest();
+        Ok(Load {
+            invalidated: if current { 0 } else { entries.len() },
+            file_digest,
+            decoded,
+        })
+    }
+}
+
+/// A decoded `unit` line.
+#[derive(Debug)]
+struct Unit {
+    id: u64,
+    kind: String,
+    error: Option<String>,
+    index: usize,
+    key: UnitKey,
+    source: UnitSource,
+    output: ExperimentOutput,
+}
+
+impl PartialEq for Unit {
+    fn eq(&self, other: &Self) -> bool {
+        (
+            self.id,
+            &self.kind,
+            &self.error,
+            self.index,
+            &self.key,
+            self.source,
+        ) == (
+            other.id,
+            &other.kind,
+            &other.error,
+            other.index,
+            &other.key,
+            other.source,
+        ) && self.output == other.output
+    }
+}
+
+fn typed_unit_line(line: &str) -> Result<Unit, String> {
+    let (response, unit) = Response::decode_line(line, |_, tokens| decode_served_unit(tokens))
+        .map_err(|e| e.to_string())?;
+    let unit = unit.ok_or("unit has no body")?;
+    Ok(Unit {
+        id: response.id,
+        kind: response.kind,
+        error: response.error,
+        index: unit.index,
+        key: unit.key,
+        source: unit.source,
+        output: unit.output,
+    })
+}
+
+/// A decoded cache document.
+#[derive(Debug)]
+struct Load {
+    invalidated: usize,
+    file_digest: String,
+    /// The oracle's decoded entries, in file order.
+    decoded: Vec<(UnitKey, ExperimentOutput)>,
+}
+
+/// Whether decoded sets hold a value that parsed to ±infinity.
+fn non_finite(sets: &[MetricSet]) -> bool {
+    sets.iter().any(|set| {
+        let power = set.provenance.power.is_some_and(|p| {
+            [p.package_watts, p.energy_j, p.window_s, p.dvfs_cap]
+                .iter()
+                .any(|v| !v.is_finite())
+        });
+        power
+            || set
+                .metrics
+                .iter()
+                .any(|m| matches!(m.value, MetricValue::Float(v) if !v.is_finite()))
+    })
+}
+
+/// The agreement rule: equal results, or both rejected, or the typed
+/// reader alone rejecting an input the oracle decodes to a non-finite
+/// value.
+fn agree<T: std::fmt::Debug + PartialEq>(
+    input: &str,
+    typed: Result<T, String>,
+    oracle: Result<T, String>,
+    oracle_non_finite: impl Fn(&T) -> bool,
+) -> Result<(), TestCaseError> {
+    match (&typed, &oracle) {
+        (Ok(a), Ok(b)) => prop_assert!(a == b, "{a:?} != {b:?} for {input}"),
+        (Err(_), Err(_)) => {}
+        (Err(e), Ok(b)) => prop_assert!(
+            oracle_non_finite(b),
+            "only the typed reader rejected {input}: {e}"
+        ),
+        (Ok(_), Err(e)) => prop_assert!(false, "only the oracle rejected {input}: {e}"),
+    }
+    Ok(())
+}
+
+fn compare_loads(text: &str) -> Result<(), TestCaseError> {
+    let oracle = oracle::load(text);
+    let typed = decode_document(text).map_err(|e| e.to_string());
+    let typed = typed.map(|load| {
+        let current = oracle
+            .as_ref()
+            .map(|o| o.decoded.clone())
+            .unwrap_or_default();
+        // The cache keeps the last of repeated keys, like the store the
+        // oracle filled.
+        let mut kept = Vec::new();
+        for (key, _) in current.iter().rev() {
+            if !kept
+                .iter()
+                .any(|(k, _): &(UnitKey, ExperimentOutput)| k == key)
+            {
+                if let Some(output) = load.cache.get(key) {
+                    kept.push((key.clone(), (*output).clone()));
+                }
+            }
+        }
+        kept.reverse();
+        (
+            load.invalidated,
+            load.file_digest,
+            load.cache.stats().entries,
+            kept,
+        )
+    });
+    let oracle_view = oracle.as_ref().map_err(Clone::clone).map(|o| {
+        let mut kept: Vec<(UnitKey, ExperimentOutput)> = Vec::new();
+        if o.invalidated == 0 {
+            for (key, output) in o.decoded.iter().rev() {
+                if !kept.iter().any(|(k, _)| k == key) {
+                    kept.push((key.clone(), output.clone()));
+                }
+            }
+        }
+        kept.reverse();
+        (o.invalidated, o.file_digest.clone(), kept.len(), kept)
+    });
+    let decoded_non_finite = oracle
+        .as_ref()
+        .is_ok_and(|o| o.decoded.iter().any(|(_, out)| non_finite(&out.sets)));
+    agree(text, typed, oracle_view, |_| decoded_non_finite)
+}
+
+// ---------------------------------------------------------------------------
+// Generators.
+// ---------------------------------------------------------------------------
+
+fn pick<T: Clone>(rng: &mut TestRng, items: &[T]) -> T {
+    items[rng.below(items.len() as u64) as usize].clone()
+}
+
+fn text(rng: &mut TestRng) -> String {
+    (0..rng.below(6))
+        .map(|_| {
+            pick(
+                rng,
+                &[
+                    'a',
+                    'M',
+                    '4',
+                    '=',
+                    ';',
+                    ' ',
+                    '"',
+                    '\\',
+                    '\n',
+                    '\u{1}',
+                    '\u{e9}',
+                    '\u{1f600}',
+                ],
+            )
+        })
+        .collect()
+}
+
+fn finite_float(rng: &mut TestRng) -> f64 {
+    let magnitude = pick(rng, &[0.0, 0.1, 1.0, 2900.0, 1e-300, 1e300, f64::MAX]);
+    let value = magnitude * (1.0 + rng.unit_f64());
+    if value.is_finite() && rng.below(2) == 0 {
+        -value
+    } else if value.is_finite() {
+        value
+    } else {
+        f64::MAX
+    }
+}
+
+fn random_set(rng: &mut TestRng) -> MetricSet {
+    let (experiment, params) = (pick(rng, &["fig3", "fig4"]), text(rng));
+    let mut set = if rng.below(4) == 0 {
+        MetricSet::new(experiment, &params)
+    } else {
+        MetricSet::for_chip(experiment, &params, &text(rng))
+    };
+    if rng.below(2) == 0 {
+        set = set.with_implementation(&text(rng));
+    }
+    if rng.below(2) == 0 {
+        set = set.with_n(pick(rng, &[0, 2048, u64::MAX]));
+    }
+    if rng.below(2) == 0 {
+        set = set.with_power(PowerContext {
+            package_watts: finite_float(rng),
+            energy_j: finite_float(rng),
+            window_s: finite_float(rng),
+            dvfs_cap: pick(rng, &[1.0, 0.5]),
+        });
+    }
+    for _ in 0..rng.below(4) {
+        let value = match rng.below(4) {
+            0 => MetricValue::Float(finite_float(rng)),
+            1 => MetricValue::Int(pick(rng, &[0, -7, i64::MIN, i64::MAX])),
+            2 => MetricValue::Bool(rng.below(2) == 0),
+            _ => MetricValue::Text(text(rng)),
+        };
+        set.metrics.push(metric::Metric {
+            name: text(rng),
+            value,
+            unit: format!("u{}", text(rng)),
+        });
+    }
+    set
+}
+
+fn random_output(rng: &mut TestRng) -> ExperimentOutput {
+    let sets = (0..rng.below(4)).map(|_| random_set(rng)).collect();
+    let rendered = (rng.below(2) == 0).then(|| text(rng));
+    let mut output = ExperimentOutput::from_sets(sets, rendered).expect("finite sets serialize");
+    if rng.below(2) == 0 {
+        output.stamp_wall_time(finite_float(rng).abs());
+    }
+    output
+}
+
+fn random_unit(rng: &mut TestRng) -> UnitReport {
+    UnitReport {
+        index: rng.below(100) as usize,
+        key: UnitKey {
+            id: pick(rng, &["fig3", "fig4"]).to_string(),
+            params: text(rng),
+        },
+        source: pick(
+            rng,
+            &[
+                UnitSource::Computed,
+                UnitSource::CacheHit,
+                UnitSource::Coalesced,
+            ],
+        ),
+        wall: Duration::from_millis(1),
+        output: Arc::new(random_output(rng)),
+    }
+}
+
+/// A random value; containers nest at most `depth` more levels.
+fn random_value(rng: &mut TestRng, depth: usize) -> JsonValue {
+    match if depth == 0 {
+        rng.below(5)
+    } else {
+        rng.below(7)
+    } {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(rng.below(2) == 0),
+        2 => json::parse(pick(
+            rng,
+            &["0", "-3", "1.5", "1e999", "18446744073709551616"],
+        ))
+        .expect("a number"),
+        3 | 4 => JsonValue::String(pick(rng, &["computed", "cache", "x", "Float", ""]).into()),
+        5 => JsonValue::Array(
+            (0..rng.below(3))
+                .map(|_| random_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => JsonValue::Object(
+            (0..rng.below(3))
+                .map(|_| (text(rng), random_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// The `index`-th node (in pre-order) that `wanted` selects, with its
+/// nesting depth.
+fn nth_node<'t>(
+    tree: &'t mut JsonValue,
+    depth: usize,
+    wanted: &dyn Fn(&JsonValue) -> bool,
+    index: &mut usize,
+) -> Option<(&'t mut JsonValue, usize)> {
+    if wanted(tree) {
+        if *index == 0 {
+            return Some((tree, depth));
+        }
+        *index -= 1;
+    }
+    match tree {
+        JsonValue::Array(items) => items
+            .iter_mut()
+            .find_map(|item| nth_node(item, depth + 1, wanted, index)),
+        JsonValue::Object(fields) => fields
+            .iter_mut()
+            .find_map(|(_, value)| nth_node(value, depth + 1, wanted, index)),
+        _ => None,
+    }
+}
+
+fn count_nodes(tree: &JsonValue, wanted: &dyn Fn(&JsonValue) -> bool) -> usize {
+    usize::from(wanted(tree))
+        + match tree {
+            JsonValue::Array(items) => items.iter().map(|i| count_nodes(i, wanted)).sum(),
+            JsonValue::Object(fields) => fields.iter().map(|(_, v)| count_nodes(v, wanted)).sum(),
+            _ => 0,
+        }
+}
+
+/// A random node that `wanted` selects, with its depth.
+fn random_node<'t>(
+    rng: &mut TestRng,
+    tree: &'t mut JsonValue,
+    wanted: &dyn Fn(&JsonValue) -> bool,
+) -> Option<(&'t mut JsonValue, usize)> {
+    let count = count_nodes(tree, wanted);
+    if count == 0 {
+        return None;
+    }
+    let mut index = rng.below(count as u64) as usize;
+    nth_node(tree, 0, wanted, &mut index)
+}
+
+fn shuffle(rng: &mut TestRng, tree: &mut JsonValue) {
+    match tree {
+        JsonValue::Array(items) => items.iter_mut().for_each(|item| shuffle(rng, item)),
+        JsonValue::Object(fields) => {
+            for i in (1..fields.len()).rev() {
+                fields.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            fields.iter_mut().for_each(|(_, value)| shuffle(rng, value));
+        }
+        _ => {}
+    }
+}
+
+fn is_object(value: &JsonValue) -> bool {
+    matches!(value, JsonValue::Object(_))
+}
+
+/// Apply one random edit to `text`, a JSON document: shuffle every
+/// object's members; add an unknown member (sometimes nested to exactly
+/// the depth cap, or one level past it); repeat a member with another
+/// value after the original; delete a member; replace any value with a
+/// random one; or write `1e999` in place of a number.
+fn edit(rng: &mut TestRng, text: &str) -> String {
+    let mut tree = json::parse(text.trim_end()).expect("generated documents parse");
+    match rng.below(7) {
+        0 => {}
+        1 => shuffle(rng, &mut tree),
+        2 => {
+            let depth_choice = rng.below(3);
+            let value = random_value(rng, 2);
+            let key = format!("unknown_{}", text.len());
+            if let Some((JsonValue::Object(fields), depth)) =
+                random_node(rng, &mut tree, &is_object)
+            {
+                // The new member's value sits at `depth + 1`; nest it to
+                // the cap, or one level past it.
+                let value = match depth_choice {
+                    0 => value,
+                    extra => (depth + 1..MAX_DEPTH + extra as usize - 1)
+                        .fold(JsonValue::Null, |inner, _| JsonValue::Array(vec![inner])),
+                };
+                let at = rng.below(fields.len() as u64 + 1) as usize;
+                fields.insert(at, (key, value));
+            }
+        }
+        3 => {
+            let replacement = random_value(rng, 2);
+            let keep = rng.below(2) == 0;
+            let wanted = |v: &JsonValue| matches!(v, JsonValue::Object(f) if !f.is_empty());
+            if let Some((JsonValue::Object(fields), _)) = random_node(rng, &mut tree, &wanted) {
+                let original = rng.below(fields.len() as u64) as usize;
+                let (key, value) = fields[original].clone();
+                let value = if keep { value } else { replacement };
+                let at = original + 1 + rng.below((fields.len() - original) as u64) as usize;
+                fields.insert(at, (key, value));
+            }
+        }
+        4 => {
+            let wanted = |v: &JsonValue| matches!(v, JsonValue::Object(f) if !f.is_empty());
+            if let Some((JsonValue::Object(fields), _)) = random_node(rng, &mut tree, &wanted) {
+                fields.remove(rng.below(fields.len() as u64) as usize);
+            }
+        }
+        5 => {
+            let replacement = random_value(rng, 1);
+            if let Some((node, _)) = random_node(rng, &mut tree, &|_| true) {
+                *node = replacement;
+            }
+        }
+        _ => {
+            let wanted = |v: &JsonValue| matches!(v, JsonValue::Number(_));
+            if let Some((node, _)) = random_node(rng, &mut tree, &wanted) {
+                *node = json::parse("1e999").expect("a number");
+            }
+        }
+    }
+    tree.to_json_string()
+}
+
+fn saved_document(rng: &mut TestRng) -> String {
+    let digest = if rng.below(4) == 0 {
+        "0123456789abcdef".to_string()
+    } else {
+        oranges::paper::model_constants_digest()
+    };
+    let cache = ResultCache::with_model_digest(digest);
+    for _ in 0..rng.below(4) {
+        let key = UnitKey {
+            id: pick(rng, &["fig3", "fig4"]).to_string(),
+            params: text(rng),
+        };
+        cache.insert(key, random_output(rng));
+    }
+    let path = std::env::temp_dir().join(format!(
+        "oranges-decode-equivalence-{}-{}.json",
+        std::process::id(),
+        rng.next_u64()
+    ));
+    cache.save(&path).expect("finite entries save");
+    let text = std::fs::read_to_string(&path).expect("saved text");
+    std::fs::remove_file(&path).ok();
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn typed_sets_decode_like_the_tree_walk(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let sets: Vec<MetricSet> = (0..rng.below(4)).map(|_| random_set(&mut rng)).collect();
+        let text = metric::sets_to_json(&sets).expect("finite sets serialize");
+        prop_assert_eq!(metric::sets_from_json(&text), Ok(sets));
+        let text = edit(&mut rng, &text);
+        let typed = metric::sets_from_json(&text).map_err(|e| e.to_string());
+        agree(&text, typed, oracle::sets(&text), |sets| non_finite(sets))?;
+    }
+
+    #[test]
+    fn typed_unit_lines_decode_like_the_tree_walk(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let unit = random_unit(&mut rng);
+        let line = unit_line(rng.below(1000), &unit);
+        let decoded = typed_unit_line(&line).expect("a unit line decodes");
+        prop_assert_eq!(&decoded.output, &*unit.output);
+        prop_assert_eq!(&decoded.key, &unit.key);
+        let line = edit(&mut rng, &line) + "\n";
+        agree(
+            &line,
+            typed_unit_line(&line),
+            oracle::unit_line(&line),
+            |unit| non_finite(&unit.output.sets),
+        )?;
+    }
+
+    #[test]
+    fn typed_cache_documents_load_like_the_tree_walk(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let text = saved_document(&mut rng);
+        compare_loads(&text)?;
+        compare_loads(&edit(&mut rng, &text))?;
+    }
+}
+
+#[test]
+fn envelope_and_document_members_may_come_in_any_order() {
+    let mut rng = TestRng::new(7);
+    let unit = random_unit(&mut rng);
+    let line = unit_line(5, &unit);
+    let reference = typed_unit_line(&line).expect("decodes");
+    // `body` before `kind`, and `entries` before `version`: the decoders
+    // set the text aside and read it once the member it depends on is
+    // known.
+    let mut tree = json::parse(line.trim_end()).expect("unit lines parse");
+    if let JsonValue::Object(fields) = &mut tree {
+        let body = fields.pop().expect("the body is the last member");
+        fields.insert(0, body);
+    }
+    let body_first = tree.to_json_string() + "\n";
+    assert!(body_first.find("\"body\"") < body_first.find("\"kind\""));
+    assert_eq!(typed_unit_line(&body_first).expect("decodes"), reference);
+
+    let text = saved_document(&mut TestRng::new(3));
+    let mut tree = json::parse(&text).expect("saved documents parse");
+    if let JsonValue::Object(fields) = &mut tree {
+        fields.reverse();
+    }
+    let reversed = tree.to_json_string();
+    assert!(reversed.find("\"entries\"") < reversed.find("\"version\""));
+    compare_loads(&reversed).expect("same load either way");
+}

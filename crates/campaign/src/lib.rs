@@ -157,6 +157,8 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+#[cfg(all(test, unix))]
+mod decode_equivalence;
 pub mod engine;
 #[cfg(unix)]
 pub mod orchestrate;

@@ -118,7 +118,7 @@ use crate::scheduler::CampaignError;
 use crate::spec::{CampaignSpec, SpecParseError};
 use oranges::experiments::ExperimentOutput;
 use oranges_harness::envelope::{EnvelopeError, Request, Response};
-use oranges_harness::json::{self, JsonValue};
+use oranges_harness::json::{self, JsonParseError, JsonValue, Tokenizer};
 use oranges_harness::obs::{CampaignEvent, EventKind, EventStream, Exposition};
 use oranges_harness::reactor::{
     Event, FrameError, Reactor, ReadInterest, Token, WakeHandle, WRITE_BACKLOG_THRESHOLD,
@@ -193,6 +193,12 @@ impl std::error::Error for ServiceError {}
 impl From<EnvelopeError> for ServiceError {
     fn from(e: EnvelopeError) -> Self {
         ServiceError::Envelope(e)
+    }
+}
+
+impl From<JsonParseError> for ServiceError {
+    fn from(e: JsonParseError) -> Self {
+        ServiceError::Envelope(e.into())
     }
 }
 
@@ -1745,7 +1751,7 @@ fn metrics_text(shared: &ServiceShared) -> String {
 
 /// The `unit` response line: the unit's coordinates plus its full
 /// provenance-stamped sets — exactly the envelope shape
-/// [`ExperimentOutput::from_json_value`] rebuilds on the client.
+/// [`ExperimentOutput::decode`] reads on the client.
 ///
 /// The envelope and the body fields before `sets` go through the
 /// emitter; `sets` is the unit's cached canonical JSON, spliced in as
@@ -1753,7 +1759,7 @@ fn metrics_text(shared: &ServiceShared) -> String {
 /// byte-identical to emitting the whole tree, because `sets` is the
 /// body's last field and `output.json` is emitter output, which never
 /// holds a raw newline.
-fn unit_line(id: u64, unit: &UnitReport) -> String {
+pub(crate) fn unit_line(id: u64, unit: &UnitReport) -> String {
     let mut line = Response::ok(id, "unit")
         .with_body(JsonValue::Object(unit_head(unit)))
         .to_line();
@@ -2113,7 +2119,13 @@ impl<T: Transport> ServiceClient<T> {
         Ok(id)
     }
 
-    fn read_response(&mut self, id: u64) -> Result<Response, ServiceError> {
+    /// Read one response line, decoding its body with `decode_body` (see
+    /// [`Response::decode_line`]), and check that it answers `id`.
+    fn read_decoded<B>(
+        &mut self,
+        id: u64,
+        decode_body: impl FnMut(&str, &mut Tokenizer<'_>) -> Result<B, ServiceError>,
+    ) -> Result<(Response, Option<B>), ServiceError> {
         let mut line = String::new();
         let read = self
             .reader
@@ -2124,7 +2136,7 @@ impl<T: Transport> ServiceClient<T> {
                 "server closed the connection".into(),
             ));
         }
-        let response = Response::from_line(&line)?;
+        let (response, body) = Response::decode_line(&line, decode_body)?;
         if response.id != id {
             return Err(ServiceError::Protocol(format!(
                 "response id {} does not match request id {id}",
@@ -2134,6 +2146,12 @@ impl<T: Transport> ServiceClient<T> {
         if let Some(message) = &response.error {
             return Err(ServiceError::Remote(message.clone()));
         }
+        Ok((response, body))
+    }
+
+    fn read_response(&mut self, id: u64) -> Result<Response, ServiceError> {
+        let (mut response, body) = self.read_decoded(id, |_, tokens| tree_body(tokens))?;
+        response.body = body;
         Ok(response)
     }
 
@@ -2196,17 +2214,25 @@ impl<T: Transport> ServiceClient<T> {
         let id = self.send("run", Some(body))?;
         let mut units: Vec<ServedUnit> = Vec::new();
         loop {
-            let response = self.read_response(id)?;
-            let body = response
-                .body
-                .as_ref()
-                .ok_or_else(|| ServiceError::Protocol(format!("{} has no body", response.kind)))?;
-            match response.kind.as_str() {
-                "unit" => {
-                    let unit = parse_served_unit(body)?;
+            let (response, body) = self.read_decoded(id, |kind, tokens| match kind {
+                "unit" => decode_served_unit(tokens).map(RunBody::Unit),
+                _ => tree_body(tokens).map(RunBody::Tree),
+            })?;
+            let body = match body {
+                Some(RunBody::Unit(unit)) => {
                     on_unit(&unit);
                     units.push(unit);
+                    continue;
                 }
+                Some(RunBody::Tree(body)) => body,
+                None => {
+                    return Err(ServiceError::Protocol(format!(
+                        "{} has no body",
+                        response.kind
+                    )))
+                }
+            };
+            match response.kind.as_str() {
                 "done" => {
                     let str_field = |name: &str| {
                         body.get(name).and_then(JsonValue::as_str).ok_or_else(|| {
@@ -2469,23 +2495,49 @@ impl<T: Transport> ServiceClient<T> {
     }
 }
 
-fn parse_served_unit(body: &JsonValue) -> Result<ServedUnit, ServiceError> {
-    let str_field = |name: &str| {
-        body.get(name)
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ServiceError::Protocol(format!("unit body has no '{name}'")))
-    };
-    let output = ExperimentOutput::from_json_value(body)
-        .map_err(|e| ServiceError::Protocol(format!("unit body did not rebuild: {e}")))?;
-    let source = UnitSource::parse(str_field("source")?)
+/// A `run` stream response body, decoded by kind.
+enum RunBody {
+    /// A `unit` body, decoded straight into the typed unit.
+    Unit(ServedUnit),
+    /// Any other kind's body, as a tree.
+    Tree(JsonValue),
+}
+
+fn tree_body(tokens: &mut Tokenizer<'_>) -> Result<JsonValue, ServiceError> {
+    Ok(json::read_value(tokens)?)
+}
+
+/// Decode a `unit` body straight into a [`ServedUnit`], with no tree in
+/// between: [`ExperimentOutput::decode`] reads the output envelope and
+/// hands the unit's own members (`index`, `id`, `params`, `source`,
+/// `from_cache`) back here.
+pub(crate) fn decode_served_unit(tokens: &mut Tokenizer<'_>) -> Result<ServedUnit, ServiceError> {
+    let (mut index, mut id, mut params, mut source, mut from_cache) =
+        (None, None, None, None, None);
+    let output = ExperimentOutput::decode(tokens, |key, tokens| {
+        match key {
+            "index" if index.is_none() => index = Some(tokens.next_value()?.parse_number::<u64>()),
+            "id" if id.is_none() => id = Some(tokens.next_value()?.into_string()),
+            "params" if params.is_none() => params = Some(tokens.next_value()?.into_string()),
+            "source" if source.is_none() => source = Some(tokens.next_value()?.into_string()),
+            "from_cache" if from_cache.is_none() => {
+                from_cache = Some(match tokens.next_value()? {
+                    json::Token::Bool(flag) => Some(flag),
+                    _ => None,
+                })
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })
+    .map_err(|e| ServiceError::Protocol(format!("unit body did not rebuild: {e}")))?;
+    let missing = |name: &str| ServiceError::Protocol(format!("unit body has no '{name}'"));
+    let source = UnitSource::parse(&source.flatten().ok_or_else(|| missing("source"))?)
         .ok_or_else(|| ServiceError::Protocol("unit body has an unknown 'source'".into()))?;
     // The wire carries `from_cache` alongside `source` for raw (non-Rust)
     // clients; the typed client derives it from `source`, so the pair
     // must agree — a contradiction means a daemon bug, not a preference.
-    let from_cache = body
-        .get("from_cache")
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| ServiceError::Protocol("unit body has no 'from_cache'".into()))?;
+    let from_cache = from_cache.flatten().ok_or_else(|| missing("from_cache"))?;
     if from_cache != source.from_cache() {
         return Err(ServiceError::Protocol(format!(
             "unit body contradicts itself: source '{}' with from_cache {from_cache}",
@@ -2493,14 +2545,10 @@ fn parse_served_unit(body: &JsonValue) -> Result<ServedUnit, ServiceError> {
         )));
     }
     Ok(ServedUnit {
-        index: body
-            .get("index")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| ServiceError::Protocol("unit body has no 'index'".into()))?
-            as usize,
+        index: index.flatten().ok_or_else(|| missing("index"))? as usize,
         key: UnitKey {
-            id: str_field("id")?.to_string(),
-            params: str_field("params")?.to_string(),
+            id: id.flatten().ok_or_else(|| missing("id"))?,
+            params: params.flatten().ok_or_else(|| missing("params"))?,
         },
         source,
         output,
@@ -2569,11 +2617,11 @@ mod tests {
     #[test]
     fn unit_body_round_trips_through_the_client_parser() {
         let report = unit_with("chip=M2", Some("chart"), Some(0.05));
-        let body = Response::from_line(&unit_line(3, &report))
-            .expect("the unit line parses")
-            .body
-            .expect("a unit line has a body");
-        let served = parse_served_unit(&body).expect("parses");
+        let (_, served) = Response::decode_line(&unit_line(3, &report), |_, tokens| {
+            decode_served_unit(tokens)
+        })
+        .expect("the unit line decodes");
+        let served = served.expect("a unit line has a body");
         assert_eq!(served.index, 3);
         assert_eq!(served.key, report.key);
         assert_eq!(served.source, UnitSource::Coalesced);
@@ -2585,6 +2633,20 @@ mod tests {
         assert_eq!(served.output.sets, report.output.sets);
         assert_eq!(served.output.rendered.as_deref(), Some("chart"));
         assert_eq!(served.output.wall_time_s(), Some(0.05));
+    }
+
+    #[test]
+    fn unit_lines_with_values_that_decode_to_infinity_are_protocol_errors() {
+        // A fleet daemon's unit line is merged into the parent's cache;
+        // an infinite value would re-emit as `null` there.
+        let line = unit_line(3, &unit_with("chip=M2", None, None));
+        let forged = line.replace("{\"Float\":214.5}", "{\"Float\":1e999}");
+        assert_ne!(forged, line, "the forgery took effect");
+        let decoded = Response::decode_line(&forged, |_, tokens| decode_served_unit(tokens));
+        assert!(
+            matches!(decoded, Err(ServiceError::Protocol(_))),
+            "{decoded:?}"
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use crate::platform::Platform;
 use oranges_gemm::GemmError;
-use oranges_harness::json::JsonValue;
-use oranges_harness::metric::{self, MetricRow, MetricSet};
+use oranges_harness::json::{JsonParseError, JsonValue, Token, Tokenizer};
+use oranges_harness::metric::{self, MetricParseError, MetricRow, MetricSet};
 use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 use std::fmt;
@@ -52,6 +52,18 @@ impl From<GemmError> for ExperimentError {
 
 impl From<oranges_harness::json::JsonError> for ExperimentError {
     fn from(e: oranges_harness::json::JsonError) -> Self {
+        ExperimentError::Serialization(e.to_string())
+    }
+}
+
+impl From<JsonParseError> for ExperimentError {
+    fn from(e: JsonParseError) -> Self {
+        ExperimentError::Serialization(e.to_string())
+    }
+}
+
+impl From<MetricParseError> for ExperimentError {
+    fn from(e: MetricParseError) -> Self {
         ExperimentError::Serialization(e.to_string())
     }
 }
@@ -97,35 +109,60 @@ impl ExperimentOutput {
         metric::rows(&self.sets)
     }
 
-    /// Rebuild an output from a parsed JSON object carrying `sets` (an
-    /// array of serialized [`MetricSet`]s), an optional `rendered`
-    /// string, and an optional `wall_time_s` stamp. This is the envelope
-    /// shape both the disk-persistent result cache and the campaign
-    /// service stream — the canonical JSON is re-derived from the parsed
-    /// sets, so a rebuilt output is value-identical to the original.
-    pub fn from_json_value(value: &JsonValue) -> Result<Self, ExperimentError> {
-        let sets = value
-            .get("sets")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| ExperimentError::Serialization("output has no sets array".into()))?
-            .iter()
-            .map(metric::set_from_json)
-            .collect::<Result<Vec<MetricSet>, _>>()
-            .map_err(|e| ExperimentError::Serialization(e.to_string()))?;
-        let rendered = match value.get("rendered") {
-            None | Some(JsonValue::Null) => None,
-            Some(JsonValue::String(s)) => Some(s.clone()),
-            Some(other) => {
-                return Err(ExperimentError::Serialization(format!(
-                    "bad rendered field {other:?}"
-                )))
+    /// Decode an output envelope from the tokenizer's next value: an
+    /// object carrying `sets` (an array of serialized [`MetricSet`]s), an
+    /// optional `rendered` string and an optional `wall_time_s` stamp.
+    /// The disk-persistent result cache and the campaign service both
+    /// carry outputs in this shape, each with members of its own: those
+    /// go to `other` with the tokenizer at the member's value, and
+    /// `other` either reads the value and returns `true` or returns
+    /// `false` to have it skipped. Member order is free and a repeated
+    /// key counts once, at its first occurrence. The canonical JSON is
+    /// re-derived from the decoded sets, so a rebuilt output is
+    /// value-identical to the original.
+    pub fn decode<'a>(
+        tokens: &mut Tokenizer<'a>,
+        mut other: impl FnMut(&str, &mut Tokenizer<'a>) -> Result<bool, ExperimentError>,
+    ) -> Result<Self, ExperimentError> {
+        let malformed = |message: String| ExperimentError::Serialization(message);
+        if tokens.next_token()? != Some(Token::BeginObject) {
+            return Err(malformed("output is not an object".into()));
+        }
+        let (mut sets, mut rendered, mut wall) = (None, None, None);
+        while let Some(key) = tokens.next_key()? {
+            match key.as_ref() {
+                "sets" if sets.is_none() => sets = Some(metric::decode_sets(tokens)?),
+                "rendered" if rendered.is_none() => {
+                    rendered = Some(match tokens.next_value()? {
+                        Token::Null => None,
+                        Token::String(text) => Some(text.into_owned()),
+                        bad => return Err(malformed(format!("bad rendered field {bad:?}"))),
+                    })
+                }
+                // A stamp that is not a number is ignored, not an error.
+                "wall_time_s" if wall.is_none() => {
+                    wall = Some(tokens.next_value()?.parse_number::<f64>())
+                }
+                key => {
+                    if !other(key, tokens)? {
+                        tokens.skip_value()?;
+                    }
+                }
             }
-        };
-        let mut output = ExperimentOutput::from_sets(sets, rendered)?;
-        if let Some(wall) = value.get("wall_time_s").and_then(JsonValue::as_f64) {
+        }
+        let sets = sets.ok_or_else(|| malformed("output has no sets array".into()))?;
+        let mut output = ExperimentOutput::from_sets(sets, rendered.flatten())?;
+        if let Some(wall) = wall.flatten() {
             output.stamp_wall_time(wall);
         }
         Ok(output)
+    }
+
+    /// [`decode`](ExperimentOutput::decode) over an already-parsed
+    /// tree, ignoring members other than the output's own.
+    pub fn from_json_value(value: &JsonValue) -> Result<Self, ExperimentError> {
+        let text = value.to_json_string();
+        ExperimentOutput::decode(&mut Tokenizer::new(&text), |_, _| Ok(false))
     }
 
     /// Stamp the unit's wall-clock time into every set's provenance.

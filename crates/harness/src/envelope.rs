@@ -7,7 +7,8 @@
 //! through [`crate::json`]. The envelopes are deliberately generic:
 //! `body` is an opaque [`JsonValue`] tree, so the harness stays ignorant
 //! of campaign types while the campaign crate layers its spec/metric
-//! payloads on top.
+//! payloads on top. A reader that knows a kind's payload skips the tree:
+//! [`Response::decode_line`] hands it the tokenizer at `body`.
 //!
 //! Framing rules:
 //!
@@ -33,7 +34,7 @@
 //! assert_eq!(Response::from_line(&response.to_line()).unwrap(), response);
 //! ```
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, JsonValue, Token, Tokenizer};
 use std::fmt;
 
 /// A malformed envelope line.
@@ -53,6 +54,12 @@ impl fmt::Display for EnvelopeError {
 }
 
 impl std::error::Error for EnvelopeError {}
+
+impl From<json::JsonParseError> for EnvelopeError {
+    fn from(e: json::JsonParseError) -> Self {
+        EnvelopeError::new(e.to_string())
+    }
+}
 
 /// One client → server message: a correlation id, a method name, and an
 /// optional method-specific body.
@@ -90,18 +97,23 @@ impl Request {
         line
     }
 
-    /// Parse one line back into a request.
+    /// Parse one line back into a request. The body is moved out of the
+    /// parsed line, not copied.
     pub fn from_line(line: &str) -> Result<Request, EnvelopeError> {
         let value = parse_line(line)?;
-        Ok(Request {
-            id: require_id(&value)?,
-            method: value
-                .get("method")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| EnvelopeError::new("request has no string 'method'"))?
-                .to_string(),
-            body: value.get("body").cloned(),
-        })
+        let id = require_id(&value)?;
+        let method = value
+            .get("method")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| EnvelopeError::new("request has no string 'method'"))?
+            .to_string();
+        let body = match value {
+            JsonValue::Object(fields) => fields
+                .into_iter()
+                .find_map(|(key, value)| (key == "body").then_some(value)),
+            _ => None,
+        };
+        Ok(Request { id, method, body })
     }
 }
 
@@ -167,28 +179,77 @@ impl Response {
         line
     }
 
-    /// Parse one line back into a response.
+    /// Parse one line back into a response, its body as a tree.
     pub fn from_line(line: &str) -> Result<Response, EnvelopeError> {
-        let value = parse_line(line)?;
-        let error = match value.get("error") {
-            None | Some(JsonValue::Null) => None,
-            Some(JsonValue::String(message)) => Some(message.clone()),
-            Some(other) => {
-                return Err(EnvelopeError::new(format!(
-                    "response 'error' is not a string: {other:?}"
-                )))
+        let (mut response, body) = Response::decode_line(line, |_, tokens| {
+            json::read_value(tokens).map_err(EnvelopeError::from)
+        })?;
+        response.body = body;
+        Ok(response)
+    }
+
+    /// Parse one line in a single pass, decoding `body` with
+    /// `decode_body` instead of into a tree: it gets the response kind
+    /// and the tokenizer at the body's value, and must read exactly that
+    /// value. The returned response carries no body of its own.
+    ///
+    /// Members may come in any order (PROTOCOL §3): a body that precedes
+    /// `kind` is set aside as text and decoded once `kind` is known.
+    /// Unknown members are skipped, and a repeated key counts at its
+    /// first occurrence.
+    pub fn decode_line<B, E>(
+        line: &str,
+        mut decode_body: impl FnMut(&str, &mut Tokenizer<'_>) -> Result<B, E>,
+    ) -> Result<(Response, Option<B>), E>
+    where
+        E: From<EnvelopeError> + From<json::JsonParseError>,
+    {
+        let mut tokens = Tokenizer::new(line.trim_end_matches(['\n', '\r']));
+        if tokens.next_token()? != Some(Token::BeginObject) {
+            return Err(EnvelopeError::new("envelope line is not an object").into());
+        }
+        let (mut id, mut kind, mut error) = (None, None, None);
+        let (mut body, mut raw_body) = (None, None);
+        while let Some(key) = tokens.next_key()? {
+            match key.as_ref() {
+                "id" if id.is_none() => id = Some(tokens.next_value()?.parse_number::<u64>()),
+                "kind" if kind.is_none() => kind = Some(tokens.next_value()?.into_string()),
+                "error" if error.is_none() => {
+                    error = Some(match tokens.next_value()? {
+                        Token::Null => None,
+                        Token::String(message) => Some(message.into_owned()),
+                        other => {
+                            return Err(EnvelopeError::new(format!(
+                                "response 'error' is not a string: {other:?}"
+                            ))
+                            .into())
+                        }
+                    })
+                }
+                "body" if body.is_none() && raw_body.is_none() => match &kind {
+                    Some(Some(kind)) => body = Some(decode_body(kind, &mut tokens)?),
+                    _ => raw_body = Some(tokens.raw_value()?),
+                },
+                _ => tokens.skip_value()?,
             }
+        }
+        tokens.finish()?;
+        let id = id
+            .flatten()
+            .ok_or_else(|| EnvelopeError::new("envelope has no integer 'id'"))?;
+        let kind = kind
+            .flatten()
+            .ok_or_else(|| EnvelopeError::new("response has no string 'kind'"))?;
+        if let Some(raw) = raw_body {
+            body = Some(decode_body(&kind, &mut Tokenizer::new(raw))?);
+        }
+        let response = Response {
+            id,
+            kind,
+            error: error.flatten(),
+            body: None,
         };
-        Ok(Response {
-            id: require_id(&value)?,
-            kind: value
-                .get("kind")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| EnvelopeError::new("response has no string 'kind'"))?
-                .to_string(),
-            error,
-            body: value.get("body").cloned(),
-        })
+        Ok((response, body))
     }
 }
 
@@ -203,8 +264,7 @@ fn push_body(line: &mut String, body: Option<&JsonValue>) {
 }
 
 fn parse_line(line: &str) -> Result<JsonValue, EnvelopeError> {
-    let value = json::parse(line.trim_end_matches(['\n', '\r']))
-        .map_err(|e| EnvelopeError::new(e.to_string()))?;
+    let value = json::parse(line.trim_end_matches(['\n', '\r']))?;
     match value {
         JsonValue::Object(_) => Ok(value),
         other => Err(EnvelopeError::new(format!(

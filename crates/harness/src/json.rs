@@ -1,14 +1,28 @@
-//! A minimal JSON emitter over `serde::Serialize`, plus a parser.
+//! A minimal JSON emitter over `serde::Serialize`, plus the one reader
+//! the workspace uses to read JSON back.
 //!
 //! The approved dependency set includes `serde` but not `serde_json`;
 //! this ~200-line serializer covers exactly the data model the report
-//! types use. Non-finite floats serialize as `null`. The [`parse`]
-//! half reads JSON back into a generic [`JsonValue`] tree — the
-//! disk-persistent result cache and the [`crate::metric`] round-trip
-//! path rebuild typed records from it.
+//! types use. Non-finite floats serialize as `null`. The emitter writes
+//! scalars in place: no number or escaped string allocates on its own.
+//!
+//! Reading goes through one pull tokenizer, [`Tokenizer`]: it walks a
+//! `&str` and hands out one key, string, number, literal or bracket at a
+//! time, borrowing strings from the input unless they hold escapes. It
+//! enforces the grammar, the [`MAX_DEPTH`] nesting cap and the trailing
+//! garbage check, so everything built on it shares them. Two kinds of
+//! reader sit on top:
+//!
+//! - [`parse`] builds a generic [`JsonValue`] tree — for envelopes,
+//!   campaign specs and the daemon's request lines;
+//! - typed decoders build records straight from the tokens, with no tree
+//!   in between — [`crate::metric::decode_sets`] for `MetricSet`s, and
+//!   on top of it the campaign's result-cache loader and the service
+//!   client's `unit` lines.
 
 use serde::ser::{self, Serialize};
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Serialization failure (custom messages from Serialize impls).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,20 +49,28 @@ pub fn to_json_string<T: Serialize>(value: &T) -> Result<String, JsonError> {
     Ok(out)
 }
 
-/// Append `s` to `out` as a quoted JSON string.
+/// Append `s` to `out` as a quoted JSON string. Runs of bytes that need
+/// no escape are copied whole; every byte that needs one is ASCII, so
+/// each run ends on a char boundary.
 pub(crate) fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (index, &byte) in s.as_bytes().iter().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..index]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => write!(out, "\\u{control:04x}").expect("writing to a String cannot fail"),
+        }
+        run = index + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -99,7 +121,7 @@ impl<'a> ser::Serializer for &'a mut Emitter<'_> {
         self.serialize_i64(v as i64)
     }
     fn serialize_i64(self, v: i64) -> Result<(), JsonError> {
-        self.out.push_str(&v.to_string());
+        write!(self.out, "{v}").expect("writing to a String cannot fail");
         Ok(())
     }
     fn serialize_u8(self, v: u8) -> Result<(), JsonError> {
@@ -112,7 +134,7 @@ impl<'a> ser::Serializer for &'a mut Emitter<'_> {
         self.serialize_u64(v as u64)
     }
     fn serialize_u64(self, v: u64) -> Result<(), JsonError> {
-        self.out.push_str(&v.to_string());
+        write!(self.out, "{v}").expect("writing to a String cannot fail");
         Ok(())
     }
     fn serialize_f32(self, v: f32) -> Result<(), JsonError> {
@@ -120,14 +142,14 @@ impl<'a> ser::Serializer for &'a mut Emitter<'_> {
     }
     fn serialize_f64(self, v: f64) -> Result<(), JsonError> {
         if v.is_finite() {
-            self.out.push_str(&format!("{v}"));
+            write!(self.out, "{v}").expect("writing to a String cannot fail");
         } else {
             self.out.push_str("null");
         }
         Ok(())
     }
     fn serialize_char(self, v: char) -> Result<(), JsonError> {
-        escape_into(self.out, &v.to_string());
+        escape_into(self.out, v.encode_utf8(&mut [0; 4]));
         Ok(())
     }
     fn serialize_str(self, v: &str) -> Result<(), JsonError> {
@@ -548,195 +570,421 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
-/// Deepest nesting of arrays and objects [`parse`] accepts. Far above
-/// anything the workspace emits; it bounds the parser's recursion, so a
-/// hostile line of a million `[` is an error instead of a stack overflow.
+/// Deepest nesting of arrays and objects the [`Tokenizer`] accepts. Far
+/// above anything the workspace emits; it bounds the tree builder's
+/// recursion and the tokenizer's bracket stack, so a hostile line of a
+/// million `[` is an error instead of a stack overflow.
 pub const MAX_DEPTH: usize = 128;
 
-/// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected, nesting deeper than [`MAX_DEPTH`] rejected).
+/// Parse a complete JSON document into a tree (trailing whitespace
+/// allowed, trailing garbage rejected, nesting deeper than [`MAX_DEPTH`]
+/// rejected).
 pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err("trailing characters after document", pos));
-    }
+    let mut tokens = Tokenizer::new(text);
+    let value = read_value(&mut tokens)?;
+    tokens.finish()?;
     Ok(value)
 }
 
-fn err(message: &str, offset: usize) -> JsonParseError {
+/// Read the tokenizer's next value into a [`JsonValue`] tree. Recursion
+/// is bounded by the tokenizer's [`MAX_DEPTH`] check.
+pub fn read_value(tokens: &mut Tokenizer<'_>) -> Result<JsonValue, JsonParseError> {
+    Ok(match tokens.next_value_token()? {
+        Token::Null => JsonValue::Null,
+        Token::Bool(b) => JsonValue::Bool(b),
+        Token::Number(text) => JsonValue::Number(JsonNumber(text.to_string())),
+        Token::String(s) => JsonValue::String(s.into_owned()),
+        Token::BeginArray => {
+            let mut items = Vec::new();
+            while tokens.next_item()? {
+                items.push(read_value(tokens)?);
+            }
+            JsonValue::Array(items)
+        }
+        Token::BeginObject => {
+            let mut fields = Vec::new();
+            while let Some(key) = tokens.next_key()? {
+                let value = read_value(tokens)?;
+                fields.push((key.into_owned(), value));
+            }
+            JsonValue::Object(fields)
+        }
+        Token::Key(_) | Token::EndArray | Token::EndObject => {
+            unreachable!("next_value_token yields only the first token of a value")
+        }
+    })
+}
+
+/// One step of a JSON document, as [`Tokenizer`] yields it. Strings and
+/// keys borrow from the input unless they hold escapes; a number is its
+/// source text, already checked to parse as `f64`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number's source text.
+    Number(&'a str),
+    /// A string value.
+    String(Cow<'a, str>),
+    /// An object member's key; the member's value follows.
+    Key(Cow<'a, str>),
+    /// `[`.
+    BeginArray,
+    /// `]`.
+    EndArray,
+    /// `{`.
+    BeginObject,
+    /// `}`.
+    EndObject,
+}
+
+impl Token<'_> {
+    /// A string value's text; `None` for any other token.
+    pub fn into_string(self) -> Option<String> {
+        match self {
+            Token::String(text) => Some(text.into_owned()),
+            _ => None,
+        }
+    }
+
+    /// A number as `T` when its source text parses as one (`u64` and
+    /// `i64` only exactly); `None` for any other token.
+    pub fn parse_number<T: std::str::FromStr>(&self) -> Option<T> {
+        match self {
+            Token::Number(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+/// A pull tokenizer over one JSON document.
+///
+/// Each [`next_token`](Tokenizer::next_token) call reads one token and
+/// checks it against the grammar: separators, `:` after keys, matching
+/// brackets, at most [`MAX_DEPTH`] open containers, and nothing but
+/// whitespace after the document. The first violation is an error with
+/// the byte offset it was found at; after an error the tokenizer's
+/// further output is unspecified. Numbers keep the lax forms Rust's
+/// `f64` parser accepts (`+1`, `.5`, `1.`, `01`).
+///
+/// ```
+/// use oranges_harness::json::{Token, Tokenizer};
+///
+/// let mut tokens = Tokenizer::new(r#"{"n":[1,true]}"#);
+/// let mut seen = Vec::new();
+/// while let Some(token) = tokens.next_token().unwrap() {
+///     seen.push(token);
+/// }
+/// assert_eq!(seen.len(), 7);
+/// assert_eq!(seen[1], Token::Key("n".into()));
+/// assert_eq!(seen[3], Token::Number("1"));
+/// ```
+#[derive(Debug)]
+pub struct Tokenizer<'a> {
+    text: &'a str,
+    pos: usize,
+    /// The containers open at `pos`, innermost last: `true` for an
+    /// object.
+    open: Vec<bool>,
+    next: Expect,
+}
+
+/// What the grammar allows at the tokenizer's position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Expect {
+    /// A value: the document's, an array item after `,`, or a member's
+    /// after `:`.
+    Value,
+    /// The first item or member of the container just opened, or its
+    /// close.
+    First,
+    /// `,` or the innermost container's close — or, with none open, the
+    /// end of the document.
+    Separator,
+}
+
+fn error(message: &str, offset: usize) -> JsonParseError {
     JsonParseError {
         message: message.to_string(),
         offset,
     }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+impl<'a> Tokenizer<'a> {
+    /// A tokenizer at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Tokenizer {
+            text,
+            pos: 0,
+            open: Vec::new(),
+            next: Expect::Value,
+        }
     }
-}
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonParseError> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(&format!("expected '{}'", byte as char), *pos))
-    }
-}
-
-/// Parse one value; `depth` counts the containers enclosing it.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err("unexpected end of input", *pos)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
-        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(
-            &format!("nesting deeper than {MAX_DEPTH} levels"),
-            *pos,
-        )),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: JsonValue,
-) -> Result<JsonValue, JsonParseError> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(err(&format!("expected '{literal}'"), *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
-    // Validate as f64; keep the exact text for lossless integer access.
-    text.parse::<f64>()
-        .map(|_| JsonValue::Number(JsonNumber(text.to_string())))
-        .map_err(|_| err(&format!("invalid number '{text}'"), start))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err("unterminated string", *pos)),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    /// The next token, or `None` once the document is complete and only
+    /// whitespace follows it.
+    pub fn next_token(&mut self) -> Result<Option<Token<'a>>, JsonParseError> {
+        let token = match (self.next, self.open.last()) {
+            (Expect::Value, _) => self.value()?,
+            (_, Some(false)) => match self.next_item()? {
+                true => self.value()?,
+                false => Token::EndArray,
+            },
+            (_, Some(true)) => match self.next_key()? {
+                Some(key) => Token::Key(key),
+                None => Token::EndObject,
+            },
+            (_, None) => {
+                self.skip_ws();
+                if self.pos != self.text.len() {
+                    return Err(error("trailing characters after document", self.pos));
+                }
+                return Ok(None);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| err("truncated \\u escape", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err("invalid \\u escape", *pos))?;
-                        // The emitter only writes \u for control chars; a
-                        // lone surrogate is replaced rather than rejected.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
+        };
+        Ok(Some(token))
+    }
+
+    /// Inside an object: the next member's key, or `None` once the
+    /// object has closed. The member's value is the next thing to read.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonParseError> {
+        if !self.at_separator(b'}')? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(error("expected ':'", self.pos));
+        }
+        self.pos += 1;
+        self.next = Expect::Value;
+        Ok(Some(key))
+    }
+
+    /// Inside an array: `true` when another item follows (it is the
+    /// next value to read), `false` once the array has closed.
+    pub fn next_item(&mut self) -> Result<bool, JsonParseError> {
+        if !self.at_separator(b']')? {
+            return Ok(false);
+        }
+        self.next = Expect::Value;
+        Ok(true)
+    }
+
+    /// Read the whole next value and return its first token: a scalar
+    /// comes back as itself, an array or object as its opening token
+    /// with everything up to its close skipped.
+    pub fn next_value(&mut self) -> Result<Token<'a>, JsonParseError> {
+        let first = self.next_value_token()?;
+        if matches!(first, Token::BeginArray | Token::BeginObject) {
+            let depth = self.open.len();
+            while self.open.len() >= depth {
+                self.next_token()?;
+            }
+        }
+        Ok(first)
+    }
+
+    /// Skip the next value.
+    pub fn skip_value(&mut self) -> Result<(), JsonParseError> {
+        self.next_value().map(drop)
+    }
+
+    /// Skip the next value and return its source text, for a caller that
+    /// can only decode it once later members are known. The text is one
+    /// complete value (with any whitespace before it), so a fresh
+    /// tokenizer reads it back.
+    pub fn raw_value(&mut self) -> Result<&'a str, JsonParseError> {
+        let start = self.pos;
+        self.skip_value()?;
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// Check that the document is complete and only whitespace follows.
+    pub fn finish(&mut self) -> Result<(), JsonParseError> {
+        match self.next_token()? {
+            None => Ok(()),
+            Some(_) => Err(error("document is not complete", self.pos)),
+        }
+    }
+
+    /// The first token of the next value.
+    fn next_value_token(&mut self) -> Result<Token<'a>, JsonParseError> {
+        match self.next_token()? {
+            Some(Token::Key(_) | Token::EndArray | Token::EndObject) | None => {
+                Err(error("expected a value", self.pos))
+            }
+            Some(first) => Ok(first),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
+        }
+    }
+
+    /// Between the items or members of the innermost container, whose
+    /// closing bracket is `close`: consume the `,` before the next one
+    /// and return `true`, or consume `close` and return `false`.
+    fn at_separator(&mut self, close: u8) -> Result<bool, JsonParseError> {
+        let object = close == b'}';
+        let after_first = match (self.next, self.open.last()) {
+            (Expect::First, Some(&open)) if open == object => false,
+            (Expect::Separator, Some(&open)) if open == object => true,
+            _ if object => return Err(error("expected an object member", self.pos)),
+            _ => return Err(error("expected an array item", self.pos)),
+        };
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            self.open.pop();
+            self.next = Expect::Separator;
+            return Ok(false);
+        }
+        if after_first {
+            if self.peek() != Some(b',') {
+                let expected = format!("expected ',' or '{}'", close as char);
+                return Err(error(&expected, self.pos));
+            }
+            self.pos += 1;
+        }
+        Ok(true)
+    }
+
+    fn value(&mut self) -> Result<Token<'a>, JsonParseError> {
+        self.skip_ws();
+        self.next = Expect::Separator;
+        Ok(match self.peek() {
+            None => return Err(error("unexpected end of input", self.pos)),
+            Some(b'n') => self.literal("null", Token::Null)?,
+            Some(b't') => self.literal("true", Token::Bool(true))?,
+            Some(b'f') => self.literal("false", Token::Bool(false))?,
+            Some(b'"') => Token::String(self.string()?),
+            Some(bracket @ (b'[' | b'{')) => {
+                if self.open.len() == MAX_DEPTH {
+                    return Err(error(
+                        &format!("nesting deeper than {MAX_DEPTH} levels"),
+                        self.pos,
+                    ));
+                }
+                self.pos += 1;
+                self.open.push(bracket == b'{');
+                self.next = Expect::First;
+                if bracket == b'{' {
+                    Token::BeginObject
+                } else {
+                    Token::BeginArray
+                }
+            }
+            Some(_) => self.number()?,
+        })
+    }
+
+    fn literal(&mut self, literal: &str, token: Token<'a>) -> Result<Token<'a>, JsonParseError> {
+        if self.text.as_bytes()[self.pos..].starts_with(literal.as_bytes()) {
+            self.pos += literal.len();
+            Ok(token)
+        } else {
+            Err(error(&format!("expected '{literal}'"), self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Token<'a>, JsonParseError> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        if bytes.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+        }
+        while self.pos < bytes.len()
+            && matches!(
+                bytes[self.pos],
+                b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'
+            )
+        {
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(_) => Ok(Token::Number(text)),
+            Err(_) => Err(error(&format!("invalid number '{text}'"), start)),
+        }
+    }
+
+    /// A quoted string, borrowed from the input when it holds no escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonParseError> {
+        if self.peek() != Some(b'"') {
+            return Err(error("expected '\"'", self.pos));
+        }
+        self.pos += 1;
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        // `"` and `\` are ASCII, so every span boundary below sits on a
+        // char boundary of the input.
+        let Some(run) = bytes[start..].iter().position(|&b| b == b'"' || b == b'\\') else {
+            self.pos = bytes.len();
+            return Err(error("unterminated string", self.pos));
+        };
+        self.pos += run;
+        if bytes[self.pos] == b'"' {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err(error("unterminated string", self.pos)),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match bytes.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .ok_or_else(|| error("truncated \\u escape", self.pos))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| error("invalid \\u escape", self.pos))?;
+                            // The emitter only writes \u for control
+                            // chars; a lone surrogate is replaced rather
+                            // than rejected.
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
+                        }
+                        _ => return Err(error("invalid escape", self.pos)),
                     }
-                    _ => return Err(err("invalid escape", *pos)),
+                    self.pos += 1;
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy the whole contiguous unescaped span in one go.
-                // The input came in as `&str` and `"`/`\` are ASCII, so
-                // the span boundaries sit on char boundaries and the
-                // slice is valid UTF-8 by construction.
-                let start = *pos;
-                while *pos < bytes.len() && bytes[*pos] != b'"' && bytes[*pos] != b'\\' {
-                    *pos += 1;
+                Some(_) => {
+                    let run = self.pos;
+                    while self.pos < bytes.len()
+                        && bytes[self.pos] != b'"'
+                        && bytes[self.pos] != b'\\'
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[run..self.pos]);
                 }
-                out.push_str(
-                    std::str::from_utf8(&bytes[start..*pos]).expect("input is a valid &str"),
-                );
             }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(err("expected ',' or ']'", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(fields));
-            }
-            _ => return Err(err("expected ',' or '}'", *pos)),
         }
     }
 }
@@ -744,6 +992,8 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use serde::Serialize;
     use std::collections::BTreeMap;
 
@@ -937,5 +1187,544 @@ mod tests {
             Some(123.456789)
         );
         assert!(value.get("verified").unwrap().is_null());
+    }
+
+    /// The recursive-descent parser the tokenizer replaced, kept as the
+    /// reference `parse` must agree with: same tree, or same error
+    /// message at the same offset.
+    mod oracle {
+        use super::super::{JsonNumber, JsonParseError, JsonValue, MAX_DEPTH};
+
+        pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
+            let bytes = text.as_bytes();
+            let mut pos = 0;
+            let value = parse_value(bytes, &mut pos, 0)?;
+            skip_ws(bytes, &mut pos);
+            if pos != bytes.len() {
+                return Err(err("trailing characters after document", pos));
+            }
+            Ok(value)
+        }
+
+        fn err(message: &str, offset: usize) -> JsonParseError {
+            JsonParseError {
+                message: message.to_string(),
+                offset,
+            }
+        }
+
+        fn skip_ws(bytes: &[u8], pos: &mut usize) {
+            while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+                *pos += 1;
+            }
+        }
+
+        fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonParseError> {
+            if bytes.get(*pos) == Some(&byte) {
+                *pos += 1;
+                Ok(())
+            } else {
+                Err(err(&format!("expected '{}'", byte as char), *pos))
+            }
+        }
+
+        fn parse_value(
+            bytes: &[u8],
+            pos: &mut usize,
+            depth: usize,
+        ) -> Result<JsonValue, JsonParseError> {
+            skip_ws(bytes, pos);
+            match bytes.get(*pos) {
+                None => Err(err("unexpected end of input", *pos)),
+                Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
+                Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
+                Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
+                Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
+                Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(
+                    &format!("nesting deeper than {MAX_DEPTH} levels"),
+                    *pos,
+                )),
+                Some(b'[') => parse_array(bytes, pos, depth + 1),
+                Some(b'{') => parse_object(bytes, pos, depth + 1),
+                Some(_) => parse_number(bytes, pos),
+            }
+        }
+
+        fn parse_literal(
+            bytes: &[u8],
+            pos: &mut usize,
+            literal: &str,
+            value: JsonValue,
+        ) -> Result<JsonValue, JsonParseError> {
+            if bytes[*pos..].starts_with(literal.as_bytes()) {
+                *pos += literal.len();
+                Ok(value)
+            } else {
+                Err(err(&format!("expected '{literal}'"), *pos))
+            }
+        }
+
+        fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+            let start = *pos;
+            if bytes.get(*pos) == Some(&b'-') {
+                *pos += 1;
+            }
+            while *pos < bytes.len()
+                && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            {
+                *pos += 1;
+            }
+            let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
+            text.parse::<f64>()
+                .map(|_| JsonValue::Number(JsonNumber(text.to_string())))
+                .map_err(|_| err(&format!("invalid number '{text}'"), start))
+        }
+
+        fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError> {
+            expect(bytes, pos, b'"')?;
+            let mut out = String::new();
+            loop {
+                match bytes.get(*pos) {
+                    None => return Err(err("unterminated string", *pos)),
+                    Some(b'"') => {
+                        *pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        *pos += 1;
+                        match bytes.get(*pos) {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'u') => {
+                                let hex = bytes
+                                    .get(*pos + 1..*pos + 5)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .ok_or_else(|| err("truncated \\u escape", *pos))?;
+                                let code = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| err("invalid \\u escape", *pos))?;
+                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                                *pos += 4;
+                            }
+                            _ => return Err(err("invalid escape", *pos)),
+                        }
+                        *pos += 1;
+                    }
+                    Some(_) => {
+                        let start = *pos;
+                        while *pos < bytes.len() && bytes[*pos] != b'"' && bytes[*pos] != b'\\' {
+                            *pos += 1;
+                        }
+                        out.push_str(
+                            std::str::from_utf8(&bytes[start..*pos])
+                                .expect("input is a valid &str"),
+                        );
+                    }
+                }
+            }
+        }
+
+        fn parse_array(
+            bytes: &[u8],
+            pos: &mut usize,
+            depth: usize,
+        ) -> Result<JsonValue, JsonParseError> {
+            expect(bytes, pos, b'[')?;
+            let mut items = Vec::new();
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b']') {
+                *pos += 1;
+                return Ok(JsonValue::Array(items));
+            }
+            loop {
+                items.push(parse_value(bytes, pos, depth)?);
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(JsonValue::Array(items));
+                    }
+                    _ => return Err(err("expected ',' or ']'", *pos)),
+                }
+            }
+        }
+
+        fn parse_object(
+            bytes: &[u8],
+            pos: &mut usize,
+            depth: usize,
+        ) -> Result<JsonValue, JsonParseError> {
+            expect(bytes, pos, b'{')?;
+            let mut fields = Vec::new();
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b'}') {
+                *pos += 1;
+                return Ok(JsonValue::Object(fields));
+            }
+            loop {
+                skip_ws(bytes, pos);
+                let key = parse_string(bytes, pos)?;
+                skip_ws(bytes, pos);
+                expect(bytes, pos, b':')?;
+                let value = parse_value(bytes, pos, depth)?;
+                fields.push((key, value));
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b'}') => {
+                        *pos += 1;
+                        return Ok(JsonValue::Object(fields));
+                    }
+                    _ => return Err(err("expected ',' or '}'", *pos)),
+                }
+            }
+        }
+    }
+
+    /// The char-by-char escaper the run-copying one replaced.
+    fn escape_oracle(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Number texts: strict JSON, the lax forms Rust's `f64` parser also
+    /// takes, an overflow to infinity, and forms neither accepts.
+    const NUMBERS: &[&str] = &[
+        "0",
+        "-0",
+        "7",
+        "-42",
+        "1.5",
+        "-2.5e2",
+        "1E+3",
+        "6.02e23",
+        "12797480707342861577",
+        "+1",
+        ".5",
+        "1.",
+        "01",
+        "-.5",
+        "1e999",
+        "-1e999",
+        "1.e5",
+        "-",
+        "--1",
+        "+-1",
+        "1e",
+        "1.2.3",
+        "e5",
+        ".",
+        "1e+",
+        "0x10",
+    ];
+
+    /// String bodies as JSON source: plain and non-ASCII text, every
+    /// escape, raw control bytes, and escapes that must fail.
+    const STRING_SOURCES: &[&str] = &[
+        "",
+        "a",
+        "M1 GPU",
+        "tsch\u{fc}\u{df}",
+        "\u{1f600}",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\n",
+        "\\r",
+        "\\t",
+        "\\b",
+        "\\f",
+        "\\u0041",
+        "\\u00e9",
+        "\\ud83d",
+        "\\u+041",
+        "\t",
+        "\u{1}",
+        "\\x",
+        "\\u12",
+        "\\u00g0",
+    ];
+
+    /// Fragments for token soup.
+    const FRAGMENTS: &[&str] = &[
+        "{", "}", "[", "]", ",", ":", " ", "\n", "\"k\"", "\"v\\n\"", "\"", "\\", "1", "-2.5",
+        "+1", ".5", "true", "false", "null", "nul", "tru", "x", "\u{e9}", "{\"a\":", "[[", "]]",
+    ];
+
+    /// Characters a mutation writes in place of one input char.
+    const SUBSTITUTES: &[char] = &[
+        '{', '}', '[', ']', ',', ':', '"', '\\', ' ', '\n', '0', '9', '-', '+', '.', 'e', 'n', 't',
+        'x', '\u{0}', '\u{1f}',
+    ];
+
+    fn pick<T: Clone>(rng: &mut TestRng, items: &[T]) -> T {
+        items[rng.below(items.len() as u64) as usize].clone()
+    }
+
+    fn write_ws(rng: &mut TestRng, out: &mut String) {
+        if rng.below(4) == 0 {
+            out.push_str(pick(rng, &[" ", "\t", "\n", "\r\n", "  "]));
+        }
+    }
+
+    /// Write a random document as source text, with random whitespace
+    /// between tokens.
+    fn write_document(rng: &mut TestRng, out: &mut String, depth: usize) {
+        write_ws(rng, out);
+        let kind = if depth >= 4 {
+            rng.below(4)
+        } else {
+            rng.below(6)
+        };
+        match kind {
+            0 => out.push_str(pick(rng, &["null", "true", "false"])),
+            1 => out.push_str(pick(rng, NUMBERS)),
+            2 | 3 => {
+                out.push('"');
+                for _ in 0..rng.below(3) {
+                    out.push_str(pick(rng, STRING_SOURCES));
+                }
+                out.push('"');
+            }
+            4 => {
+                out.push('[');
+                for i in 0..rng.below(4) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_document(rng, out, depth + 1);
+                }
+                write_ws(rng, out);
+                out.push(']');
+            }
+            _ => {
+                out.push('{');
+                for i in 0..rng.below(4) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_ws(rng, out);
+                    out.push('"');
+                    out.push_str(pick(rng, STRING_SOURCES));
+                    out.push('"');
+                    write_ws(rng, out);
+                    out.push(':');
+                    write_document(rng, out, depth + 1);
+                }
+                write_ws(rng, out);
+                out.push('}');
+            }
+        }
+        write_ws(rng, out);
+    }
+
+    /// A random tree of valid values, for emitter output.
+    fn random_tree(rng: &mut TestRng, depth: usize) -> JsonValue {
+        let text = |rng: &mut TestRng| {
+            (0..rng.below(4))
+                .map(|_| {
+                    pick(
+                        rng,
+                        &['a', '"', '\\', '\n', '\u{1}', '\u{7f}', '\u{e9}', '/'],
+                    )
+                })
+                .collect::<String>()
+        };
+        match if depth >= 4 {
+            rng.below(4)
+        } else {
+            rng.below(6)
+        } {
+            0 => pick(rng, &[JsonValue::Null, JsonValue::Bool(true)]),
+            1 => loop {
+                let number = pick(rng, NUMBERS);
+                if number.parse::<f64>().is_ok() {
+                    break JsonValue::Number(JsonNumber(number.to_string()));
+                }
+            },
+            2 | 3 => JsonValue::String(text(rng)),
+            4 => JsonValue::Array(
+                (0..rng.below(4))
+                    .map(|_| random_tree(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => JsonValue::Object(
+                (0..rng.below(4))
+                    .map(|_| (text(rng), random_tree(rng, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Random inputs for the parser: a written document, emitter output
+    /// or token soup, sometimes nested near [`MAX_DEPTH`], then usually
+    /// truncated or with one char substituted.
+    struct Documents;
+
+    impl Strategy for Documents {
+        type Value = String;
+
+        fn generate(&self, rng: &mut TestRng) -> String {
+            let mut text = match rng.below(3) {
+                0 => {
+                    let mut out = String::new();
+                    write_document(rng, &mut out, 0);
+                    out
+                }
+                1 => random_tree(rng, 0).to_json_string(),
+                _ => (0..1 + rng.below(12))
+                    .map(|_| pick(rng, FRAGMENTS))
+                    .collect(),
+            };
+            if rng.below(8) == 0 {
+                let depth = MAX_DEPTH - 1 + rng.below(3) as usize;
+                let (open, close) = pick(rng, &[("[", "]"), ("{\"a\":", "}")]);
+                text = format!("{}{text}{}", open.repeat(depth), close.repeat(depth));
+            }
+            let boundaries: Vec<usize> = text
+                .char_indices()
+                .map(|(i, _)| i)
+                .chain([text.len()])
+                .collect();
+            match rng.below(4) {
+                0 => {}
+                1 => text.truncate(pick(rng, &boundaries)),
+                _ if text.is_empty() => {}
+                _ => {
+                    let at = rng.below(boundaries.len() as u64 - 1) as usize;
+                    let replacement = pick(rng, SUBSTITUTES).to_string();
+                    text.replace_range(boundaries[at]..boundaries[at + 1], &replacement);
+                }
+            }
+            text
+        }
+    }
+
+    /// Strings over every char class the escaper treats differently.
+    struct EscapeInputs;
+
+    impl Strategy for EscapeInputs {
+        type Value = String;
+
+        fn generate(&self, rng: &mut TestRng) -> String {
+            (0..rng.below(24))
+                .map(|_| match rng.below(4) {
+                    0 => char::from(rng.below(0x20) as u8),
+                    1 => pick(rng, &['"', '\\', '/', '\u{7f}', ' ']),
+                    2 => pick(
+                        rng,
+                        &['\u{e9}', '\u{20ac}', '\u{1f600}', '\u{2028}', '\u{fffd}'],
+                    ),
+                    _ => char::from(b'a' + rng.below(26) as u8),
+                })
+                .collect()
+        }
+    }
+
+    /// Walk a document token by token and skip it whole, as the typed
+    /// decoders skip members they do not know.
+    fn skim(text: &str) -> Result<(), JsonParseError> {
+        let mut tokens = Tokenizer::new(text);
+        tokens.skip_value()?;
+        tokens.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+        #[test]
+        fn parse_agrees_with_the_recursive_oracle(text in Documents) {
+            let reference = oracle::parse(&text);
+            prop_assert_eq!(skim(&text), reference.clone().map(drop), "input {:?}", text);
+            prop_assert_eq!(parse(&text), reference, "input {:?}", text);
+        }
+
+        #[test]
+        fn run_escaping_is_byte_identical_to_char_escaping(s in EscapeInputs) {
+            let (mut fast, mut reference) = (String::from("x"), String::from("x"));
+            escape_into(&mut fast, &s);
+            escape_oracle(&mut reference, &s);
+            prop_assert_eq!(fast, reference);
+        }
+    }
+
+    #[test]
+    fn parse_agrees_with_the_oracle_on_edge_cases() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        let mut inputs: Vec<String> = vec![
+            nested("[", "]", MAX_DEPTH),
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("{\"a\":", "}", MAX_DEPTH),
+            nested("{\"a\":", "}", MAX_DEPTH + 1),
+            "[".repeat(1_000_000),
+            "{\"a\":".repeat(200_000),
+            String::new(),
+            " \n".to_string(),
+            "this is not json".to_string(),
+            "[1,]".to_string(),
+            "{\"a\" 1}".to_string(),
+            "{,}".to_string(),
+            "[1 2]".to_string(),
+            "{\"a\":1 \"b\":2}".to_string(),
+            "\"\\u00e9\\ud800\\u+041\"".to_string(),
+            "\"\\u12\"".to_string(),
+            "\"\\".to_string(),
+            "1 2".to_string(),
+            "{} x".to_string(),
+        ];
+        inputs.extend(NUMBERS.iter().map(|n| format!("[{n}]")));
+        for text in &inputs {
+            assert_eq!(parse(text), oracle::parse(text), "input {text:?}");
+            assert_eq!(skim(text), oracle::parse(text).map(drop), "input {text:?}");
+        }
+        // The lax number forms stay accepted.
+        for lax in ["+1", ".5", "1.", "01"] {
+            assert!(parse(lax).is_ok(), "{lax} must still parse");
+        }
+    }
+
+    #[test]
+    fn tokens_borrow_unescaped_strings_and_skip_whole_values() {
+        let text = r#"{"plain":"abc","escaped":"a\nb","skip":[{"x":[1,2]},3],"n":-1.5e3}"#;
+        let mut tokens = Tokenizer::new(text);
+        assert_eq!(tokens.next_token().unwrap(), Some(Token::BeginObject));
+        assert!(matches!(
+            tokens.next_key().unwrap(),
+            Some(Cow::Borrowed("plain"))
+        ));
+        assert!(matches!(
+            tokens.next_value().unwrap(),
+            Token::String(Cow::Borrowed("abc"))
+        ));
+        assert_eq!(tokens.next_key().unwrap().as_deref(), Some("escaped"));
+        match tokens.next_value().unwrap() {
+            Token::String(Cow::Owned(s)) => assert_eq!(s, "a\nb"),
+            other => panic!("escaped strings are owned: {other:?}"),
+        }
+        assert_eq!(tokens.next_key().unwrap().as_deref(), Some("skip"));
+        assert_eq!(tokens.raw_value().unwrap(), r#"[{"x":[1,2]},3]"#);
+        assert_eq!(tokens.next_key().unwrap().as_deref(), Some("n"));
+        assert_eq!(tokens.next_value().unwrap(), Token::Number("-1.5e3"));
+        assert_eq!(tokens.next_key().unwrap(), None);
+        tokens.finish().unwrap();
+        assert_eq!(tokens.next_token().unwrap(), None);
     }
 }

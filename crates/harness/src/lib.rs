@@ -15,7 +15,8 @@
 //!   (Fig. 2–4);
 //! - [`csv`]: CSV writer;
 //! - [`json`]: a minimal JSON serializer over `serde::Serialize` plus a
-//!   parser (kept in-tree so the approved dependency set stays small);
+//!   pull tokenizer, with the `JsonValue` tree parser built on it (kept
+//!   in-tree so the approved dependency set stays small);
 //! - [`metric`]: the unified typed measurement record ([`MetricSet`]) —
 //!   provenance-stamped metrics with generic CSV/JSON/table emitters,
 //!   the campaign pipeline's single result currency;

@@ -18,7 +18,7 @@
 //! value-identity digest must not.
 
 use crate::csv::{self, CsvWriter};
-use crate::json::{self, to_json_string, JsonError, JsonValue};
+use crate::json::{self, to_json_string, JsonError, Token, Tokenizer};
 use crate::table::TextTable;
 use serde::Serialize;
 use std::fmt;
@@ -91,28 +91,6 @@ impl MetricValue {
             "text" => Ok(MetricValue::Text(text.to_string())),
             other => Err(MetricParseError::new(format!(
                 "unknown value type '{other}'"
-            ))),
-        }
-    }
-
-    fn from_json(value: &JsonValue) -> Result<Self, MetricParseError> {
-        let object = match value {
-            JsonValue::Object(fields) if fields.len() == 1 => &fields[0],
-            _ => {
-                return Err(MetricParseError::new(
-                    "metric value is not a variant object",
-                ))
-            }
-        };
-        match (object.0.as_str(), &object.1) {
-            ("Float", JsonValue::Number(v)) => Ok(MetricValue::Float(v.as_f64())),
-            ("Int", JsonValue::Number(v)) => v.as_i64().map(MetricValue::Int).ok_or_else(|| {
-                MetricParseError::new(format!("Int value {v:?} is not an exact i64"))
-            }),
-            ("Bool", JsonValue::Bool(b)) => Ok(MetricValue::Bool(*b)),
-            ("Text", JsonValue::String(s)) => Ok(MetricValue::Text(s.clone())),
-            (variant, _) => Err(MetricParseError::new(format!(
-                "bad metric value variant '{variant}'"
             ))),
         }
     }
@@ -498,92 +476,218 @@ where
 
 /// Rebuild sets from [`sets_to_json`] output.
 pub fn sets_from_json(text: &str) -> Result<Vec<MetricSet>, MetricParseError> {
-    let document = json::parse(text)?;
-    let items = document
-        .as_array()
-        .ok_or_else(|| MetricParseError::new("document is not an array of sets"))?;
-    items.iter().map(set_from_json).collect()
+    let mut tokens = Tokenizer::new(text);
+    let sets = decode_sets(&mut tokens)?;
+    tokens.finish()?;
+    Ok(sets)
 }
 
-fn optional_string(value: Option<&JsonValue>) -> Result<Option<String>, MetricParseError> {
-    match value {
-        None => Ok(None),
-        Some(JsonValue::Null) => Ok(None),
-        Some(JsonValue::String(s)) => Ok(Some(s.clone())),
-        Some(other) => Err(MetricParseError::new(format!(
-            "expected string or null, got {other:?}"
-        ))),
+/// Decode the tokenizer's next value, a JSON array of sets in the
+/// [`sets_to_json`] shape, straight into typed records. This is the
+/// workspace's one `MetricSet` decoder: [`sets_from_json`], the
+/// campaign's disk cache and its service client all read sets through
+/// it.
+///
+/// Members may come in any order and unknown ones are skipped; when a
+/// key repeats, its first occurrence counts and later ones are only
+/// checked for syntax. A `Float` value or power-context field that
+/// parses to ±infinity (an out-of-range literal such as `1e999`) is
+/// rejected: it would re-emit as `null`, which no reader accepts.
+pub fn decode_sets(tokens: &mut Tokenizer<'_>) -> Result<Vec<MetricSet>, MetricParseError> {
+    if tokens.next_token()? != Some(Token::BeginArray) {
+        return Err(MetricParseError::new("document is not an array of sets"));
+    }
+    let mut sets = Vec::new();
+    while tokens.next_item()? {
+        sets.push(decode_set(tokens)?);
+    }
+    Ok(sets)
+}
+
+fn decode_set(tokens: &mut Tokenizer<'_>) -> Result<MetricSet, MetricParseError> {
+    if tokens.next_token()? != Some(Token::BeginObject) {
+        return Err(MetricParseError::new("set is not an object"));
+    }
+    let (mut provenance, mut implementation, mut n, mut metrics) = (None, None, None, None);
+    while let Some(key) = tokens.next_key()? {
+        match key.as_ref() {
+            "provenance" if provenance.is_none() => provenance = Some(decode_provenance(tokens)?),
+            "implementation" if implementation.is_none() => {
+                implementation = Some(optional_string(tokens, "implementation")?)
+            }
+            "n" if n.is_none() => {
+                n = Some(match tokens.next_value()? {
+                    Token::Null => None,
+                    Token::Number(text) => Some(text.parse::<u64>().map_err(|_| {
+                        MetricParseError::new(format!("n field {text} is not an exact u64"))
+                    })?),
+                    other => return Err(MetricParseError::new(format!("bad n field {other:?}"))),
+                })
+            }
+            "metrics" if metrics.is_none() => metrics = Some(decode_metrics(tokens)?),
+            _ => tokens.skip_value()?,
+        }
+    }
+    Ok(MetricSet {
+        provenance: provenance.ok_or_else(|| MetricParseError::new("set is missing provenance"))?,
+        implementation: implementation.flatten(),
+        n: n.flatten(),
+        metrics: metrics.ok_or_else(|| MetricParseError::new("set is missing metrics array"))?,
+    })
+}
+
+fn decode_provenance(tokens: &mut Tokenizer<'_>) -> Result<Provenance, MetricParseError> {
+    if tokens.next_token()? != Some(Token::BeginObject) {
+        return Err(MetricParseError::new("provenance is not an object"));
+    }
+    let (mut experiment, mut chip, mut params, mut power) = (None, None, None, None);
+    while let Some(key) = tokens.next_key()? {
+        match key.as_ref() {
+            "experiment" if experiment.is_none() => {
+                experiment = Some(required_string(tokens, "experiment")?)
+            }
+            "chip" if chip.is_none() => chip = Some(optional_string(tokens, "chip")?),
+            "params" if params.is_none() => params = Some(required_string(tokens, "params")?),
+            "power" if power.is_none() => {
+                power = Some(match tokens.next_token()? {
+                    Some(Token::Null) => None,
+                    Some(Token::BeginObject) => Some(decode_power(tokens)?),
+                    _ => return Err(MetricParseError::new("power context is not an object")),
+                })
+            }
+            _ => tokens.skip_value()?,
+        }
+    }
+    let missing = |key: &str| MetricParseError::new(format!("missing string field '{key}'"));
+    Ok(Provenance {
+        experiment: experiment.ok_or_else(|| missing("experiment"))?,
+        chip: chip.flatten(),
+        params: params.ok_or_else(|| missing("params"))?,
+        wall_time_s: None,
+        power: power.flatten(),
+    })
+}
+
+/// The members of a power context, after its `{`.
+fn decode_power(tokens: &mut Tokenizer<'_>) -> Result<PowerContext, MetricParseError> {
+    const FIELDS: [&str; 4] = ["package_watts", "energy_j", "window_s", "dvfs_cap"];
+    let mut values = [None; 4];
+    while let Some(key) = tokens.next_key()? {
+        match FIELDS.iter().position(|field| *field == key) {
+            Some(index) if values[index].is_none() => {
+                values[index] = Some(match tokens.next_value()? {
+                    Token::Number(text) => finite(text)?,
+                    _ => {
+                        return Err(MetricParseError::new(format!(
+                            "power context field '{key}' is not a number"
+                        )))
+                    }
+                })
+            }
+            _ => tokens.skip_value()?,
+        }
+    }
+    let field = |index: usize| {
+        values[index].ok_or_else(|| {
+            MetricParseError::new(format!("power context is missing '{}'", FIELDS[index]))
+        })
+    };
+    Ok(PowerContext {
+        package_watts: field(0)?,
+        energy_j: field(1)?,
+        window_s: field(2)?,
+        dvfs_cap: field(3)?,
+    })
+}
+
+fn decode_metrics(tokens: &mut Tokenizer<'_>) -> Result<Vec<Metric>, MetricParseError> {
+    if tokens.next_token()? != Some(Token::BeginArray) {
+        return Err(MetricParseError::new("set is missing metrics array"));
+    }
+    let mut metrics = Vec::new();
+    while tokens.next_item()? {
+        if tokens.next_token()? != Some(Token::BeginObject) {
+            return Err(MetricParseError::new("metric is not an object"));
+        }
+        let (mut name, mut value, mut unit) = (None, None, None);
+        while let Some(key) = tokens.next_key()? {
+            match key.as_ref() {
+                "name" if name.is_none() => name = Some(required_string(tokens, "name")?),
+                "value" if value.is_none() => value = Some(decode_value(tokens)?),
+                "unit" if unit.is_none() => unit = Some(required_string(tokens, "unit")?),
+                _ => tokens.skip_value()?,
+            }
+        }
+        let unit = unit.ok_or_else(|| MetricParseError::new("missing string field 'unit'"))?;
+        if unit.is_empty() {
+            return Err(MetricParseError::new("metric unit label was dropped"));
+        }
+        metrics.push(Metric {
+            name: name.ok_or_else(|| MetricParseError::new("missing string field 'name'"))?,
+            value: value.ok_or_else(|| MetricParseError::new("metric is missing value"))?,
+            unit,
+        });
+    }
+    Ok(metrics)
+}
+
+/// A `{"Variant":payload}` value: exactly one member.
+fn decode_value(tokens: &mut Tokenizer<'_>) -> Result<MetricValue, MetricParseError> {
+    let not_a_variant = || MetricParseError::new("metric value is not a variant object");
+    if tokens.next_token()? != Some(Token::BeginObject) {
+        return Err(not_a_variant());
+    }
+    let variant = tokens.next_key()?.ok_or_else(not_a_variant)?;
+    let value =
+        match (variant.as_ref(), tokens.next_value()?) {
+            ("Float", Token::Number(text)) => MetricValue::Float(finite(text)?),
+            ("Int", Token::Number(text)) => MetricValue::Int(text.parse().map_err(|_| {
+                MetricParseError::new(format!("Int value {text} is not an exact i64"))
+            })?),
+            ("Bool", Token::Bool(b)) => MetricValue::Bool(b),
+            ("Text", Token::String(s)) => MetricValue::Text(s.into_owned()),
+            (variant, _) => {
+                return Err(MetricParseError::new(format!(
+                    "bad metric value variant '{variant}'"
+                )))
+            }
+        };
+    match tokens.next_key()? {
+        None => Ok(value),
+        Some(_) => Err(not_a_variant()),
     }
 }
 
-fn required_str<'a>(object: &'a JsonValue, key: &str) -> Result<&'a str, MetricParseError> {
-    object
-        .get(key)
-        .and_then(JsonValue::as_str)
+/// A number that must stay finite, or it would re-emit as `null`.
+fn finite(text: &str) -> Result<f64, MetricParseError> {
+    let value: f64 = text.parse().expect("the tokenizer validated the number");
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(MetricParseError::new(format!(
+            "value {text} is not finite and would not round-trip"
+        )))
+    }
+}
+
+fn required_string(tokens: &mut Tokenizer<'_>, key: &str) -> Result<String, MetricParseError> {
+    tokens
+        .next_value()?
+        .into_string()
         .ok_or_else(|| MetricParseError::new(format!("missing string field '{key}'")))
 }
 
-/// Rebuild one set from its parsed JSON object — for callers (like the
-/// campaign's persistent cache) that embed sets inside a larger
-/// document and parse it once.
-pub fn set_from_json(value: &JsonValue) -> Result<MetricSet, MetricParseError> {
-    let provenance = value
-        .get("provenance")
-        .ok_or_else(|| MetricParseError::new("set is missing provenance"))?;
-    let power = match provenance.get("power") {
-        None | Some(JsonValue::Null) => None,
-        Some(context) => {
-            let field = |key: &str| {
-                context.get(key).and_then(JsonValue::as_f64).ok_or_else(|| {
-                    MetricParseError::new(format!("power context is missing '{key}'"))
-                })
-            };
-            Some(PowerContext {
-                package_watts: field("package_watts")?,
-                energy_j: field("energy_j")?,
-                window_s: field("window_s")?,
-                dvfs_cap: field("dvfs_cap")?,
-            })
-        }
-    };
-    let metrics = value
-        .get("metrics")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| MetricParseError::new("set is missing metrics array"))?
-        .iter()
-        .map(|m| {
-            let unit = required_str(m, "unit")?;
-            if unit.is_empty() {
-                return Err(MetricParseError::new("metric unit label was dropped"));
-            }
-            Ok(Metric {
-                name: required_str(m, "name")?.to_string(),
-                value: MetricValue::from_json(
-                    m.get("value")
-                        .ok_or_else(|| MetricParseError::new("metric is missing value"))?,
-                )?,
-                unit: unit.to_string(),
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(MetricSet {
-        provenance: Provenance {
-            experiment: required_str(provenance, "experiment")?.to_string(),
-            chip: optional_string(provenance.get("chip"))?,
-            params: required_str(provenance, "params")?.to_string(),
-            wall_time_s: None,
-            power,
-        },
-        implementation: optional_string(value.get("implementation"))?,
-        n: match value.get("n") {
-            None | Some(JsonValue::Null) => None,
-            Some(JsonValue::Number(v)) => Some(v.as_u64().ok_or_else(|| {
-                MetricParseError::new(format!("n field {v:?} is not an exact u64"))
-            })?),
-            Some(other) => return Err(MetricParseError::new(format!("bad n field {other:?}"))),
-        },
-        metrics,
-    })
+fn optional_string(
+    tokens: &mut Tokenizer<'_>,
+    key: &str,
+) -> Result<Option<String>, MetricParseError> {
+    match tokens.next_value()? {
+        Token::Null => Ok(None),
+        Token::String(s) => Ok(Some(s.into_owned())),
+        other => Err(MetricParseError::new(format!(
+            "expected string or null for '{key}', got {other:?}"
+        ))),
+    }
 }
 
 /// Human-readable table of a row slice — the generic replacement for

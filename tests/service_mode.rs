@@ -178,40 +178,47 @@ fn daemon_persists_its_cache_and_warm_starts_the_next_incarnation_over<T: TestTr
 /// its shutdown writes a valid cache back at the original path.
 fn a_torn_cache_file_is_quarantined_and_the_daemon_starts_cold_over<T: TestTransport>() {
     let dir = temp_path(&format!("torn-{}", T::TAG));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("scratch dir");
     let cache_file = dir.join("cache.json");
     let warm = ResultCache::new();
     run_campaign(&small_spec(), &warm).expect("local run");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
     warm.save(&cache_file).expect("save");
-    let full = std::fs::read(&cache_file).expect("saved bytes");
-    let torn = &full[..full.len() / 2];
-    std::fs::write(&cache_file, torn).expect("tear the file");
+    let full = std::fs::read_to_string(&cache_file).expect("saved text");
+    // A torn write, and a value forged to decode to +inf (which would
+    // re-emit as `null` and fail the daemon's next save).
+    let float = full.find("{\"Float\":").expect("a Float metric") + "{\"Float\":".len();
+    let end = float + full[float..].find('}').expect("the value's close");
+    let forged = format!("{}1e999{}", &full[..float], &full[end..]);
+    for damaged in [&full[..full.len() / 2], forged.as_str()] {
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        std::fs::write(&cache_file, damaged).expect("damage the file");
 
-    let (endpoint, daemon) = start_daemon::<T>("torn", |c| c.with_cache_path(&cache_file));
-    let quarantined: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("list dir")
-        .map(|entry| entry.expect("dir entry").path())
-        .filter(|path| {
-            let name = path.file_name().unwrap_or_default().to_string_lossy();
-            name.starts_with("cache.json.corrupt-")
-        })
-        .collect();
-    assert_eq!(quarantined.len(), 1, "the torn file was moved aside");
-    assert_eq!(
-        std::fs::read(&quarantined[0]).expect("quarantined bytes"),
-        torn,
-        "kept byte for byte"
-    );
+        let (endpoint, daemon) = start_daemon::<T>("torn", |c| c.with_cache_path(&cache_file));
+        let quarantined: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .expect("list dir")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| {
+                let name = path.file_name().unwrap_or_default().to_string_lossy();
+                name.starts_with("cache.json.corrupt-")
+            })
+            .collect();
+        assert_eq!(quarantined.len(), 1, "the damaged file was moved aside");
+        assert_eq!(
+            std::fs::read_to_string(&quarantined[0]).expect("quarantined bytes"),
+            damaged,
+            "kept byte for byte"
+        );
 
-    let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
-    let cold = client.run(&small_spec()).expect("cold run");
-    assert_eq!(cold.computed_units, 4, "the daemon started cold");
-    client.shutdown().expect("shutdown");
-    daemon.join().expect("daemon");
+        let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
+        let cold = client.run(&small_spec()).expect("cold run");
+        assert_eq!(cold.computed_units, 4, "the daemon started cold");
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("daemon");
 
-    let saved = ResultCache::load(&cache_file).expect("shutdown wrote a valid cache");
-    assert_eq!(saved.stats().entries, 4);
+        let saved = ResultCache::load(&cache_file).expect("shutdown wrote a valid cache");
+        assert_eq!(saved.stats().entries, 4);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -312,6 +319,123 @@ fn an_over_long_line_gets_one_error_then_the_connection_closes_over<T: TestTrans
 
     let mut client = ServiceClient::<T>::connect(&endpoint).expect("fresh connection");
     client.ping().expect("daemon survived the over-long line");
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+}
+
+/// The client lines of the recorded session in `docs/PROTOCOL.md` § 10,
+/// without `shutdown`.
+const RECORDED_REQUESTS: [&str; 4] = [
+    r#"{"id":1,"method":"ping"}"#,
+    r#"{"id":2,"method":"run","body":{"experiments":["fig4"],"chips":["M2"],"power_sizes":[2048]}}"#,
+    r#"{"id":3,"method":"stats"}"#,
+    r#"{"id":4,"method":"nonesuch"}"#,
+];
+
+/// Seeded truncations and single-byte substitutions of the recorded
+/// lines. A substitute is any ASCII byte but `\n` (which would split the
+/// line in two) and the digits (which could turn the recorded `fig4` run
+/// into a far costlier valid one, such as `fig2`).
+fn hostile_variants(seed: u64) -> Vec<String> {
+    let mut rng = proptest::test_runner::TestRng::new(seed);
+    let substitutes: Vec<u8> = (0u8..0x80)
+        .filter(|b| *b != b'\n' && !b.is_ascii_digit())
+        .collect();
+    let mut lines = Vec::new();
+    for recorded in RECORDED_REQUESTS {
+        let len = recorded.len() as u64;
+        for _ in 0..6 {
+            lines.push(recorded[..1 + rng.below(len - 1) as usize].to_string());
+        }
+        for _ in 0..14 {
+            let mut bytes = recorded.as_bytes().to_vec();
+            let at = rng.below(len) as usize;
+            bytes[at] = substitutes[rng.below(substitutes.len() as u64) as usize];
+            lines.push(String::from_utf8(bytes).expect("ASCII stays UTF-8"));
+        }
+    }
+    lines
+}
+
+fn hostile_request_lines_each_get_one_terminal_response_over<T: TestTransport>() {
+    use oranges_harness::envelope::Response;
+    use oranges_harness::transport::Stream;
+    use std::io::{BufRead, BufReader, Write};
+
+    let (endpoint, daemon) = start_daemon::<T>("hostile-lines", |c| c);
+    let stream = T::connect(&endpoint).expect("connect");
+    let mut writer = stream.try_clone().expect("clone the connection");
+    let mut reader = BufReader::new(stream);
+    let mut next_line = |sent: &str| {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read a response");
+        assert!(line.ends_with('\n'), "the daemon hung up after {sent:?}");
+        line
+    };
+    // The recorded session's garbage line gets its recorded reply, byte
+    // for byte.
+    writer
+        .write_all(b"this is not json\n")
+        .expect("send the garbage line");
+    assert_eq!(
+        next_line("this is not json"),
+        "{\"id\":0,\"kind\":\"error\",\"error\":\"envelope error: json parse error at byte 0: expected 'true'\"}\n"
+    );
+    let mut next_response =
+        |sent: &str| Response::from_line(&next_line(sent)).expect("responses are envelopes");
+    for (case, line) in hostile_variants(0x5eed).iter().enumerate() {
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send the hostile line");
+        // One terminal response: an id-0 error for a line that does not
+        // parse, a typed error, or a complete answer (a run streams its
+        // units first).
+        let mut units = 0;
+        let terminal = loop {
+            let response = next_response(line);
+            if response.kind != "unit" {
+                break response;
+            }
+            units += 1;
+        };
+        match terminal.kind.as_str() {
+            "error" => assert!(terminal.error.is_some(), "{line:?}: {terminal:?}"),
+            "pong" | "stats" => assert_eq!(units, 0, "{line:?}"),
+            "done" => {
+                let streamed = terminal.body.as_ref().and_then(|b| b.get("units"));
+                assert_eq!(
+                    streamed.and_then(|n| n.as_u64()),
+                    Some(units),
+                    "{line:?}: the run stream is complete"
+                );
+            }
+            other => panic!("{line:?} got a '{other}' response"),
+        }
+        // Nothing else was queued behind it, and the same connection
+        // still serves.
+        let probe = 1_000_000 + case as u64;
+        writer
+            .write_all(format!("{{\"id\":{probe},\"method\":\"ping\"}}\n").as_bytes())
+            .expect("send ping");
+        let pong = next_response(line);
+        assert_eq!(
+            (pong.id, pong.kind.as_str()),
+            (probe, "pong"),
+            "after {line:?}"
+        );
+    }
+
+    let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
+    let stats = client.stats().expect("stats").summary;
+    assert_eq!(
+        stats.units_submitted,
+        stats.units_computed
+            + stats.unit_cache_hits
+            + stats.coalesced_joins
+            + stats.units_failed
+            + stats.units_cancelled,
+        "counter identity: {stats:?}"
+    );
     client.shutdown().expect("shutdown");
     daemon.join().expect("daemon");
 }
@@ -1266,6 +1390,11 @@ macro_rules! transport_matrix {
             #[test]
             fn an_over_long_line_gets_one_error_then_the_connection_closes() {
                 an_over_long_line_gets_one_error_then_the_connection_closes_over::<$transport>();
+            }
+
+            #[test]
+            fn hostile_request_lines_each_get_one_terminal_response() {
+                hostile_request_lines_each_get_one_terminal_response_over::<$transport>();
             }
 
             #[test]
