@@ -4,13 +4,14 @@
 //! simulator's functional path does the same on host threads: the output
 //! row range is split into contiguous blocks, one crossbeam scoped thread
 //! per block, the calling thread taking the first. The block count is the
-//! caller's worker count capped at the host's parallelism
-//! ([`host_parallelism`], read once per process), so a chip with more
-//! cores than the host never oversubscribes it. (The *modeled* time comes
-//! from the AMX model — host threads only make functional verification
-//! fast.)
+//! caller's worker count capped at the cores the process-wide
+//! [`core_budget`] leaves this call: the caller's own core plus at most
+//! one slab per spare core. A chip with more cores than the host never
+//! oversubscribes it, and an engine worker whose siblings are computing
+//! units keeps its slabs on its own core. (The *modeled* time comes from
+//! the AMX model — host threads only make functional verification fast.)
 
-use oranges_kernels::host_parallelism;
+use oranges_kernels::core_budget;
 
 /// Split `rows` into at most `workers` contiguous, non-empty ranges.
 pub fn row_blocks(rows: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
@@ -33,7 +34,7 @@ pub fn row_blocks(rows: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
 /// Run `body` over disjoint row-blocks of `output` in parallel.
 ///
 /// `output` is a row-major matrix of `rows` rows × `row_len` columns;
-/// it is split into at most `min(workers, host_parallelism())` blocks,
+/// it is split into at most `min(workers, core_budget().threads())` blocks,
 /// and each receives its row range and the matching mutable slice.
 pub fn parallel_row_blocks<F>(
     output: &mut [f32],
@@ -48,7 +49,7 @@ pub fn parallel_row_blocks<F>(
     // Blocks are contiguous and cover `0..rows`, so carving each off the
     // front of the remaining output hands every worker its own slice.
     let mut remaining = &mut output[..rows * row_len];
-    let mut work = row_blocks(rows, workers.min(host_parallelism()))
+    let mut work = row_blocks(rows, workers.min(core_budget().threads()))
         .into_iter()
         .map(|range| {
             let (own, tail) = std::mem::take(&mut remaining).split_at_mut(range.len() * row_len);

@@ -1022,6 +1022,10 @@ fn service_job(shared: &EngineShared, job: &Job, pool: &mut PlatformPool) {
     // subscribers, not the engine. The catch is wrapped tightly around
     // the experiment call so the failure is attributed to the unit.
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // This worker's core stays claimed while it computes, so the
+        // unit's host-parallel GEMMs fan out only onto cores no sibling
+        // worker is computing on. The guard also releases on unwind.
+        let _core = oranges_kernels::core_budget().claim();
         job.unit
             .experiment
             .run(pool.platform(platform_chip(&job.unit)))
@@ -1379,6 +1383,39 @@ mod tests {
         }
     }
 
+    /// A test experiment that meets its siblings at barriers, so they
+    /// are all inside `run` at once, and records the thread budget a
+    /// host-parallel call would get there.
+    struct BudgetProbe {
+        tag: &'static str,
+        together: Arc<std::sync::Barrier>,
+        threads: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Experiment for BudgetProbe {
+        fn id(&self) -> &'static str {
+            "budget"
+        }
+        fn params(&self) -> String {
+            format!("tag={}", self.tag)
+        }
+        fn chip(&self) -> Option<ChipGeneration> {
+            None
+        }
+        fn protocol(&self) -> RepetitionProtocol {
+            RepetitionProtocol::GEMM
+        }
+        fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
+            // Read between two barriers, so no sibling has left `run`
+            // (and dropped its claim) yet.
+            self.together.wait();
+            let threads = oranges_kernels::core_budget().threads();
+            self.together.wait();
+            self.threads.lock().expect("threads").push(threads);
+            ExperimentOutput::from_sets(vec![self.base_set().metric("value", 1.0, "unit")], None)
+        }
+    }
+
     fn unit_of(index: usize, experiment: Arc<dyn Experiment>) -> PlanUnit {
         PlanUnit {
             index,
@@ -1447,6 +1484,40 @@ mod tests {
         let hit = third.recv().expect("hit delivery").outcome.expect("ok");
         assert_eq!(hit.source, UnitSource::CacheHit);
         assert_eq!(engine.stats().cache_hits, 1);
+    }
+
+    #[test]
+    fn workers_computing_at_once_each_leave_the_others_core_alone() {
+        let engine = ExecutionEngine::new(2);
+        let cache = ResultCache::new();
+        let together = Arc::new(std::sync::Barrier::new(2));
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let units: Vec<PlanUnit> = ["a", "b"]
+            .into_iter()
+            .enumerate()
+            .map(|(index, tag)| {
+                let probe = BudgetProbe {
+                    tag,
+                    together: Arc::clone(&together),
+                    threads: Arc::clone(&threads),
+                };
+                unit_of(index, Arc::new(probe))
+            })
+            .collect();
+        let subscription = engine.submit(&units, &cache);
+        for _ in 0..units.len() {
+            subscription.recv().expect("delivery").outcome.expect("ok");
+        }
+        // Both workers hold a claim inside `run`: each gets its own core
+        // plus at most the host's other cores minus the sibling's. Claims
+        // from tests running alongside can only lower it further.
+        let ceiling = oranges_kernels::host_parallelism().saturating_sub(1).max(1);
+        let threads = threads.lock().expect("threads");
+        assert_eq!(threads.len(), 2);
+        assert!(
+            threads.iter().all(|&t| t <= ceiling),
+            "{threads:?} > {ceiling}"
+        );
     }
 
     #[test]

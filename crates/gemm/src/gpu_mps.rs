@@ -86,7 +86,9 @@ impl GemmImplementation for GpuMps {
         cb.commit()?;
         let report = &cb.wait_until_completed()?[0];
         if report.functional {
-            c[..n * n].copy_from_slice(&mat_c.buffer().read_to_vec()?);
+            mat_c
+                .buffer()
+                .with_read(|out| c[..n * n].copy_from_slice(out))?;
         }
         Ok(GemmOutcome {
             duration: report.duration,

@@ -136,7 +136,7 @@ impl GemmImplementation for GpuShader {
         cb.commit()?;
         let report = &cb.wait_until_completed()?[0];
         if report.functional {
-            c[..n * n].copy_from_slice(&buf_c.read_to_vec()?);
+            buf_c.with_read(|out| c[..n * n].copy_from_slice(out))?;
         }
         Ok(GemmOutcome {
             duration: report.duration,

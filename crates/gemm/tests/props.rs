@@ -7,6 +7,7 @@ use oranges_gemm::suite::{paper_sizes, skips_size, suite_for};
 use oranges_gemm::verify::{reference_gemm, verify_sampled};
 use oranges_soc::chip::ChipGeneration;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn any_generation() -> impl Strategy<Value = ChipGeneration> {
     prop_oneof![
@@ -86,6 +87,32 @@ proptest! {
     }
 }
 
+/// Every suite backend for `gen` computes `n`×`n` bitwise like the scalar
+/// reference on signed operands drawn from `seed`.
+fn all_agree(gen: ChipGeneration, n: usize, seed: u64) -> Result<(), TestCaseError> {
+    let signed = |m: Vec<f32>| m.into_iter().map(|v| v - 0.5).collect::<Vec<f32>>();
+    let a = signed(random_matrix(n, seed));
+    let b = signed(random_matrix(n, seed + 1));
+    let mut expected = vec![0.0f32; n * n];
+    reference_gemm(n, &a, &b, &mut expected);
+    for mut implementation in suite_for(gen) {
+        let mut c = vec![f32::NAN; n * n];
+        let outcome = implementation.run(n, &a, &b, &mut c).unwrap();
+        prop_assert!(outcome.functional);
+        prop_assert_eq!(outcome.flops, gemm_flops(n as u64));
+        let mismatch = c
+            .iter()
+            .zip(&expected)
+            .position(|(got, want)| got.to_bits() != want.to_bits());
+        prop_assert!(
+            mismatch.is_none(),
+            "{} on {gen} n={n}: first differing element {mismatch:?}",
+            implementation.name()
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -100,25 +127,27 @@ proptest! {
         n in 1usize..=80,
         seed in 0u64..500,
     ) {
-        let signed = |m: Vec<f32>| m.into_iter().map(|v| v - 0.5).collect::<Vec<f32>>();
-        let a = signed(random_matrix(n, seed));
-        let b = signed(random_matrix(n, seed + 1));
-        let mut expected = vec![0.0f32; n * n];
-        reference_gemm(n, &a, &b, &mut expected);
-        for mut implementation in suite_for(gen) {
-            let mut c = vec![f32::NAN; n * n];
-            let outcome = implementation.run(n, &a, &b, &mut c).unwrap();
-            prop_assert!(outcome.functional);
-            prop_assert_eq!(outcome.flops, gemm_flops(n as u64));
-            let mismatch = c
-                .iter()
-                .zip(&expected)
-                .position(|(got, want)| got.to_bits() != want.to_bits());
-            prop_assert!(
-                mismatch.is_none(),
-                "{} on {gen} n={n}: first differing element {mismatch:?}",
-                implementation.name()
-            );
-        }
+        all_agree(gen, n, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same bits when every host core is claimed, as under an engine
+    /// with a worker per core: the row slabs and Metal bands each shrink
+    /// to one, on the caller's own thread.
+    #[test]
+    fn all_implementations_agree_with_every_core_claimed(
+        gen in any_generation(),
+        n in 1usize..=80,
+        seed in 0u64..500,
+    ) {
+        let budget = oranges_kernels::core_budget();
+        let _claims: Vec<_> = (0..oranges_kernels::host_parallelism())
+            .map(|_| budget.claim())
+            .collect();
+        prop_assert_eq!(budget.threads(), 1);
+        all_agree(gen, n, seed)?;
     }
 }

@@ -39,13 +39,19 @@
 //! [`crate::gemm::sgemm_f32`], but reads its panels through fixed-size
 //! `&[f32; MR]`/`&[f32; NR]` views — a shape LLVM turns into packed
 //! vector code (the slice-iterator form in the unblocked path compiles to
-//! scalar FP). Per-lane IEEE semantics are unchanged (Rust never
-//! contracts `mul`+`add` into FMA), so vectorization does not affect the
-//! bitwise contract.
+//! scalar FP). The microkernel copies the tile into a local that never
+//! escapes, so its 8 accumulator vectors stay in registers for the whole
+//! k loop and are stored back once per call. The copy matters: the
+//! caller seeds and stores the tile with runtime row and column counts,
+//! and a tile indexed that way lives on the stack, so accumulating into
+//! it directly would store and reload every accumulator, and re-check a
+//! slice bound, on every k step. Per-lane IEEE semantics are unchanged
+//! (Rust never contracts `mul`+`add` into FMA), so vectorization does not
+//! affect the bitwise contract.
 
 use crate::gemm::{MR, NR};
 
-/// k-loop unroll factor of the blocked microkernel.
+/// Granularity of derived KC panels, in k steps.
 const KU: usize = 4;
 
 /// Per-core cache geometry the block-size model consumes.
@@ -262,37 +268,26 @@ fn pack_b(b_pack: &mut [f32], b: &[f32], ldb: usize, pc: usize, jc: usize, kcb: 
 /// k steps of `acc[r][j] += ap[p*MR+r] * bp[p*NR+j]` on the caller's
 /// accumulators.
 ///
-/// Same operation order as [`crate::gemm::sgemm_f32`]'s tile loop, but
-/// the panel reads go through fixed-size array views so LLVM emits
-/// packed vector FP for the 32 independent accumulator chains.
+/// Same operation order as [`crate::gemm::sgemm_f32`]'s tile loop. The
+/// tile is copied into a local that never escapes, so LLVM keeps all 32
+/// accumulators in vector registers for the whole k loop and stores them
+/// back once; the panels are walked as fixed-size `&[f32; MR]`/`&[f32;
+/// NR]` steps, so no k step re-checks a slice bound.
 #[inline]
 fn microkernel_4x8(acc: &mut [[f32; NR]; MR], ap: &[f32], bp: &[f32], kc: usize) {
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    let mut p = 0;
-    while p + KU <= kc {
-        for u in 0..KU {
-            let av: &[f32; MR] = ap[(p + u) * MR..][..MR].try_into().unwrap();
-            let bv: &[f32; NR] = bp[(p + u) * NR..][..NR].try_into().unwrap();
-            for (r, row) in acc.iter_mut().enumerate() {
-                let ar = av[r];
-                for (j, slot) in row.iter_mut().enumerate() {
-                    *slot += ar * bv[j];
-                }
+    let a_steps = ap[..kc * MR].chunks_exact(MR);
+    let b_steps = bp[..kc * NR].chunks_exact(NR);
+    let mut tile = *acc;
+    for (av, bv) in a_steps.zip(b_steps) {
+        let av: &[f32; MR] = av.try_into().expect("chunks_exact yields MR lanes");
+        let bv: &[f32; NR] = bv.try_into().expect("chunks_exact yields NR lanes");
+        for (row, &ar) in tile.iter_mut().zip(av) {
+            for (slot, &bj) in row.iter_mut().zip(bv) {
+                *slot += ar * bj;
             }
         }
-        p += KU;
     }
-    while p < kc {
-        let av: &[f32; MR] = ap[p * MR..][..MR].try_into().unwrap();
-        let bv: &[f32; NR] = bp[p * NR..][..NR].try_into().unwrap();
-        for (r, row) in acc.iter_mut().enumerate() {
-            let ar = av[r];
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot += ar * bv[j];
-            }
-        }
-        p += 1;
-    }
+    *acc = tile;
 }
 
 #[cfg(test)]

@@ -21,7 +21,12 @@
 //! - [`block`] — the Goto/BLIS cache-blocked macrokernel above that tile:
 //!   NC/KC/MC panel loops with [`block::CacheParams`]-derived block sizes,
 //!   packing once per panel and seeding tile accumulators from C so the
-//!   KC split stays bitwise-faithful to the scalar loop.
+//!   KC split stays bitwise-faithful to the scalar loop. Its tile stays in
+//!   registers for the whole k loop, with no stack round trip per k step.
+//!
+//! [`core_budget`] sizes the host-parallel functional GEMMs built on these
+//! kernels: a call gets its caller's own core plus every core no other
+//! engine worker holds.
 //!
 //! # Equivalence contract
 //!
@@ -56,10 +61,12 @@ pub use reduce::{dot_f32, dot_f64, max_f32, sum_f32, sum_f64};
 pub use stream::fused_iteration_f64;
 pub use ulp::{diff_stats_f32, ulp_distance_f32, ulp_distance_f64, DiffStats};
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 /// The host's available parallelism (4 if it cannot be read), read once
 /// per process. Every host-parallel functional path sizes its worker
-/// count from this one reading: the Accelerate row blocks and the Metal
-/// shader bands.
+/// count from this one reading, through [`core_budget`]: the Accelerate
+/// row blocks and the Metal shader bands.
 pub fn host_parallelism() -> usize {
     static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *HOST.get_or_init(|| {
@@ -67,4 +74,112 @@ pub fn host_parallelism() -> usize {
             .map(|n| n.get())
             .unwrap_or(4)
     })
+}
+
+/// Counts callers that each keep one host core busy, and sizes a
+/// host-parallel call to the cores they leave it: the caller's own core
+/// plus every core no other claim holds.
+///
+/// The campaign engine holds one claim per worker that is computing a
+/// unit, so two workers on a 2-core host run their functional GEMMs on
+/// one thread each instead of both fanning out over both cores. A call
+/// made outside the engine, with no claim held, gets the whole host.
+#[derive(Debug, Default)]
+pub struct CoreBudget {
+    claimed: AtomicUsize,
+}
+
+impl CoreBudget {
+    /// A budget with no claims.
+    pub const fn new() -> Self {
+        Self {
+            claimed: AtomicUsize::new(0),
+        }
+    }
+
+    /// Hold one core until the returned guard drops, also when the
+    /// holder unwinds.
+    pub fn claim(&self) -> CoreClaim<'_> {
+        // Relaxed: the count is a sizing hint and publishes no data.
+        self.claimed.fetch_add(1, Ordering::Relaxed);
+        CoreClaim { budget: self }
+    }
+
+    /// Threads a host-parallel call may use: [`host_parallelism`] with no
+    /// claims held; with `k` claims, the caller's own (one of the `k`)
+    /// plus the `host − k` unclaimed cores, never fewer than one.
+    pub fn threads(&self) -> usize {
+        let others = self.claimed.load(Ordering::Relaxed).saturating_sub(1);
+        host_parallelism().saturating_sub(others).max(1)
+    }
+}
+
+/// One core held in a [`CoreBudget`]; dropping it releases the core.
+#[derive(Debug)]
+#[must_use = "the core is released as soon as the claim drops"]
+pub struct CoreClaim<'a> {
+    budget: &'a CoreBudget,
+}
+
+impl Drop for CoreClaim<'_> {
+    fn drop(&mut self) {
+        self.budget.claimed.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The process-wide budget: one claim per engine worker computing a
+/// unit.
+pub fn core_budget() -> &'static CoreBudget {
+    static ENGINE_WORKERS: CoreBudget = CoreBudget::new();
+    &ENGINE_WORKERS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unclaimed_budget_gives_the_whole_host() {
+        assert_eq!(CoreBudget::new().threads(), host_parallelism());
+    }
+
+    #[test]
+    fn each_claim_past_the_first_takes_one_core() {
+        let budget = CoreBudget::new();
+        let host = host_parallelism();
+        let mut claims = Vec::new();
+        for k in 1..=host + 2 {
+            claims.push(budget.claim());
+            assert_eq!(budget.threads(), host.saturating_sub(k - 1).max(1), "k={k}");
+        }
+    }
+
+    #[test]
+    fn a_dropped_claim_is_released() {
+        let budget = CoreBudget::new();
+        let host = host_parallelism();
+        let first = budget.claim();
+        let second = budget.claim();
+        assert_eq!(budget.threads(), host.saturating_sub(1).max(1));
+        drop(second);
+        assert_eq!(budget.threads(), host);
+        drop(first);
+        assert_eq!(budget.threads(), host);
+        let _third = budget.claim();
+        let _fourth = budget.claim();
+        assert_eq!(budget.threads(), host.saturating_sub(1).max(1));
+    }
+
+    #[test]
+    fn a_claim_held_by_a_panicking_closure_is_released() {
+        let budget = CoreBudget::new();
+        let _own = budget.claim();
+        let unwound = std::panic::catch_unwind(|| {
+            let _claim = budget.claim();
+            let _another = budget.claim();
+            panic!("experiment failed");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(budget.threads(), host_parallelism());
+    }
 }

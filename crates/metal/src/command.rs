@@ -13,8 +13,9 @@
 //! `commit` executes each encoded pass: functionally (real FP32 results)
 //! when the work volume is under the device's functional limit, and
 //! always through the timing model. Functional execution splits the
-//! output into one contiguous band per host thread (at most one per
-//! threadgroup) and runs the bands on crossbeam scoped threads, the
+//! output into contiguous bands, the caller's own core plus at most one
+//! band per spare core ([`oranges_kernels::core_budget`]) and at most one
+//! per threadgroup, and runs them on crossbeam scoped threads, the
 //! calling thread taking the first. `wait_until_completed` then exposes
 //! per-pass [`PassReport`]s — the numbers every benchmark in the paper
 //! reads.
@@ -319,10 +320,11 @@ fn run_functional(
     let out_len = out_guard.len();
     let out_slice = &mut out_guard.device_mut_slice()[..out_len];
 
-    // One contiguous band per host thread (never more bands than
-    // threadgroups or output elements): an SGEMM band then packs B once
-    // for all of its rows.
-    let band_count = oranges_kernels::host_parallelism()
+    // One contiguous band per core the budget leaves this caller (never
+    // more bands than threadgroups or output elements): an SGEMM band
+    // then packs B once for all of its rows.
+    let band_count = oranges_kernels::core_budget()
+        .threads()
         .min(pass.threadgroups.count() as usize)
         .min(out_len)
         .max(1);
