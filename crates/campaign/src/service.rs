@@ -277,75 +277,214 @@ impl ServiceConfig {
     }
 }
 
-/// Cumulative service counters, reported by `stats` responses and
-/// returned by [`CampaignService::serve`] on shutdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServiceSummary {
-    /// Connections accepted over the daemon's lifetime.
-    pub connections: u64,
-    /// Connections currently open (0 in the final summary).
-    pub active_connections: u64,
-    /// Requests dispatched (all methods).
-    pub requests: u64,
-    /// `run` requests completed successfully.
-    pub runs: u64,
-    /// `unit` responses streamed.
-    pub units_streamed: u64,
-    /// Units the shared engine actually computed.
-    pub units_computed: u64,
-    /// Units served from the cache at submit time.
-    pub unit_cache_hits: u64,
-    /// Units that coalesced onto another request's in-flight
-    /// computation — the cross-request dedupe proof.
-    pub coalesced_joins: u64,
-    /// Units submitted to the shared engine across all requests (every
-    /// one resolves to computed, cache hit, or coalesced join).
-    pub units_submitted: u64,
-    /// Units that failed (experiment error or contained panic).
-    pub units_failed: u64,
-    /// Queued computations abandoned by cancellation or deadline
-    /// expiry before a worker picked them up.
-    pub units_cancelled: u64,
-    /// Unit deliveries failed because their run's deadline expired.
-    pub deadline_expired: u64,
-    /// Whole submissions turned away with a typed `busy` rejection.
-    pub submissions_rejected: u64,
-    /// Lifecycle events dropped because a `subscribe` client's buffer
-    /// was full — publishing never blocks an engine worker.
-    pub events_dropped: u64,
-    /// Reactor wakeups delivered for engine completion notifies
-    /// (coalesced: a burst of unit completions between two dispatch
-    /// turns costs one wakeup).
-    pub reactor_notify_wakeups: u64,
-    /// Reactor timer expirations delivered (subscribe heartbeats).
-    pub reactor_timer_wakeups: u64,
+/// Read member `name` of a `kind` response body with `read`. A missing
+/// or mistyped member is a protocol error naming it.
+fn member<'a, V>(
+    body: &'a JsonValue,
+    kind: &str,
+    name: &str,
+    read: impl FnOnce(&'a JsonValue) -> Option<V>,
+) -> Result<V, ServiceError> {
+    let value = body
+        .get(name)
+        .ok_or_else(|| ServiceError::Protocol(format!("{kind} body has no '{name}'")))?;
+    read(value).ok_or_else(|| {
+        ServiceError::Protocol(format!("{kind} body member '{name}' has the wrong type"))
+    })
 }
 
-/// Point-in-time gauges reported alongside the cumulative
-/// [`ServiceSummary`] in `stats` responses (and as gauges in the
-/// `metrics` exposition).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServiceGauges {
-    /// Jobs queued in the engine but not yet picked up by a worker.
-    pub queue_depth: u64,
-    /// Jobs queued in the high-priority class.
-    pub queue_high: u64,
-    /// Jobs queued in the normal-priority class.
-    pub queue_normal: u64,
-    /// Jobs queued in the batch-priority class.
-    pub queue_batch: u64,
-    /// Units currently in flight (queued or computing).
-    pub units_inflight: u64,
-    /// Live event subscribers (`subscribe` connections and in-process
-    /// streams).
-    pub event_subscribers: u64,
-    /// Engine worker threads still running (readiness wants this equal
-    /// to the configured worker count).
-    pub workers_alive: u64,
-    /// Connections registered in the reactor's table right now (the
-    /// per-connection cost of this daemon is this gauge times one table
-    /// entry — not a thread).
-    pub reactor_registered_connections: u64,
+/// How a series renders in the `metrics` exposition.
+enum SeriesKind {
+    Counter,
+    Gauge,
+}
+
+/// One flat `stats` member and the exposition sample it renders as.
+struct Series {
+    /// The `stats` member name, which is also the struct field.
+    member: &'static str,
+    kind: SeriesKind,
+    /// The exposition family.
+    family: &'static str,
+    /// The family's `# HELP` text.
+    help: &'static str,
+    /// What tells this sample apart within a labeled family.
+    labels: &'static [(&'static str, &'static str)],
+}
+
+/// Declares every flat `stats` series once. Each struct lists its
+/// exposition families in `stats` member order: kind, family name and
+/// HELP text, then each member's doc comment, field name (also its
+/// `stats` member name) and, in a labeled family, its label. Generates
+/// the structs, [`SERIES`], and per struct its values in member order
+/// and a `stats` body decoder.
+macro_rules! service_series {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident {$(
+            $kind:ident $family:literal $help:literal {$(
+                $(#[$doc:meta])*
+                $field:ident $(: $label:ident = $value:literal)?
+            ),+ $(,)?}
+        )+}
+    )+) => {
+        $(
+            $(#[$meta])*
+            #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+            pub struct $name {
+                $($($(#[$doc])* pub $field: u64,)+)+
+            }
+
+            impl $name {
+                /// The fields' values, in `stats` member order.
+                fn values(&self) -> Vec<u64> {
+                    vec![$($(self.$field),+),+]
+                }
+
+                /// Read the fields out of a `stats` body.
+                fn decode(body: &JsonValue) -> Result<Self, ServiceError> {
+                    Ok($name {$($(
+                        $field: member(body, "stats", stringify!($field), JsonValue::as_u64)?,
+                    )+)+})
+                }
+            }
+        )+
+
+        /// Every flat `stats` series, in `stats` member order.
+        const SERIES: &[Series] = &[$($($(Series {
+            member: stringify!($field),
+            kind: SeriesKind::$kind,
+            family: $family,
+            help: $help,
+            labels: &[$((stringify!($label), $value))?],
+        },)+)+)+];
+    };
+}
+
+service_series! {
+    /// Cumulative service counters, reported by `stats` responses and
+    /// returned by [`CampaignService::serve`] on shutdown.
+    pub struct ServiceSummary {
+        Counter "oranges_connections_total" "Connections accepted over the daemon's lifetime." {
+            /// Connections accepted over the daemon's lifetime.
+            connections,
+        }
+        Gauge "oranges_active_connections" "Connections currently open." {
+            /// Connections currently open (0 in the final summary).
+            active_connections,
+        }
+        Counter "oranges_requests_total" "Requests dispatched (all methods)." {
+            /// Requests dispatched (all methods).
+            requests,
+        }
+        Counter "oranges_runs_total" "Run requests completed successfully." {
+            /// `run` requests completed successfully.
+            runs,
+        }
+        Counter "oranges_units_streamed_total" "Unit responses streamed to clients." {
+            /// `unit` responses streamed.
+            units_streamed,
+        }
+        Counter "oranges_units_total" "Units resolved, by how the engine satisfied them." {
+            /// Units the shared engine actually computed.
+            units_computed: source = "computed",
+            /// Units served from the cache at submit time.
+            unit_cache_hits: source = "cache",
+            /// Units that coalesced onto another request's in-flight
+            /// computation — the cross-request dedupe proof.
+            coalesced_joins: source = "coalesced",
+        }
+        Counter "oranges_units_submitted_total" "Units submitted to the shared engine." {
+            /// Units submitted to the shared engine across all requests (every
+            /// one resolves to computed, cache hit, or coalesced join).
+            units_submitted,
+        }
+        Counter "oranges_units_failed_total"
+            "Units that failed (experiment error or contained panic)." {
+            /// Units that failed (experiment error or contained panic).
+            units_failed,
+        }
+        Counter "oranges_units_cancelled_total"
+            "Queued units abandoned by cancellation before a worker ran them." {
+            /// Queued computations abandoned by cancellation or deadline
+            /// expiry before a worker picked them up.
+            units_cancelled,
+        }
+        Counter "oranges_deadline_expired_total"
+            "Unit deliveries failed because their submission's deadline passed." {
+            /// Unit deliveries failed because their run's deadline expired.
+            deadline_expired,
+        }
+        Counter "oranges_submissions_rejected_total"
+            "Whole submissions rejected at admission (engine queue full)." {
+            /// Whole submissions turned away with a typed `busy` rejection.
+            submissions_rejected,
+        }
+        Counter "oranges_events_dropped_total"
+            "Lifecycle events dropped on full subscriber buffers." {
+            /// Lifecycle events dropped because a `subscribe` client's buffer
+            /// was full — publishing never blocks an engine worker.
+            events_dropped,
+        }
+        Counter "oranges_reactor_wakeups_total" "Reactor wakeups dispatched, by kind." {
+            /// Reactor wakeups delivered for engine completion notifies
+            /// (coalesced: a burst of unit completions between two dispatch
+            /// turns costs one wakeup).
+            reactor_notify_wakeups: kind = "notify",
+            /// Reactor timer expirations delivered (subscribe heartbeats).
+            reactor_timer_wakeups: kind = "timer",
+        }
+    }
+
+    /// Point-in-time gauges reported alongside the cumulative
+    /// [`ServiceSummary`] in `stats` responses (and as gauges in the
+    /// `metrics` exposition).
+    pub struct ServiceGauges {
+        Gauge "oranges_queue_depth" "Engine jobs queued but not yet picked up by a worker." {
+            /// Jobs queued in the engine but not yet picked up by a worker.
+            queue_depth,
+        }
+        Gauge "oranges_priority_queue_depth" "Engine jobs queued, by priority class." {
+            /// Jobs queued in the high-priority class.
+            queue_high: priority = "high",
+            /// Jobs queued in the normal-priority class.
+            queue_normal: priority = "normal",
+            /// Jobs queued in the batch-priority class.
+            queue_batch: priority = "batch",
+        }
+        Gauge "oranges_units_inflight" "Units currently in flight (queued or computing)." {
+            /// Units currently in flight (queued or computing).
+            units_inflight,
+        }
+        Gauge "oranges_event_subscribers" "Live event subscribers." {
+            /// Live event subscribers (`subscribe` connections and in-process
+            /// streams).
+            event_subscribers,
+        }
+        Gauge "oranges_workers_alive" "Engine worker threads still running." {
+            /// Engine worker threads still running (readiness wants this equal
+            /// to the configured worker count).
+            workers_alive,
+        }
+        Gauge "oranges_reactor_registered_connections"
+            "Connections registered in the service reactor's table." {
+            /// Connections registered in the reactor's table right now (the
+            /// per-connection cost of this daemon is this gauge times one table
+            /// entry — not a thread).
+            reactor_registered_connections,
+        }
+    }
+}
+
+/// Every flat `stats` series paired with its value, in `stats` member
+/// order.
+fn series_values(
+    summary: &ServiceSummary,
+    gauges: &ServiceGauges,
+) -> impl Iterator<Item = (&'static Series, u64)> {
+    SERIES
+        .iter()
+        .zip(summary.values().into_iter().chain(gauges.values()))
 }
 
 /// Mutable daemon state shared by the accept thread and the reactor
@@ -371,15 +510,12 @@ struct ServiceShared {
     requests: AtomicU64,
     runs: AtomicU64,
     units_streamed: AtomicU64,
-    /// Reactor counters, mirrored out of the (single-threaded) dispatch
-    /// loop so `serve`'s final summary and concurrent readers see them.
-    reactor_notify_wakeups: AtomicU64,
-    reactor_timer_wakeups: AtomicU64,
-    reactor_connections: AtomicU64,
 }
 
 impl ServiceShared {
-    fn summary(&self) -> ServiceSummary {
+    /// The counters; the reactor's come from the dispatch loop's own
+    /// reactor, which no other thread touches.
+    fn summary<S: Stream>(&self, reactor: &Reactor<S>) -> ServiceSummary {
         let engine = self.engine.stats();
         ServiceSummary {
             connections: self.connections.load(Ordering::Relaxed),
@@ -396,12 +532,14 @@ impl ServiceShared {
             deadline_expired: engine.deadline_expired,
             submissions_rejected: engine.submissions_rejected,
             events_dropped: engine.events_dropped,
-            reactor_notify_wakeups: self.reactor_notify_wakeups.load(Ordering::Relaxed),
-            reactor_timer_wakeups: self.reactor_timer_wakeups.load(Ordering::Relaxed),
+            reactor_notify_wakeups: reactor.notify_wakeups(),
+            reactor_timer_wakeups: reactor.timer_wakeups(),
         }
     }
 
-    fn gauges(&self) -> ServiceGauges {
+    /// The gauges. One `queue_depths` read yields all four queue gauges,
+    /// so the classes always sum to `queue_depth`.
+    fn gauges<S: Stream>(&self, reactor: &Reactor<S>) -> ServiceGauges {
         let depths = self.engine.queue_depths();
         ServiceGauges {
             queue_depth: depths.iter().sum::<usize>() as u64,
@@ -411,7 +549,7 @@ impl ServiceShared {
             units_inflight: self.engine.inflight() as u64,
             event_subscribers: self.engine.event_subscribers() as u64,
             workers_alive: self.engine.alive_workers() as u64,
-            reactor_registered_connections: self.reactor_connections.load(Ordering::Relaxed),
+            reactor_registered_connections: reactor.connections() as u64,
         }
     }
 
@@ -494,27 +632,13 @@ impl HealthReport {
 
     /// Parse a `health` response body (the client side).
     pub fn from_body(body: &JsonValue) -> Result<HealthReport, ServiceError> {
-        let flag = |name: &str| {
-            body.get(name)
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| ServiceError::Protocol(format!("health body has no bool '{name}'")))
-        };
-        let counter = |name: &str| {
-            body.get(name).and_then(JsonValue::as_u64).ok_or_else(|| {
-                ServiceError::Protocol(format!("health body has no integer '{name}'"))
-            })
-        };
         Ok(HealthReport {
-            ready: flag("ready")?,
-            draining: flag("draining")?,
-            workers_alive: counter("workers_alive")?,
-            workers_configured: counter("workers_configured")?,
-            cache_entries: counter("cache_entries")?,
-            endpoint: body
-                .get("endpoint")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| ServiceError::Protocol("health body has no 'endpoint'".into()))?
-                .to_string(),
+            ready: member(body, "health", "ready", JsonValue::as_bool)?,
+            draining: member(body, "health", "draining", JsonValue::as_bool)?,
+            workers_alive: member(body, "health", "workers_alive", JsonValue::as_u64)?,
+            workers_configured: member(body, "health", "workers_configured", JsonValue::as_u64)?,
+            cache_entries: member(body, "health", "cache_entries", JsonValue::as_u64)?,
+            endpoint: member(body, "health", "endpoint", JsonValue::as_str)?.to_string(),
         })
     }
 }
@@ -589,9 +713,6 @@ impl<T: Transport> CampaignService<T> {
                 requests: AtomicU64::new(0),
                 runs: AtomicU64::new(0),
                 units_streamed: AtomicU64::new(0),
-                reactor_notify_wakeups: AtomicU64::new(0),
-                reactor_timer_wakeups: AtomicU64::new(0),
-                reactor_connections: AtomicU64::new(0),
             }),
         })
     }
@@ -645,7 +766,7 @@ impl<T: Transport> CampaignService<T> {
         self.persist_and_cleanup()?;
         match give_up {
             Some(error) => Err(error),
-            None => Ok(self.shared.summary()),
+            None => Ok(self.shared.summary(&reactor)),
         }
     }
 
@@ -799,9 +920,7 @@ impl<T: Transport> Dispatcher<'_, T> {
             }
             let event = self.reactor.poll();
             self.dispatch(event);
-            self.sync_reactor_counters();
         }
-        self.sync_reactor_counters();
     }
 
     fn dispatch(&mut self, event: Event) {
@@ -826,20 +945,6 @@ impl<T: Transport> Dispatcher<'_, T> {
             }
             Event::Shutdown => self.begin_drain(false),
         }
-    }
-
-    /// Mirror the reactor's counters into the shared atomics that
-    /// `stats`, `metrics`, and the final summary read.
-    fn sync_reactor_counters(&mut self) {
-        self.shared
-            .reactor_notify_wakeups
-            .store(self.reactor.notify_wakeups(), Ordering::Relaxed);
-        self.shared
-            .reactor_timer_wakeups
-            .store(self.reactor.timer_wakeups(), Ordering::Relaxed);
-        self.shared
-            .reactor_connections
-            .store(self.reactor.connections() as u64, Ordering::Relaxed);
     }
 
     fn on_accepted(&mut self, token: Token) {
@@ -983,18 +1088,20 @@ impl<T: Transport> Dispatcher<'_, T> {
         match request.method.as_str() {
             "ping" => self.respond(token, &Response::ok(request.id, "pong")),
             "stats" => {
-                self.sync_reactor_counters();
                 let body = stats_body(
                     &self.shared.cache.stats(),
                     self.shared.cache.model_digest(),
-                    &self.shared.summary(),
-                    &self.shared.gauges(),
+                    &self.shared.summary(self.reactor),
+                    &self.shared.gauges(self.reactor),
                 );
                 self.respond(token, &Response::ok(request.id, "stats").with_body(body));
             }
             "metrics" => {
-                self.sync_reactor_counters();
-                let text = metrics_text(self.shared);
+                let text = metrics_text(
+                    self.shared,
+                    &self.shared.summary(self.reactor),
+                    &self.shared.gauges(self.reactor),
+                );
                 self.respond(
                     token,
                     &Response::ok(request.id, "metrics").with_body(JsonValue::String(text)),
@@ -1504,7 +1611,16 @@ struct RunRequestOptions {
 }
 
 fn parse_run_options(body: &JsonValue) -> Result<RunRequestOptions, String> {
-    let priority = match body.get("priority").and_then(JsonValue::as_str) {
+    let string = |name: &str| {
+        body.get(name)
+            .map(|value| {
+                value
+                    .as_str()
+                    .ok_or_else(|| format!("{name} must be a string"))
+            })
+            .transpose()
+    };
+    let priority = match string("priority")? {
         Some(token) => {
             Priority::parse(token).ok_or_else(|| format!("unknown priority '{token}'"))?
         }
@@ -1519,13 +1635,9 @@ fn parse_run_options(body: &JsonValue) -> Result<RunRequestOptions, String> {
         }
         None => None,
     };
-    let token = body
-        .get("run_token")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
     Ok(RunRequestOptions {
         options: SubmitOptions { priority, deadline },
-        token,
+        token: string("run_token")?.map(str::to_string),
     })
 }
 
@@ -1556,113 +1668,27 @@ const SUBSCRIBE_BUFFER: usize = 1024;
 /// (the heartbeat write fails).
 const SUBSCRIBE_HEARTBEAT: Duration = Duration::from_secs(5);
 
-/// Render the full metrics exposition: service + engine counters, the
-/// point-in-time gauges, and one latency histogram per experiment —
-/// the same counter set `stats` reports, in scrapeable form.
-fn metrics_text(shared: &ServiceShared) -> String {
-    let summary = shared.summary();
-    let gauges = shared.gauges();
+/// Render the full metrics exposition: the cache counters, every
+/// [`SERIES`] sample, the configured worker count, build info, and one
+/// latency histogram per experiment — the same counter set `stats`
+/// reports, in scrapeable form.
+fn metrics_text(
+    shared: &ServiceShared,
+    summary: &ServiceSummary,
+    gauges: &ServiceGauges,
+) -> String {
     let cache = shared.cache.stats();
     let mut exp = Exposition::new();
-    exp.counter(
-        "oranges_connections_total",
-        "Connections accepted over the daemon's lifetime.",
-        &[],
-        summary.connections,
-    );
-    exp.counter(
-        "oranges_requests_total",
-        "Requests dispatched (all methods).",
-        &[],
-        summary.requests,
-    );
-    exp.counter(
-        "oranges_runs_total",
-        "Run requests completed successfully.",
-        &[],
-        summary.runs,
-    );
-    exp.counter(
-        "oranges_units_streamed_total",
-        "Unit responses streamed to clients.",
-        &[],
-        summary.units_streamed,
-    );
-    exp.counter(
-        "oranges_units_submitted_total",
-        "Units submitted to the shared engine.",
-        &[],
-        summary.units_submitted,
-    );
-    exp.counter(
-        "oranges_units_total",
-        "Units resolved, by how the engine satisfied them.",
-        &[("source", "computed")],
-        summary.units_computed,
-    );
-    exp.counter(
-        "oranges_units_total",
-        "Units resolved, by how the engine satisfied them.",
-        &[("source", "cache")],
-        summary.unit_cache_hits,
-    );
-    exp.counter(
-        "oranges_units_total",
-        "Units resolved, by how the engine satisfied them.",
-        &[("source", "coalesced")],
-        summary.coalesced_joins,
-    );
-    exp.counter(
-        "oranges_units_failed_total",
-        "Units that failed (experiment error or contained panic).",
-        &[],
-        summary.units_failed,
-    );
-    exp.counter(
-        "oranges_units_cancelled_total",
-        "Queued units abandoned by cancellation before a worker ran them.",
-        &[],
-        summary.units_cancelled,
-    );
-    exp.counter(
-        "oranges_deadline_expired_total",
-        "Unit deliveries failed because their submission's deadline passed.",
-        &[],
-        summary.deadline_expired,
-    );
-    exp.counter(
-        "oranges_submissions_rejected_total",
-        "Whole submissions rejected at admission (engine queue full).",
-        &[],
-        summary.submissions_rejected,
-    );
-    exp.counter(
-        "oranges_events_dropped_total",
-        "Lifecycle events dropped on full subscriber buffers.",
-        &[],
-        summary.events_dropped,
-    );
-    exp.counter(
-        "oranges_reactor_wakeups_total",
-        "Reactor wakeups dispatched, by kind.",
-        &[("kind", "notify")],
-        summary.reactor_notify_wakeups,
-    );
-    exp.counter(
-        "oranges_reactor_wakeups_total",
-        "Reactor wakeups dispatched, by kind.",
-        &[("kind", "timer")],
-        summary.reactor_timer_wakeups,
-    );
+    let lookups = "Warm-cache lookups, by result.";
     exp.counter(
         "oranges_cache_lookups_total",
-        "Warm-cache lookups, by result.",
+        lookups,
         &[("result", "hit")],
         cache.hits,
     );
     exp.counter(
         "oranges_cache_lookups_total",
-        "Warm-cache lookups, by result.",
+        lookups,
         &[("result", "miss")],
         cache.misses,
     );
@@ -1672,60 +1698,12 @@ fn metrics_text(shared: &ServiceShared) -> String {
         &[],
         cache.entries as f64,
     );
-    exp.gauge(
-        "oranges_active_connections",
-        "Connections currently open.",
-        &[],
-        summary.active_connections as f64,
-    );
-    exp.gauge(
-        "oranges_queue_depth",
-        "Engine jobs queued but not yet picked up by a worker.",
-        &[],
-        gauges.queue_depth as f64,
-    );
-    exp.gauge(
-        "oranges_priority_queue_depth",
-        "Engine jobs queued, by priority class.",
-        &[("priority", "high")],
-        gauges.queue_high as f64,
-    );
-    exp.gauge(
-        "oranges_priority_queue_depth",
-        "Engine jobs queued, by priority class.",
-        &[("priority", "normal")],
-        gauges.queue_normal as f64,
-    );
-    exp.gauge(
-        "oranges_priority_queue_depth",
-        "Engine jobs queued, by priority class.",
-        &[("priority", "batch")],
-        gauges.queue_batch as f64,
-    );
-    exp.gauge(
-        "oranges_units_inflight",
-        "Units currently in flight (queued or computing).",
-        &[],
-        gauges.units_inflight as f64,
-    );
-    exp.gauge(
-        "oranges_event_subscribers",
-        "Live event subscribers.",
-        &[],
-        gauges.event_subscribers as f64,
-    );
-    exp.gauge(
-        "oranges_workers_alive",
-        "Engine worker threads still running.",
-        &[],
-        gauges.workers_alive as f64,
-    );
-    exp.gauge(
-        "oranges_reactor_registered_connections",
-        "Connections registered in the service reactor's table.",
-        &[],
-        gauges.reactor_registered_connections as f64,
-    );
+    for (series, value) in series_values(summary, gauges) {
+        match series.kind {
+            SeriesKind::Counter => exp.counter(series.family, series.help, series.labels, value),
+            SeriesKind::Gauge => exp.gauge(series.family, series.help, series.labels, value as f64),
+        }
+    }
     exp.gauge(
         "oranges_workers_configured",
         "Engine worker threads configured at bind.",
@@ -1851,122 +1829,43 @@ fn cache_body(stats: &CacheStats) -> JsonValue {
     ])
 }
 
+/// The `stats` response body: the `cache` object, `model_digest`, then
+/// every [`SERIES`] member.
 fn stats_body(
     stats: &CacheStats,
     model_digest: &str,
     summary: &ServiceSummary,
     gauges: &ServiceGauges,
 ) -> JsonValue {
-    JsonValue::Object(vec![
+    let mut fields = vec![
         ("cache".to_string(), cache_body(stats)),
         (
             "model_digest".to_string(),
             JsonValue::String(model_digest.to_string()),
         ),
-        (
-            "connections".to_string(),
-            JsonValue::integer(summary.connections),
-        ),
-        (
-            "active_connections".to_string(),
-            JsonValue::integer(summary.active_connections),
-        ),
-        ("requests".to_string(), JsonValue::integer(summary.requests)),
-        ("runs".to_string(), JsonValue::integer(summary.runs)),
-        (
-            "units_streamed".to_string(),
-            JsonValue::integer(summary.units_streamed),
-        ),
-        (
-            "units_computed".to_string(),
-            JsonValue::integer(summary.units_computed),
-        ),
-        (
-            "unit_cache_hits".to_string(),
-            JsonValue::integer(summary.unit_cache_hits),
-        ),
-        (
-            "coalesced_joins".to_string(),
-            JsonValue::integer(summary.coalesced_joins),
-        ),
-        (
-            "units_submitted".to_string(),
-            JsonValue::integer(summary.units_submitted),
-        ),
-        (
-            "units_failed".to_string(),
-            JsonValue::integer(summary.units_failed),
-        ),
-        (
-            "units_cancelled".to_string(),
-            JsonValue::integer(summary.units_cancelled),
-        ),
-        (
-            "deadline_expired".to_string(),
-            JsonValue::integer(summary.deadline_expired),
-        ),
-        (
-            "submissions_rejected".to_string(),
-            JsonValue::integer(summary.submissions_rejected),
-        ),
-        (
-            "events_dropped".to_string(),
-            JsonValue::integer(summary.events_dropped),
-        ),
-        (
-            "reactor_notify_wakeups".to_string(),
-            JsonValue::integer(summary.reactor_notify_wakeups),
-        ),
-        (
-            "reactor_timer_wakeups".to_string(),
-            JsonValue::integer(summary.reactor_timer_wakeups),
-        ),
-        (
-            "queue_depth".to_string(),
-            JsonValue::integer(gauges.queue_depth),
-        ),
-        (
-            "queue_high".to_string(),
-            JsonValue::integer(gauges.queue_high),
-        ),
-        (
-            "queue_normal".to_string(),
-            JsonValue::integer(gauges.queue_normal),
-        ),
-        (
-            "queue_batch".to_string(),
-            JsonValue::integer(gauges.queue_batch),
-        ),
-        (
-            "units_inflight".to_string(),
-            JsonValue::integer(gauges.units_inflight),
-        ),
-        (
-            "event_subscribers".to_string(),
-            JsonValue::integer(gauges.event_subscribers),
-        ),
-        (
-            "workers_alive".to_string(),
-            JsonValue::integer(gauges.workers_alive),
-        ),
-        (
-            "reactor_registered_connections".to_string(),
-            JsonValue::integer(gauges.reactor_registered_connections),
-        ),
-    ])
+    ];
+    fields.extend(
+        series_values(summary, gauges)
+            .map(|(series, value)| (series.member.to_string(), JsonValue::integer(value))),
+    );
+    JsonValue::Object(fields)
+}
+
+/// Decode a `stats` body (the client side of [`stats_body`]).
+fn decode_stats(body: &JsonValue) -> Result<ServiceStats, ServiceError> {
+    Ok(ServiceStats {
+        cache: member(body, "stats", "cache", Some).and_then(parse_cache_body)?,
+        model_digest: member(body, "stats", "model_digest", JsonValue::as_str)?.to_string(),
+        summary: ServiceSummary::decode(body)?,
+        gauges: ServiceGauges::decode(body)?,
+    })
 }
 
 fn parse_cache_body(value: &JsonValue) -> Result<CacheStats, ServiceError> {
-    let field = |name: &str| {
-        value
-            .get(name)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| ServiceError::Protocol(format!("cache body has no integer '{name}'")))
-    };
     Ok(CacheStats {
-        hits: field("hits")?,
-        misses: field("misses")?,
-        entries: field("entries")? as usize,
+        hits: member(value, "cache", "hits", JsonValue::as_u64)?,
+        misses: member(value, "cache", "misses", JsonValue::as_u64)?,
+        entries: member(value, "cache", "entries", JsonValue::as_u64)? as usize,
     })
 }
 
@@ -2149,10 +2048,22 @@ impl<T: Transport> ServiceClient<T> {
         Ok((response, body))
     }
 
-    fn read_response(&mut self, id: u64) -> Result<Response, ServiceError> {
-        let (mut response, body) = self.read_decoded(id, |_, tokens| tree_body(tokens))?;
-        response.body = body;
-        Ok(response)
+    /// Send one request and read its one answer, which must be of
+    /// `kind`. Returns the answer's body (`null` when it has none).
+    fn call(
+        &mut self,
+        method: &str,
+        body: Option<JsonValue>,
+        kind: &str,
+    ) -> Result<JsonValue, ServiceError> {
+        let response = self.raw_request(method, body)?;
+        if response.kind != kind {
+            return Err(ServiceError::Protocol(format!(
+                "expected {kind}, got '{}'",
+                response.kind
+            )));
+        }
+        Ok(response.body.unwrap_or(JsonValue::Null))
     }
 
     /// Submit a spec and collect the full streamed answer. Units arrive
@@ -2218,69 +2129,19 @@ impl<T: Transport> ServiceClient<T> {
                 "unit" => decode_served_unit(tokens).map(RunBody::Unit),
                 _ => tree_body(tokens).map(RunBody::Tree),
             })?;
-            let body = match body {
+            match body {
                 Some(RunBody::Unit(unit)) => {
                     on_unit(&unit);
                     units.push(unit);
-                    continue;
                 }
-                Some(RunBody::Tree(body)) => body,
+                Some(RunBody::Tree(body)) => {
+                    units.sort_by_key(|unit| unit.index);
+                    return run_terminal(&response.kind, &body, units);
+                }
                 None => {
                     return Err(ServiceError::Protocol(format!(
                         "{} has no body",
                         response.kind
-                    )))
-                }
-            };
-            match response.kind.as_str() {
-                "done" => {
-                    let str_field = |name: &str| {
-                        body.get(name).and_then(JsonValue::as_str).ok_or_else(|| {
-                            ServiceError::Protocol(format!("done body has no '{name}'"))
-                        })
-                    };
-                    let int_field = |name: &str| {
-                        body.get(name).and_then(JsonValue::as_u64).ok_or_else(|| {
-                            ServiceError::Protocol(format!("done body has no '{name}'"))
-                        })
-                    };
-                    let cache = parse_cache_body(body.get("cache").unwrap_or(&JsonValue::Null))?;
-                    units.sort_by_key(|unit| unit.index);
-                    return Ok(RunOutcome {
-                        computed_units: int_field("computed_units")? as usize,
-                        coalesced_units: int_field("coalesced_units")? as usize,
-                        fingerprint: str_field("fingerprint")?.to_string(),
-                        model_digest: str_field("model_digest")?.to_string(),
-                        cache,
-                        units,
-                    });
-                }
-                "busy" => {
-                    let int = |name: &str| body.get(name).and_then(JsonValue::as_u64);
-                    return Err(ServiceError::Busy {
-                        queued: int("queued").unwrap_or(0),
-                        cap: int("cap").unwrap_or(0),
-                    });
-                }
-                "cancelled" => {
-                    let unit = body
-                        .get("unit")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("?")
-                        .to_string();
-                    return Err(ServiceError::Cancelled(unit));
-                }
-                "deadline_exceeded" => {
-                    let unit = body
-                        .get("unit")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("?")
-                        .to_string();
-                    return Err(ServiceError::DeadlineExceeded(unit));
-                }
-                other => {
-                    return Err(ServiceError::Protocol(format!(
-                        "unexpected response kind '{other}' during run"
                     )))
                 }
             }
@@ -2296,28 +2157,10 @@ impl<T: Transport> ServiceClient<T> {
             "token".to_string(),
             JsonValue::String(token.to_string()),
         )]);
-        let id = self.send("cancel", Some(body))?;
-        let response = self.read_response(id)?;
-        if response.kind != "cancelled" {
-            return Err(ServiceError::Protocol(format!(
-                "expected cancelled, got '{}'",
-                response.kind
-            )));
-        }
-        let body = response
-            .body
-            .as_ref()
-            .ok_or_else(|| ServiceError::Protocol("cancelled has no body".into()))?;
-        let int = |name: &str| {
-            body.get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| ServiceError::Protocol(format!("cancelled body has no '{name}'")))
-        };
+        let body = self.call("cancel", Some(body), "cancelled")?;
+        let int = |name| member(&body, "cancelled", name, JsonValue::as_u64);
         Ok(CancelAck {
-            active: body
-                .get("active")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| ServiceError::Protocol("cancelled body has no 'active'".into()))?,
+            active: member(&body, "cancelled", "active", JsonValue::as_bool)?,
             waiters_cancelled: int("waiters_cancelled")?,
             jobs_abandoned: int("jobs_abandoned")?,
         })
@@ -2325,100 +2168,25 @@ impl<T: Transport> ServiceClient<T> {
 
     /// Round-trip liveness probe.
     pub fn ping(&mut self) -> Result<(), ServiceError> {
-        let id = self.send("ping", None)?;
-        let response = self.read_response(id)?;
-        match response.kind.as_str() {
-            "pong" => Ok(()),
-            other => Err(ServiceError::Protocol(format!(
-                "expected pong, got '{other}'"
-            ))),
-        }
+        self.call("ping", None, "pong").map(drop)
     }
 
     /// Fetch daemon statistics.
     pub fn stats(&mut self) -> Result<ServiceStats, ServiceError> {
-        let id = self.send("stats", None)?;
-        let response = self.read_response(id)?;
-        let body = response
-            .body
-            .as_ref()
-            .ok_or_else(|| ServiceError::Protocol("stats has no body".into()))?;
-        let counter = |name: &str| {
-            body.get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| ServiceError::Protocol(format!("stats body has no '{name}'")))
-        };
-        Ok(ServiceStats {
-            cache: parse_cache_body(body.get("cache").unwrap_or(&JsonValue::Null))?,
-            model_digest: body
-                .get("model_digest")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| ServiceError::Protocol("stats body has no 'model_digest'".into()))?
-                .to_string(),
-            summary: ServiceSummary {
-                connections: counter("connections")?,
-                active_connections: counter("active_connections")?,
-                requests: counter("requests")?,
-                runs: counter("runs")?,
-                units_streamed: counter("units_streamed")?,
-                units_computed: counter("units_computed")?,
-                unit_cache_hits: counter("unit_cache_hits")?,
-                coalesced_joins: counter("coalesced_joins")?,
-                units_submitted: counter("units_submitted")?,
-                units_failed: counter("units_failed")?,
-                units_cancelled: counter("units_cancelled")?,
-                deadline_expired: counter("deadline_expired")?,
-                submissions_rejected: counter("submissions_rejected")?,
-                events_dropped: counter("events_dropped")?,
-                reactor_notify_wakeups: counter("reactor_notify_wakeups")?,
-                reactor_timer_wakeups: counter("reactor_timer_wakeups")?,
-            },
-            gauges: ServiceGauges {
-                queue_depth: counter("queue_depth")?,
-                queue_high: counter("queue_high")?,
-                queue_normal: counter("queue_normal")?,
-                queue_batch: counter("queue_batch")?,
-                units_inflight: counter("units_inflight")?,
-                event_subscribers: counter("event_subscribers")?,
-                workers_alive: counter("workers_alive")?,
-                reactor_registered_connections: counter("reactor_registered_connections")?,
-            },
-        })
+        decode_stats(&self.call("stats", None, "stats")?)
     }
 
     /// Fetch the daemon's metrics exposition (Prometheus text format).
     pub fn metrics(&mut self) -> Result<String, ServiceError> {
-        let id = self.send("metrics", None)?;
-        let response = self.read_response(id)?;
-        if response.kind != "metrics" {
-            return Err(ServiceError::Protocol(format!(
-                "expected metrics, got '{}'",
-                response.kind
-            )));
+        match self.call("metrics", None, "metrics")? {
+            JsonValue::String(text) => Ok(text),
+            _ => Err(ServiceError::Protocol("metrics has no string body".into())),
         }
-        response
-            .body
-            .as_ref()
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ServiceError::Protocol("metrics has no string body".into()))
     }
 
     /// Probe the daemon's liveness and readiness.
     pub fn health(&mut self) -> Result<HealthReport, ServiceError> {
-        let id = self.send("health", None)?;
-        let response = self.read_response(id)?;
-        if response.kind != "health" {
-            return Err(ServiceError::Protocol(format!(
-                "expected health, got '{}'",
-                response.kind
-            )));
-        }
-        let body = response
-            .body
-            .as_ref()
-            .ok_or_else(|| ServiceError::Protocol("health has no body".into()))?;
-        HealthReport::from_body(body)
+        HealthReport::from_body(&self.call("health", None, "health")?)
     }
 
     /// Subscribe to the daemon's live event stream, consuming the
@@ -2431,14 +2199,7 @@ impl<T: Transport> ServiceClient<T> {
         mut self,
         mut on_event: impl FnMut(&CampaignEvent) -> bool,
     ) -> Result<(), ServiceError> {
-        let id = self.send("subscribe", None)?;
-        let ack = self.read_response(id)?;
-        if ack.kind != "subscribed" {
-            return Err(ServiceError::Protocol(format!(
-                "expected subscribed, got '{}'",
-                ack.kind
-            )));
-        }
+        self.call("subscribe", None, "subscribed")?;
         loop {
             let mut line = String::new();
             let read = self
@@ -2474,14 +2235,7 @@ impl<T: Transport> ServiceClient<T> {
 
     /// Ask the daemon to exit after answering.
     pub fn shutdown(&mut self) -> Result<(), ServiceError> {
-        let id = self.send("shutdown", None)?;
-        let response = self.read_response(id)?;
-        match response.kind.as_str() {
-            "bye" => Ok(()),
-            other => Err(ServiceError::Protocol(format!(
-                "expected bye, got '{other}'"
-            ))),
-        }
+        self.call("shutdown", None, "bye").map(drop)
     }
 
     /// Submit an arbitrary method (protocol testing).
@@ -2491,7 +2245,9 @@ impl<T: Transport> ServiceClient<T> {
         body: Option<JsonValue>,
     ) -> Result<Response, ServiceError> {
         let id = self.send(method, body)?;
-        self.read_response(id)
+        let (mut response, body) = self.read_decoded(id, |_, tokens| tree_body(tokens))?;
+        response.body = body;
+        Ok(response)
     }
 }
 
@@ -2501,6 +2257,37 @@ enum RunBody {
     Unit(ServedUnit),
     /// Any other kind's body, as a tree.
     Tree(JsonValue),
+}
+
+/// Decode the terminal response of a `run` stream: `done` into the
+/// outcome (around the already-sorted `units`), and `busy`, `cancelled`
+/// and `deadline_exceeded` into their typed errors.
+fn run_terminal(
+    kind: &str,
+    body: &JsonValue,
+    units: Vec<ServedUnit>,
+) -> Result<RunOutcome, ServiceError> {
+    let int = |name| member(body, kind, name, JsonValue::as_u64);
+    let string = |name| member(body, kind, name, JsonValue::as_str).map(str::to_string);
+    match kind {
+        "done" => Ok(RunOutcome {
+            computed_units: int("computed_units")? as usize,
+            coalesced_units: int("coalesced_units")? as usize,
+            fingerprint: string("fingerprint")?,
+            model_digest: string("model_digest")?,
+            cache: member(body, kind, "cache", Some).and_then(parse_cache_body)?,
+            units,
+        }),
+        "busy" => Err(ServiceError::Busy {
+            queued: int("queued")?,
+            cap: int("cap")?,
+        }),
+        "cancelled" => Err(ServiceError::Cancelled(string("unit")?)),
+        "deadline_exceeded" => Err(ServiceError::DeadlineExceeded(string("unit")?)),
+        other => Err(ServiceError::Protocol(format!(
+            "unexpected response kind '{other}' during run"
+        ))),
+    }
 }
 
 fn tree_body(tokens: &mut Tokenizer<'_>) -> Result<JsonValue, ServiceError> {
@@ -2679,112 +2466,124 @@ mod tests {
         let cache = parse_cache_body(body.get("cache").unwrap()).unwrap();
         assert_eq!(cache, report.cache);
 
-        let summary = ServiceSummary {
-            connections: 3,
-            active_connections: 1,
-            requests: 4,
-            runs: 2,
-            units_streamed: 8,
-            units_computed: 6,
-            unit_cache_hits: 1,
-            coalesced_joins: 1,
-            units_submitted: 8,
-            units_failed: 0,
-            units_cancelled: 1,
-            deadline_expired: 0,
-            submissions_rejected: 2,
-            events_dropped: 2,
-            reactor_notify_wakeups: 7,
-            reactor_timer_wakeups: 3,
+        // Every series member crosses the wire with a distinct value:
+        // encode, decode and the table agree on names and order.
+        let mut members = vec![
+            ("cache".to_string(), cache_body(&report.cache)),
+            (
+                "model_digest".to_string(),
+                JsonValue::String(digest.clone()),
+            ),
+        ];
+        members.extend(
+            SERIES
+                .iter()
+                .zip(1..)
+                .map(|(series, value)| (series.member.to_string(), JsonValue::integer(value))),
+        );
+        let wire = JsonValue::Object(members);
+        let stats = decode_stats(&wire).expect("a full stats body decodes");
+        assert_eq!(SERIES.len(), 24);
+        let values: Vec<u64> = series_values(&stats.summary, &stats.gauges)
+            .map(|(_, value)| value)
+            .collect();
+        assert_eq!(values, (1..=24).collect::<Vec<u64>>());
+        assert_eq!(stats.cache, report.cache);
+        assert_eq!(stats.model_digest, digest);
+        let body = stats_body(&stats.cache, &digest, &stats.summary, &stats.gauges);
+        assert_eq!(body, wire);
+        assert_eq!(decode_stats(&body), Ok(stats));
+    }
+
+    /// Decode a canned `run` terminal line the way the client does.
+    fn terminal(line: &str) -> Result<RunOutcome, ServiceError> {
+        let response = Response::from_line(line).expect("the envelope parses");
+        run_terminal(
+            &response.kind,
+            response.body.as_ref().unwrap_or(&JsonValue::Null),
+            vec![],
+        )
+    }
+
+    /// A protocol error whose message names `member`.
+    fn names_member(result: Result<RunOutcome, ServiceError>, member: &str) -> bool {
+        matches!(result, Err(ServiceError::Protocol(message)) if message.contains(&format!("'{member}'")))
+    }
+
+    #[test]
+    fn busy_terminals_decode_strictly() {
+        assert!(matches!(
+            terminal(r#"{"id":2,"kind":"busy","body":{"queued":1,"cap":2,"needed":4}}"#),
+            Err(ServiceError::Busy { queued: 1, cap: 2 })
+        ));
+        assert!(names_member(
+            terminal(r#"{"id":2,"kind":"busy","body":{"queued":1,"needed":4}}"#),
+            "cap"
+        ));
+        assert!(names_member(
+            terminal(r#"{"id":2,"kind":"busy","body":{"queued":"1","cap":2}}"#),
+            "queued"
+        ));
+    }
+
+    #[test]
+    fn cancelled_terminals_decode_strictly() {
+        assert_eq!(
+            terminal(r#"{"id":2,"kind":"cancelled","body":{"unit":"fig4[chip=M1]"}}"#).err(),
+            Some(ServiceError::Cancelled("fig4[chip=M1]".to_string()))
+        );
+        assert!(names_member(
+            terminal(r#"{"id":2,"kind":"cancelled","body":{}}"#),
+            "unit"
+        ));
+    }
+
+    #[test]
+    fn deadline_exceeded_terminals_decode_strictly() {
+        assert_eq!(
+            terminal(r#"{"id":2,"kind":"deadline_exceeded","body":{"unit":"fig4[chip=M1]"}}"#)
+                .err(),
+            Some(ServiceError::DeadlineExceeded("fig4[chip=M1]".to_string()))
+        );
+        assert!(names_member(
+            terminal(r#"{"id":2,"kind":"deadline_exceeded","body":{"unit":7}}"#),
+            "unit"
+        ));
+    }
+
+    #[test]
+    fn the_series_table_matches_the_protocol_doc() {
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        // § 10's recorded `stats` line lists every member in wire order.
+        let line = doc
+            .lines()
+            .find(|line| line.starts_with(r#"{"id":3,"kind":"stats","body":"#))
+            .expect("PROTOCOL.md records a stats response");
+        let response = Response::from_line(line).expect("the recorded line parses");
+        let Some(JsonValue::Object(body)) = &response.body else {
+            panic!("the recorded stats body is not an object");
         };
-        let gauges = ServiceGauges {
-            queue_depth: 3,
-            queue_high: 1,
-            queue_normal: 0,
-            queue_batch: 2,
-            units_inflight: 5,
-            event_subscribers: 1,
-            workers_alive: 4,
-            reactor_registered_connections: 2,
-        };
-        let stats = stats_body(&report.cache, &digest, &summary, &gauges);
-        assert_eq!(stats.get("runs").and_then(JsonValue::as_u64), Some(2));
-        assert_eq!(
-            stats.get("model_digest").and_then(JsonValue::as_str),
-            Some(digest.as_str())
-        );
-        assert_eq!(
-            stats.get("coalesced_joins").and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            stats.get("active_connections").and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            stats.get("units_submitted").and_then(JsonValue::as_u64),
-            Some(8)
-        );
-        assert_eq!(
-            stats.get("units_failed").and_then(JsonValue::as_u64),
-            Some(0)
-        );
-        assert_eq!(
-            stats.get("units_cancelled").and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            stats
-                .get("submissions_rejected")
-                .and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            stats.get("queue_batch").and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            stats.get("events_dropped").and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            stats.get("queue_depth").and_then(JsonValue::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            stats.get("units_inflight").and_then(JsonValue::as_u64),
-            Some(5)
-        );
-        assert_eq!(
-            stats.get("event_subscribers").and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            stats.get("workers_alive").and_then(JsonValue::as_u64),
-            Some(4)
-        );
-        assert_eq!(
-            stats
-                .get("reactor_notify_wakeups")
-                .and_then(JsonValue::as_u64),
-            Some(7)
-        );
-        assert_eq!(
-            stats
-                .get("reactor_timer_wakeups")
-                .and_then(JsonValue::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            stats
-                .get("reactor_registered_connections")
-                .and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            parse_cache_body(stats.get("cache").unwrap()).unwrap(),
-            report.cache
-        );
+        let recorded: Vec<&str> = body.iter().map(|(name, _)| name.as_str()).collect();
+        let mut expected = vec!["cache", "model_digest"];
+        expected.extend(SERIES.iter().map(|series| series.member));
+        assert_eq!(recorded, expected);
+
+        // § 6.1's family table names every family and label value.
+        let families = &doc[doc.find("### 6.1").unwrap()..doc.find("### 6.2").unwrap()];
+        for series in SERIES {
+            let row = match series.labels {
+                [] => format!("`{}`", series.family),
+                [(label, _)] => format!("`{}{{{label}=", series.family),
+                _ => unreachable!("a series carries at most one label"),
+            };
+            let row = families
+                .lines()
+                .find(|line| line.starts_with('|') && line.contains(&row))
+                .unwrap_or_else(|| panic!("§ 6.1 has no row for {row}"));
+            for (_, value) in series.labels {
+                assert!(row.contains(&format!("\"{value}\"")), "{row} lacks {value}");
+            }
+        }
     }
 
     #[test]

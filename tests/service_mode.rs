@@ -966,19 +966,29 @@ fn busy_rejections_and_priorities_are_typed_over<T: TestTransport>() {
     let outcome = client.run_with(&fitting, &options).expect("admitted run");
     assert_eq!(outcome.units.len(), 1);
 
-    // A malformed priority token answers in-band; the connection stays.
-    let mut body = oranges_harness::json::parse(&fitting.to_json()).expect("spec parses");
-    if let oranges_harness::json::JsonValue::Object(fields) = &mut body {
-        fields.push((
-            "priority".to_string(),
-            oranges_harness::json::JsonValue::String("urgent".to_string()),
-        ));
-    }
-    match client.raw_request("run", Some(body)) {
-        Err(ServiceError::Remote(message)) => {
-            assert!(message.contains("unknown priority"), "{message}");
+    // A malformed priority token, or a `priority` or `run_token` that is
+    // not a string, answers in-band naming the member; the connection
+    // stays.
+    for (member, value, needle) in [
+        ("priority", r#""urgent""#, "unknown priority"),
+        ("priority", "1", "priority"),
+        ("priority", "null", "priority"),
+        ("run_token", "7", "run_token"),
+        ("run_token", r#"["a"]"#, "run_token"),
+    ] {
+        let mut body = oranges_harness::json::parse(&fitting.to_json()).expect("spec parses");
+        if let oranges_harness::json::JsonValue::Object(fields) = &mut body {
+            fields.push((
+                member.to_string(),
+                oranges_harness::json::parse(value).expect("member value parses"),
+            ));
         }
-        other => panic!("expected an in-band error, got {other:?}"),
+        match client.raw_request("run", Some(body)) {
+            Err(ServiceError::Remote(message)) => {
+                assert!(message.contains(needle), "{member}={value}: {message}");
+            }
+            other => panic!("{member}={value}: expected an in-band error, got {other:?}"),
+        }
     }
 
     // Cancelling a token nobody registered is a no-op ack, not an error
@@ -991,6 +1001,10 @@ fn busy_rejections_and_priorities_are_typed_over<T: TestTransport>() {
     let stats = client.stats().expect("stats");
     assert_eq!(stats.summary.submissions_rejected, 1);
     assert_eq!(stats.summary.units_computed, 1, "only the admitted run ran");
+    assert_eq!(
+        stats.summary.units_submitted, 1,
+        "the in-band rejections never reached the engine"
+    );
 
     client.shutdown().expect("shutdown");
     daemon.join().expect("daemon");
