@@ -148,7 +148,12 @@ impl ResultCache {
     /// Store a unit's output. Returns the stored handle — if two workers
     /// race on the same key, the first insert wins and both get the same
     /// value (outputs for equal keys are identical by construction).
+    ///
+    /// The output's canonical JSON is derived before the lock is taken,
+    /// so every stored entry holds its bytes and a reader (the service
+    /// splicing a `unit` line) never emits.
     pub fn insert(&self, key: UnitKey, output: ExperimentOutput) -> Arc<ExperimentOutput> {
+        output.json();
         let mut store = self.inner.store.lock().expect("cache lock");
         store.entry(key).or_insert_with(|| Arc::new(output)).clone()
     }
@@ -224,10 +229,11 @@ impl ResultCache {
 
     /// Rebuild a cache from a [`save`](ResultCache::save)d file,
     /// reporting whether the file survived the model-digest check. Each
-    /// surviving entry's canonical JSON is re-derived from its parsed
-    /// sets, so a loaded result is value-identical to a freshly computed
-    /// one — which is what lets a second process serve the same spec
-    /// entirely from disk. Statistics start at zero.
+    /// surviving entry's canonical JSON is derived from its parsed sets
+    /// before the entry enters the store, so a loaded result is
+    /// value-identical to a freshly computed one — which is what lets a
+    /// second process serve the same spec entirely from disk — and its
+    /// bytes are ready to splice. Statistics start at zero.
     ///
     /// A file stamped with a *different* model digest was produced under
     /// other calibration constants, and a file carrying a *different
@@ -293,15 +299,22 @@ impl ResultCache {
             .iter()
             .map(|(key, output)| (key.clone(), output.clone()))
             .collect();
+        // The comparison below reads canonical bytes under the lock.
+        // Every entry was derived as it entered `other`, so this only
+        // reads, but it keeps any derivation out of the critical
+        // section even so.
+        for (_, output) in &incoming {
+            output.json();
+        }
         let mut store = self.inner.store.lock().expect("cache lock");
         // Validate first so a conflict cannot leave a half-merged store.
         for (key, output) in &incoming {
             if let Some(existing) = store.get(key) {
-                if existing.json != output.json {
+                if existing.json() != output.json() {
                     return Err(CacheMergeError::Conflict {
                         key: key.clone(),
-                        existing_json_len: existing.json.len(),
-                        incoming_json_len: output.json.len(),
+                        existing_json_len: existing.json().len(),
+                        incoming_json_len: output.json().len(),
                     });
                 }
             }
@@ -472,6 +485,11 @@ pub(crate) fn decode_document(text: &str) -> Result<CacheLoad, CachePersistError
             invalidated: entries.count,
             file_digest,
         });
+    }
+    // Derive every entry's canonical JSON before the store is locked,
+    // as `insert` does.
+    for (_, output) in &entries.decoded {
+        output.json();
     }
     cache.inner.store.lock().expect("cache lock").extend(
         entries
@@ -683,7 +701,7 @@ mod tests {
         let cache = ResultCache::new();
         let first = cache.insert(key("fig2"), output(1.0));
         let second = cache.insert(key("fig2"), output(2.0));
-        assert_eq!(first.json, second.json);
+        assert_eq!(first.json(), second.json());
         assert_eq!(cache.stats().entries, 1);
     }
 
@@ -733,7 +751,7 @@ mod tests {
         let reloaded = reloaded.cache;
         assert_eq!(reloaded.stats().entries, 2);
         let hit = reloaded.get(&key("fig1")).expect("persisted entry");
-        assert_eq!(hit.json, first.json, "canonical identity survives disk");
+        assert_eq!(hit.json(), first.json(), "canonical identity survives disk");
         assert_eq!(hit.sets, first.sets);
         assert_eq!(hit.rendered.as_deref(), Some("Table 1\nrow"));
         assert_eq!(

@@ -12,6 +12,12 @@
 //! allowed difference: the typed decoders reject a `Float` or
 //! power-context value that parses to ±infinity, which the tree walks
 //! let through.
+//!
+//! A decoded output derives its canonical JSON on first read, not in the
+//! decoder. The last group of tests pins what that read returns: the
+//! emitter's bytes for the decoded sets, whatever the input's spelling,
+//! the same bytes on every clone, and an equality that still tells `0.0`
+//! from `-0.0`.
 
 use crate::cache::{decode_document, ResultCache};
 use crate::engine::UnitSource;
@@ -748,4 +754,148 @@ fn envelope_and_document_members_may_come_in_any_order() {
     let reversed = tree.to_json_string();
     assert!(reversed.find("\"entries\"") < reversed.find("\"version\""));
     compare_loads(&reversed).expect("same load either way");
+}
+
+// ---------------------------------------------------------------------------
+// The canonical JSON a decoded output derives on first read.
+// ---------------------------------------------------------------------------
+
+/// The saved cache document holding one `output` under `key`.
+fn saved_with(key: &UnitKey, output: &ExperimentOutput, seed: u64) -> String {
+    let cache = ResultCache::new();
+    cache.insert(key.clone(), output.clone());
+    let path = std::env::temp_dir().join(format!(
+        "oranges-derived-json-{}-{seed}.json",
+        std::process::id()
+    ));
+    cache.save(&path).expect("finite entries save");
+    let text = std::fs::read_to_string(&path).expect("saved text");
+    std::fs::remove_file(&path).ok();
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn decoded_outputs_derive_the_emitters_bytes(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let unit = random_unit(&mut rng);
+        let built = &*unit.output;
+        let canonical = ExperimentOutput::from_sets(built.sets.clone(), built.rendered.clone())
+            .expect("finite sets serialize");
+
+        // The `unit` envelope, through the client's decoder.
+        let wire = typed_unit_line(&unit_line(rng.below(1000), &unit))
+            .expect("a unit line decodes")
+            .output;
+        // The disk-entry envelope, through `decode` alone and through the
+        // cache loader.
+        let text = saved_with(&unit.key, built, seed);
+        let entry = json::parse(&text)
+            .expect("saved documents parse")
+            .get("entries")
+            .and_then(JsonValue::as_array)
+            .and_then(|entries| entries.first().map(JsonValue::to_json_string))
+            .expect("one entry");
+        let disk = ExperimentOutput::decode(&mut json::Tokenizer::new(&entry), |_, _| Ok(false))
+            .expect("the entry decodes");
+        let loaded = decode_document(&text)
+            .expect("the saved document loads")
+            .cache
+            .get(&unit.key)
+            .expect("the entry survives");
+        for decoded in [&wire, &disk, &*loaded] {
+            prop_assert_eq!(decoded.json(), canonical.json());
+            prop_assert_eq!(decoded, built);
+        }
+    }
+}
+
+#[test]
+fn a_non_canonical_envelope_derives_the_canonical_emission() {
+    // Members out of order, `1.50` for `1.5`, whitespace everywhere and
+    // an escaped solidus: all valid, none of it the emitter's spelling.
+    let sets = r#" [ { "metrics" : [ { "unit" : "GB\/s" , "value" : { "Float" : 1.50 } ,
+        "name" : "gbs" } ] , "n" : 2048 , "implementation" : "CPU-OMP" ,
+        "provenance" : { "params" : "chip=M1" , "chip" : "M1" , "experiment" : "fig1" } } ] "#;
+    let envelope = format!(r#"{{ "rendered" : null , "sets" : {sets} , "wall_time_s" : 0.5 }}"#);
+    let mut tokens = json::Tokenizer::new(&envelope);
+    let decoded = ExperimentOutput::decode(&mut tokens, |_, _| Ok(false)).expect("decodes");
+    tokens.finish().expect("one envelope");
+
+    let mut built = ExperimentOutput::from_sets(
+        vec![MetricSet::for_chip("fig1", "chip=M1", "M1")
+            .with_implementation("CPU-OMP")
+            .with_n(2048)
+            .metric("gbs", 1.5, "GB/s")],
+        None,
+    )
+    .expect("finite sets serialize");
+    assert_eq!(decoded.json(), built.json());
+    assert_ne!(decoded.json(), sets.trim());
+    assert!(
+        decoded.json().contains(r#"{"Float":1.5}"#),
+        "{}",
+        decoded.json()
+    );
+    assert!(decoded.json().contains(r#""GB/s""#), "{}", decoded.json());
+    built.stamp_wall_time(0.5);
+    assert_eq!(decoded, built);
+}
+
+#[test]
+fn clones_taken_before_the_first_read_derive_the_same_bytes() {
+    let mut rng = TestRng::new(11);
+    for _ in 0..50 {
+        let unit = random_unit(&mut rng);
+        let decoded = typed_unit_line(&unit_line(1, &unit))
+            .expect("a unit line decodes")
+            .output;
+        let clones = [decoded.clone(), decoded.clone(), decoded.clone()];
+        for clone in &clones {
+            assert_eq!(clone.json(), unit.output.json());
+        }
+        assert_eq!(decoded.json(), unit.output.json());
+        // A clone taken after the first read carries the derived bytes.
+        assert_eq!(decoded.clone().json(), unit.output.json());
+    }
+}
+
+#[test]
+fn outputs_differing_only_in_the_sign_of_zero_compare_unequal() {
+    let output = |zero: f64| {
+        ExperimentOutput::from_sets(
+            vec![MetricSet::for_chip("fig3", "chip=M1", "M1").metric("watts", zero, "W")],
+            None,
+        )
+        .expect("finite sets serialize")
+    };
+    let (positive, negative) = (output(0.0), output(-0.0));
+    assert_eq!(
+        positive.sets, negative.sets,
+        "f64 equality ignores the sign"
+    );
+    assert_ne!(positive.json(), negative.json());
+    assert_ne!(positive, negative);
+    // The same holds for outputs decoded from the wire, whose bytes are
+    // derived on first read.
+    let decode = |output: ExperimentOutput| {
+        let unit = UnitReport {
+            index: 0,
+            key: UnitKey {
+                id: "fig3".to_string(),
+                params: "chip=M1".to_string(),
+            },
+            source: UnitSource::Computed,
+            wall: Duration::from_millis(1),
+            output: Arc::new(output),
+        };
+        typed_unit_line(&unit_line(1, &unit))
+            .expect("a unit line decodes")
+            .output
+    };
+    let (positive, negative) = (decode(positive), decode(negative));
+    assert_eq!(positive.sets, negative.sets);
+    assert_ne!(positive, negative);
 }

@@ -97,7 +97,7 @@ impl CampaignReport {
         for unit in &self.units {
             digest.push_str(&unit.key.to_string());
             digest.push('=');
-            digest.push_str(&unit.output.json);
+            digest.push_str(unit.output.json());
             digest.push('\n');
         }
         digest

@@ -94,6 +94,7 @@ impl From<SpecParseError> for CampaignError {
 /// Expand a spec into its (possibly sharded) plan — the one expansion
 /// path every entry point (CLI adapters and the service) goes through.
 pub(crate) fn expand_plan(spec: &CampaignSpec) -> Result<Plan, CampaignError> {
+    spec.validate_sizes()?;
     let plan = Plan::expand(spec);
     match spec.shard {
         Some((index, count)) => Ok(plan.shard(index, count)?),
@@ -248,7 +249,7 @@ mod tests {
         assert_eq!(report.units.len(), 2);
         assert!(!report.units[0].from_cache());
         assert!(report.units[1].from_cache(), "second occurrence coalesced");
-        assert_eq!(report.units[0].output.json, report.units[1].output.json);
+        assert_eq!(report.units[0].output.json(), report.units[1].output.json());
         assert_eq!(report.computed_units(), 1);
         assert_eq!(report.coalesced_units(), 1);
         assert_eq!(cache.stats().entries, 1);

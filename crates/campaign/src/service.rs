@@ -1735,7 +1735,7 @@ fn metrics_text(
 /// emitter; `sets` is the unit's cached canonical JSON, spliced in as
 /// bytes rather than parsed into a tree and emitted again. That is
 /// byte-identical to emitting the whole tree, because `sets` is the
-/// body's last field and `output.json` is emitter output, which never
+/// body's last field and `output.json()` is emitter output, which never
 /// holds a raw newline.
 pub(crate) fn unit_line(id: u64, unit: &UnitReport) -> String {
     let mut line = Response::ok(id, "unit")
@@ -1744,9 +1744,10 @@ pub(crate) fn unit_line(id: u64, unit: &UnitReport) -> String {
     // Reopen the body: drop its closing brace, the envelope's, and the
     // newline.
     line.truncate(line.len() - "}}\n".len());
-    line.reserve(unit.output.json.len() + ",\"sets\":}}\n".len());
+    let sets = unit.output.json();
+    line.reserve(sets.len() + ",\"sets\":}}\n".len());
     line.push_str(",\"sets\":");
-    line.push_str(&unit.output.json);
+    line.push_str(sets);
     line.push_str("}}\n");
     line
 }
@@ -1779,7 +1780,7 @@ fn unit_head(unit: &UnitReport) -> Vec<(String, JsonValue)> {
 /// byte for byte once emitted.
 #[cfg(test)]
 fn unit_body(unit: &UnitReport) -> JsonValue {
-    let sets = json::parse(&unit.output.json).expect("canonical JSON parses");
+    let sets = json::parse(unit.output.json()).expect("canonical JSON parses");
     let mut fields = unit_head(unit);
     fields.push(("sets".to_string(), sets));
     JsonValue::Object(fields)
@@ -2106,8 +2107,7 @@ impl<T: Transport> ServiceClient<T> {
         options: &RunOptions,
         mut on_unit: impl FnMut(&ServedUnit),
     ) -> Result<RunOutcome, ServiceError> {
-        let mut body = json::parse(&spec.to_json())
-            .map_err(|e| ServiceError::Protocol(format!("spec JSON did not re-parse: {e}")))?;
+        let mut body = spec.to_json_value();
         if let JsonValue::Object(fields) = &mut body {
             if options.priority != Priority::Normal {
                 fields.push((
@@ -2414,7 +2414,8 @@ mod tests {
         assert_eq!(served.source, UnitSource::Coalesced);
         assert!(served.from_cache());
         assert_eq!(
-            served.output.json, report.output.json,
+            served.output.json(),
+            report.output.json(),
             "value identity crosses the wire"
         );
         assert_eq!(served.output.sets, report.output.sets);

@@ -146,9 +146,12 @@ pub struct CampaignSpec {
     pub experiments: Vec<ExperimentKind>,
     /// Chips the per-chip kinds expand over.
     pub chips: Vec<ChipGeneration>,
-    /// Override Figure 2's size sweep (`None` = the paper's sizes).
+    /// Override Figure 2's size sweep (`None` = the paper's sizes). At
+    /// most [`MAX_SIZES`] sizes, each in [`MIN_SIZE`]`..=`[`MAX_SIZE`];
+    /// parsing and plan expansion refuse anything else.
     pub gemm_sizes: Option<Vec<usize>>,
-    /// Override Figures 3/4's size sweep (`None` = the paper's sizes).
+    /// Override Figures 3/4's size sweep (`None` = the paper's sizes),
+    /// under the same limits as `gemm_sizes`.
     pub power_sizes: Option<Vec<usize>>,
     /// Override Figure 2's verification FLOP ceiling (a value above the
     /// backends' functional ceiling, 600 MFLOP, is clamped to it).
@@ -240,10 +243,34 @@ impl CampaignSpec {
         Ok(self)
     }
 
+    /// Check the size overrides against [`MIN_SIZE`]`..=`[`MAX_SIZE`]
+    /// and [`MAX_SIZES`], as [`from_json`](CampaignSpec::from_json)
+    /// does. Plan expansion calls this, so a spec built in code with an
+    /// out-of-range size fails before any unit runs.
+    pub(crate) fn validate_sizes(&self) -> Result<(), SpecParseError> {
+        for (field, sizes) in [
+            ("gemm_sizes", &self.gemm_sizes),
+            ("power_sizes", &self.power_sizes),
+        ] {
+            if let Some(sizes) = sizes {
+                check_size_list(field, sizes.iter().map(|&n| n as u64))?;
+            }
+        }
+        Ok(())
+    }
+
     /// Serialize to the JSON wire format the campaign service and the
-    /// shard orchestrator exchange. Stable field order; `None` overrides
-    /// are omitted, so the output stays minimal and byte-deterministic.
+    /// shard orchestrator exchange: [`to_json_value`] emitted.
+    ///
+    /// [`to_json_value`]: CampaignSpec::to_json_value
     pub fn to_json(&self) -> String {
+        self.to_json_value().to_json_string()
+    }
+
+    /// The spec as a JSON tree, the body of a service `run` request.
+    /// Stable field order; `None` overrides are omitted, so the emitted
+    /// document stays minimal and byte-deterministic.
+    pub fn to_json_value(&self) -> JsonValue {
         let ids = self
             .experiments
             .iter()
@@ -288,7 +315,7 @@ impl CampaignSpec {
                 ]),
             ));
         }
-        JsonValue::Object(fields).to_json_string()
+        JsonValue::Object(fields)
     }
 
     /// Parse a spec from its JSON wire format (the inverse of
@@ -316,15 +343,18 @@ impl CampaignSpec {
         let size_list = |field: &str| -> Result<Option<Vec<usize>>, SpecParseError> {
             match value.get(field) {
                 None | Some(JsonValue::Null) => Ok(None),
-                Some(JsonValue::Array(items)) => items
-                    .iter()
-                    .map(|item| {
-                        item.as_u64().map(|n| n as usize).ok_or_else(|| {
-                            SpecParseError(format!("'{field}' entries must be whole numbers"))
+                Some(JsonValue::Array(items)) => {
+                    let sizes = items
+                        .iter()
+                        .map(|item| {
+                            item.as_u64().ok_or_else(|| {
+                                SpecParseError(format!("'{field}' entries must be whole numbers"))
+                            })
                         })
-                    })
-                    .collect::<Result<Vec<usize>, _>>()
-                    .map(Some),
+                        .collect::<Result<Vec<u64>, _>>()?;
+                    check_size_list(field, sizes.iter().copied())?;
+                    Ok(Some(sizes.into_iter().map(|n| n as usize).collect()))
+                }
                 Some(other) => Err(SpecParseError(format!(
                     "'{field}' is not an array: {other:?}"
                 ))),
@@ -378,6 +408,43 @@ impl CampaignSpec {
             }
         }
         Ok(spec)
+    }
+}
+
+/// The smallest matrix size a spec may name. A 1×1 product models to
+/// a measurement window with no elapsed time, which fails its unit.
+pub const MIN_SIZE: usize = 2;
+
+/// The largest matrix size a spec may name: four times the paper's
+/// largest, 16,384. Its GEMM FLOP count (about 5.6 × 10¹⁴) is far inside
+/// `u64`, and the experiments only model cells this large, without
+/// allocating their operands.
+pub const MAX_SIZE: usize = 65_536;
+
+/// The most entries one size list (`gemm_sizes`, `power_sizes`) may
+/// hold. The paper's longest sweep, Figure 2's, has 10.
+pub const MAX_SIZES: usize = 64;
+
+/// Check a size list against [`MIN_SIZE`]`..=`[`MAX_SIZE`] and
+/// [`MAX_SIZES`]. The JSON spec parser and plan expansion both apply it,
+/// so an out-of-range size is a typed error naming `field` whether the
+/// spec came over the wire or was built in code.
+fn check_size_list(
+    field: &str,
+    mut sizes: impl ExactSizeIterator<Item = u64>,
+) -> Result<(), SpecParseError> {
+    if sizes.len() > MAX_SIZES {
+        return Err(SpecParseError(format!(
+            "'{field}' holds {} sizes, more than {MAX_SIZES}",
+            sizes.len()
+        )));
+    }
+    let range = MIN_SIZE as u64..=MAX_SIZE as u64;
+    match sizes.find(|n| !range.contains(n)) {
+        Some(n) => Err(SpecParseError(format!(
+            "'{field}' size {n} is outside {MIN_SIZE}..={MAX_SIZE}"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -485,6 +552,115 @@ mod tests {
         ] {
             assert!(CampaignSpec::from_json(bad).is_err(), "accepted {bad}");
         }
+    }
+
+    /// A spec with every override drawn at random.
+    fn random_spec(rng: &mut proptest::test_runner::TestRng) -> CampaignSpec {
+        let subset = |rng: &mut proptest::test_runner::TestRng, len: usize| -> Vec<usize> {
+            (0..len).filter(|_| rng.below(2) == 0).collect()
+        };
+        let experiments = subset(rng, ExperimentKind::ALL.len())
+            .into_iter()
+            .map(|i| ExperimentKind::ALL[i])
+            .collect();
+        let chips = subset(rng, ChipGeneration::ALL.len())
+            .into_iter()
+            .map(|i| ChipGeneration::ALL[i])
+            .collect();
+        let sizes = |rng: &mut proptest::test_runner::TestRng| -> Vec<usize> {
+            (0..rng.below(MAX_SIZES as u64 + 1))
+                .map(|_| MIN_SIZE + rng.below((MAX_SIZE - MIN_SIZE + 1) as u64) as usize)
+                .collect()
+        };
+        let mut spec =
+            CampaignSpec::new(experiments, chips).with_workers(1 + rng.below(64) as usize);
+        if rng.below(2) == 0 {
+            spec = spec.with_gemm_sizes(sizes(rng));
+        }
+        if rng.below(2) == 0 {
+            spec = spec.with_power_sizes(sizes(rng));
+        }
+        if rng.below(2) == 0 {
+            spec = spec.with_verify_max_flops(rng.next_u64());
+        }
+        if rng.below(2) == 0 {
+            let count = 1 + rng.below(8) as usize;
+            spec = spec
+                .with_shard(rng.below(count as u64) as usize, count)
+                .expect("index below count");
+        }
+        spec
+    }
+
+    #[test]
+    fn the_spec_tree_is_what_its_json_parses_to() {
+        let mut specs = vec![
+            CampaignSpec::paper_grid(),
+            CampaignSpec::smoke(),
+            CampaignSpec::full(),
+        ];
+        let mut rng = proptest::test_runner::TestRng::new(0x5bec);
+        specs.extend((0..200).map(|_| random_spec(&mut rng)));
+        for spec in specs {
+            let text = spec.to_json();
+            assert_eq!(json::parse(&text), Ok(spec.to_json_value()), "{text}");
+            assert_eq!(CampaignSpec::from_json(&text), Ok(spec));
+        }
+    }
+
+    #[test]
+    fn sizes_outside_the_documented_limits_are_rejected_naming_the_member() {
+        for field in ["gemm_sizes", "power_sizes"] {
+            let body = |sizes: &str| {
+                format!(r#"{{"experiments":["fig2","fig3"],"chips":["M1"],"{field}":{sizes}}}"#)
+            };
+            for bad in [
+                "[0]".to_string(),
+                "[1]".to_string(),
+                format!("[{}]", MAX_SIZE + 1),
+                "[2048,18446744073709551615]".to_string(),
+                "[9223372036854775872]".to_string(),
+                format!("[{}]", vec!["2048"; MAX_SIZES + 1].join(",")),
+            ] {
+                let error = CampaignSpec::from_json(&body(&bad)).expect_err(&bad);
+                assert!(error.to_string().contains(field), "{bad}: {error}");
+            }
+            for good in [
+                format!("[{MIN_SIZE}]"),
+                format!("[{MAX_SIZE}]"),
+                "[16384]".to_string(),
+                format!("[{}]", vec!["2048"; MAX_SIZES].join(",")),
+            ] {
+                assert!(CampaignSpec::from_json(&body(&good)).is_ok(), "{good}");
+            }
+        }
+    }
+
+    #[test]
+    fn code_built_specs_with_out_of_range_sizes_fail_before_any_unit_runs() {
+        let cache = crate::ResultCache::new();
+        for (spec, field) in [
+            (
+                CampaignSpec::smoke().with_gemm_sizes(vec![usize::MAX]),
+                "gemm_sizes",
+            ),
+            (
+                CampaignSpec::smoke().with_power_sizes(vec![2048, MAX_SIZE + 1]),
+                "power_sizes",
+            ),
+            (
+                CampaignSpec::smoke().with_gemm_sizes(vec![256; MAX_SIZES + 1]),
+                "gemm_sizes",
+            ),
+        ] {
+            match crate::run_campaign(&spec, &cache) {
+                Err(crate::CampaignError::Spec(error)) => {
+                    assert!(error.to_string().contains(field), "{error}")
+                }
+                other => panic!("expected a spec error, got {other:?}"),
+            }
+        }
+        assert_eq!(cache.stats().entries, 0, "nothing ran");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use oranges_harness::metric::{self, MetricParseError, MetricRow, MetricSet};
 use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Failure of one experiment unit.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,38 +71,67 @@ impl From<MetricParseError> for ExperimentError {
 
 /// What one experiment unit produces: the typed measurement records and
 /// their canonical identity.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The identity is the canonical JSON of [`sets`](ExperimentOutput::sets),
+/// read through [`json`](ExperimentOutput::json). It is always the JSON
+/// emitter's output, derived from the sets on first read:
+/// [`from_sets`](ExperimentOutput::from_sets) derives it at once, so an
+/// engine worker pays the emission next to the run, while
+/// [`decode`](ExperimentOutput::decode) leaves it to the first reader, so
+/// a client that only reads the sets never re-emits what it just parsed.
+/// The result cache derives every output it stores before it takes its
+/// lock, so a stored output's bytes are ready for the service to splice.
+#[derive(Debug, Clone)]
 pub struct ExperimentOutput {
-    /// Canonical JSON of the metric sets. Byte-equal across identical
-    /// runs (wall-time is excluded from serialization and the
-    /// deterministic simulation guarantees the rest); the campaign's
-    /// value-identity checks and cache semantics rest on this.
-    ///
-    /// It is always the JSON emitter's output, derived by
-    /// [`from_sets`](ExperimentOutput::from_sets), including for outputs
-    /// rebuilt on cache load and fleet merge, so it never holds a raw
-    /// newline. The campaign service relies on that to splice these
-    /// bytes into a wire line unchanged.
-    pub json: String,
+    /// Canonical JSON of `sets`, derived on first read.
+    json: OnceLock<String>,
     /// The unit's measurements: one [`MetricSet`] per grid coordinate.
+    /// The canonical JSON is derived from them at most once, so a change
+    /// to them after construction would leave it stale (wall-time
+    /// stamps, which it leaves out, excepted).
     pub sets: Vec<MetricSet>,
     /// Human-readable rendering (chart or table), where the runner has
     /// one.
     pub rendered: Option<String>,
 }
 
+/// Equal outputs have byte-equal canonical JSON, equal sets and equal
+/// renderings. Comparing the bytes keeps `0.0` and `-0.0` apart, which
+/// the sets' own `f64` comparison would not.
+impl PartialEq for ExperimentOutput {
+    fn eq(&self, other: &Self) -> bool {
+        self.json() == other.json() && self.sets == other.sets && self.rendered == other.rendered
+    }
+}
+
 impl ExperimentOutput {
-    /// Build from the unit's metric sets; the canonical JSON is derived
-    /// here, once, so every consumer sees the same identity.
+    /// Build from the unit's metric sets, deriving the canonical JSON
+    /// here, so every consumer sees the same identity and an emitter
+    /// failure surfaces as an error instead of on first read.
     pub fn from_sets(
         sets: Vec<MetricSet>,
         rendered: Option<String>,
     ) -> Result<Self, ExperimentError> {
+        let json = OnceLock::from(metric::sets_to_json(&sets)?);
         Ok(ExperimentOutput {
-            json: metric::sets_to_json(&sets)?,
+            json,
             sets,
             rendered,
         })
+    }
+
+    /// Canonical JSON of the metric sets. Byte-equal across identical
+    /// runs (wall-time is excluded from serialization and the
+    /// deterministic simulation guarantees the rest); the campaign's
+    /// value-identity checks and cache semantics rest on this.
+    ///
+    /// It is always `sets_to_json(sets)`, derived on the first call when
+    /// [`from_sets`](ExperimentOutput::from_sets) did not already derive
+    /// it, so it never holds a raw newline. The campaign service relies
+    /// on that to splice these bytes into a wire line unchanged.
+    pub fn json(&self) -> &str {
+        self.json
+            .get_or_init(|| metric::sets_to_json(&self.sets).expect("metric sets always serialize"))
     }
 
     /// Flat (coordinate, metric) rows for the generic emitters.
@@ -118,8 +148,10 @@ impl ExperimentOutput {
     /// `other` either reads the value and returns `true` or returns
     /// `false` to have it skipped. Member order is free and a repeated
     /// key counts once, at its first occurrence. The canonical JSON is
-    /// re-derived from the decoded sets, so a rebuilt output is
-    /// value-identical to the original.
+    /// not emitted here: [`json`](ExperimentOutput::json) derives it
+    /// from the decoded sets on first read, so a rebuilt output is
+    /// value-identical to the original whatever the input's spacing,
+    /// member order or number spelling.
     pub fn decode<'a>(
         tokens: &mut Tokenizer<'a>,
         mut other: impl FnMut(&str, &mut Tokenizer<'a>) -> Result<bool, ExperimentError>,
@@ -150,8 +182,11 @@ impl ExperimentOutput {
                 }
             }
         }
-        let sets = sets.ok_or_else(|| malformed("output has no sets array".into()))?;
-        let mut output = ExperimentOutput::from_sets(sets, rendered.flatten())?;
+        let mut output = ExperimentOutput {
+            json: OnceLock::new(),
+            sets: sets.ok_or_else(|| malformed("output has no sets array".into()))?,
+            rendered: rendered.flatten(),
+        };
         if let Some(wall) = wall.flatten() {
             output.stamp_wall_time(wall);
         }
@@ -274,11 +309,11 @@ mod tests {
         // The envelope shape the cache and service both use.
         let envelope = format!(
             "{{\"wall_time_s\":0.125,\"rendered\":\"chart\",\"sets\":{}}}",
-            original.json
+            original.json()
         );
         let parsed = oranges_harness::json::parse(&envelope).unwrap();
         let rebuilt = ExperimentOutput::from_json_value(&parsed).unwrap();
-        assert_eq!(rebuilt.json, original.json, "value identity survives");
+        assert_eq!(rebuilt.json(), original.json(), "value identity survives");
         assert_eq!(rebuilt.sets, original.sets);
         assert_eq!(rebuilt.rendered.as_deref(), Some("chart"));
         assert_eq!(rebuilt.wall_time_s(), Some(0.125));

@@ -119,7 +119,7 @@ impl GemmImplementation for CpuAccelerate {
         };
         Ok(GemmOutcome {
             duration,
-            flops: crate::matrix::gemm_flops(n as u64),
+            flops: crate::gemm_flops(n as u64),
             functional: false,
             duty,
         })

@@ -11,7 +11,7 @@
 //! the calibrated model.
 
 use crate::error::GemmError;
-use crate::matrix::gemm_flops;
+use crate::gemm_flops;
 use crate::suite::Hardware;
 use crate::{chip_cache_params, GemmImplementation, GemmOutcome, DEFAULT_FUNCTIONAL_LIMIT};
 use oranges_accelerate::threading::parallel_row_blocks;

@@ -16,7 +16,7 @@
 //! only the host time to verify it shrinks.
 
 use crate::error::GemmError;
-use crate::matrix::gemm_flops;
+use crate::gemm_flops;
 use crate::suite::Hardware;
 use crate::{chip_cache_params, GemmImplementation, GemmOutcome, DEFAULT_FUNCTIONAL_LIMIT};
 use oranges_kernels::sgemm_f32_blocked;

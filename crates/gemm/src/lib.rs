@@ -32,7 +32,8 @@ pub mod suite;
 pub mod verify;
 
 pub use error::GemmError;
-pub use matrix::{gemm_flops, Matrix};
+pub use matrix::Matrix;
+pub use oranges_metal::shaders::gemm_flops;
 pub use suite::{paper_sizes, suite_for, Hardware, ImplementationInfo};
 pub use verify::{verify_sampled, VerifyOutcome};
 

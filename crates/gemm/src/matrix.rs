@@ -12,11 +12,6 @@ use oranges_umem::StorageMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// FLOP count of an `n×n` square GEMM, as the paper counts it: `n²(2n−1)`.
-pub const fn gemm_flops(n: u64) -> u64 {
-    n * n * (2 * n - 1)
-}
-
 /// A dense square FP32 matrix in unified memory.
 #[derive(Debug)]
 pub struct Matrix {
@@ -96,6 +91,7 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm_flops;
     use oranges_umem::page::PAGE_SIZE;
 
     fn space() -> SharedAddressSpace {

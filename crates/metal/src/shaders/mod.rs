@@ -16,9 +16,27 @@ pub use sgemm_tiled::SgemmTiled;
 pub use stream::{StreamAdd, StreamCopy, StreamScale, StreamTriad};
 
 /// GEMM FLOP count the paper uses: `n²(2n − 1)` (each of the n² outputs
-/// takes n multiplies and n−1 adds).
+/// takes n multiplies and n−1 adds). The workspace's one FLOP count: the
+/// GEMM backends, the shaders and Figure 2 all read it, and campaign
+/// specs only admit sizes far below the point where it overflows.
+///
+/// # Panics
+///
+/// When the count does not fit in a `u64` (n above 2²¹ = 2,097,152),
+/// instead of wrapping to a wrong count.
 pub const fn gemm_flops(n: u64) -> u64 {
-    n * n * (2 * n - 1)
+    if n == 0 {
+        return 0;
+    }
+    // 2n − 1 cannot overflow once n² fits.
+    let flops = match n.checked_mul(n) {
+        Some(square) => square.checked_mul(2 * n - 1),
+        None => None,
+    };
+    match flops {
+        Some(flops) => flops,
+        None => panic!("the GEMM FLOP count n²(2n − 1) overflows u64"),
+    }
 }
 
 /// Compulsory FP32 DRAM traffic of a cache-blocked square GEMM: read A and
@@ -152,9 +170,24 @@ mod tests {
 
     #[test]
     fn flop_count_matches_paper_formula() {
+        assert_eq!(gemm_flops(0), 0);
         assert_eq!(gemm_flops(1), 1);
         assert_eq!(gemm_flops(2), 4 * 3);
         assert_eq!(gemm_flops(1024), 1024 * 1024 * 2047);
+    }
+
+    #[test]
+    fn flop_count_refuses_sizes_whose_count_overflows() {
+        let refuses = |n: u64| std::panic::catch_unwind(|| gemm_flops(n)).is_err();
+        // The largest size whose count fits, and the first that does not.
+        let largest = 1u64 << 21;
+        assert_eq!(gemm_flops(largest), largest * largest * (2 * largest - 1));
+        assert!(refuses(largest + 1));
+        // Sizes a spec once carried into a wrapped count (the first) and
+        // into a 4,096-element operand (the second, whose n² wraps to
+        // 4,096).
+        assert!(refuses(u64::MAX));
+        assert!(refuses(9_223_372_036_854_775_872));
     }
 
     #[test]

@@ -197,8 +197,8 @@ fn a_daemon_serving_a_forged_value_fails_the_merge_loudly() {
     let honest_json = parent
         .get(&disputed_key)
         .expect("honest entry")
-        .json
-        .clone();
+        .json()
+        .to_string();
 
     let forged = ResultCache::new();
     forged.insert(
@@ -237,7 +237,7 @@ fn a_daemon_serving_a_forged_value_fails_the_merge_loudly() {
     }
     assert!(error.to_string().contains("merge conflict"), "{error}");
     assert_eq!(
-        parent.get(&disputed_key).expect("honest entry").json,
+        parent.get(&disputed_key).expect("honest entry").json(),
         honest_json,
         "the parent keeps the honest value"
     );

@@ -107,7 +107,7 @@ fn second_identical_request_is_served_entirely_from_cache_over<T: TestTransport>
     assert_eq!(second.fingerprint, first.fingerprint);
     for (a, b) in first.units.iter().zip(&second.units) {
         assert_eq!(a.key, b.key);
-        assert_eq!(a.output.json, b.output.json);
+        assert_eq!(a.output.json(), b.output.json());
     }
 
     client.shutdown().expect("shutdown");
@@ -127,7 +127,8 @@ fn served_results_are_value_identical_to_a_local_run_over<T: TestTransport>() {
     for (wire, direct) in served.units.iter().zip(&local.units) {
         assert_eq!(wire.key, direct.key);
         assert_eq!(
-            wire.output.json, direct.output.json,
+            wire.output.json(),
+            direct.output.json(),
             "canonical sets JSON survives the wire for {}",
             wire.key
         );
@@ -1476,3 +1477,158 @@ macro_rules! transport_matrix {
 #[cfg(unix)]
 transport_matrix!(unix_transport, UnixTransport);
 transport_matrix!(tcp_transport, TcpTransport);
+
+/// Spec bodies with arbitrary `u64` sizes, sent to a live daemon.
+mod size_limits {
+    use super::*;
+    use oranges_campaign::spec::{MAX_SIZE, MAX_SIZES, MIN_SIZE};
+    use oranges_campaign::ExperimentOutput;
+    use oranges_harness::envelope::Response;
+    use oranges_harness::metric::MetricValue;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+    use std::io::{BufRead, BufReader, Write};
+
+    const FIELDS: [&str; 2] = ["gemm_sizes", "power_sizes"];
+
+    fn pick<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
+        items[rng.below(items.len() as u64) as usize]
+    }
+
+    /// One size: any `u64`, a value at or around a limit, or one inside
+    /// the range (small enough, sometimes, to be verified).
+    fn size(rng: &mut TestRng) -> u64 {
+        let (min, max) = (MIN_SIZE as u64, MAX_SIZE as u64);
+        match rng.below(4) {
+            0 => rng.next_u64(),
+            1 => pick(
+                rng,
+                &[
+                    0,
+                    min - 1,
+                    min,
+                    max,
+                    max + 1,
+                    1 << 21,
+                    (1 << 63) + 64,
+                    u64::MAX,
+                ],
+            ),
+            2 => min + rng.below(64),
+            _ => min + rng.below(max - min + 1),
+        }
+    }
+
+    /// A size list: absent, short, or at or one past the length cap.
+    fn size_list(rng: &mut TestRng) -> Option<Vec<u64>> {
+        let len = match rng.below(8) {
+            0 => return None,
+            1 => MAX_SIZES,
+            2 => MAX_SIZES + 1,
+            _ => rng.below(4) as usize,
+        };
+        let mut sizes: Vec<u64> = (0..len).map(|_| 2048 + rng.below(64)).collect();
+        // A long list carries at most one drawn size among in-range
+        // fillers, so that some long lists are admitted.
+        let drawn = if len > 3 { rng.below(2) as usize } else { len };
+        for _ in 0..drawn {
+            let at = rng.below(len as u64) as usize;
+            sizes[at] = size(rng);
+        }
+        Some(sizes)
+    }
+
+    /// The member the daemon must name when it refuses `lists`, if any.
+    fn refused_member(lists: &[Option<Vec<u64>>; 2]) -> Option<&'static str> {
+        let range = MIN_SIZE as u64..=MAX_SIZE as u64;
+        FIELDS.into_iter().zip(lists).find_map(|(field, list)| {
+            list.as_ref()
+                .filter(|sizes| sizes.len() > MAX_SIZES || sizes.iter().any(|n| !range.contains(n)))
+                .map(|_| field)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every body either gets an in-band `error` naming the member,
+        /// with no unit before it, or runs every unit with no unit
+        /// failure or panic and only finite values.
+        #[test]
+        fn out_of_range_sizes_are_refused_in_band_and_in_range_sizes_run_clean(
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::new(seed);
+            let experiments: Vec<&str> = ["fig2", "fig3", "fig4"]
+                .into_iter()
+                .filter(|_| rng.below(2) == 0)
+                .collect();
+            let experiments = if experiments.is_empty() { vec!["fig2"] } else { experiments };
+            let chip = pick(&mut rng, &ChipGeneration::ALL);
+            let lists = [size_list(&mut rng), size_list(&mut rng)];
+            let mut body = format!(
+                r#"{{"experiments":["{}"],"chips":["{}"],"verify_max_flops":{}"#,
+                experiments.join(r#"",""#),
+                chip.name(),
+                pick(&mut rng, &[0u64, 32 * 32 * 63]),
+            );
+            for (field, list) in FIELDS.into_iter().zip(&lists) {
+                if let Some(sizes) = list {
+                    let sizes: Vec<String> = sizes.iter().map(u64::to_string).collect();
+                    body.push_str(&format!(r#","{field}":[{}]"#, sizes.join(",")));
+                }
+            }
+            body.push('}');
+
+            let (endpoint, daemon) = start_daemon::<TcpTransport>("size-limits", |c| c);
+            let stream = TcpTransport::connect(&endpoint).expect("connect");
+            let mut writer = stream.try_clone().expect("clone the connection");
+            let mut reader = BufReader::new(stream);
+            writer
+                .write_all(format!("{{\"id\":7,\"method\":\"run\",\"body\":{body}}}\n").as_bytes())
+                .expect("send the run");
+            let mut units = Vec::new();
+            let terminal = loop {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("read a response");
+                let response = Response::from_line(&line).expect("responses are envelopes");
+                if response.kind != "unit" {
+                    break response;
+                }
+                units.push(response);
+            };
+            match refused_member(&lists) {
+                Some(field) => {
+                    prop_assert_eq!(terminal.kind.as_str(), "error", "{}", body);
+                    prop_assert!(units.is_empty(), "{}", body);
+                    let message = terminal.error.unwrap_or_default();
+                    prop_assert!(message.contains(field), "{} named by {}", body, message);
+                }
+                None => {
+                    prop_assert_eq!(terminal.kind.as_str(), "done", "{} got {:?}", body, terminal);
+                    prop_assert_eq!(units.len(), experiments.len());
+                    for unit in &units {
+                        let output = unit
+                            .body
+                            .as_ref()
+                            .map(ExperimentOutput::from_json_value)
+                            .expect("a unit has a body")
+                            .expect("a unit body decodes");
+                        let values = output.sets.iter().flat_map(|set| &set.metrics);
+                        for metric in values {
+                            if let MetricValue::Float(value) = metric.value {
+                                prop_assert!(value.is_finite(), "{}: {:?}", body, metric);
+                            }
+                        }
+                    }
+                }
+            }
+
+            let mut client = ServiceClient::<TcpTransport>::connect(&endpoint).expect("connect");
+            let stats = client.stats().expect("stats").summary;
+            prop_assert_eq!(stats.units_failed, 0, "{}", body);
+            client.shutdown().expect("shutdown");
+            daemon.join().expect("daemon");
+        }
+    }
+}
