@@ -30,7 +30,7 @@
 
 use crate::plan::UnitKey;
 use oranges::experiments::ExperimentOutput;
-use oranges_harness::json::{JsonParseError, Token, Tokenizer};
+use oranges_harness::json::{JsonParseError, Member, Tokenizer};
 use oranges_harness::metric::MetricSet;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -430,19 +430,24 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 /// read once `version` is known, so when it comes first its text is set
 /// aside and decoded after the other members.
 pub(crate) fn decode_document(text: &str) -> Result<CacheLoad, CachePersistError> {
+    /// The document's members, in the order `save` writes them.
+    const MEMBERS: [&str; 3] = ["version", "model_digest", "entries"];
     let parse = |message: &str| CachePersistError::Parse(message.to_string());
     let mut tokens = Tokenizer::new(text);
-    if tokens.next_token()? != Some(Token::BeginObject) {
+    if !tokens.begin_object()? {
         return Err(parse("cache document is not an object"));
     }
     let (mut version, mut digest, mut entries, mut raw_entries) = (None, None, None, None);
-    while let Some(key) = tokens.next_key()? {
-        match key.as_ref() {
-            "version" if version.is_none() => {
-                version = Some(tokens.next_value()?.parse_number::<f64>())
+    let mut next = 0;
+    while let Some(member) = tokens.next_member(&MEMBERS, &mut next)? {
+        match member {
+            Member::Known(0) if version.is_none() => {
+                version = Some(tokens.read_or_skip(Tokenizer::f64_value)?.map(|(v, _)| v))
             }
-            "model_digest" if digest.is_none() => digest = Some(tokens.next_value()?.into_string()),
-            "entries" if entries.is_none() && raw_entries.is_none() => match version {
+            Member::Known(1) if digest.is_none() => {
+                digest = Some(tokens.read_or_skip(Tokenizer::string_value)?)
+            }
+            Member::Known(2) if entries.is_none() && raw_entries.is_none() => match version {
                 Some(Some(version)) => entries = Some(decode_entries(&mut tokens, version)?),
                 _ => raw_entries = Some(tokens.raw_value()?),
             },
@@ -473,7 +478,8 @@ pub(crate) fn decode_document(text: &str) -> Result<CacheLoad, CachePersistError
     }
     let file_digest = digest
         .flatten()
-        .ok_or_else(|| parse("missing model_digest field"))?;
+        .ok_or_else(|| parse("missing model_digest field"))?
+        .into_owned();
     let cache = ResultCache::new();
     if file_digest != cache.model_digest() {
         // Stale model: the entries would not reproduce under the current
@@ -519,7 +525,7 @@ fn decode_entries(
     tokens: &mut Tokenizer<'_>,
     version: f64,
 ) -> Result<DiskEntries, CachePersistError> {
-    if tokens.next_token()? != Some(Token::BeginArray) {
+    if !tokens.begin_array()? {
         return Err(CachePersistError::Parse(
             "missing entries array".to_string(),
         ));
@@ -548,20 +554,23 @@ fn decode_entry(
     index: usize,
 ) -> Result<(UnitKey, ExperimentOutput), CachePersistError> {
     let (mut id, mut params) = (None, None);
-    let output = ExperimentOutput::decode(tokens, |key, tokens| {
-        let slot = match key {
-            "id" => &mut id,
-            "params" => &mut params,
-            _ => return Ok(false),
+    let output = ExperimentOutput::decode_carried(tokens, &["id", "params"], |member, tokens| {
+        let slot = match member {
+            Member::Known(0) => &mut id,
+            Member::Known(_) => &mut params,
+            Member::Other(_) => return Ok(false),
         };
         if slot.is_some() {
             return Ok(false);
         }
-        *slot = Some(tokens.next_value()?.into_string());
+        *slot = Some(tokens.read_or_skip(Tokenizer::string_value)?);
         Ok(true)
     });
     let key = match (id.flatten(), params.flatten()) {
-        (Some(id), Some(params)) => Some(UnitKey { id, params }),
+        (Some(id), Some(params)) => Some(UnitKey {
+            id: id.into_owned(),
+            params: params.into_owned(),
+        }),
         _ => None,
     };
     let output = output.map_err(|e| {

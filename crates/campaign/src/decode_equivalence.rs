@@ -13,6 +13,13 @@
 //! power-context value that parses to ±infinity, which the tree walks
 //! let through.
 //!
+//! The typed decoders predict each member's key from the emitter's
+//! order and fall back to a general key read when the prediction
+//! misses. Edits made through a tree are re-emitted in the emitter's
+//! spelling, so a second group edits the bytes instead: whitespace
+//! between tokens, a key character written as a `\u00XX` escape, a key
+//! that extends or prefixes a known one, truncation and a replaced byte.
+//!
 //! A decoded output derives its canonical JSON on first read, not in the
 //! decoder. The last group of tests pins what that read returns: the
 //! emitter's bytes for the decoded sets, whatever the input's spelling,
@@ -754,6 +761,127 @@ fn envelope_and_document_members_may_come_in_any_order() {
     let reversed = tree.to_json_string();
     assert!(reversed.find("\"entries\"") < reversed.find("\"version\""));
     compare_loads(&reversed).expect("same load either way");
+}
+
+// ---------------------------------------------------------------------------
+// Byte edits where a predicted member read misses.
+// ---------------------------------------------------------------------------
+
+/// In a valid JSON text: the span of every member key, its quotes
+/// included, and the offset of every byte outside strings.
+fn layout(text: &str) -> (Vec<(usize, usize)>, Vec<usize>) {
+    let bytes = text.as_bytes();
+    let (mut keys, mut outside) = (Vec::new(), Vec::new());
+    let mut at = 0;
+    while at < bytes.len() {
+        if bytes[at] != b'"' {
+            outside.push(at);
+            at += 1;
+            continue;
+        }
+        let start = at;
+        at += 1;
+        while bytes[at] != b'"' {
+            at += if bytes[at] == b'\\' { 2 } else { 1 };
+        }
+        at += 1;
+        if text[at..].trim_start().starts_with(':') {
+            keys.push((start, at));
+        }
+    }
+    (keys, outside)
+}
+
+/// Apply one byte-level edit to `text`, a valid JSON document: insert
+/// whitespace next to a byte outside strings; write one character of a
+/// key as a `\u00XX` escape; extend a key by one character or cut it to
+/// a proper prefix; truncate at any byte; or replace one byte (the whole
+/// character, where the byte is inside one).
+fn byte_edit(rng: &mut TestRng, text: &str) -> String {
+    let (keys, outside) = layout(text);
+    let mut text = text.to_string();
+    let char_start = |text: &str, mut at: usize| {
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    };
+    match rng.below(5) {
+        0 => {
+            let at = pick(rng, &outside) + rng.below(2) as usize;
+            text.insert_str(at, pick(rng, &[" ", "\n", "\t", "\r\n"]));
+        }
+        1 | 2 if keys.is_empty() => {}
+        1 => {
+            let (start, end) = pick(rng, &keys);
+            let plain: Vec<usize> = (start + 1..end - 1)
+                .filter(|&at| text.as_bytes()[at].is_ascii_alphanumeric())
+                .collect();
+            if !plain.is_empty() {
+                let at = pick(rng, &plain);
+                let byte = text.as_bytes()[at];
+                let escape = if rng.below(2) == 0 {
+                    format!("\\u{byte:04x}")
+                } else {
+                    format!("\\u{byte:04X}")
+                };
+                text.replace_range(at..at + 1, &escape);
+            }
+        }
+        2 => {
+            let (start, end) = pick(rng, &keys);
+            if rng.below(2) == 0 || end - start == 2 {
+                text.insert(end - 1, pick(rng, &['s', 'e', '_']));
+            } else {
+                let keep = rng.below((end - start - 2) as u64) as usize;
+                text.replace_range(start + 1 + keep..end - 1, "");
+            }
+        }
+        3 => {
+            let at = char_start(&text, rng.below(text.len() as u64) as usize);
+            text.truncate(at);
+        }
+        _ => {
+            let at = char_start(&text, rng.below(text.len() as u64) as usize);
+            let width = text[at..].chars().next().map_or(1, char::len_utf8);
+            let replacement = pick(
+                rng,
+                &[
+                    "{", "}", "[", "]", ",", ":", "\"", "\\", " ", "0", "9", "-", "+", ".", "e",
+                    "n", "t", "x", "\u{0}",
+                ],
+            );
+            text.replace_range(at..at + width, replacement);
+        }
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    #[test]
+    fn byte_edits_where_predictions_miss_decode_like_the_tree_walk(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let sets: Vec<MetricSet> = (0..1 + rng.below(3)).map(|_| random_set(&mut rng)).collect();
+        let text = metric::sets_to_json(&sets).expect("finite sets serialize");
+        let text = byte_edit(&mut rng, &text);
+        let typed = metric::sets_from_json(&text).map_err(|e| e.to_string());
+        agree(&text, typed, oracle::sets(&text), |sets| non_finite(sets))?;
+
+        let unit = random_unit(&mut rng);
+        let line = unit_line(rng.below(1000), &unit);
+        let line = byte_edit(&mut rng, line.trim_end()) + "\n";
+        agree(
+            &line,
+            typed_unit_line(&line),
+            oracle::unit_line(&line),
+            |unit| non_finite(&unit.output.sets),
+        )?;
+
+        let text = saved_document(&mut rng);
+        compare_loads(&byte_edit(&mut rng, &text))?;
+    }
 }
 
 // ---------------------------------------------------------------------------

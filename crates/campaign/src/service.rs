@@ -118,7 +118,7 @@ use crate::scheduler::CampaignError;
 use crate::spec::{CampaignSpec, SpecParseError};
 use oranges::experiments::ExperimentOutput;
 use oranges_harness::envelope::{EnvelopeError, Request, Response};
-use oranges_harness::json::{self, JsonParseError, JsonValue, Tokenizer};
+use oranges_harness::json::{self, JsonParseError, JsonValue, Member::Known, Tokenizer};
 use oranges_harness::obs::{CampaignEvent, EventKind, EventStream, Exposition};
 use oranges_harness::reactor::{
     Event, FrameError, Reactor, ReadInterest, Token, WakeHandle, WRITE_BACKLOG_THRESHOLD,
@@ -2296,18 +2296,23 @@ fn tree_body(tokens: &mut Tokenizer<'_>) -> Result<JsonValue, ServiceError> {
 
 /// Decode a `unit` body straight into a [`ServedUnit`], with no tree in
 /// between: [`ExperimentOutput::decode`] reads the output envelope and
-/// hands the unit's own members (`index`, `id`, `params`, `source`,
-/// `from_cache`) back here.
+/// hands the unit's own members back here.
 pub(crate) fn decode_served_unit(tokens: &mut Tokenizer<'_>) -> Result<ServedUnit, ServiceError> {
+    /// The unit's own members, in the order [`unit_head`] writes them.
+    const MEMBERS: [&str; 5] = ["index", "id", "params", "source", "from_cache"];
     let (mut index, mut id, mut params, mut source, mut from_cache) =
         (None, None, None, None, None);
-    let output = ExperimentOutput::decode(tokens, |key, tokens| {
-        match key {
-            "index" if index.is_none() => index = Some(tokens.next_value()?.parse_number::<u64>()),
-            "id" if id.is_none() => id = Some(tokens.next_value()?.into_string()),
-            "params" if params.is_none() => params = Some(tokens.next_value()?.into_string()),
-            "source" if source.is_none() => source = Some(tokens.next_value()?.into_string()),
-            "from_cache" if from_cache.is_none() => {
+    let output = ExperimentOutput::decode_carried(tokens, &MEMBERS, |member, tokens| {
+        match member {
+            Known(0) if index.is_none() => index = Some(tokens.read_or_skip(Tokenizer::u64_value)?),
+            Known(1) if id.is_none() => id = Some(tokens.read_or_skip(Tokenizer::string_value)?),
+            Known(2) if params.is_none() => {
+                params = Some(tokens.read_or_skip(Tokenizer::string_value)?)
+            }
+            Known(3) if source.is_none() => {
+                source = Some(tokens.read_or_skip(Tokenizer::string_value)?)
+            }
+            Known(4) if from_cache.is_none() => {
                 from_cache = Some(match tokens.next_value()? {
                     json::Token::Bool(flag) => Some(flag),
                     _ => None,
@@ -2334,8 +2339,11 @@ pub(crate) fn decode_served_unit(tokens: &mut Tokenizer<'_>) -> Result<ServedUni
     Ok(ServedUnit {
         index: index.flatten().ok_or_else(|| missing("index"))? as usize,
         key: UnitKey {
-            id: id.flatten().ok_or_else(|| missing("id"))?,
-            params: params.flatten().ok_or_else(|| missing("params"))?,
+            id: id.flatten().ok_or_else(|| missing("id"))?.into_owned(),
+            params: params
+                .flatten()
+                .ok_or_else(|| missing("params"))?
+                .into_owned(),
         },
         source,
         output,
@@ -2509,6 +2517,27 @@ mod tests {
     /// A protocol error whose message names `member`.
     fn names_member(result: Result<RunOutcome, ServiceError>, member: &str) -> bool {
         matches!(result, Err(ServiceError::Protocol(message)) if message.contains(&format!("'{member}'")))
+    }
+
+    #[test]
+    fn escaped_astral_run_tokens_stay_distinct_at_the_request_boundary() {
+        // Python's `json.dumps` writes every character past U+FFFF as an
+        // escaped surrogate pair. The cancel table is keyed by the decoded
+        // token, so two such tokens must decode to two keys.
+        let token = |spelling: &str| {
+            let line = format!(
+                r#"{{"id":1,"method":"run","body":{{"experiments":["fig4"],"chips":["M1"],"run_token":"{spelling}"}}}}"#
+            );
+            let request = Request::from_line(&line).expect("a request line");
+            parse_run_options(request.body.as_ref().expect("a body"))
+                .expect("valid options")
+                .token
+        };
+        let (grinning, beaming) = (token(r"\ud83d\ude00"), token(r"\ud83d\ude01"));
+        assert_eq!(grinning.as_deref(), Some("\u{1f600}"));
+        assert_eq!(beaming.as_deref(), Some("\u{1f601}"));
+        assert_ne!(grinning, beaming);
+        assert_eq!(token("\u{1f600}"), grinning, "raw and escaped name one run");
     }
 
     #[test]

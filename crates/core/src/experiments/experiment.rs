@@ -15,7 +15,7 @@
 
 use crate::platform::Platform;
 use oranges_gemm::GemmError;
-use oranges_harness::json::{JsonParseError, JsonValue, Token, Tokenizer};
+use oranges_harness::json::{JsonParseError, JsonValue, Member, Token, Tokenizer};
 use oranges_harness::metric::{self, MetricParseError, MetricRow, MetricSet};
 use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
@@ -156,30 +156,60 @@ impl ExperimentOutput {
         tokens: &mut Tokenizer<'a>,
         mut other: impl FnMut(&str, &mut Tokenizer<'a>) -> Result<bool, ExperimentError>,
     ) -> Result<Self, ExperimentError> {
+        ExperimentOutput::decode_carried(tokens, &[], |member, tokens| match member {
+            Member::Other(key) => other(&key, tokens),
+            Member::Known(_) => unreachable!("no carrier member names were given"),
+        })
+    }
+
+    /// [`decode`](ExperimentOutput::decode) for a carrier that writes
+    /// its own members, `names`, before the output's, in that order. A
+    /// carrier member comes to `other` as [`Member::Known`] with its
+    /// index in `names`, any other unknown member as [`Member::Other`].
+    /// Members are read with [`Tokenizer::next_member`] over `names`
+    /// followed by the output's own, so on the emitter's output every key
+    /// is one predicted comparison.
+    pub fn decode_carried<'a>(
+        tokens: &mut Tokenizer<'a>,
+        names: &[&str],
+        mut other: impl FnMut(Member<'a>, &mut Tokenizer<'a>) -> Result<bool, ExperimentError>,
+    ) -> Result<Self, ExperimentError> {
+        /// The envelope's own members, in the order the emitter writes
+        /// them.
+        const MEMBERS: [&str; 3] = ["wall_time_s", "rendered", "sets"];
         let malformed = |message: String| ExperimentError::Serialization(message);
-        if tokens.next_token()? != Some(Token::BeginObject) {
+        if !tokens.begin_object()? {
             return Err(malformed("output is not an object".into()));
         }
+        let members: Vec<&str> = names.iter().chain(&MEMBERS).copied().collect();
         let (mut sets, mut rendered, mut wall) = (None, None, None);
-        while let Some(key) = tokens.next_key()? {
-            match key.as_ref() {
-                "sets" if sets.is_none() => sets = Some(metric::decode_sets(tokens)?),
-                "rendered" if rendered.is_none() => {
-                    rendered = Some(match tokens.next_value()? {
-                        Token::Null => None,
-                        Token::String(text) => Some(text.into_owned()),
-                        bad => return Err(malformed(format!("bad rendered field {bad:?}"))),
-                    })
-                }
-                // A stamp that is not a number is ignored, not an error.
-                "wall_time_s" if wall.is_none() => {
-                    wall = Some(tokens.next_value()?.parse_number::<f64>())
-                }
-                key => {
-                    if !other(key, tokens)? {
+        let mut next = 0;
+        while let Some(member) = tokens.next_member(&members, &mut next)? {
+            let own = match member {
+                Member::Known(index) => index.checked_sub(names.len()),
+                Member::Other(_) => None,
+            };
+            match own {
+                None => {
+                    if !other(member, tokens)? {
                         tokens.skip_value()?;
                     }
                 }
+                // A stamp that is not a number is ignored, not an error.
+                Some(0) if wall.is_none() => {
+                    wall = Some(tokens.read_or_skip(Tokenizer::f64_value)?)
+                }
+                Some(1) if rendered.is_none() => {
+                    rendered = Some(match tokens.string_value()? {
+                        Some(text) => Some(text.into_owned()),
+                        None => match tokens.next_value()? {
+                            Token::Null => None,
+                            bad => return Err(malformed(format!("bad rendered field {bad:?}"))),
+                        },
+                    })
+                }
+                Some(2) if sets.is_none() => sets = Some(metric::decode_sets(tokens)?),
+                _ => tokens.skip_value()?,
             }
         }
         let mut output = ExperimentOutput {
@@ -187,7 +217,7 @@ impl ExperimentOutput {
             sets: sets.ok_or_else(|| malformed("output has no sets array".into()))?,
             rendered: rendered.flatten(),
         };
-        if let Some(wall) = wall.flatten() {
+        if let Some((wall, _)) = wall.flatten() {
             output.stamp_wall_time(wall);
         }
         Ok(output)

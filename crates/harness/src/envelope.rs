@@ -34,7 +34,7 @@
 //! assert_eq!(Response::from_line(&response.to_line()).unwrap(), response);
 //! ```
 
-use crate::json::{self, JsonValue, Token, Tokenizer};
+use crate::json::{self, JsonValue, Member, Token, Tokenizer};
 use std::fmt;
 
 /// A malformed envelope line.
@@ -196,7 +196,8 @@ impl Response {
     /// Members may come in any order (PROTOCOL §3): a body that precedes
     /// `kind` is set aside as text and decoded once `kind` is known.
     /// Unknown members are skipped, and a repeated key counts at its
-    /// first occurrence.
+    /// first occurrence. Members in [`to_line`](Response::to_line)'s
+    /// order are each read with one predicted comparison.
     pub fn decode_line<B, E>(
         line: &str,
         mut decode_body: impl FnMut(&str, &mut Tokenizer<'_>) -> Result<B, E>,
@@ -204,29 +205,38 @@ impl Response {
     where
         E: From<EnvelopeError> + From<json::JsonParseError>,
     {
+        /// A response's members, in the order `to_line` writes them.
+        const MEMBERS: [&str; 4] = ["id", "kind", "error", "body"];
         let mut tokens = Tokenizer::new(line.trim_end_matches(['\n', '\r']));
-        if tokens.next_token()? != Some(Token::BeginObject) {
+        if !tokens.begin_object()? {
             return Err(EnvelopeError::new("envelope line is not an object").into());
         }
         let (mut id, mut kind, mut error) = (None, None, None);
         let (mut body, mut raw_body) = (None, None);
-        while let Some(key) = tokens.next_key()? {
-            match key.as_ref() {
-                "id" if id.is_none() => id = Some(tokens.next_value()?.parse_number::<u64>()),
-                "kind" if kind.is_none() => kind = Some(tokens.next_value()?.into_string()),
-                "error" if error.is_none() => {
-                    error = Some(match tokens.next_value()? {
-                        Token::Null => None,
-                        Token::String(message) => Some(message.into_owned()),
-                        other => {
-                            return Err(EnvelopeError::new(format!(
-                                "response 'error' is not a string: {other:?}"
-                            ))
-                            .into())
-                        }
+        let mut next = 0;
+        while let Some(member) = tokens.next_member(&MEMBERS, &mut next)? {
+            match member {
+                Member::Known(0) if id.is_none() => {
+                    id = Some(tokens.read_or_skip(Tokenizer::u64_value)?)
+                }
+                Member::Known(1) if kind.is_none() => {
+                    kind = Some(tokens.read_or_skip(Tokenizer::string_value)?)
+                }
+                Member::Known(2) if error.is_none() => {
+                    error = Some(match tokens.string_value()? {
+                        Some(message) => Some(message.into_owned()),
+                        None => match tokens.next_value()? {
+                            Token::Null => None,
+                            other => {
+                                return Err(EnvelopeError::new(format!(
+                                    "response 'error' is not a string: {other:?}"
+                                ))
+                                .into())
+                            }
+                        },
                     })
                 }
-                "body" if body.is_none() && raw_body.is_none() => match &kind {
+                Member::Known(3) if body.is_none() && raw_body.is_none() => match &kind {
                     Some(Some(kind)) => body = Some(decode_body(kind, &mut tokens)?),
                     _ => raw_body = Some(tokens.raw_value()?),
                 },
@@ -239,7 +249,8 @@ impl Response {
             .ok_or_else(|| EnvelopeError::new("envelope has no integer 'id'"))?;
         let kind = kind
             .flatten()
-            .ok_or_else(|| EnvelopeError::new("response has no string 'kind'"))?;
+            .ok_or_else(|| EnvelopeError::new("response has no string 'kind'"))?
+            .into_owned();
         if let Some(raw) = raw_body {
             body = Some(decode_body(&kind, &mut Tokenizer::new(raw))?);
         }

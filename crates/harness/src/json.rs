@@ -15,10 +15,14 @@
 //!
 //! - [`parse`] builds a generic [`JsonValue`] tree — for envelopes,
 //!   campaign specs and the daemon's request lines;
-//! - typed decoders build records straight from the tokens, with no tree
+//! - typed decoders build records straight from the input, with no tree
 //!   in between — [`crate::metric::decode_sets`] for `MetricSet`s, and
 //!   on top of it the campaign's result-cache loader and the service
-//!   client's `unit` lines.
+//!   client's `unit` lines. They read members with
+//!   [`Tokenizer::next_member`], which predicts the emitter's member
+//!   order, and values with the typed reads ([`Tokenizer::string_value`],
+//!   [`Tokenizer::f64_value`], [`Tokenizer::u64_value`],
+//!   [`Tokenizer::begin_object`], [`Tokenizer::begin_array`]).
 
 use serde::ser::{self, Serialize};
 use std::borrow::Cow;
@@ -433,9 +437,14 @@ impl JsonNumber {
 }
 
 impl JsonValue {
-    /// A number value from an `f64` (test/construction convenience).
+    /// A number value from an `f64`. JSON has no spelling for a
+    /// non-finite value, so one is `null`, as the serde emitter writes it.
     pub fn number(value: f64) -> JsonValue {
-        JsonValue::Number(JsonNumber(format!("{value}")))
+        if value.is_finite() {
+            JsonValue::Number(JsonNumber(format!("{value}")))
+        } else {
+            JsonValue::Null
+        }
     }
 
     /// A number value from a `u64`, kept exact (no `f64` rounding).
@@ -640,25 +649,6 @@ pub enum Token<'a> {
     EndObject,
 }
 
-impl Token<'_> {
-    /// A string value's text; `None` for any other token.
-    pub fn into_string(self) -> Option<String> {
-        match self {
-            Token::String(text) => Some(text.into_owned()),
-            _ => None,
-        }
-    }
-
-    /// A number as `T` when its source text parses as one (`u64` and
-    /// `i64` only exactly); `None` for any other token.
-    pub fn parse_number<T: std::str::FromStr>(&self) -> Option<T> {
-        match self {
-            Token::Number(text) => text.parse().ok(),
-            _ => None,
-        }
-    }
-}
-
 /// A pull tokenizer over one JSON document.
 ///
 /// Each [`next_token`](Tokenizer::next_token) call reads one token and
@@ -667,7 +657,9 @@ impl Token<'_> {
 /// whitespace after the document. The first violation is an error with
 /// the byte offset it was found at; after an error the tokenizer's
 /// further output is unspecified. Numbers keep the lax forms Rust's
-/// `f64` parser accepts (`+1`, `.5`, `1.`, `01`).
+/// `f64` parser accepts (`+1`, `.5`, `1.`, `01`). In a string, an escaped
+/// surrogate pair (`\ud83d\ude00`) is one character and a lone
+/// surrogate is U+FFFD.
 ///
 /// ```
 /// use oranges_harness::json::{Token, Tokenizer};
@@ -680,6 +672,28 @@ impl Token<'_> {
 /// assert_eq!(seen.len(), 7);
 /// assert_eq!(seen[1], Token::Key("n".into()));
 /// assert_eq!(seen[3], Token::Number("1"));
+/// ```
+///
+/// Typed decoders skip the [`Token`]s. [`next_member`](Tokenizer::next_member)
+/// reads an object's keys against the member names the emitter writes,
+/// in its order, and the typed reads take a value of the type they name
+/// or leave it unread. Each keeps the grammar checks, the depth cap and
+/// the error messages of the token it stands for:
+///
+/// ```
+/// use oranges_harness::json::{Member, Tokenizer};
+///
+/// const POINT: [&str; 2] = ["chip", "gflops"];
+/// let mut tokens = Tokenizer::new(r#"{"chip":"M1","gflops":2.5e3}"#);
+/// assert!(tokens.begin_object().unwrap());
+/// let mut next = 0;
+/// assert_eq!(tokens.next_member(&POINT, &mut next).unwrap(), Some(Member::Known(0)));
+/// assert_eq!(tokens.f64_value().unwrap(), None, "a string is not a number");
+/// assert_eq!(tokens.string_value().unwrap().as_deref(), Some("M1"));
+/// assert_eq!(tokens.next_member(&POINT, &mut next).unwrap(), Some(Member::Known(1)));
+/// assert_eq!(tokens.f64_value().unwrap(), Some((2500.0, "2.5e3")));
+/// assert_eq!(tokens.next_member(&POINT, &mut next).unwrap(), None);
+/// tokens.finish().unwrap();
 /// ```
 #[derive(Debug)]
 pub struct Tokenizer<'a> {
@@ -703,6 +717,15 @@ enum Expect {
     /// `,` or the innermost container's close — or, with none open, the
     /// end of the document.
     Separator,
+}
+
+/// An object member's key, as [`Tokenizer::next_member`] reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Member<'a> {
+    /// The key at this index of the caller's member names.
+    Known(usize),
+    /// A key that is not among them.
+    Other(Cow<'a, str>),
 }
 
 fn error(message: &str, offset: usize) -> JsonParseError {
@@ -764,6 +787,66 @@ impl<'a> Tokenizer<'a> {
         Ok(Some(key))
     }
 
+    /// Inside an object: the next member's key, or `None` once the object
+    /// has closed. The member's value is the next thing to read.
+    ///
+    /// `names` lists the members a decoder knows, in the order the
+    /// emitter writes them, and `next` is the decoder's place in that
+    /// list: the index after the member matched last, 0 before the first.
+    /// When the input holds `,"<names[next]>":` (`"<names[next]>":` for an
+    /// object's first member), byte for byte as the emitter writes it,
+    /// that one comparison reads the key. Anything else (another member,
+    /// whitespace, an escape inside the key, the object's close) takes
+    /// the general key read of [`next_key`](Tokenizer::next_key) and a
+    /// lookup in `names`. Both paths return the same member and leave the
+    /// same state behind, so the prediction decides only the cost. The
+    /// names must need no escape.
+    pub fn next_member(
+        &mut self,
+        names: &[&str],
+        next: &mut usize,
+    ) -> Result<Option<Member<'a>>, JsonParseError> {
+        if let Some(name) = names.get(*next) {
+            if self.predicted(name) {
+                *next += 1;
+                return Ok(Some(Member::Known(*next - 1)));
+            }
+        }
+        let Some(key) = self.next_key()? else {
+            return Ok(None);
+        };
+        Ok(Some(match names.iter().position(|name| *name == key) {
+            Some(index) => {
+                *next = index + 1;
+                Member::Known(index)
+            }
+            None => Member::Other(key),
+        }))
+    }
+
+    /// Read the next member's key up to its `:` if it is `name`, spelled
+    /// as the emitter spells it; otherwise read nothing.
+    fn predicted(&mut self, name: &str) -> bool {
+        debug_assert!(
+            !name.bytes().any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f)),
+            "member name {name:?} needs an escape"
+        );
+        let opener: &[u8] = match (self.next, self.open.last()) {
+            (Expect::First, Some(true)) => b"\"",
+            (Expect::Separator, Some(true)) => b",\"",
+            _ => return false,
+        };
+        let rest = &self.text.as_bytes()[self.pos..];
+        let hit = rest.starts_with(opener)
+            && rest[opener.len()..].starts_with(name.as_bytes())
+            && rest[opener.len() + name.len()..].starts_with(b"\":");
+        if hit {
+            self.pos += opener.len() + name.len() + 2;
+            self.next = Expect::Value;
+        }
+        hit
+    }
+
     /// Inside an array: `true` when another item follows (it is the
     /// next value to read), `false` once the array has closed.
     pub fn next_item(&mut self) -> Result<bool, JsonParseError> {
@@ -803,6 +886,74 @@ impl<'a> Tokenizer<'a> {
         Ok(&self.text[start..self.pos])
     }
 
+    /// The next value, if it is a string. Otherwise nothing but
+    /// whitespace is read and the result is `None`, so
+    /// [`next_value`](Tokenizer::next_value) can still read the value and
+    /// say what it is. The other typed reads work the same way.
+    pub fn string_value(&mut self) -> Result<Option<Cow<'a, str>>, JsonParseError> {
+        if self.value_start() != Some(b'"') {
+            return Ok(None);
+        }
+        self.next = Expect::Separator;
+        self.string().map(Some)
+    }
+
+    /// The next value, if it is a number: its value and its source text.
+    /// The text is parsed once, both to check it and to convert it.
+    pub fn f64_value(&mut self) -> Result<Option<(f64, &'a str)>, JsonParseError> {
+        match self.value_start() {
+            None | Some(b'n' | b't' | b'f' | b'"' | b'[' | b'{') => Ok(None),
+            Some(_) => {
+                self.next = Expect::Separator;
+                self.number().map(Some)
+            }
+        }
+    }
+
+    /// The next value, if it is a number whose text is exactly a `u64`
+    /// (any other number is left unread). Text that parses as a `u64`
+    /// also parses as an `f64`, so the number needs no other check.
+    pub fn u64_value(&mut self) -> Result<Option<u64>, JsonParseError> {
+        if !matches!(self.value_start(), Some(b'0'..=b'9' | b'+')) {
+            return Ok(None);
+        }
+        let start = self.pos;
+        match self.number_text().parse() {
+            Ok(value) => {
+                self.next = Expect::Separator;
+                Ok(Some(value))
+            }
+            Err(_) => {
+                self.pos = start;
+                Ok(None)
+            }
+        }
+    }
+
+    /// Read the next token, as [`next_token`](Tokenizer::next_token)
+    /// would: `true` when it opens an object.
+    pub fn begin_object(&mut self) -> Result<bool, JsonParseError> {
+        self.begin(b'{', Token::BeginObject)
+    }
+
+    /// Read the next token, as [`next_token`](Tokenizer::next_token)
+    /// would: `true` when it opens an array.
+    pub fn begin_array(&mut self) -> Result<bool, JsonParseError> {
+        self.begin(b'[', Token::BeginArray)
+    }
+
+    /// A typed read of the next value, or `None` after skipping a value
+    /// of any other type: for members whose mistyped value is ignored.
+    pub fn read_or_skip<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<Option<T>, JsonParseError>,
+    ) -> Result<Option<T>, JsonParseError> {
+        match read(self)? {
+            Some(value) => Ok(Some(value)),
+            None => self.skip_value().map(|()| None),
+        }
+    }
+
     /// Check that the document is complete and only whitespace follows.
     pub fn finish(&mut self) -> Result<(), JsonParseError> {
         match self.next_token()? {
@@ -819,6 +970,38 @@ impl<'a> Tokenizer<'a> {
             }
             Some(first) => Ok(first),
         }
+    }
+
+    /// The first byte of the next value, past whitespace, when a value is
+    /// what the grammar expects here.
+    fn value_start(&mut self) -> Option<u8> {
+        if self.next != Expect::Value {
+            return None;
+        }
+        self.skip_ws();
+        self.peek()
+    }
+
+    fn begin(&mut self, bracket: u8, token: Token<'a>) -> Result<bool, JsonParseError> {
+        if self.value_start() == Some(bracket) {
+            self.enter(bracket)?;
+            return Ok(true);
+        }
+        Ok(self.next_token()? == Some(token))
+    }
+
+    /// Open the container whose bracket is at the position.
+    fn enter(&mut self, bracket: u8) -> Result<(), JsonParseError> {
+        if self.open.len() == MAX_DEPTH {
+            return Err(error(
+                &format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.pos += 1;
+        self.open.push(bracket == b'{');
+        self.next = Expect::First;
+        Ok(())
     }
 
     fn peek(&self) -> Option<u8> {
@@ -870,22 +1053,14 @@ impl<'a> Tokenizer<'a> {
             Some(b'f') => self.literal("false", Token::Bool(false))?,
             Some(b'"') => Token::String(self.string()?),
             Some(bracket @ (b'[' | b'{')) => {
-                if self.open.len() == MAX_DEPTH {
-                    return Err(error(
-                        &format!("nesting deeper than {MAX_DEPTH} levels"),
-                        self.pos,
-                    ));
-                }
-                self.pos += 1;
-                self.open.push(bracket == b'{');
-                self.next = Expect::First;
+                self.enter(bracket)?;
                 if bracket == b'{' {
                     Token::BeginObject
                 } else {
                     Token::BeginArray
                 }
             }
-            Some(_) => self.number()?,
+            Some(_) => Token::Number(self.number()?.1),
         })
     }
 
@@ -898,7 +1073,19 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Token<'a>, JsonParseError> {
+    /// A number's value and its source text, checked by that parse.
+    fn number(&mut self) -> Result<(f64, &'a str), JsonParseError> {
+        let start = self.pos;
+        let text = self.number_text();
+        match text.parse::<f64>() {
+            Ok(value) => Ok((value, text)),
+            Err(_) => Err(error(&format!("invalid number '{text}'"), start)),
+        }
+    }
+
+    /// Read the run of bytes a number may hold: an optional `-`, then
+    /// digits, points, exponent marks and signs.
+    fn number_text(&mut self) -> &'a str {
         let bytes = self.text.as_bytes();
         let start = self.pos;
         if bytes.get(self.pos) == Some(&b'-') {
@@ -912,11 +1099,18 @@ impl<'a> Tokenizer<'a> {
         {
             self.pos += 1;
         }
-        let text = &self.text[start..self.pos];
-        match text.parse::<f64>() {
-            Ok(_) => Ok(Token::Number(text)),
-            Err(_) => Err(error(&format!("invalid number '{text}'"), start)),
-        }
+        &self.text[start..self.pos]
+    }
+
+    /// The code unit of the `\u` escape whose `u` is at `at`.
+    fn code_unit(&self, at: usize) -> Result<u32, JsonParseError> {
+        let hex = self
+            .text
+            .as_bytes()
+            .get(at + 1..at + 5)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .ok_or_else(|| error("truncated \\u escape", at))?;
+        u32::from_str_radix(hex, 16).map_err(|_| error("invalid \\u escape", at))
     }
 
     /// A quoted string, borrowed from the input when it holds no escape.
@@ -958,17 +1152,29 @@ impl<'a> Tokenizer<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| error("truncated \\u escape", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| error("invalid \\u escape", self.pos))?;
-                            // The emitter only writes \u for control
-                            // chars; a lone surrogate is replaced rather
-                            // than rejected.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = self.code_unit(self.pos)?;
                             self.pos += 4;
+                            // A high surrogate escape followed by a low
+                            // one is one character, as JSON writes those
+                            // past U+FFFF. The emitter itself only writes
+                            // \u for control chars; a lone surrogate is
+                            // replaced rather than rejected.
+                            let low = match code {
+                                0xd800..=0xdbff if bytes[self.pos + 1..].starts_with(b"\\u") => {
+                                    self.code_unit(self.pos + 2)
+                                        .ok()
+                                        .filter(|low| (0xdc00..=0xdfff).contains(low))
+                                }
+                                _ => None,
+                            };
+                            let code = match low {
+                                Some(low) => {
+                                    self.pos += 6;
+                                    0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                                }
+                                None => code,
+                            };
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(error("invalid escape", self.pos)),
                     }
@@ -1123,6 +1329,59 @@ mod tests {
             parse(r#""say \"hi\"\nA tschüß""#).unwrap(),
             JsonValue::String("say \"hi\"\nA tschüß".into())
         );
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_to_one_character() {
+        let decoded = |text: &str| parse(text).map(|value| value.as_str().map(str::to_string));
+        // How Python's `json.dumps` writes U+1F600 by default, in a value
+        // and in a key, and in upper-case hex.
+        assert_eq!(decoded(r#""\ud83d\ude00""#), Ok(Some("\u{1f600}".into())));
+        assert_eq!(
+            decoded(r#""a\uD83D\uDE01b""#),
+            Ok(Some("a\u{1f601}b".into()))
+        );
+        assert_eq!(
+            decoded(r#""\ud83d\ud83d\ude00""#),
+            Ok(Some("\u{fffd}\u{1f600}".into()))
+        );
+        let object = parse(r#"{"\ud83d\ude00":1}"#).unwrap();
+        assert_eq!(
+            object.get("\u{1f600}").and_then(JsonValue::as_f64),
+            Some(1.0)
+        );
+        // Any surrogate that is not the high half of a pair stays U+FFFD,
+        // as the per-escape oracle decodes it.
+        for (text, expected) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ude00""#, "\u{fffd}"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+        ] {
+            assert_eq!(decoded(text), Ok(Some(expected.into())), "{text}");
+            assert_eq!(parse(text), oracle::parse(text), "{text}");
+        }
+        // A high surrogate before a truncated or invalid escape fails
+        // exactly as that escape fails on its own.
+        for text in [r#""\ud83d\ude"#, r#""\ud83d\ude0x""#, r#""\ud83d\u"#] {
+            let error = parse(text).unwrap_err();
+            assert_eq!(Err(error.clone()), oracle::parse(text), "{text}");
+            assert_eq!(error.offset, 8, "{text}: {error}");
+        }
+        // The typed string read shares the decoding.
+        let mut tokens = Tokenizer::new(r#""\ud83d\ude00""#);
+        assert_eq!(tokens.string_value().unwrap().as_deref(), Some("\u{1f600}"));
+    }
+
+    #[test]
+    fn non_finite_numbers_are_null() {
+        for value in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(JsonValue::number(value), JsonValue::Null);
+        }
+        assert_eq!(JsonValue::number(1.5).to_json_string(), "1.5");
+        assert_eq!(JsonValue::number(-0.0).to_json_string(), "-0");
     }
 
     #[test]

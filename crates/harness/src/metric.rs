@@ -18,10 +18,12 @@
 //! value-identity digest must not.
 
 use crate::csv::{self, CsvWriter};
-use crate::json::{self, to_json_string, JsonError, Token, Tokenizer};
+use crate::json::{self, to_json_string, JsonError, Member, Token, Tokenizer};
 use crate::table::TextTable;
 use serde::Serialize;
+use std::borrow::Cow;
 use std::fmt;
+use Member::Known;
 
 /// A typed metric value.
 ///
@@ -488,13 +490,17 @@ pub fn sets_from_json(text: &str) -> Result<Vec<MetricSet>, MetricParseError> {
 /// campaign's disk cache and its service client all read sets through
 /// it.
 ///
-/// Members may come in any order and unknown ones are skipped; when a
-/// key repeats, its first occurrence counts and later ones are only
-/// checked for syntax. A `Float` value or power-context field that
-/// parses to ±infinity (an out-of-range literal such as `1e999`) is
-/// rejected: it would re-emit as `null`, which no reader accepts.
+/// Each object's members are declared once, in the order the emitter
+/// writes them, and read with [`Tokenizer::next_member`]: on the
+/// emitter's own output every key is one predicted comparison, and
+/// every value a typed read. Members may still come in any order,
+/// spaced or with escaped keys, and unknown ones are skipped; when a key
+/// repeats, its first occurrence counts and later ones are only checked
+/// for syntax. A `Float` value or power-context field that parses to
+/// ±infinity (an out-of-range literal such as `1e999`) is rejected: it
+/// would re-emit as `null`, which no reader accepts.
 pub fn decode_sets(tokens: &mut Tokenizer<'_>) -> Result<Vec<MetricSet>, MetricParseError> {
-    if tokens.next_token()? != Some(Token::BeginArray) {
+    if !tokens.begin_array()? {
         return Err(MetricParseError::new("document is not an array of sets"));
     }
     let mut sets = Vec::new();
@@ -504,27 +510,44 @@ pub fn decode_sets(tokens: &mut Tokenizer<'_>) -> Result<Vec<MetricSet>, MetricP
     Ok(sets)
 }
 
+/// The members of a set, of its provenance, of a power context and of a
+/// metric, in the order the emitter writes them; and the variants of a
+/// metric value, in the order [`MetricValue`] declares them.
+const SET: [&str; 4] = ["provenance", "implementation", "n", "metrics"];
+const PROVENANCE: [&str; 4] = ["experiment", "chip", "params", "power"];
+const POWER: [&str; 4] = ["package_watts", "energy_j", "window_s", "dvfs_cap"];
+const METRIC: [&str; 3] = ["name", "value", "unit"];
+const VARIANTS: [&str; 4] = ["Float", "Int", "Bool", "Text"];
+
 fn decode_set(tokens: &mut Tokenizer<'_>) -> Result<MetricSet, MetricParseError> {
-    if tokens.next_token()? != Some(Token::BeginObject) {
+    if !tokens.begin_object()? {
         return Err(MetricParseError::new("set is not an object"));
     }
     let (mut provenance, mut implementation, mut n, mut metrics) = (None, None, None, None);
-    while let Some(key) = tokens.next_key()? {
-        match key.as_ref() {
-            "provenance" if provenance.is_none() => provenance = Some(decode_provenance(tokens)?),
-            "implementation" if implementation.is_none() => {
+    let mut next = 0;
+    while let Some(member) = tokens.next_member(&SET, &mut next)? {
+        match member {
+            Known(0) if provenance.is_none() => provenance = Some(decode_provenance(tokens)?),
+            Known(1) if implementation.is_none() => {
                 implementation = Some(optional_string(tokens, "implementation")?)
             }
-            "n" if n.is_none() => {
-                n = Some(match tokens.next_value()? {
-                    Token::Null => None,
-                    Token::Number(text) => Some(text.parse::<u64>().map_err(|_| {
-                        MetricParseError::new(format!("n field {text} is not an exact u64"))
-                    })?),
-                    other => return Err(MetricParseError::new(format!("bad n field {other:?}"))),
+            Known(2) if n.is_none() => {
+                n = Some(match tokens.u64_value()? {
+                    Some(n) => Some(n),
+                    None => match tokens.next_value()? {
+                        Token::Null => None,
+                        Token::Number(text) => {
+                            return Err(MetricParseError::new(format!(
+                                "n field {text} is not an exact u64"
+                            )))
+                        }
+                        other => {
+                            return Err(MetricParseError::new(format!("bad n field {other:?}")))
+                        }
+                    },
                 })
             }
-            "metrics" if metrics.is_none() => metrics = Some(decode_metrics(tokens)?),
+            Known(3) if metrics.is_none() => metrics = Some(decode_metrics(tokens)?),
             _ => tokens.skip_value()?,
         }
     }
@@ -537,18 +560,19 @@ fn decode_set(tokens: &mut Tokenizer<'_>) -> Result<MetricSet, MetricParseError>
 }
 
 fn decode_provenance(tokens: &mut Tokenizer<'_>) -> Result<Provenance, MetricParseError> {
-    if tokens.next_token()? != Some(Token::BeginObject) {
+    if !tokens.begin_object()? {
         return Err(MetricParseError::new("provenance is not an object"));
     }
     let (mut experiment, mut chip, mut params, mut power) = (None, None, None, None);
-    while let Some(key) = tokens.next_key()? {
-        match key.as_ref() {
-            "experiment" if experiment.is_none() => {
+    let mut next = 0;
+    while let Some(member) = tokens.next_member(&PROVENANCE, &mut next)? {
+        match member {
+            Known(0) if experiment.is_none() => {
                 experiment = Some(required_string(tokens, "experiment")?)
             }
-            "chip" if chip.is_none() => chip = Some(optional_string(tokens, "chip")?),
-            "params" if params.is_none() => params = Some(required_string(tokens, "params")?),
-            "power" if power.is_none() => {
+            Known(1) if chip.is_none() => chip = Some(optional_string(tokens, "chip")?),
+            Known(2) if params.is_none() => params = Some(required_string(tokens, "params")?),
+            Known(3) if power.is_none() => {
                 power = Some(match tokens.next_token()? {
                     Some(Token::Null) => None,
                     Some(Token::BeginObject) => Some(decode_power(tokens)?),
@@ -570,17 +594,19 @@ fn decode_provenance(tokens: &mut Tokenizer<'_>) -> Result<Provenance, MetricPar
 
 /// The members of a power context, after its `{`.
 fn decode_power(tokens: &mut Tokenizer<'_>) -> Result<PowerContext, MetricParseError> {
-    const FIELDS: [&str; 4] = ["package_watts", "energy_j", "window_s", "dvfs_cap"];
     let mut values = [None; 4];
-    while let Some(key) = tokens.next_key()? {
-        match FIELDS.iter().position(|field| *field == key) {
-            Some(index) if values[index].is_none() => {
-                values[index] = Some(match tokens.next_value()? {
-                    Token::Number(text) => finite(text)?,
-                    _ => {
+    let mut next = 0;
+    while let Some(member) = tokens.next_member(&POWER, &mut next)? {
+        match member {
+            Known(index) if values[index].is_none() => {
+                values[index] = Some(match tokens.f64_value()? {
+                    Some((value, text)) => finite(value, text)?,
+                    None => {
+                        tokens.skip_value()?;
                         return Err(MetricParseError::new(format!(
-                            "power context field '{key}' is not a number"
-                        )))
+                            "power context field '{}' is not a number",
+                            POWER[index]
+                        )));
                     }
                 })
             }
@@ -589,7 +615,7 @@ fn decode_power(tokens: &mut Tokenizer<'_>) -> Result<PowerContext, MetricParseE
     }
     let field = |index: usize| {
         values[index].ok_or_else(|| {
-            MetricParseError::new(format!("power context is missing '{}'", FIELDS[index]))
+            MetricParseError::new(format!("power context is missing '{}'", POWER[index]))
         })
     };
     Ok(PowerContext {
@@ -601,20 +627,21 @@ fn decode_power(tokens: &mut Tokenizer<'_>) -> Result<PowerContext, MetricParseE
 }
 
 fn decode_metrics(tokens: &mut Tokenizer<'_>) -> Result<Vec<Metric>, MetricParseError> {
-    if tokens.next_token()? != Some(Token::BeginArray) {
+    if !tokens.begin_array()? {
         return Err(MetricParseError::new("set is missing metrics array"));
     }
     let mut metrics = Vec::new();
     while tokens.next_item()? {
-        if tokens.next_token()? != Some(Token::BeginObject) {
+        if !tokens.begin_object()? {
             return Err(MetricParseError::new("metric is not an object"));
         }
         let (mut name, mut value, mut unit) = (None, None, None);
-        while let Some(key) = tokens.next_key()? {
-            match key.as_ref() {
-                "name" if name.is_none() => name = Some(required_string(tokens, "name")?),
-                "value" if value.is_none() => value = Some(decode_value(tokens)?),
-                "unit" if unit.is_none() => unit = Some(required_string(tokens, "unit")?),
+        let mut next = 0;
+        while let Some(member) = tokens.next_member(&METRIC, &mut next)? {
+            match member {
+                Known(0) if name.is_none() => name = Some(required_string(tokens, "name")?),
+                Known(1) if value.is_none() => value = Some(decode_value(tokens)?),
+                Known(2) if unit.is_none() => unit = Some(required_string(tokens, "unit")?),
                 _ => tokens.skip_value()?,
             }
         }
@@ -634,33 +661,47 @@ fn decode_metrics(tokens: &mut Tokenizer<'_>) -> Result<Vec<Metric>, MetricParse
 /// A `{"Variant":payload}` value: exactly one member.
 fn decode_value(tokens: &mut Tokenizer<'_>) -> Result<MetricValue, MetricParseError> {
     let not_a_variant = || MetricParseError::new("metric value is not a variant object");
-    if tokens.next_token()? != Some(Token::BeginObject) {
+    if !tokens.begin_object()? {
         return Err(not_a_variant());
     }
-    let variant = tokens.next_key()?.ok_or_else(not_a_variant)?;
-    let value =
-        match (variant.as_ref(), tokens.next_value()?) {
-            ("Float", Token::Number(text)) => MetricValue::Float(finite(text)?),
-            ("Int", Token::Number(text)) => MetricValue::Int(text.parse().map_err(|_| {
-                MetricParseError::new(format!("Int value {text} is not an exact i64"))
-            })?),
-            ("Bool", Token::Bool(b)) => MetricValue::Bool(b),
-            ("Text", Token::String(s)) => MetricValue::Text(s.into_owned()),
-            (variant, _) => {
-                return Err(MetricParseError::new(format!(
-                    "bad metric value variant '{variant}'"
-                )))
+    let variant = tokens
+        .next_member(&VARIANTS, &mut 0)?
+        .ok_or_else(not_a_variant)?;
+    // A `Float`, nearly every metric, takes the typed read; any other
+    // payload goes through its token.
+    let float = match variant {
+        Known(0) => tokens.f64_value()?,
+        _ => None,
+    };
+    let value = match float {
+        Some((value, text)) => MetricValue::Float(finite(value, text)?),
+        None => {
+            let variant = match &variant {
+                Known(index) => VARIANTS[*index],
+                Member::Other(key) => key,
+            };
+            match (variant, tokens.next_value()?) {
+                ("Int", Token::Number(text)) => MetricValue::Int(text.parse().map_err(|_| {
+                    MetricParseError::new(format!("Int value {text} is not an exact i64"))
+                })?),
+                ("Bool", Token::Bool(b)) => MetricValue::Bool(b),
+                ("Text", Token::String(s)) => MetricValue::Text(s.into_owned()),
+                (variant, _) => {
+                    return Err(MetricParseError::new(format!(
+                        "bad metric value variant '{variant}'"
+                    )))
+                }
             }
-        };
+        }
+    };
     match tokens.next_key()? {
         None => Ok(value),
         Some(_) => Err(not_a_variant()),
     }
 }
 
-/// A number that must stay finite, or it would re-emit as `null`.
-fn finite(text: &str) -> Result<f64, MetricParseError> {
-    let value: f64 = text.parse().expect("the tokenizer validated the number");
+/// A parsed number that must stay finite, or it would re-emit as `null`.
+fn finite(value: f64, text: &str) -> Result<f64, MetricParseError> {
     if value.is_finite() {
         Ok(value)
     } else {
@@ -672,8 +713,8 @@ fn finite(text: &str) -> Result<f64, MetricParseError> {
 
 fn required_string(tokens: &mut Tokenizer<'_>, key: &str) -> Result<String, MetricParseError> {
     tokens
-        .next_value()?
-        .into_string()
+        .read_or_skip(Tokenizer::string_value)?
+        .map(Cow::into_owned)
         .ok_or_else(|| MetricParseError::new(format!("missing string field '{key}'")))
 }
 
@@ -681,9 +722,11 @@ fn optional_string(
     tokens: &mut Tokenizer<'_>,
     key: &str,
 ) -> Result<Option<String>, MetricParseError> {
+    if let Some(text) = tokens.string_value()? {
+        return Ok(Some(text.into_owned()));
+    }
     match tokens.next_value()? {
         Token::Null => Ok(None),
-        Token::String(s) => Ok(Some(s.into_owned())),
         other => Err(MetricParseError::new(format!(
             "expected string or null for '{key}', got {other:?}"
         ))),

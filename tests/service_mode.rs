@@ -223,6 +223,108 @@ fn a_torn_cache_file_is_quarantined_and_the_daemon_starts_cold_over<T: TestTrans
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A cache file whose entry carries an infinite wall stamp (`1e999`, as
+/// a hand edit or another writer might leave it) loads, and the daemon
+/// serves that entry with a `null` stamp, which the client ignores like
+/// any stamp that is not a number. The run ends in `done` with the
+/// fingerprint of the unforged file.
+fn an_infinite_wall_stamp_in_the_cache_file_is_served_as_null_over<T: TestTransport>() {
+    let dir = temp_path(&format!("inf-wall-{}", T::TAG));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (clean_file, forged_file) = (dir.join("clean.json"), dir.join("forged.json"));
+    let warm = ResultCache::new();
+    run_campaign(&small_spec(), &warm).expect("local run");
+    warm.save(&clean_file).expect("save");
+    let clean = std::fs::read_to_string(&clean_file).expect("saved text");
+    let stamp = clean.find("\"wall_time_s\":").expect("a wall stamp") + "\"wall_time_s\":".len();
+    let end = stamp + clean[stamp..].find(',').expect("the stamp's end");
+    let forged = format!("{}1e999{}", &clean[..stamp], &clean[end..]);
+    std::fs::write(&forged_file, &forged).expect("write the forged file");
+    let loaded = ResultCache::load(&forged_file).expect("the forged file loads");
+    assert_eq!(loaded.stats().entries, 4);
+
+    let mut outcomes = Vec::new();
+    for (name, file) in [
+        ("inf-wall-clean", &clean_file),
+        ("inf-wall-forged", &forged_file),
+    ] {
+        let (endpoint, daemon) = start_daemon::<T>(name, |c| c.with_cache_path(file));
+        let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
+        outcomes.push(
+            client
+                .run(&small_spec())
+                .expect("run over the loaded cache"),
+        );
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("daemon");
+    }
+    let (clean, forged) = (&outcomes[0], &outcomes[1]);
+    assert_eq!((clean.computed_units, forged.computed_units), (0, 0));
+    assert_eq!(forged.fingerprint, clean.fingerprint);
+    let stamps = |outcome: &oranges_campaign::service::RunOutcome| {
+        outcome
+            .units
+            .iter()
+            .filter(|unit| unit.output.wall_time_s().is_some())
+            .count()
+    };
+    assert_eq!(stamps(clean), 4);
+    assert_eq!(stamps(forged), 3, "the forged stamp arrived as null");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Run tokens written the way Python's `json.dumps` writes characters
+/// past U+FFFF, as escaped surrogate pairs, decode to the characters
+/// themselves: a run under one completes, and a `cancel` naming either
+/// one echoes that token, not a replacement character shared by both.
+fn escaped_astral_run_tokens_stay_distinct_over<T: TestTransport>() {
+    use oranges_harness::envelope::Response;
+    use oranges_harness::json::JsonValue;
+    use oranges_harness::transport::Stream;
+    use std::io::{BufRead, BufReader, Write};
+
+    let (endpoint, daemon) = start_daemon::<T>("astral", |c| c);
+    let stream = T::connect(&endpoint).expect("connect raw client");
+    let mut writer = stream.try_clone().expect("clone the connection");
+    let mut reader = BufReader::new(stream);
+    let mut next_response = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read a reply");
+        Response::from_line(&line).expect("replies are envelopes")
+    };
+    writer
+        .write_all(
+            b"{\"id\":1,\"method\":\"run\",\"body\":{\"experiments\":[\"fig4\"],\
+              \"chips\":[\"M1\"],\"power_sizes\":[2048],\"run_token\":\"\\ud83d\\ude00\"}}\n",
+        )
+        .expect("send the run");
+    assert_eq!(next_response().kind, "unit");
+    assert_eq!(next_response().kind, "done");
+    for (id, escaped, token) in [
+        (2, "\\ud83d\\ude01", "\u{1f601}"),
+        (3, "\\ud83d\\ude00", "\u{1f600}"),
+    ] {
+        writer
+            .write_all(
+                format!(
+                    "{{\"id\":{id},\"method\":\"cancel\",\"body\":{{\"token\":\"{escaped}\"}}}}\n"
+                )
+                .as_bytes(),
+            )
+            .expect("send the cancel");
+        let ack = next_response();
+        assert_eq!(ack.kind, "cancelled");
+        let body = ack.body.expect("a cancel ack body");
+        assert_eq!(body.get("token").and_then(JsonValue::as_str), Some(token));
+        assert_eq!(body.get("active"), Some(&JsonValue::Bool(false)));
+    }
+
+    let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+}
+
 fn protocol_errors_are_in_band_and_do_not_kill_the_connection_over<T: TestTransport>() {
     let (endpoint, daemon) = start_daemon::<T>("errors", |c| c);
     let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
@@ -1390,6 +1492,16 @@ macro_rules! transport_matrix {
             #[test]
             fn a_torn_cache_file_is_quarantined_and_the_daemon_starts_cold() {
                 a_torn_cache_file_is_quarantined_and_the_daemon_starts_cold_over::<$transport>();
+            }
+
+            #[test]
+            fn an_infinite_wall_stamp_in_the_cache_file_is_served_as_null() {
+                an_infinite_wall_stamp_in_the_cache_file_is_served_as_null_over::<$transport>();
+            }
+
+            #[test]
+            fn escaped_astral_run_tokens_stay_distinct() {
+                escaped_astral_run_tokens_stay_distinct_over::<$transport>();
             }
 
             #[test]
