@@ -11,7 +11,6 @@ use crate::experiments::experiment::{
     chip_mismatch, Experiment, ExperimentError, ExperimentOutput,
 };
 use crate::platform::Platform;
-use oranges_harness::table::TextTable;
 use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 use oranges_umem::bandwidth::{BandwidthModel, StreamKernelKind};
@@ -123,35 +122,6 @@ impl Experiment for ContentionExperiment {
     }
 }
 
-/// Render the experiment as a table.
-pub fn render(points: &[ContentionPoint]) -> String {
-    let mut table = TextTable::new(vec![
-        "Chip",
-        "CPU alone",
-        "GPU alone",
-        "CPU shared",
-        "GPU shared",
-        "Aggregate",
-        "of peak",
-    ])
-    .numeric();
-    for p in points {
-        table.row(vec![
-            p.chip.name().to_string(),
-            format!("{:.1}", p.cpu_alone_gbs),
-            format!("{:.1}", p.gpu_alone_gbs),
-            format!("{:.1}", p.cpu_contended_gbs),
-            format!("{:.1}", p.gpu_contended_gbs),
-            format!("{:.1}", p.aggregate_gbs()),
-            format!("{:.0}%", p.aggregate_fraction(p.chip) * 100.0),
-        ]);
-    }
-    format!(
-        "Extension: CPU+GPU concurrent STREAM (Triad, GB/s)\n{}",
-        table.render()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,14 +144,5 @@ mod tests {
             // …but gets close: the controller is the shared bottleneck.
             assert!(p.aggregate_fraction(p.chip) > 0.80, "{:?}", p);
         }
-    }
-
-    #[test]
-    fn render_contains_all_chips() {
-        let text = render(&run());
-        for chip in ChipGeneration::ALL {
-            assert!(text.contains(chip.name()));
-        }
-        assert!(text.contains("Aggregate"));
     }
 }

@@ -145,6 +145,13 @@ pub fn metric_sets(points: &[Fig1Point]) -> Vec<MetricSet> {
         .collect()
 }
 
+/// The kernel and agent of an implementation label [`metric_sets`]
+/// writes (`"Triad (GPU)"` → `("Triad", "GPU")`); `None` for any other
+/// label.
+pub fn kernel_and_agent(implementation: &str) -> Option<(&str, &str)> {
+    implementation.strip_suffix(')')?.split_once(" (")
+}
+
 /// CSV of the dataset, through the generic metric emitter.
 pub fn to_csv(data: &Fig1Data) -> String {
     metric::rows_to_csv(&metric::rows(&metric_sets(&data.points)))
@@ -242,5 +249,16 @@ mod tests {
             assert_eq!(set.metrics.len(), 1);
             assert_eq!(set.metrics[0].unit, "GB/s");
         }
+    }
+
+    #[test]
+    fn kernel_and_agent_reads_back_every_label_metric_sets_writes() {
+        let points = run().points;
+        for (set, point) in metric_sets(&points).iter().zip(&points) {
+            let label = set.implementation.as_deref().expect("labelled");
+            assert_eq!(kernel_and_agent(label), Some((point.kernel, point.agent)));
+        }
+        assert_eq!(kernel_and_agent("GPU-MPS"), None);
+        assert_eq!(kernel_and_agent("Triad GPU"), None);
     }
 }

@@ -14,7 +14,6 @@ use crate::experiments::experiment::{
 };
 use crate::platform::Platform;
 use oranges_harness::metric::MetricSet;
-use oranges_harness::table::TextTable;
 use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::gpu::{GpuPrecision, GpuSpec};
@@ -186,41 +185,6 @@ fn to_fp16(value: f32) -> f32 {
     }
 }
 
-/// Render the projection table with the accuracy column.
-pub fn render(points: &[PrecisionPoint]) -> String {
-    let mut table = TextTable::new(vec![
-        "Chip",
-        "Precision",
-        "Projected TFLOPS",
-        "Native",
-        "Rel. err (k=1024 dot)",
-    ])
-    .numeric();
-    for p in points {
-        let error = match p.precision {
-            GpuPrecision::Fp16 => format!("{:.1e}", fp16_dot_relative_error(1024, 42)),
-            GpuPrecision::Fp32 => "~1e-7".to_string(),
-            GpuPrecision::Int8 => "quantization-dependent".to_string(),
-            GpuPrecision::Fp64Emulated => "~1e-16".to_string(),
-        };
-        table.row(vec![
-            p.chip.name().to_string(),
-            format!("{:?}", p.precision),
-            format!("{:.2}", p.tflops),
-            if p.native {
-                "yes".to_string()
-            } else {
-                "no (emulated)".to_string()
-            },
-            error,
-        ]);
-    }
-    format!(
-        "Extension: mixed-precision headroom of the MPS-class kernel\n{}",
-        table.render()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,13 +243,5 @@ mod tests {
         assert!(to_fp16(1e6).is_infinite());
         // Tiny values flush to zero.
         assert_eq!(to_fp16(1e-8), 0.0);
-    }
-
-    #[test]
-    fn render_lists_all_precisions() {
-        let text = render(&run());
-        for needle in ["Fp16", "Fp32", "Int8", "Fp64Emulated", "no (emulated)"] {
-            assert!(text.contains(needle), "missing {needle}");
-        }
     }
 }

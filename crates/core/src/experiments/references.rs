@@ -2,112 +2,22 @@
 //!
 //! The paper frames every M-series result against the state of the art:
 //! GH200 STREAM and cublasSgemm (measured by the authors), MI250X, Xeon
-//! Max, A100, RTX 4090 and the Green500 leader (literature). This module
-//! renders those comparisons next to our measured simulator numbers.
+//! Max, A100, RTX 4090 and the Green500 leader (literature). The
+//! [`Ledger`] renders those comparisons next to our measured simulator
+//! numbers; this module schedules them as one unit.
 
 use crate::experiments::experiment::{Experiment, ExperimentError, ExperimentOutput};
-use crate::experiments::{fig1, fig4};
+use crate::experiments::{fig1, fig2, fig4};
+use crate::ledger::Ledger;
 use crate::platform::Platform;
 use oranges_harness::metric::MetricSet;
-use oranges_harness::table::TextTable;
 use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
-use oranges_soc::reference;
-
-/// R1: bandwidth comparison (paper §5.1 HPC Perspective).
-pub fn bandwidth_comparison(fig1_data: &fig1::Fig1Data) -> String {
-    let mut table = TextTable::new(vec![
-        "System",
-        "Measured GB/s",
-        "Theoretical GB/s",
-        "Efficiency",
-    ])
-    .numeric();
-    for chip in ChipGeneration::ALL {
-        for agent in ["CPU", "GPU"] {
-            let measured = fig1_data.best(chip, agent);
-            let theoretical = chip.spec().memory_bandwidth_gbs;
-            table.row(vec![
-                format!("Apple {chip} ({agent})"),
-                format!("{measured:.0}"),
-                format!("{theoretical:.0}"),
-                format!("{:.0}%", measured / theoretical * 100.0),
-            ]);
-        }
-    }
-    for system in reference::all() {
-        for bw in &system.bandwidth {
-            table.row(vec![
-                system.name.to_string(),
-                format!("{:.0}", bw.measured_gbs),
-                format!("{:.0}", bw.theoretical_gbs),
-                format!("{:.0}%", bw.efficiency() * 100.0),
-            ]);
-        }
-    }
-    format!(
-        "R1. Memory bandwidth vs HPC state of the art (§5.1)\n{}",
-        table.render()
-    )
-}
-
-/// R2: compute comparison (paper §5.2 HPC Perspective).
-pub fn compute_comparison(mps_peaks: &[(ChipGeneration, f64)]) -> String {
-    let mut table =
-        TextTable::new(vec!["System", "Regime", "Measured TFLOPS", "Efficiency"]).numeric();
-    for (chip, tflops) in mps_peaks {
-        let theoretical = chip.spec().gpu_tflops_published;
-        table.row(vec![
-            format!("Apple {chip} (GPU-MPS)"),
-            "FP32 (MPS)".to_string(),
-            format!("{tflops:.2}"),
-            format!("{:.0}%", tflops / theoretical * 100.0),
-        ]);
-    }
-    for system in reference::all() {
-        for c in &system.compute {
-            table.row(vec![
-                system.name.to_string(),
-                c.regime.to_string(),
-                format!("{:.1}", c.measured_tflops),
-                format!("{:.0}%", c.efficiency() * 100.0),
-            ]);
-        }
-    }
-    format!(
-        "R2. FP32 GEMM vs HPC state of the art (§5.2)\n{}",
-        table.render()
-    )
-}
-
-/// R3: efficiency comparison (paper §5.3 + §7).
-pub fn efficiency_comparison(fig4_data: &fig4::Fig4Data) -> String {
-    let mut table = TextTable::new(vec!["System", "GFLOPS/W", "Notes"]).numeric();
-    for chip in ChipGeneration::ALL {
-        table.row(vec![
-            format!("Apple {chip} (GPU-MPS)"),
-            format!("{:.0}", fig4_data.peak(chip, "GPU-MPS")),
-            "FP32 SGEMM, powermetrics estimate".to_string(),
-        ]);
-    }
-    for system in reference::all() {
-        if let Some(eff) = system.gflops_per_watt {
-            let note = match system.power_watts {
-                Some(w) => format!("{} ({w:.0} W)", system.provenance),
-                None => system.provenance.to_string(),
-            };
-            table.row(vec![system.name.to_string(), format!("{eff:.0}"), note]);
-        }
-    }
-    format!(
-        "R3. Power efficiency vs HPC state of the art (§5.3, §7)\n{}",
-        table.render()
-    )
-}
 
 /// The HPC Perspective comparisons (R1–R3) as one chip-independent
-/// schedulable unit. Dependency-free: it computes the Figure 1/2/4
-/// inputs it needs internally rather than waiting on other units.
+/// schedulable unit. Dependency-free: it runs the Figure 1/2/4 inputs it
+/// needs internally rather than waiting on other units, and reads them
+/// through a [`Ledger`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReferencesExperiment;
 
@@ -131,83 +41,38 @@ impl Experiment for ReferencesExperiment {
     fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
         let fig1_data = fig1::run();
         let fig4_data = fig4::run(&fig4::Fig4Config::default())?;
-        let mps_peaks: Vec<(ChipGeneration, f64)> = ChipGeneration::ALL
-            .iter()
-            .map(|&chip| (chip, fig4_data.peak(chip, "GPU-MPS")))
-            .collect();
         // R2 compares achieved TFLOPS; derive them from the same modeled
         // runs Figure 2 reports (peak over the paper's largest sizes).
-        let fig2_data = crate::experiments::fig2::run(&crate::experiments::fig2::Fig2Config {
+        let fig2_data = fig2::run(&fig2::Fig2Config {
             sizes: vec![4096, 8192, 16384],
             verify_max_flops: 0,
-            ..crate::experiments::fig2::Fig2Config::default()
+            ..fig2::Fig2Config::default()
         })?;
-        let tflops_peaks: Vec<(ChipGeneration, f64)> = ChipGeneration::ALL
-            .iter()
-            .map(|&chip| (chip, fig2_data.peak(chip, "GPU-MPS") / 1e3))
+        let params = self.params();
+        let inputs: Vec<MetricSet> = fig1::metric_sets(&fig1_data.points)
+            .into_iter()
+            .chain(fig2::metric_sets(&fig2_data.points, &params))
+            .chain(fig4::metric_sets(&fig4_data.points, &params))
             .collect();
-        let rendered = [
-            bandwidth_comparison(&fig1_data),
-            compute_comparison(&tflops_peaks),
-            efficiency_comparison(&fig4_data),
-        ];
+        let ledger = Ledger::new(&inputs);
         // One chip-scoped set per chip, both peaks together — the
         // experiment itself is chip-independent, the measurements inside
         // it are not.
-        let sets: Vec<MetricSet> = tflops_peaks
+        let sets: Vec<MetricSet> = ChipGeneration::ALL
             .iter()
-            .zip(&mps_peaks)
-            .map(|(&(chip, tflops), &(_, eff))| {
-                MetricSet::for_chip("references", &self.params(), chip.name())
+            .map(|&chip| {
+                let gflops = ledger
+                    .gflops_peak(chip, "GPU-MPS")
+                    .expect("Figure 2 ran on every chip");
+                let efficiency = ledger
+                    .efficiency_peak(chip, "GPU-MPS")
+                    .expect("Figure 4 ran on every chip");
+                MetricSet::for_chip("references", &params, chip.name())
                     .with_implementation("GPU-MPS")
-                    .metric("mps_peak_tflops", tflops, "TFLOPS")
-                    .metric("mps_peak_gflops_per_watt", eff, "GFLOPS/W")
+                    .metric("mps_peak_tflops", gflops / 1e3, "TFLOPS")
+                    .metric("mps_peak_gflops_per_watt", efficiency, "GFLOPS/W")
             })
             .collect();
-        ExperimentOutput::from_sets(sets, Some(rendered.join("\n\n")))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiments::fig4::Fig4Config;
-
-    #[test]
-    fn r1_contains_gh200_and_all_chips() {
-        let data = fig1::run();
-        let text = bandwidth_comparison(&data);
-        assert!(text.contains("Apple M1 (CPU)"));
-        assert!(text.contains("Apple M4 (GPU)"));
-        assert!(text.contains("Grace CPU"));
-        assert!(text.contains("3700"));
-        assert!(text.contains("MI250X"));
-    }
-
-    #[test]
-    fn r2_contains_cublas_and_tensor_rows() {
-        let peaks = vec![(ChipGeneration::M4, 2.9)];
-        let text = compute_comparison(&peaks);
-        assert!(text.contains("cublasSgemm"));
-        assert!(text.contains("41.0"));
-        assert!(text.contains("TF32"));
-        assert!(text.contains("338.0"));
-        assert!(text.contains("Xeon"));
-        assert!(text.contains("Apple M4 (GPU-MPS)"));
-    }
-
-    #[test]
-    fn r3_contains_green500_and_gpus() {
-        let data = fig4::run(&Fig4Config {
-            chips: vec![ChipGeneration::M3],
-            ..Fig4Config::default()
-        })
-        .unwrap();
-        let text = efficiency_comparison(&data);
-        assert!(text.contains("Green500"));
-        assert!(text.contains("72"));
-        assert!(text.contains("A100"));
-        assert!(text.contains("RTX 4090"));
-        assert!(text.contains("Apple M3 (GPU-MPS)"));
+        ExperimentOutput::from_sets(sets, Some(ledger.references()))
     }
 }

@@ -13,7 +13,6 @@ use crate::experiments::experiment::{
 };
 use crate::platform::Platform;
 use oranges_harness::metric::PowerContext;
-use oranges_harness::table::TextTable;
 use oranges_harness::RepetitionProtocol;
 use oranges_powermetrics::{PowerModel, WorkClass};
 use oranges_soc::chip::ChipGeneration;
@@ -166,41 +165,6 @@ impl Experiment for ThermalExperiment {
     }
 }
 
-/// Render the experiment.
-pub fn render(class: WorkClass, points: &[SustainedPoint]) -> String {
-    let mut table = TextTable::new(vec![
-        "Chip",
-        "Cooling",
-        "Demand (W)",
-        "Final temp (C)",
-        "DVFS cap",
-        "Throttle onset",
-    ])
-    .numeric();
-    for p in points {
-        table.row(vec![
-            p.chip.name().to_string(),
-            if p.passive {
-                "Passive".to_string()
-            } else {
-                "Air".to_string()
-            },
-            format!("{:.1}", p.demand_watts),
-            format!("{:.1}", p.final_temperature_c),
-            format!("{:.2}", p.final_dvfs_cap),
-            match p.throttle_onset {
-                Some(t) => t.to_string(),
-                None => "never".to_string(),
-            },
-        ]);
-    }
-    format!(
-        "Extension: sustained {} thermal behaviour\n{}",
-        class.label(),
-        table.render()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,13 +223,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn render_lists_cooling() {
-        let text = render(WorkClass::GpuMps, &run(WorkClass::GpuMps, 1.0));
-        assert!(text.contains("Passive"));
-        assert!(text.contains("Air"));
-        assert!(text.contains("GPU-MPS"));
     }
 }

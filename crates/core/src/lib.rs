@@ -28,9 +28,10 @@
 //! - [`experiments`]: a runner per paper artifact — Tables 1–3,
 //!   Figures 1–4, and the HPC-reference comparisons — each also exposed
 //!   as a schedulable [`experiments::Experiment`] unit;
-//! - [`paper`]: the published numbers (calibration anchors and expected
-//!   values for EXPERIMENTS.md);
-//! - [`report`]: the paper-vs-measured report generator.
+//! - [`paper`]: the published numbers (calibration anchors and the
+//!   values the ledger compares against);
+//! - [`ledger`]: the paper ledger, the paper-vs-measured comparison read
+//!   from any campaign's [`MetricSet`](oranges_harness::metric::MetricSet)s.
 //!
 //! `oranges-campaign` sits above this crate and fans whole experiment
 //! grids out across a worker pool with content-keyed result caching; its
@@ -67,17 +68,17 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod ledger;
 pub mod paper;
 pub mod platform;
-pub mod report;
 
 pub use platform::Platform;
 
 /// Convenience prelude.
 pub mod prelude {
     pub use crate::experiments;
+    pub use crate::ledger::Ledger;
     pub use crate::paper;
     pub use crate::platform::Platform;
-    pub use crate::report;
     pub use oranges_soc::chip::ChipGeneration;
 }

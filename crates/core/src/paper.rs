@@ -2,8 +2,8 @@
 //!
 //! These constants serve two purposes: they are the calibration anchors
 //! the substrate models were fit to, and they are the expected values the
-//! EXPERIMENTS.md generator compares measured results against. Keeping
-//! them in one table makes the provenance of every model constant
+//! paper ledger ([`crate::ledger`]) compares measured results against.
+//! Keeping them in one table makes the provenance of every model constant
 //! auditable.
 
 use oranges_soc::chip::ChipGeneration;

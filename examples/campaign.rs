@@ -1,6 +1,11 @@
 //! Drive the full Figure 1–4 × M1–M4 grid through the campaign
 //! orchestrator and print a throughput summary with per-unit wall-time
-//! accounting.
+//! accounting, then the paper ledger of the campaign's own sets.
+//!
+//! The run fails (non-zero exit) when the concurrent grid differs from
+//! the serial baseline, when the cached re-run computes a unit, or when
+//! an anchored ledger row is more than 10% off the paper. A sharded run
+//! reports the anchors outside its shard as missing.
 //!
 //! ```text
 //! cargo run --release --example campaign [-- OPTIONS]
@@ -25,6 +30,7 @@
 //!                   and list them all
 //! ```
 
+use oranges::ledger::{Ledger, FAITHFUL_WITHIN};
 use oranges_campaign::prelude::*;
 use std::path::PathBuf;
 
@@ -79,6 +85,23 @@ fn parse_options() -> Options {
         }
     }
     options
+}
+
+/// Print the paper ledger of `report`'s sets and fail when an anchored
+/// row is further than [`FAITHFUL_WITHIN`] from the paper.
+fn check_ledger(report: &CampaignReport) {
+    let ledger = Ledger::new(report.sets());
+    println!("\n{}", ledger.render());
+    println!("\n{}", ledger.summary());
+    if let Some((row, error)) = ledger.worst() {
+        assert!(
+            error <= FAITHFUL_WITHIN,
+            "{} is {:.2}% off the paper (bound {:.0}%)",
+            row.quantity(),
+            error * 100.0,
+            FAITHFUL_WITHIN * 100.0
+        );
+    }
 }
 
 fn main() {
@@ -151,6 +174,7 @@ fn main() {
                 path.display()
             );
         }
+        check_ledger(&run.report);
         return;
     }
 
@@ -187,14 +211,11 @@ fn main() {
     // Cross-check against the serial baseline: the concurrent grid is
     // value-identical.
     let serial = run_campaign_serial(&spec).expect("serial baseline");
-    println!(
-        "Concurrent == serial baseline: {}",
-        if report.digest() == serial.digest() {
-            "yes (value-identical)"
-        } else {
-            "NO"
-        }
+    assert!(
+        report.digest() == serial.digest(),
+        "the concurrent grid differs from the serial baseline"
     );
+    println!("Concurrent == serial baseline: yes (value-identical)");
 
     // An immediate re-run of the same spec is served from the cache.
     let rerun = run_campaign(&spec, &cache).expect("re-run");
@@ -204,6 +225,7 @@ fn main() {
         rerun.campaign_hit_rate() * 100.0,
         rerun.computed_units(),
     );
+    assert_eq!(rerun.computed_units(), 0, "the cache serves the re-run");
 
     if let Some(path) = &options.cache_path {
         cache.save(path).expect("writable cache file");
@@ -214,32 +236,5 @@ fn main() {
         );
     }
 
-    // A taste of the aggregate: the best efficiency cell per chip, with
-    // its power provenance carried alongside.
-    println!("\nBest Figure 4 cell per chip:");
-    for chip in ChipGeneration::ALL {
-        let best = report
-            .sets()
-            .into_iter()
-            .filter(|s| {
-                s.provenance.experiment == "fig4"
-                    && s.provenance.chip.as_deref() == Some(chip.name())
-            })
-            .max_by(|a, b| {
-                let value = |s: &MetricSet| s.value("gflops_per_watt").unwrap_or(0.0);
-                value(a).partial_cmp(&value(b)).expect("finite")
-            })
-            .cloned();
-        if let Some(set) = best {
-            println!(
-                "  {}: {:.0} GFLOPS/W ({} @ n={}, {:.1} W window, wall {:.1} ms)",
-                chip.name(),
-                set.value("gflops_per_watt").unwrap_or(0.0),
-                set.implementation.as_deref().unwrap_or("?"),
-                set.n.unwrap_or(0),
-                set.provenance.power.map(|p| p.package_watts).unwrap_or(0.0),
-                set.provenance.wall_time_s.unwrap_or(0.0) * 1e3,
-            );
-        }
-    }
+    check_ledger(&report);
 }

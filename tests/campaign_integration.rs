@@ -6,8 +6,11 @@
 //! (b) an immediate re-run of the same spec hits the cache for every
 //!     unit (100% campaign hit rate);
 //! (c) worker-count 1 vs N parity on a reduced grid;
-//! (d) sharded runs union to exactly the unsharded campaign.
+//! (d) sharded runs union to exactly the unsharded campaign;
+//! (e) the paper ledger of the grid equals the standalone pipelines'.
 
+use oranges::experiments::{fig1, fig2, fig4};
+use oranges::ledger::Ledger;
 use oranges_campaign::prelude::*;
 
 /// (a) + (b) on the full paper grid. One test so the expensive grid runs
@@ -59,6 +62,45 @@ fn full_grid_concurrent_equals_serial_and_rerun_is_all_hits() {
         }
     }
 
+    // Every verified cell passed.
+    let verified: Vec<&MetricValue> = concurrent
+        .sets()
+        .into_iter()
+        .filter_map(|s| s.get("verified").map(|m| &m.value))
+        .collect();
+    assert_eq!(verified.len(), 96);
+    assert!(verified.iter().all(|v| **v == MetricValue::Bool(true)));
+
+    // (e) The ledger of the grid's own sets equals, bit for bit, the
+    // standalone pipelines' values (Figure 2's GFLOPS do not depend on
+    // verification), measures every anchor, and stays within 10%.
+    let ledger = Ledger::new(concurrent.sets());
+    let fig1_data = fig1::run();
+    let fig2_data = fig2::run(&fig2::Fig2Config {
+        verify_max_flops: 0,
+        ..fig2::Fig2Config::default()
+    })
+    .expect("standalone fig2");
+    let fig4_data = fig4::run(&fig4::Fig4Config::default()).expect("standalone fig4");
+    assert_eq!(ledger.rows().len(), 32);
+    for row in ledger.rows() {
+        let standalone = match row.figure {
+            "fig1" => fig1_data.best(row.chip, row.subject),
+            "fig2" => fig2_data.peak(row.chip, row.subject) / 1e3,
+            "fig4" => fig4_data.peak(row.chip, row.subject) / 1e3,
+            other => panic!("unexpected figure {other}"),
+        };
+        let measured = row.measured.expect("no anchor is missing");
+        assert_eq!(
+            measured.to_bits(),
+            standalone.to_bits(),
+            "{}",
+            row.quantity()
+        );
+        let error = row.relative_error().expect("measured");
+        assert!(error < 0.10, "{}: {:.2}%", row.quantity(), error * 100.0);
+    }
+
     // (b) Immediate re-run of the same spec: served entirely from cache.
     let rerun = run_campaign(&spec, &cache).expect("cached re-run");
     assert!(
@@ -68,6 +110,44 @@ fn full_grid_concurrent_equals_serial_and_rerun_is_all_hits() {
     assert_eq!(rerun.campaign_hit_rate(), 1.0);
     assert_eq!(rerun.computed_units(), 0);
     assert_eq!(rerun.digest(), concurrent.digest());
+}
+
+/// The `references` unit's peaks are the paper grid's: each chip's
+/// `mps_peak_tflops` and `mps_peak_gflops_per_watt` equal, bit for bit,
+/// the grid ledger's GPU-MPS Figure 2 peak (in TFLOPS) and Figure 4 peak.
+#[test]
+fn references_unit_reports_the_paper_grid_peaks() {
+    let grid = run_campaign(
+        &CampaignSpec::paper_grid().with_verify_max_flops(0),
+        &ResultCache::new(),
+    )
+    .expect("paper grid");
+    let ledger = Ledger::new(grid.sets());
+    let references = run_campaign(
+        &CampaignSpec::new(
+            vec![ExperimentKind::References],
+            ChipGeneration::ALL.to_vec(),
+        ),
+        &ResultCache::new(),
+    )
+    .expect("references unit");
+    let sets = references.sets();
+    assert_eq!(sets.len(), 4);
+    for (set, chip) in sets.into_iter().zip(ChipGeneration::ALL) {
+        assert_eq!(set.provenance.chip.as_deref(), Some(chip.name()));
+        let tflops = ledger.gflops_peak(chip, "GPU-MPS").expect("fig2 peak") / 1e3;
+        let efficiency = ledger.efficiency_peak(chip, "GPU-MPS").expect("fig4 peak");
+        assert_eq!(
+            set.value("mps_peak_tflops").map(f64::to_bits),
+            Some(tflops.to_bits()),
+            "{chip}"
+        );
+        assert_eq!(
+            set.value("mps_peak_gflops_per_watt").map(f64::to_bits),
+            Some(efficiency.to_bits()),
+            "{chip}"
+        );
+    }
 }
 
 /// (c) Worker-count parity: 1 vs N produce identical results.

@@ -1,16 +1,35 @@
 //! The paper's qualitative claims, asserted end-to-end ("shape" tests):
 //! who wins, by roughly what factor, and where crossovers fall.
+//!
+//! Every claim reads the paper ledger of one paper-grid campaign. It
+//! runs without functional verification, which changes no value these
+//! claims read (`tests/campaign_integration.rs` checks the verified
+//! grid's ledger against the standalone pipelines).
 
-use oranges::experiments::{fig1, fig2, fig4};
 use oranges::prelude::*;
+use oranges_campaign::prelude::{run_campaign, CampaignSpec, ResultCache};
+use std::sync::OnceLock;
+
+/// The ledger of the paper grid, run once for all claims.
+fn ledger() -> &'static Ledger {
+    static LEDGER: OnceLock<Ledger> = OnceLock::new();
+    LEDGER.get_or_init(|| {
+        let spec = CampaignSpec::paper_grid().with_verify_max_flops(0);
+        let report = run_campaign(&spec, &ResultCache::new()).expect("paper grid runs");
+        Ledger::new(report.sets())
+    })
+}
 
 #[test]
 fn stream_reaches_about_85_percent_of_theoretical_peak() {
     // §5.1: "All chips get to ≈ 85% of theoretical peak bandwidth".
-    let data = fig1::run();
+    let ledger = ledger();
     for chip in ChipGeneration::ALL {
         let theoretical = chip.spec().memory_bandwidth_gbs;
-        let best = data.best(chip, "CPU").max(data.best(chip, "GPU"));
+        let best = ledger
+            .stream_best(chip, "CPU")
+            .unwrap()
+            .max(ledger.stream_best(chip, "GPU").unwrap());
         let fraction = best / theoretical;
         assert!((0.80..=0.95).contains(&fraction), "{chip}: {fraction}");
     }
@@ -20,9 +39,12 @@ fn stream_reaches_about_85_percent_of_theoretical_peak() {
 fn m2_cpu_copy_scale_gap_reproduces() {
     // §5.1: "The M2 CPU deviates with a 20-30 GB/s gap comparing the Copy
     // and Scale to other kernels."
-    let data = fig1::run();
-    let copy = data.value(ChipGeneration::M2, "CPU", "Copy").unwrap();
-    let triad = data.value(ChipGeneration::M2, "CPU", "Triad").unwrap();
+    let copy = ledger()
+        .stream_gbs(ChipGeneration::M2, "CPU", "Copy")
+        .unwrap();
+    let triad = ledger()
+        .stream_gbs(ChipGeneration::M2, "CPU", "Triad")
+        .unwrap();
     assert!(
         (20.0..=30.0).contains(&(triad - copy)),
         "gap {}",
@@ -34,16 +56,10 @@ fn m2_cpu_copy_scale_gap_reproduces() {
 fn generational_improvement_holds_for_cpu_and_gpu_peaks() {
     // §5.2: "Incremental improvements from M1 to M4 processors are
     // evident" — for Accelerate and MPS peaks.
-    let config = fig2::Fig2Config {
-        sizes: vec![16384],
-        verify_max_flops: 0,
-        ..fig2::Fig2Config::default()
-    };
-    let data = fig2::run(&config).unwrap();
     for implementation in ["CPU-Accelerate", "GPU-MPS"] {
         let peaks: Vec<f64> = ChipGeneration::ALL
             .iter()
-            .map(|c| data.peak(*c, implementation))
+            .map(|c| ledger().gflops_peak(*c, implementation).unwrap())
             .collect();
         for pair in peaks.windows(2) {
             assert!(pair[1] > pair[0], "{implementation}: {peaks:?}");
@@ -56,13 +72,8 @@ fn m1_gpu_and_cpu_are_close_but_gpu_pulls_ahead_from_m2() {
     // §1: "the M1 CPU and GPU have similar performance with a peak
     // measured at 1.36 FP32 TFLOPS, while starting from the M2, the GPU
     // significantly outperforms the CPU".
-    let config = fig2::Fig2Config {
-        sizes: vec![16384],
-        verify_max_flops: 0,
-        ..fig2::Fig2Config::default()
-    };
-    let data = fig2::run(&config).unwrap();
-    let ratio = |chip| data.peak(chip, "GPU-MPS") / data.peak(chip, "CPU-Accelerate");
+    let peak = |chip, implementation| ledger().gflops_peak(chip, implementation).unwrap();
+    let ratio = |chip| peak(chip, "GPU-MPS") / peak(chip, "CPU-Accelerate");
     assert!(
         ratio(ChipGeneration::M1) < 1.6,
         "M1 ratio {}",
@@ -78,21 +89,14 @@ fn gpu_loses_to_cpu_at_small_sizes_crossover_by_1024() {
     // §5.2: "GPU-based methods significantly outpace their CPU
     // counterparts for larger matrix sizes ... though they are less
     // optimal at smaller sizes for their large overhead."
-    let config = fig2::Fig2Config {
-        sizes: vec![32, 64, 128, 256, 512, 1024, 2048],
-        verify_max_flops: 0,
-        chips: vec![ChipGeneration::M4],
-        ..fig2::Fig2Config::default()
-    };
-    let data = fig2::run(&config).unwrap();
-    let mps = |n| data.cell(ChipGeneration::M4, "GPU-MPS", n).unwrap().gflops;
+    let mps = |n| ledger().gflops(ChipGeneration::M4, "GPU-MPS", n).unwrap();
     let accelerate = |n| {
-        data.cell(ChipGeneration::M4, "CPU-Accelerate", n)
+        ledger()
+            .gflops(ChipGeneration::M4, "CPU-Accelerate", n)
             .unwrap()
-            .gflops
     };
     // CPU wins at 32–256 (AMX has negligible launch cost).
-    for n in [32usize, 64, 128, 256] {
+    for n in [32u64, 64, 128, 256] {
         assert!(
             accelerate(n) > mps(n),
             "n={n}: CPU {} vs GPU {}",
@@ -107,15 +111,10 @@ fn gpu_loses_to_cpu_at_small_sizes_crossover_by_1024() {
 #[test]
 fn naive_shader_beats_cutlass_style_shader_everywhere() {
     // The paper's curious inversion, across all chips and large sizes.
-    let config = fig2::Fig2Config {
-        sizes: vec![4096, 16384],
-        verify_max_flops: 0,
-        ..fig2::Fig2Config::default()
-    };
-    let data = fig2::run(&config).unwrap();
+    let peak = |chip, implementation| ledger().gflops_peak(chip, implementation).unwrap();
     for chip in ChipGeneration::ALL {
         assert!(
-            data.peak(chip, "GPU-Naive") > data.peak(chip, "GPU-CUTLASS"),
+            peak(chip, "GPU-Naive") > peak(chip, "GPU-CUTLASS"),
             "{chip}"
         );
     }
@@ -123,14 +122,14 @@ fn naive_shader_beats_cutlass_style_shader_everywhere() {
 
 #[test]
 fn every_chip_clears_200_gflops_per_watt_with_mps_only() {
-    let data = fig4::run(&fig4::Fig4Config::default()).unwrap();
+    let peak = |chip, implementation| ledger().efficiency_peak(chip, implementation).unwrap();
     for chip in ChipGeneration::ALL {
-        assert!(data.peak(chip, "GPU-MPS") >= 200.0, "{chip}");
+        assert!(peak(chip, "GPU-MPS") >= 200.0, "{chip}");
         // And nothing else comes close to MPS on the same chip except
         // Accelerate (which also clears 200 per the paper's Figure 4).
-        assert!(data.peak(chip, "CPU-Accelerate") >= 190.0, "{chip}");
-        assert!(data.peak(chip, "GPU-Naive") < 100.0, "{chip}");
-        assert!(data.peak(chip, "CPU-OMP") < 1.0, "{chip}");
+        assert!(peak(chip, "CPU-Accelerate") >= 190.0, "{chip}");
+        assert!(peak(chip, "GPU-Naive") < 100.0, "{chip}");
+        assert!(peak(chip, "CPU-OMP") < 1.0, "{chip}");
     }
 }
 
@@ -139,12 +138,11 @@ fn apple_vs_gh200_is_apples_to_oranges() {
     // §7: GH200 delivers "similar efficiencies at two orders of magnitude
     // better performance" in bandwidth.
     use oranges_soc::reference;
-    let data = fig1::run();
     let hopper = reference::lookup("Hopper GPU").unwrap();
     let hbm = hopper.bandwidth[0];
     let best_apple = ChipGeneration::ALL
         .iter()
-        .map(|c| data.best(*c, "GPU"))
+        .map(|c| ledger().stream_best(*c, "GPU").unwrap())
         .fold(0.0, f64::max);
     let ratio = hbm.measured_gbs / best_apple;
     assert!(
@@ -153,7 +151,13 @@ fn apple_vs_gh200_is_apples_to_oranges() {
     );
     // Similar *efficiency* though: both ≈ 85-95%.
     assert!((hbm.efficiency() - 0.94).abs() < 0.01);
-    // And GEMM: 41 TFLOPS vs 2.9 TFLOPS ≈ 14x.
+    // And GEMM: 41 TFLOPS vs the M4's measured GPU-MPS peak (≈2.9
+    // TFLOPS) ≈ 14x.
     let gh200_fp32 = hopper.compute[0].measured_tflops;
-    assert!(gh200_fp32 / 2.9 > 10.0);
+    let m4_mps_tflops = ledger().gflops_peak(ChipGeneration::M4, "GPU-MPS").unwrap() / 1e3;
+    assert!(
+        gh200_fp32 / m4_mps_tflops > 10.0,
+        "GH200 FP32 is {:.1}x the M4's GPU-MPS peak",
+        gh200_fp32 / m4_mps_tflops
+    );
 }
