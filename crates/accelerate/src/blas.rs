@@ -8,7 +8,7 @@
 //! The Rust-shaped equivalent keeps the full argument surface (order,
 //! transposes, alpha/beta, leading dimensions), computes real FP32 results
 //! on host threads (blocked over the performance-core count), and reports
-//! modeled time from the AMX model.
+//! modeled time from [`AccelerateModel`].
 
 use crate::threading::parallel_row_blocks;
 use crate::timing::AccelerateModel;

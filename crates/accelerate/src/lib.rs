@@ -3,15 +3,14 @@
 //! The paper's fastest CPU implementation calls Apple's Accelerate
 //! framework (`cblas_sgemm`, Listing 1) and vDSP, both of which "assumedly
 //! run on AMX" (§5.2) — that is how the M-series CPU reaches 0.90–1.49
-//! TFLOPS FP32 where the NEON units alone top out around 0.5.
+//! TFLOPS FP32 where the NEON units alone top out around 0.5. The paper
+//! finds the two "perform nearly identically", so one model prices both.
 //!
 //! This crate reproduces that stack:
 //!
 //! - [`blas`]: a `cblas_sgemm`-shaped API (row-major, transposes,
 //!   alpha/beta) executing real FP32 arithmetic on host threads and timed
-//!   by the AMX model;
-//! - [`vdsp`]: vDSP-style vector ops (`vsmul`, `vadd`, `dotpr`, `mmul`) —
-//!   the paper reports vDSP and BLAS "perform nearly identically";
+//!   by [`AccelerateModel`];
 //! - [`threading`]: the scoped row-block thread pool behind blocked
 //!   `sgemm` (crossbeam; one worker per performance core, capped at the
 //!   host's parallelism);
@@ -24,7 +23,6 @@
 pub mod blas;
 pub mod threading;
 pub mod timing;
-pub mod vdsp;
 
 pub use blas::{Blas, BlasReport, Order, Transpose};
 pub use timing::AccelerateModel;
@@ -33,5 +31,4 @@ pub use timing::AccelerateModel;
 pub mod prelude {
     pub use crate::blas::{Blas, BlasReport, Order, Transpose};
     pub use crate::timing::AccelerateModel;
-    pub use crate::vdsp;
 }

@@ -9,7 +9,8 @@
 //! one slab per spare core. A chip with more cores than the host never
 //! oversubscribes it, and an engine worker whose siblings are computing
 //! units keeps its slabs on its own core. (The *modeled* time comes from
-//! the AMX model — host threads only make functional verification fast.)
+//! [`AccelerateModel`](crate::timing::AccelerateModel) — host threads only
+//! make functional verification fast.)
 
 use oranges_kernels::core_budget;
 

@@ -39,11 +39,6 @@ impl AccelerateModel {
         AccelerateModel { chip }
     }
 
-    /// The chip.
-    pub fn chip(&self) -> ChipGeneration {
-        self.chip
-    }
-
     /// Sustained GFLOPS for a square SGEMM of size `n`.
     pub fn sustained_gflops(&self, n: u64) -> f64 {
         let ramp = {
@@ -55,11 +50,6 @@ impl AccelerateModel {
             }
         };
         peak_tflops(self.chip) * 1e3 * ramp
-    }
-
-    /// Fraction of the AMX theoretical peak sustained at size `n`.
-    pub fn amx_efficiency(&self, n: u64) -> f64 {
-        self.sustained_gflops(n) / self.chip.spec().amx_gflops()
     }
 
     /// Modeled duration of a square SGEMM (`flops = n²(2n−1)`).
@@ -106,12 +96,17 @@ mod tests {
         }
     }
 
+    /// Fraction of the chip's AMX theoretical peak sustained at size `n`.
+    fn amx_efficiency(chip: ChipGeneration, n: u64) -> f64 {
+        AccelerateModel::of(chip).sustained_gflops(n) / chip.spec().amx_gflops()
+    }
+
     #[test]
     fn amx_efficiency_is_plausible() {
         // Sustained fraction of the AMX peak must land in the 50–70% band
         // (the paper's measurements ÷ our 512-flops/cycle peak).
         for chip in ChipGeneration::ALL {
-            let eff = AccelerateModel::of(chip).amx_efficiency(16384);
+            let eff = amx_efficiency(chip, 16384);
             assert!((0.5..=0.7).contains(&eff), "{chip}: {eff}");
         }
     }
@@ -120,7 +115,7 @@ mod tests {
     fn efficiency_rises_across_generations() {
         let effs: Vec<f64> = ChipGeneration::ALL
             .iter()
-            .map(|c| AccelerateModel::of(*c).amx_efficiency(8192))
+            .map(|c| amx_efficiency(*c, 8192))
             .collect();
         for pair in effs.windows(2) {
             assert!(

@@ -11,9 +11,8 @@
 //! |---|---|
 //! | `oranges-soc` | chip/device models (Tables 1 & 3), cores, caches, thermal, references |
 //! | `oranges-umem` | unified memory: 16 KiB pages, storage modes, calibrated bandwidth |
-//! | `oranges-amx` | AMX/SME tile coprocessor (functional + cycle model) |
 //! | `oranges-metal` | Metal-shaped GPU API, shaders, MPS, dispatch timing |
-//! | `oranges-accelerate` | `cblas_sgemm`/vDSP on the AMX model |
+//! | `oranges-accelerate` | `cblas_sgemm`, timed by a model calibrated to Fig. 2's Accelerate peaks |
 //! | `oranges-powermetrics` | the power sampler, text format, SIGINFO windows |
 //! | `oranges-stream` | STREAM for CPU (thread sweep) and GPU |
 //! | `oranges-gemm` | the six Table 2 GEMM implementations |

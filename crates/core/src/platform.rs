@@ -51,7 +51,6 @@ impl MeasuredRun {
 pub struct Platform {
     chip: ChipGeneration,
     device_model: &'static DeviceModel,
-    metal: Device,
     space: SharedAddressSpace,
     power: PowerSession,
     suite: Vec<Box<dyn GemmImplementation>>,
@@ -60,12 +59,10 @@ pub struct Platform {
 impl Platform {
     /// Platform for a chip in its Table 3 enclosure.
     pub fn new(chip: ChipGeneration) -> Self {
-        let metal = Device::system_default(chip);
-        let space = metal.address_space().clone();
+        let space = Device::system_default(chip).address_space().clone();
         Platform {
             chip,
             device_model: DeviceModel::of(chip),
-            metal,
             space,
             power: PowerSession::new(chip),
             suite: suite_for(chip),
@@ -82,19 +79,9 @@ impl Platform {
         self.device_model
     }
 
-    /// The Metal device.
-    pub fn metal(&self) -> &Device {
-        &self.metal
-    }
-
     /// The unified-memory space.
     pub fn address_space(&self) -> &SharedAddressSpace {
         &self.space
-    }
-
-    /// The power session.
-    pub fn power_session(&self) -> &PowerSession {
-        &self.power
     }
 
     /// Names of the available GEMM implementations (Table 2 order).

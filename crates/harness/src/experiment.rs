@@ -1,11 +1,10 @@
 //! The repetition protocol of §4.
 //!
 //! "Each experiment was repeated five times" (GEMM); CPU STREAM ten times,
-//! GPU STREAM twenty. CPU-Single and CPU-OMP skip 8192/16384. The protocol
-//! object runs a closure N times (plus optional discarded warm-ups),
-//! collects per-repetition values and summarizes them.
+//! GPU STREAM twenty (the GPU runner in `oranges-stream` carries its own
+//! count). The protocol object runs a fallible closure N times (plus
+//! optional discarded warm-ups) and collects the per-repetition values.
 
-use crate::stats::Summary;
 use serde::Serialize;
 
 /// Metadata identifying an experiment (figure/table id + description).
@@ -34,25 +33,9 @@ impl RepetitionProtocol {
         reps: 10,
         warmup: 0,
     };
-    /// §4's GPU STREAM protocol: twenty repetitions.
-    pub const STREAM_GPU: RepetitionProtocol = RepetitionProtocol {
-        reps: 20,
-        warmup: 0,
-    };
 
-    /// Run `body` `warmup + reps` times, keeping the last `reps` values.
-    pub fn run<T>(&self, mut body: impl FnMut(u32) -> T) -> Vec<T> {
-        let mut kept = Vec::with_capacity(self.reps as usize);
-        for rep in 0..self.warmup + self.reps {
-            let value = body(rep);
-            if rep >= self.warmup {
-                kept.push(value);
-            }
-        }
-        kept
-    }
-
-    /// Run a fallible body; the first error aborts the experiment.
+    /// Run `body` `warmup + reps` times, keeping the last `reps` values;
+    /// the first error aborts the experiment.
     pub fn try_run<T, E>(&self, mut body: impl FnMut(u32) -> Result<T, E>) -> Result<Vec<T>, E> {
         let mut kept = Vec::with_capacity(self.reps as usize);
         for rep in 0..self.warmup + self.reps {
@@ -62,12 +45,6 @@ impl RepetitionProtocol {
             }
         }
         Ok(kept)
-    }
-
-    /// Run and summarize an f64-valued measurement.
-    pub fn measure(&self, body: impl FnMut(u32) -> f64) -> Option<Summary> {
-        let samples = self.run(body);
-        Summary::of(&samples)
     }
 }
 
@@ -79,14 +56,13 @@ mod tests {
     fn paper_protocols() {
         assert_eq!(RepetitionProtocol::GEMM.reps, 5);
         assert_eq!(RepetitionProtocol::STREAM_CPU.reps, 10);
-        assert_eq!(RepetitionProtocol::STREAM_GPU.reps, 20);
     }
 
     #[test]
     fn run_keeps_only_measured_reps() {
         let protocol = RepetitionProtocol { reps: 3, warmup: 2 };
-        let values = protocol.run(|rep| rep);
-        assert_eq!(values, vec![2, 3, 4]);
+        let values: Result<Vec<u32>, &str> = protocol.try_run(Ok);
+        assert_eq!(values, Ok(vec![2, 3, 4]));
     }
 
     #[test]
@@ -97,15 +73,6 @@ mod tests {
         assert_eq!(result, Err("boom"));
         let ok: Result<Vec<u32>, &str> = protocol.try_run(Ok);
         assert_eq!(ok.unwrap().len(), 5);
-    }
-
-    #[test]
-    fn measure_summarizes() {
-        let protocol = RepetitionProtocol::GEMM;
-        let summary = protocol.measure(|rep| rep as f64).unwrap();
-        assert_eq!(summary.count, 5);
-        assert_eq!(summary.min, 0.0);
-        assert_eq!(summary.max, 4.0);
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //!
 //! Everything the paper's experimental section (§4) needs that is not a
 //! kernel: the repetition protocol (five repetitions per GEMM experiment,
-//! ten/twenty for STREAM), summary statistics, aligned text tables,
-//! ASCII renderings of the four figures, CSV files and JSON reports, and
-//! the environment discipline (`caffeinate`, mains power, reboot + idle)
-//! as a recorded object.
+//! ten for CPU STREAM), summary statistics, aligned text tables, ASCII
+//! renderings of the four figures, CSV files and JSON reports.
 //!
-//! - [`stats`]: min/max/mean/median/σ summaries and best-of-N;
-//! - [`experiment`]: repetition protocol with warm-up and skip rules;
+//! - [`stats`]: min/max/mean/median/σ summaries;
+//! - [`experiment`]: repetition protocol with warm-up;
 //! - [`table`]: aligned text tables (Tables 1–3 renderers live in the
 //!   `oranges` crate; this is the generic engine);
 //! - [`figure`]: ASCII grouped bars (Fig. 1) and log-scale series charts
@@ -33,8 +31,7 @@
 //! - [`reactor`]: a minimal readiness event loop over nonblocking
 //!   [`transport::Stream`]s — registration table, wakeup channel,
 //!   level-triggered line framing, write queues, and timers — the I/O
-//!   plane the campaign service multiplexes its connections on;
-//! - [`env`](mod@env): the §4 environment record.
+//!   plane the campaign service multiplexes its connections on.
 //!
 //! Every measurement in the workspace flows through one typed record:
 //!
@@ -70,7 +67,6 @@
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod env;
 pub mod envelope;
 pub mod experiment;
 pub mod figure;
@@ -105,7 +101,6 @@ pub fn fnv1a_64_hex(text: &str) -> String {
 /// Convenience prelude.
 pub mod prelude {
     pub use crate::csv::CsvWriter;
-    pub use crate::env::EnvironmentRecord;
     pub use crate::envelope::{Request, Response};
     pub use crate::experiment::{ExperimentMeta, RepetitionProtocol};
     pub use crate::figure::{grouped_bar_chart, series_chart, SeriesChartConfig};

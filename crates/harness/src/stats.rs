@@ -42,38 +42,6 @@ impl Summary {
             stddev: variance.sqrt(),
         })
     }
-
-    /// Relative spread (σ / mean), 0 for a zero mean.
-    pub fn relative_stddev(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean.abs()
-        }
-    }
-}
-
-/// The paper's STREAM reporting rule: the best (maximum) of N repetitions.
-pub fn best_of(samples: &[f64]) -> Option<f64> {
-    samples
-        .iter()
-        .copied()
-        .filter(|v| v.is_finite())
-        .fold(None, |acc, v| {
-            Some(match acc {
-                Some(best) => best.max(v),
-                None => v,
-            })
-        })
-}
-
-/// Geometric mean (for cross-size aggregation).
-pub fn geometric_mean(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() || samples.iter().any(|v| *v <= 0.0 || !v.is_finite()) {
-        return None;
-    }
-    let log_sum: f64 = samples.iter().map(|v| v.ln()).sum();
-    Some((log_sum / samples.len() as f64).exp())
 }
 
 #[cfg(test)]
@@ -105,27 +73,11 @@ mod tests {
         assert_eq!(s.max, 7.5);
         assert_eq!(s.median, 7.5);
         assert_eq!(s.stddev, 0.0);
-        assert_eq!(s.relative_stddev(), 0.0);
     }
 
     #[test]
     fn even_count_median_is_lower_middle() {
         let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(s.median, 2.0);
-    }
-
-    #[test]
-    fn best_of_takes_maximum() {
-        assert_eq!(best_of(&[55.0, 59.0, 57.0]), Some(59.0));
-        assert_eq!(best_of(&[]), None);
-        assert_eq!(best_of(&[f64::NAN, 2.0]), Some(2.0));
-    }
-
-    #[test]
-    fn geometric_mean_of_powers() {
-        let g = geometric_mean(&[1.0, 4.0]).unwrap();
-        assert!((g - 2.0).abs() < 1e-12);
-        assert!(geometric_mean(&[1.0, 0.0]).is_none());
-        assert!(geometric_mean(&[]).is_none());
     }
 }

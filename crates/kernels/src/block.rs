@@ -16,8 +16,8 @@
 //! A is packed into `MR`-row k-major panels and B into `NR`-column
 //! row-major panels once per block, then the microkernel runs over
 //! resident panels. Block sizes come from [`CacheParams`] (defaults tuned
-//! for the CI-class host; the `soc`/`amx` layers plug in per-chip
-//! geometry) or an explicit [`BlockSizes`] override.
+//! for the CI-class host; the `gemm` and `accelerate` backends plug in
+//! per-chip geometry) or an explicit [`BlockSizes`] override.
 //!
 //! # Bitwise equivalence
 //!
@@ -68,8 +68,8 @@ pub struct CacheParams {
 }
 
 impl CacheParams {
-    /// Cache model for explicit geometry (the `soc`/`amx` layers feed
-    /// per-chip `ChipSpec` L1/L2 numbers through this).
+    /// Cache model for explicit geometry (the `gemm` and `accelerate`
+    /// backends feed per-chip `ChipSpec` L1/L2 numbers through this).
     pub const fn new(l1d_bytes: usize, l2_bytes: usize) -> Self {
         Self {
             l1d_bytes,

@@ -1,66 +1,12 @@
-//! f32 elementwise kernels for the vDSP-shaped API and the AMX lane loop.
+//! An unrolled f32 `axpy`, which the kernels bench times against its
+//! scalar twin.
 //!
-//! All operate on the common prefix of their slices (vDSP's truncation
-//! semantics) and are **bitwise**-equal to their scalar twins: elementwise
-//! ops are unrolled, never reordered, and never contracted into FMAs.
+//! It operates on the common prefix of its slices and is **bitwise**-equal
+//! to the twin: elementwise ops are unrolled, never reordered, and never
+//! contracted into FMAs.
 
-/// `out[i] = a[i] * s`.
-pub fn scale_f32(a: &[f32], s: f32, out: &mut [f32]) {
-    let n = a.len().min(out.len());
-    let (a, out) = (&a[..n], &mut out[..n]);
-    let mut ac = a.chunks_exact(8);
-    let mut oc = out.chunks_exact_mut(8);
-    for (x, o) in (&mut ac).zip(&mut oc) {
-        for lane in 0..8 {
-            o[lane] = x[lane] * s;
-        }
-    }
-    for (x, o) in ac.remainder().iter().zip(oc.into_remainder()) {
-        *o = x * s;
-    }
-}
-
-/// Scalar twin of [`scale_f32`].
-pub fn scale_f32_scalar(a: &[f32], s: f32, out: &mut [f32]) {
-    let n = a.len().min(out.len());
-    for i in 0..n {
-        out[i] = a[i] * s;
-    }
-}
-
-/// `out[i] = a[i] + b[i]`.
-pub fn add_f32(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let n = a.len().min(b.len()).min(out.len());
-    let (a, b, out) = (&a[..n], &b[..n], &mut out[..n]);
-    let mut ac = a.chunks_exact(8);
-    let mut bc = b.chunks_exact(8);
-    let mut oc = out.chunks_exact_mut(8);
-    for ((x, y), o) in (&mut ac).zip(&mut bc).zip(&mut oc) {
-        for lane in 0..8 {
-            o[lane] = x[lane] + y[lane];
-        }
-    }
-    for ((x, y), o) in ac
-        .remainder()
-        .iter()
-        .zip(bc.remainder())
-        .zip(oc.into_remainder())
-    {
-        *o = x + y;
-    }
-}
-
-/// Scalar twin of [`add_f32`].
-pub fn add_f32_scalar(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let n = a.len().min(b.len()).min(out.len());
-    for i in 0..n {
-        out[i] = a[i] + b[i];
-    }
-}
-
-/// `out[i] += s * x[i]` — the AMX outer-product lane operation (one
-/// multiply then one add per element; deliberately *not* `mul_add`, which
-/// would change rounding).
+/// `out[i] += s * x[i]` (one multiply then one add per element;
+/// deliberately *not* `mul_add`, which would change rounding).
 pub fn axpy_f32(s: f32, x: &[f32], out: &mut [f32]) {
     let n = x.len().min(out.len());
     let (x, out) = (&x[..n], &mut out[..n]);
@@ -98,33 +44,11 @@ mod tests {
     fn elementwise_kernels_match_scalar_twins_bitwise() {
         for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 61] {
             let a = series(n, 1);
-            let b = series(n, 2);
-            let mut fast = vec![0.0f32; n];
-            let mut slow = vec![0.0f32; n];
-
-            scale_f32(&a, 1.75, &mut fast);
-            scale_f32_scalar(&a, 1.75, &mut slow);
-            assert_eq!(fast, slow, "scale n={n}");
-
-            add_f32(&a, &b, &mut fast);
-            add_f32_scalar(&a, &b, &mut slow);
-            assert_eq!(fast, slow, "add n={n}");
-
             let mut fast_acc = series(n, 3);
             let mut slow_acc = fast_acc.clone();
             axpy_f32(0.6, &a, &mut fast_acc);
             axpy_f32_scalar(0.6, &a, &mut slow_acc);
             assert_eq!(fast_acc, slow_acc, "axpy n={n}");
         }
-    }
-
-    #[test]
-    fn truncation_leaves_the_excess_untouched() {
-        let mut out = [7.0f32; 4];
-        scale_f32(&[2.0, 3.0], 2.0, &mut out);
-        assert_eq!(out, [4.0, 6.0, 7.0, 7.0]);
-        let mut out = [1.0f32; 2];
-        add_f32(&[1.0, 2.0, 3.0], &[1.0], &mut out);
-        assert_eq!(out, [2.0, 1.0]);
     }
 }

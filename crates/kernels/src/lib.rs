@@ -14,8 +14,7 @@
 //!   full-iteration** that performs Copy → Scale → Add → Triad in one
 //!   memory sweep (legal because all four passes are elementwise on the
 //!   same index: 4 words of traffic per element instead of 10);
-//! - [`elem`] — f32 elementwise ops (`scale`, `add`, `axpy`) for the
-//!   vDSP-shaped API and the AMX outer-product lane loop;
+//! - [`elem`] — an unrolled f32 `axpy`;
 //! - [`gemm`] — an `MR×NR` register-tiled SGEMM microkernel over packed
 //!   panels with a k-unrolled inner loop;
 //! - [`block`] — the Goto/BLIS cache-blocked macrokernel above that tile:
@@ -35,7 +34,7 @@
 //!
 //! | kernel family | twin relation |
 //! |---|---|
-//! | `stream::*`, `elem::*` | **bitwise** — elementwise ops are not reordered |
+//! | `stream::{triad_f64, fused_iteration_f64}`, `elem::axpy_f32` | **bitwise** — elementwise ops are not reordered |
 //! | `gemm::sgemm_f32` | **bitwise** — one accumulator per output element, k-order preserved (the tile itself supplies the ILP) |
 //! | `block::sgemm_f32_blocked` | **bitwise** — KC panels ascend and re-seed from stored f32 partials (store/load is exact), so the element-wise op sequence equals the scalar loop |
 //! | `reduce::*` (dot/sum) | **ULP-bounded** — multi-accumulator reductions reorder the sum |

@@ -170,27 +170,9 @@ pub fn max_f32_scalar(a: &[f32]) -> f32 {
     a.iter().copied().fold(f32::NEG_INFINITY, f32::max)
 }
 
-/// f64-widening dot product of f32 inputs (each product computed exactly
-/// in f64 — the precision the GEMM verifier needs), 8 accumulators.
-pub fn dot_f32_to_f64(a: &[f32], b: &[f32]) -> f64 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; ACC_LANES];
-    let mut ac = a.chunks_exact(ACC_LANES);
-    let mut bc = b.chunks_exact(ACC_LANES);
-    for (x, y) in (&mut ac).zip(&mut bc) {
-        for lane in 0..ACC_LANES {
-            acc[lane] += x[lane] as f64 * y[lane] as f64;
-        }
-    }
-    let mut tail = 0.0f64;
-    for (x, y) in ac.remainder().iter().zip(bc.remainder()) {
-        tail += *x as f64 * *y as f64;
-    }
-    tree8_f64(acc) + tail
-}
-
-/// Scalar twin of [`dot_f32_to_f64`].
+/// f64-widening dot product of f32 inputs as the literal loop (each
+/// product computed exactly in f64 — the precision the GEMM verifier
+/// needs): the contiguous reference for [`dot_f32_to_f64_strided`].
 pub fn dot_f32_to_f64_scalar(a: &[f32], b: &[f32]) -> f64 {
     let n = a.len().min(b.len());
     let mut acc = 0.0f64;

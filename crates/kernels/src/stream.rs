@@ -1,5 +1,5 @@
-//! STREAM array kernels (f64): the four passes and a fused single-sweep
-//! full iteration.
+//! STREAM array kernels (f64): the four passes as literal loops, an
+//! unrolled Triad, and a fused single-sweep full iteration.
 //!
 //! stream.c's iteration is Copy → Scale → Add → Triad, four passes over
 //! three arrays (10 words of memory traffic per element). Every pass is
@@ -10,17 +10,14 @@
 //! **bitwise-identical** results (the same IEEE operations in the same
 //! per-element order, and no element ever reads another element's slot).
 //!
-//! All kernels operate on the common prefix of their slices and are
-//! bitwise-equal to their scalar twins (no reductions, nothing reordered).
+//! All kernels operate on the common prefix of their slices, and the
+//! unrolled ones are bitwise-equal to their scalar twins (no reductions,
+//! nothing reordered). The `*_scalar` passes are stream.c's loops as
+//! written; [`fused_iteration_f64_scalar`] and the kernels bench's
+//! four-pass baseline run them.
 
-/// STREAM Copy: `dst[i] = src[i]`.
-pub fn copy_f64(src: &[f64], dst: &mut [f64]) {
-    let n = src.len().min(dst.len());
-    dst[..n].copy_from_slice(&src[..n]);
-}
-
-/// Scalar twin of [`copy_f64`].
-// The twin must stay the literal naive loop it documents.
+/// STREAM Copy as the literal loop: `dst[i] = src[i]`.
+// It must stay the naive loop it documents.
 #[allow(clippy::manual_memcpy)]
 pub fn copy_f64_scalar(src: &[f64], dst: &mut [f64]) {
     let n = src.len().min(dst.len());
@@ -29,23 +26,7 @@ pub fn copy_f64_scalar(src: &[f64], dst: &mut [f64]) {
     }
 }
 
-/// STREAM Scale: `dst[i] = q * src[i]`.
-pub fn scale_f64(q: f64, src: &[f64], dst: &mut [f64]) {
-    let n = src.len().min(dst.len());
-    let (src, dst) = (&src[..n], &mut dst[..n]);
-    let mut sc = src.chunks_exact(8);
-    let mut dc = dst.chunks_exact_mut(8);
-    for (s, d) in (&mut sc).zip(&mut dc) {
-        for lane in 0..8 {
-            d[lane] = q * s[lane];
-        }
-    }
-    for (s, d) in sc.remainder().iter().zip(dc.into_remainder()) {
-        *d = q * s;
-    }
-}
-
-/// Scalar twin of [`scale_f64`].
+/// STREAM Scale as the literal loop: `dst[i] = q * src[i]`.
 pub fn scale_f64_scalar(q: f64, src: &[f64], dst: &mut [f64]) {
     let n = src.len().min(dst.len());
     for i in 0..n {
@@ -53,29 +34,7 @@ pub fn scale_f64_scalar(q: f64, src: &[f64], dst: &mut [f64]) {
     }
 }
 
-/// STREAM Add: `dst[i] = a[i] + b[i]`.
-pub fn add_f64(a: &[f64], b: &[f64], dst: &mut [f64]) {
-    let n = a.len().min(b.len()).min(dst.len());
-    let (a, b, dst) = (&a[..n], &b[..n], &mut dst[..n]);
-    let mut ac = a.chunks_exact(8);
-    let mut bc = b.chunks_exact(8);
-    let mut dc = dst.chunks_exact_mut(8);
-    for ((x, y), d) in (&mut ac).zip(&mut bc).zip(&mut dc) {
-        for lane in 0..8 {
-            d[lane] = x[lane] + y[lane];
-        }
-    }
-    for ((x, y), d) in ac
-        .remainder()
-        .iter()
-        .zip(bc.remainder())
-        .zip(dc.into_remainder())
-    {
-        *d = x + y;
-    }
-}
-
-/// Scalar twin of [`add_f64`].
+/// STREAM Add as the literal loop: `dst[i] = a[i] + b[i]`.
 pub fn add_f64_scalar(a: &[f64], b: &[f64], dst: &mut [f64]) {
     let n = a.len().min(b.len()).min(dst.len());
     for i in 0..n {
@@ -114,8 +73,8 @@ pub fn triad_f64_scalar(q: f64, b: &[f64], c: &[f64], dst: &mut [f64]) {
 }
 
 /// One full STREAM iteration — Copy, Scale, Add, Triad — fused into a
-/// single memory sweep. Bitwise-identical to running the four pass
-/// kernels in sequence (see the module docs for the legality argument).
+/// single memory sweep. Bitwise-identical to running the four passes in
+/// sequence (see the module docs for the legality argument).
 pub fn fused_iteration_f64(a: &mut [f64], b: &mut [f64], c: &mut [f64], q: f64) {
     let n = a.len().min(b.len()).min(c.len());
     let (a, b, c) = (&mut a[..n], &mut b[..n], &mut c[..n]);
@@ -178,18 +137,6 @@ mod tests {
             let b = series(n, 2);
             let mut fast = vec![0.0; n];
             let mut slow = vec![0.0; n];
-
-            copy_f64(&src, &mut fast);
-            copy_f64_scalar(&src, &mut slow);
-            assert_eq!(fast, slow, "copy n={n}");
-
-            scale_f64(3.0, &src, &mut fast);
-            scale_f64_scalar(3.0, &src, &mut slow);
-            assert_eq!(fast, slow, "scale n={n}");
-
-            add_f64(&src, &b, &mut fast);
-            add_f64_scalar(&src, &b, &mut slow);
-            assert_eq!(fast, slow, "add n={n}");
 
             triad_f64(3.0, &src, &b, &mut fast);
             triad_f64_scalar(3.0, &src, &b, &mut slow);

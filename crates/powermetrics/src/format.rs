@@ -33,15 +33,6 @@ pub fn write_sample(sample: &Sample) -> String {
     out
 }
 
-/// Render a whole run (several SIGINFO windows) to one file body.
-pub fn write_run(samples: &[Sample]) -> String {
-    samples
-        .iter()
-        .map(write_sample)
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// A sample recovered from text.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParsedSample {
@@ -134,23 +125,6 @@ pub fn parse_sample(text: &str) -> Result<ParsedSample, ParseError> {
     })
 }
 
-/// Parse a multi-window run file: one [`ParsedSample`] per block.
-pub fn parse_run(text: &str) -> Result<Vec<ParsedSample>, ParseError> {
-    let mut blocks: Vec<String> = Vec::new();
-    let mut current = String::new();
-    for line in text.lines() {
-        if line.starts_with("*** Sampled system activity") && !current.is_empty() {
-            blocks.push(std::mem::take(&mut current));
-        }
-        current.push_str(line);
-        current.push('\n');
-    }
-    if !current.trim().is_empty() {
-        blocks.push(current);
-    }
-    blocks.iter().map(|b| parse_sample(b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,19 +164,6 @@ mod tests {
         assert_eq!(parsed.powers.dram_mw, 321.0);
         assert_eq!(parsed.elapsed_ms, 1500.0);
         assert_eq!(parsed.combined_mw, parsed.powers.combined_mw());
-    }
-
-    #[test]
-    fn multi_window_run_files() {
-        let run = write_run(&[
-            sample(100.0, 0.0, 0.0, 50.0, 2000),
-            sample(5000.0, 0.0, 0.0, 800.0, 900),
-        ]);
-        let parsed = parse_run(&run).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].powers.cpu_mw, 100.0);
-        assert_eq!(parsed[1].powers.cpu_mw, 5000.0);
-        assert_eq!(parsed[1].elapsed_ms, 900.0);
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl ArmIsa {
             ArmIsa::V9_2A => "ARMv9.2-A",
         }
     }
-
-    /// Whether this revision includes the Scalable Matrix Extension.
-    pub const fn has_sme(&self) -> bool {
-        matches!(self, ArmIsa::V9_2A)
-    }
 }
 
 /// Memory technology generation (Table 1 row "Memory Technology").
@@ -537,8 +532,6 @@ mod tests {
         assert_eq!(ChipGeneration::M2.spec().isa.name(), "ARMv8.6-A");
         assert_eq!(ChipGeneration::M3.spec().isa.name(), "ARMv8.6-A");
         assert_eq!(ChipGeneration::M4.spec().isa.name(), "ARMv9.2-A");
-        assert!(ChipGeneration::M4.spec().isa.has_sme());
-        assert!(!ChipGeneration::M3.spec().isa.has_sme());
     }
 
     #[test]

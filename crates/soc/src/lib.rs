@@ -9,14 +9,14 @@
 //! - [`chip`]: the [`chip::ChipSpec`] database for M1–M4 (paper Table 1);
 //! - [`cores`]: big.LITTLE CPU cluster model with per-core FP32 throughput;
 //! - [`cache`]: L1/L2/SLC hierarchy with working-set spill estimation;
-//! - [`clock`]: DVFS ladder and a utilization-driven governor;
 //! - [`gpu`]: TBDR GPU configuration and theoretical FLOPS accounting;
 //! - [`thermal`]: passive vs. active cooling envelopes (paper Table 3 and the
 //!   §7 observation that laptops dissipate less than desktops);
 //! - [`device`]: the four devices under test (paper Table 3);
 //! - [`reference`](mod@reference): the HPC reference systems quoted in the paper's "HPC
 //!   Perspective" boxes (GH200, A100, RTX 4090, MI250X, Xeon Max, Green500);
-//! - [`time`]: virtual time — the simulation clock every substrate advances.
+//! - [`time`]: simulated time — the durations and instants every model
+//!   reports in.
 //!
 //! Nothing in this crate performs I/O or reads the host machine: it is a
 //! deterministic model of the hardware the paper measures, so that the
@@ -27,7 +27,6 @@
 
 pub mod cache;
 pub mod chip;
-pub mod clock;
 pub mod cores;
 pub mod device;
 pub mod error;
@@ -39,18 +38,17 @@ pub mod time;
 pub use chip::{ChipGeneration, ChipSpec};
 pub use device::DeviceModel;
 pub use error::SocError;
-pub use time::{SimDuration, SimInstant, VirtualClock};
+pub use time::{SimDuration, SimInstant};
 
 /// Convenience prelude for downstream crates.
 pub mod prelude {
     pub use crate::cache::CacheHierarchy;
     pub use crate::chip::{ChipGeneration, ChipSpec};
-    pub use crate::clock::{DvfsLadder, Governor};
     pub use crate::cores::{CoreCluster, CoreKind, CpuComplex};
     pub use crate::device::{DeviceModel, FormFactor};
     pub use crate::error::SocError;
     pub use crate::gpu::GpuSpec;
     pub use crate::reference::ReferenceSystem;
     pub use crate::thermal::{CoolingKind, ThermalModel};
-    pub use crate::time::{SimDuration, SimInstant, VirtualClock};
+    pub use crate::time::{SimDuration, SimInstant};
 }

@@ -1,15 +1,15 @@
-//! Virtual time for the SoC simulation.
+//! Simulated time for the SoC models.
 //!
 //! The paper measures kernel time with
 //! `std::chrono::high_resolution_clock::now()` deltas at nanosecond
 //! granularity (§4). The simulation mirrors that: every modeled engine
-//! (CPU cluster, AMX, GPU, memory controller) advances a [`VirtualClock`]
-//! by a [`SimDuration`], and all reported FLOPS/bandwidth/power numbers are
-//! derived from virtual-time deltas, never from host wall-clock. This keeps
-//! every experiment bit-reproducible regardless of the machine running it.
+//! (CPU cluster, Accelerate, GPU, memory controller) prices its work as a
+//! [`SimDuration`], a power sampler's windows run between [`SimInstant`]s,
+//! and all reported FLOPS/bandwidth/power numbers are derived from those
+//! spans, never from host wall-clock. This keeps every experiment
+//! bit-reproducible regardless of the machine running it.
 
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -79,11 +79,6 @@ impl SimDuration {
         self.nanos as f64 / 1e6
     }
 
-    /// Fractional microseconds.
-    pub fn as_micros_f64(&self) -> f64 {
-        self.nanos as f64 / 1e3
-    }
-
     /// True if this is the zero duration.
     pub const fn is_zero(&self) -> bool {
         self.nanos == 0
@@ -93,32 +88,6 @@ impl SimDuration {
     pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration {
             nanos: self.nanos.saturating_sub(rhs.nanos),
-        }
-    }
-
-    /// Checked addition.
-    pub const fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        match self.nanos.checked_add(rhs.nanos) {
-            Some(nanos) => Some(SimDuration { nanos }),
-            None => None,
-        }
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, rhs: SimDuration) -> SimDuration {
-        if self.nanos >= rhs.nanos {
-            self
-        } else {
-            rhs
-        }
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, rhs: SimDuration) -> SimDuration {
-        if self.nanos <= rhs.nanos {
-            self
-        } else {
-            rhs
         }
     }
 }
@@ -250,42 +219,6 @@ impl fmt::Display for SimInstant {
     }
 }
 
-/// A monotonic virtual clock.
-///
-/// Each `Platform` owns one clock; engines advance it as they retire work.
-/// The clock is intentionally single-threaded (`Cell`): simulated time is a
-/// global ordering decision, and the simulation advances it from the
-/// orchestrating thread even when the *functional* work underneath ran on a
-/// crossbeam pool.
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    now: Cell<u64>,
-}
-
-impl VirtualClock {
-    /// A clock at the epoch.
-    pub fn new() -> Self {
-        VirtualClock { now: Cell::new(0) }
-    }
-
-    /// Current instant.
-    pub fn now(&self) -> SimInstant {
-        SimInstant::from_nanos(self.now.get())
-    }
-
-    /// Advance by `d`, returning the new instant.
-    pub fn advance(&self, d: SimDuration) -> SimInstant {
-        let next = self.now.get().saturating_add(d.as_nanos());
-        self.now.set(next);
-        SimInstant::from_nanos(next)
-    }
-
-    /// Reset to the epoch. Used between experiment repetitions.
-    pub fn reset(&self) {
-        self.now.set(0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,7 +248,6 @@ mod tests {
             SimDuration::ZERO - SimDuration::from_nanos(5),
             SimDuration::ZERO
         );
-        assert!(max.checked_add(SimDuration::from_nanos(1)).is_none());
     }
 
     #[test]
@@ -333,18 +265,6 @@ mod tests {
         assert_eq!((b - a).as_nanos(), 150);
         assert_eq!((a - b).as_nanos(), 0);
         assert_eq!((a + SimDuration::from_nanos(50)).as_nanos(), 150);
-    }
-
-    #[test]
-    fn clock_is_monotonic_and_resettable() {
-        let clock = VirtualClock::new();
-        assert_eq!(clock.now(), SimInstant::EPOCH);
-        let t1 = clock.advance(SimDuration::from_nanos(10));
-        let t2 = clock.advance(SimDuration::from_nanos(5));
-        assert!(t2 > t1);
-        assert_eq!(t2.as_nanos(), 15);
-        clock.reset();
-        assert_eq!(clock.now(), SimInstant::EPOCH);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use oranges_soc::cache::CacheHierarchy;
 use oranges_soc::chip::{ChipGeneration, ChipSpec};
-use oranges_soc::clock::{DvfsLadder, Governor};
 use oranges_soc::cores::CpuComplex;
 use oranges_soc::thermal::{CoolingKind, ThermalModel};
-use oranges_soc::time::{SimDuration, SimInstant, VirtualClock};
+use oranges_soc::time::{SimDuration, SimInstant};
 use proptest::prelude::*;
 
 fn any_generation() -> impl Strategy<Value = ChipGeneration> {
@@ -49,17 +48,6 @@ proptest! {
     }
 
     #[test]
-    fn clock_advances_sum(steps in proptest::collection::vec(0u64..1_000_000, 1..50)) {
-        let clock = VirtualClock::new();
-        let mut total = 0u64;
-        for s in &steps {
-            clock.advance(SimDuration::from_nanos(*s));
-            total += s;
-        }
-        prop_assert_eq!(clock.now().as_nanos(), total);
-    }
-
-    #[test]
     fn thread_placement_conserves_threads(gen in any_generation(), threads in 0u32..64) {
         let complex = CpuComplex::of(gen.spec());
         let p = complex.place_threads(threads);
@@ -92,23 +80,6 @@ proptest! {
         let h = CacheHierarchy::of(gen.spec());
         let (small, large) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(h.residency(small) <= h.residency(large));
-    }
-
-    #[test]
-    fn governor_grant_bounded(cap in 0.1f64..1.0, demand in 0.0f64..1.5) {
-        let mut gov = Governor::new(DvfsLadder::m_series());
-        gov.set_thermal_cap(cap);
-        let g = gov.grant(demand);
-        prop_assert!(g > 0.0);
-        prop_assert!(g <= 1.0);
-    }
-
-    #[test]
-    fn ladder_quantize_is_idempotent(demand in 0.0f64..1.0) {
-        let ladder = DvfsLadder::m_series();
-        let q = ladder.quantize_up(demand);
-        prop_assert_eq!(ladder.quantize_up(q), q);
-        prop_assert!(q + 1e-12 >= demand);
     }
 
     #[test]
