@@ -15,17 +15,16 @@ use crate::timing::AccelerateModel;
 use oranges_kernels::{sgemm_f32_blocked, CacheParams};
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::time::SimDuration;
-use serde::Serialize;
 
 /// Matrix storage order (only row-major, like the paper's call).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Order {
     /// `CblasRowMajor`.
     RowMajor,
 }
 
 /// Transposition flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transpose {
     /// `CblasNoTrans`.
     NoTrans,
@@ -34,7 +33,7 @@ pub enum Transpose {
 }
 
 /// Outcome of one BLAS call.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlasReport {
     /// Modeled duration on the AMX unit.
     pub duration: SimDuration,

@@ -30,11 +30,9 @@
 
 use crate::plan::UnitKey;
 use oranges::experiments::ExperimentOutput;
-use oranges_harness::json::{JsonParseError, Member, Tokenizer};
-use oranges_harness::metric::MetricSet;
-use serde::Serialize;
+use oranges_harness::json::{self, JsonParseError, Member, Tokenizer};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,9 +175,11 @@ impl ResultCache {
     /// saving the same store always produces the same bytes. Per-unit
     /// wall-times (stamped by the scheduler) travel out-of-band in the
     /// envelope — the sets' own serialization stays wall-free,
-    /// preserving value identity. Non-finite values are rejected here,
-    /// at write time: they would serialize as `null` and produce a file
-    /// [`load`](ResultCache::load) can never parse.
+    /// preserving value identity. Each entry's `sets` are its output's
+    /// canonical JSON, spliced as bytes, and every member name comes
+    /// from the tables the loader reads with. Non-finite values are
+    /// rejected here, at write time: they would serialize as `null` and
+    /// produce a file [`load`](ResultCache::load) can never parse.
     ///
     /// The replace is crash-safe: the document goes to a temp file in
     /// `path`'s directory, is fsynced, and only then renamed over
@@ -187,30 +187,19 @@ impl ResultCache {
     /// durable), so a process dying at any moment leaves either the old
     /// file or the new one — never a torn mix.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CachePersistError> {
-        let store = self.inner.store.lock().expect("cache lock");
-        let mut keyed: Vec<(&UnitKey, &Arc<ExperimentOutput>)> = store.iter().collect();
-        keyed.sort_by_key(|(key, _)| (*key).clone());
-        for (key, output) in &keyed {
+        let mut entries: Vec<(UnitKey, Arc<ExperimentOutput>)> = self
+            .inner
+            .store
+            .lock()
+            .expect("cache lock")
+            .iter()
+            .map(|(key, output)| (key.clone(), Arc::clone(output)))
+            .collect();
+        entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        for (key, output) in &entries {
             check_finite(key, output)?;
         }
-        let entries = keyed
-            .into_iter()
-            .map(|(key, output)| DiskEntry {
-                id: key.id.clone(),
-                params: key.params.clone(),
-                wall_time_s: output.wall_time_s(),
-                rendered: output.rendered.clone(),
-                sets: output.sets.clone(),
-            })
-            .collect();
-        let document = DiskCache {
-            version: DISK_FORMAT_VERSION,
-            model_digest: self.inner.model_digest.clone(),
-            entries,
-        };
-        drop(store);
-        let text = oranges_harness::json::to_json_string(&document)
-            .map_err(|e| CachePersistError::Serialize(e.to_string()))?;
+        let text = write_document(&self.inner.model_digest, &entries);
         let path = path.as_ref();
         let temp = temp_sibling(path);
         let replaced = std::fs::File::create(&temp)
@@ -400,6 +389,49 @@ impl std::error::Error for CacheMergeError {}
 /// added the `model_digest` stamp.
 const DISK_FORMAT_VERSION: u32 = 2;
 
+/// The document's members, in the order `save` writes them.
+const DOCUMENT: [&str; 3] = ["version", "model_digest", "entries"];
+
+/// An entry's key members, written before its output's
+/// [`ExperimentOutput::MEMBERS`].
+const ENTRY_KEY: [&str; 2] = ["id", "params"];
+
+/// The [`ResultCache::save`] document over key-sorted entries.
+fn write_document(model_digest: &str, entries: &[(UnitKey, Arc<ExperimentOutput>)]) -> String {
+    let [wall_time_s, rendered, sets] = ExperimentOutput::MEMBERS;
+    let mut text = String::new();
+    json::write_key(&mut text, '{', DOCUMENT[0]);
+    write!(text, "{DISK_FORMAT_VERSION}").expect("writing to a String cannot fail");
+    json::write_key(&mut text, ',', DOCUMENT[1]);
+    json::escape_into(&mut text, model_digest);
+    json::write_key(&mut text, ',', DOCUMENT[2]);
+    text.push('[');
+    for (index, (key, output)) in entries.iter().enumerate() {
+        if index > 0 {
+            text.push(',');
+        }
+        json::write_key(&mut text, '{', ENTRY_KEY[0]);
+        json::escape_into(&mut text, &key.id);
+        json::write_key(&mut text, ',', ENTRY_KEY[1]);
+        json::escape_into(&mut text, &key.params);
+        json::write_key(&mut text, ',', wall_time_s);
+        match output.wall_time_s() {
+            Some(wall) => json::write_f64(&mut text, wall),
+            None => text.push_str("null"),
+        }
+        json::write_key(&mut text, ',', rendered);
+        match &output.rendered {
+            Some(rendered) => json::escape_into(&mut text, rendered),
+            None => text.push_str("null"),
+        }
+        json::write_key(&mut text, ',', sets);
+        text.push_str(output.json());
+        text.push('}');
+    }
+    text.push_str("]}");
+    text
+}
+
 /// A fresh temp path next to `path` (same directory, so the final
 /// rename never crosses a filesystem).
 fn temp_sibling(path: &Path) -> PathBuf {
@@ -430,8 +462,6 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 /// read once `version` is known, so when it comes first its text is set
 /// aside and decoded after the other members.
 pub(crate) fn decode_document(text: &str) -> Result<CacheLoad, CachePersistError> {
-    /// The document's members, in the order `save` writes them.
-    const MEMBERS: [&str; 3] = ["version", "model_digest", "entries"];
     let parse = |message: &str| CachePersistError::Parse(message.to_string());
     let mut tokens = Tokenizer::new(text);
     if !tokens.begin_object()? {
@@ -439,7 +469,7 @@ pub(crate) fn decode_document(text: &str) -> Result<CacheLoad, CachePersistError
     }
     let (mut version, mut digest, mut entries, mut raw_entries) = (None, None, None, None);
     let mut next = 0;
-    while let Some(member) = tokens.next_member(&MEMBERS, &mut next)? {
+    while let Some(member) = tokens.next_member(&DOCUMENT, &mut next)? {
         match member {
             Member::Known(0) if version.is_none() => {
                 version = Some(tokens.read_or_skip(Tokenizer::f64_value)?.map(|(v, _)| v))
@@ -554,7 +584,7 @@ fn decode_entry(
     index: usize,
 ) -> Result<(UnitKey, ExperimentOutput), CachePersistError> {
     let (mut id, mut params) = (None, None);
-    let output = ExperimentOutput::decode_carried(tokens, &["id", "params"], |member, tokens| {
+    let output = ExperimentOutput::decode_carried(tokens, &ENTRY_KEY, |member, tokens| {
         let slot = match member {
             Member::Known(0) => &mut id,
             Member::Known(_) => &mut params,
@@ -613,22 +643,6 @@ fn check_finite(key: &UnitKey, output: &ExperimentOutput) -> Result<(), CachePer
     Ok(())
 }
 
-#[derive(Serialize)]
-struct DiskEntry {
-    id: String,
-    params: String,
-    wall_time_s: Option<f64>,
-    rendered: Option<String>,
-    sets: Vec<MetricSet>,
-}
-
-#[derive(Serialize)]
-struct DiskCache {
-    version: u32,
-    model_digest: String,
-    entries: Vec<DiskEntry>,
-}
-
 /// Failure to persist or restore a cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CachePersistError {
@@ -661,6 +675,7 @@ impl From<JsonParseError> for CachePersistError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oranges_harness::metric::MetricSet;
 
     fn key(id: &str) -> UnitKey {
         UnitKey {
@@ -769,6 +784,61 @@ mod tests {
             "wall travels in the envelope"
         );
         assert_eq!(reloaded.get(&key("tables")).unwrap().wall_time_s(), None);
+    }
+
+    #[test]
+    fn save_writes_the_pinned_bytes() {
+        // The writer and the loader share their name tables, so a renamed
+        // member would still round-trip. These are the bytes earlier
+        // builds wrote: one entry with a wall time and a rendering, one
+        // with neither.
+        let cache = ResultCache::with_model_digest("0123456789abcdef");
+        let mut timed = ExperimentOutput::from_sets(
+            vec![MetricSet::for_chip("fig4", "chip=M2;sizes=2048", "M2")
+                .with_implementation("GPU-MPS")
+                .with_n(2048)
+                .with_power(oranges_harness::metric::PowerContext {
+                    package_watts: 4.5,
+                    energy_j: 9.0,
+                    window_s: 2.0,
+                    dvfs_cap: 1.0,
+                })
+                .metric("gflops_per_watt", 200.25, "GFLOPS/W")],
+            None,
+        )
+        .expect("serializable");
+        timed.stamp_wall_time(0.125);
+        timed.rendered = Some("Fig. 4 \"M2\"\nrow".to_string());
+        let tables = ExperimentOutput::from_sets(
+            vec![MetricSet::new("tables", "tables=1,2,3").metric("rows", 17i64, "rows")],
+            None,
+        )
+        .expect("serializable");
+        let unit = |id: &str, params: &str| UnitKey {
+            id: id.to_string(),
+            params: params.to_string(),
+        };
+        cache.insert(unit("tables", "tables=1,2,3"), tables);
+        cache.insert(unit("fig4", "chip=M2;sizes=2048"), timed);
+
+        let path = temp_path("pinned");
+        cache.save(&path).expect("save");
+        let text = std::fs::read_to_string(&path).expect("saved bytes");
+        std::fs::remove_file(&path).ok();
+        let expected = concat!(
+            r#"{"version":2,"model_digest":"0123456789abcdef","entries":["#,
+            r#"{"id":"fig4","params":"chip=M2;sizes=2048","wall_time_s":0.125,"#,
+            r#""rendered":"Fig. 4 \"M2\"\nrow","sets":[{"provenance":{"experiment":"fig4","#,
+            r#""chip":"M2","params":"chip=M2;sizes=2048","power":{"package_watts":4.5,"#,
+            r#""energy_j":9,"window_s":2,"dvfs_cap":1}},"implementation":"GPU-MPS","n":2048,"#,
+            r#""metrics":[{"name":"gflops_per_watt","value":{"Float":200.25},"#,
+            r#""unit":"GFLOPS/W"}]}]},"#,
+            r#"{"id":"tables","params":"tables=1,2,3","wall_time_s":null,"rendered":null,"#,
+            r#""sets":[{"provenance":{"experiment":"tables","chip":null,"#,
+            r#""params":"tables=1,2,3","power":null},"implementation":null,"n":null,"#,
+            r#""metrics":[{"name":"rows","value":{"Int":17},"unit":"rows"}]}]}]}"#,
+        );
+        assert_eq!(text, expected);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Campaign aggregation: per-unit [`MetricSet`]s → rows, tables, CSV,
-//! JSON — all through the generic metric emitters, with per-unit
+//! Campaign aggregation: per-unit [`MetricSet`]s → rows, tables and
+//! CSV — all through the generic metric emitters, with per-unit
 //! wall-time accounting.
 
 use crate::cache::CacheStats;
 use crate::engine::UnitSource;
 use crate::plan::UnitKey;
 use oranges::experiments::ExperimentOutput;
-use oranges_harness::json::JsonError;
 use oranges_harness::metric::{self, MetricRow, MetricSet};
 use oranges_harness::table::TextTable;
 use std::sync::Arc;
@@ -171,16 +170,6 @@ impl CampaignReport {
         metric::rows_to_csv(&self.rows())
     }
 
-    /// JSON array of all rows, through the generic metric emitter.
-    pub fn to_json(&self) -> Result<String, JsonError> {
-        metric::rows_to_json(&self.rows())
-    }
-
-    /// Structured JSON of all metric sets (the full provenance shape).
-    pub fn sets_to_json(&self) -> Result<String, JsonError> {
-        metric::sets_to_json(&self.sets())
-    }
-
     /// Human-readable summary table: one row per unit, with per-unit
     /// wall-time.
     pub fn render_summary(&self) -> String {
@@ -299,10 +288,6 @@ mod tests {
         let csv = r.to_csv();
         assert_eq!(csv.lines().count(), 3, "header + 2 units x 1 row");
         assert!(csv.starts_with("experiment,chip,implementation,n,metric,type,value,unit"));
-        let json = r.to_json().unwrap();
-        assert!(json.contains("gflops_per_watt"));
-        let sets_json = r.sets_to_json().unwrap();
-        assert!(sets_json.contains("\"provenance\""));
         assert_eq!(r.sets().len(), 2);
         let summary = r.render_summary();
         assert!(summary.contains("2 units (1 computed) on 2 workers"));

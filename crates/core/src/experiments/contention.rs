@@ -15,10 +15,9 @@ use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 use oranges_umem::bandwidth::{BandwidthModel, StreamKernelKind};
 use oranges_umem::controller::Agent;
-use serde::Serialize;
 
 /// Bandwidth split when CPU and GPU stream concurrently.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionPoint {
     /// Chip.
     pub chip: ChipGeneration,

@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 pub enum ExperimentError {
     /// A GEMM kernel or its measurement failed.
     Gemm(GemmError),
-    /// Serialization of the result failed.
+    /// A result's JSON failed to decode.
     Serialization(String),
     /// Anything else.
     Other(String),
@@ -51,12 +51,6 @@ impl From<GemmError> for ExperimentError {
     }
 }
 
-impl From<oranges_harness::json::JsonError> for ExperimentError {
-    fn from(e: oranges_harness::json::JsonError) -> Self {
-        ExperimentError::Serialization(e.to_string())
-    }
-}
-
 impl From<JsonParseError> for ExperimentError {
     fn from(e: JsonParseError) -> Self {
         ExperimentError::Serialization(e.to_string())
@@ -73,8 +67,8 @@ impl From<MetricParseError> for ExperimentError {
 /// their canonical identity.
 ///
 /// The identity is the canonical JSON of [`sets`](ExperimentOutput::sets),
-/// read through [`json`](ExperimentOutput::json). It is always the JSON
-/// emitter's output, derived from the sets on first read:
+/// read through [`json`](ExperimentOutput::json). It is always
+/// [`metric::sets_to_json`]'s output, derived from the sets on first read:
 /// [`from_sets`](ExperimentOutput::from_sets) derives it at once, so an
 /// engine worker pays the emission next to the run, while
 /// [`decode`](ExperimentOutput::decode) leaves it to the first reader, so
@@ -105,16 +99,21 @@ impl PartialEq for ExperimentOutput {
 }
 
 impl ExperimentOutput {
+    /// The output envelope's own members, in the order the result cache
+    /// writes them and [`decode`](ExperimentOutput::decode) predicts them.
+    pub const MEMBERS: [&'static str; 3] = ["wall_time_s", "rendered", "sets"];
+
     /// Build from the unit's metric sets, deriving the canonical JSON
-    /// here, so every consumer sees the same identity and an emitter
-    /// failure surfaces as an error instead of on first read.
+    /// here, so an engine worker pays the emission next to the run.
+    /// Building cannot fail today; the `Result` is the shape the
+    /// runners propagate.
     pub fn from_sets(
         sets: Vec<MetricSet>,
         rendered: Option<String>,
     ) -> Result<Self, ExperimentError> {
-        let json = OnceLock::from(metric::sets_to_json(&sets)?);
+        let Ok(json) = metric::sets_to_json(&sets);
         Ok(ExperimentOutput {
-            json,
+            json: OnceLock::from(json),
             sets,
             rendered,
         })
@@ -130,8 +129,10 @@ impl ExperimentOutput {
     /// it, so it never holds a raw newline. The campaign service relies
     /// on that to splice these bytes into a wire line unchanged.
     pub fn json(&self) -> &str {
-        self.json
-            .get_or_init(|| metric::sets_to_json(&self.sets).expect("metric sets always serialize"))
+        self.json.get_or_init(|| {
+            let Ok(json) = metric::sets_to_json(&self.sets);
+            json
+        })
     }
 
     /// Flat (coordinate, metric) rows for the generic emitters.
@@ -167,21 +168,18 @@ impl ExperimentOutput {
     /// carrier member comes to `other` as [`Member::Known`] with its
     /// index in `names`, any other unknown member as [`Member::Other`].
     /// Members are read with [`Tokenizer::next_member`] over `names`
-    /// followed by the output's own, so on the emitter's output every key
-    /// is one predicted comparison.
+    /// followed by [`MEMBERS`](ExperimentOutput::MEMBERS), so on the
+    /// writer's output every key is one predicted comparison.
     pub fn decode_carried<'a>(
         tokens: &mut Tokenizer<'a>,
         names: &[&str],
         mut other: impl FnMut(Member<'a>, &mut Tokenizer<'a>) -> Result<bool, ExperimentError>,
     ) -> Result<Self, ExperimentError> {
-        /// The envelope's own members, in the order the emitter writes
-        /// them.
-        const MEMBERS: [&str; 3] = ["wall_time_s", "rendered", "sets"];
         let malformed = |message: String| ExperimentError::Serialization(message);
         if !tokens.begin_object()? {
             return Err(malformed("output is not an object".into()));
         }
-        let members: Vec<&str> = names.iter().chain(&MEMBERS).copied().collect();
+        let members: Vec<&str> = names.iter().chain(&Self::MEMBERS).copied().collect();
         let (mut sets, mut rendered, mut wall) = (None, None, None);
         let mut next = 0;
         while let Some(member) = tokens.next_member(&members, &mut next)? {

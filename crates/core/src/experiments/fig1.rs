@@ -11,10 +11,9 @@ use oranges_soc::chip::ChipGeneration;
 use oranges_stream::cpu::CpuStream;
 use oranges_stream::gpu::GpuStream;
 use oranges_umem::bandwidth::StreamKernelKind;
-use serde::Serialize;
 
 /// One bandwidth measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig1Point {
     /// Chip.
     pub chip: ChipGeneration,
@@ -27,7 +26,7 @@ pub struct Fig1Point {
 }
 
 /// The full Figure 1 dataset.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1Data {
     /// All 32 bars (4 chips × 2 agents × 4 kernels).
     pub points: Vec<Fig1Point>,

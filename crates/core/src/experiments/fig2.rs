@@ -21,7 +21,6 @@ use oranges_harness::figure::{series_chart, Series, SeriesChartConfig};
 use oranges_harness::metric::{self, MetricSet, PowerContext};
 use oranges_harness::stats::Summary;
 use oranges_soc::chip::ChipGeneration;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Experiment configuration.
@@ -62,7 +61,7 @@ impl Fig2Config {
 }
 
 /// One cell of the Figure 2 grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Point {
     /// Chip.
     pub chip: ChipGeneration,
@@ -85,7 +84,7 @@ pub struct Fig2Point {
 }
 
 /// The full Figure 2 dataset.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Data {
     /// All grid cells, in (chip, implementation, size) order.
     pub points: Vec<Fig2Point>,

@@ -15,7 +15,6 @@ use oranges_harness::experiment::RepetitionProtocol;
 use oranges_harness::figure::{series_chart, Series, SeriesChartConfig};
 use oranges_harness::metric::{self, MetricSet, PowerContext};
 use oranges_soc::chip::ChipGeneration;
-use serde::Serialize;
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -39,7 +38,7 @@ impl Default for Fig3Config {
 }
 
 /// One cell of the Figure 3 grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3Point {
     /// Chip.
     pub chip: ChipGeneration,
@@ -56,7 +55,7 @@ pub struct Fig3Point {
 }
 
 /// The full Figure 3 dataset.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Data {
     /// All cells.
     pub points: Vec<Fig3Point>,

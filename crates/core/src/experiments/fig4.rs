@@ -13,7 +13,6 @@ use oranges_harness::figure::{series_chart, Series, SeriesChartConfig};
 use oranges_harness::metric::{self, MetricSet, PowerContext};
 use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
-use serde::Serialize;
 
 /// Experiment configuration (same grid as Figure 3).
 #[derive(Debug, Clone)]
@@ -34,7 +33,7 @@ impl Default for Fig4Config {
 }
 
 /// One cell of the Figure 4 grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig4Point {
     /// Chip.
     pub chip: ChipGeneration,
@@ -49,7 +48,7 @@ pub struct Fig4Point {
 }
 
 /// The full Figure 4 dataset.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Data {
     /// All cells.
     pub points: Vec<Fig4Point>,

@@ -17,10 +17,9 @@ use oranges_harness::metric::MetricSet;
 use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::gpu::{GpuPrecision, GpuSpec};
-use serde::Serialize;
 
 /// Projected throughput of the MPS-class kernel at one precision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecisionPoint {
     /// Chip.
     pub chip: ChipGeneration,

@@ -18,10 +18,9 @@ use oranges_powermetrics::{PowerModel, WorkClass};
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::device::DeviceModel;
 use oranges_soc::time::SimDuration;
-use serde::Serialize;
 
 /// Outcome of a sustained run on one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SustainedPoint {
     /// Chip.
     pub chip: ChipGeneration,

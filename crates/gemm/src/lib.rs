@@ -41,7 +41,6 @@ use oranges_kernels::CacheParams;
 use oranges_powermetrics::WorkClass;
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::time::SimDuration;
-use serde::Serialize;
 
 /// The functional ceiling (FLOPs) every Table 2 backend enforces by
 /// default: at or below it a run computes real results, above it only the
@@ -64,7 +63,7 @@ pub(crate) fn chip_cache_params(chip: ChipGeneration) -> CacheParams {
 }
 
 /// Outcome of one GEMM run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GemmOutcome {
     /// Modeled duration (the paper's `high_resolution_clock` delta).
     pub duration: SimDuration,

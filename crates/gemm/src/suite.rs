@@ -8,10 +8,9 @@ use crate::gpu_mps::GpuMps;
 use crate::gpu_shader::GpuShader;
 use crate::GemmImplementation;
 use oranges_soc::chip::ChipGeneration;
-use serde::Serialize;
 
 /// Hardware column of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Hardware {
     /// Runs on the CPU complex (incl. AMX).
     Cpu,
@@ -30,7 +29,7 @@ impl Hardware {
 }
 
 /// Static description of one Table 2 row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImplementationInfo {
     /// Figure legend name.
     pub name: &'static str,

@@ -14,7 +14,6 @@ use oranges_kernels::reduce::dot_f32_to_f64_strided;
 use oranges_kernels::ulp::diff_stats_f32;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Scalar reference GEMM used by unit tests (`c := a · b`) — the
 /// microkernel layer's scalar twin.
@@ -23,7 +22,7 @@ pub fn reference_gemm(n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 }
 
 /// Result of sampled verification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerifyOutcome {
     /// Entries sampled.
     pub samples: usize,
@@ -34,7 +33,7 @@ pub struct VerifyOutcome {
 }
 
 /// Result of one fused dense comparison ([`verify_dense`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DenseVerifyOutcome {
     /// Elements compared.
     pub compared: usize,

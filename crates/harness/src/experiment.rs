@@ -5,10 +5,8 @@
 //! count). The protocol object runs a fallible closure N times (plus
 //! optional discarded warm-ups) and collects the per-repetition values.
 
-use serde::Serialize;
-
 /// Metadata identifying an experiment (figure/table id + description).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentMeta {
     /// Paper artifact id, e.g. `"fig2"`, `"table1"`.
     pub id: &'static str,
@@ -17,7 +15,7 @@ pub struct ExperimentMeta {
 }
 
 /// How many repetitions and warm-ups an experiment takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepetitionProtocol {
     /// Measured repetitions.
     pub reps: u32,

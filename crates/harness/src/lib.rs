@@ -12,9 +12,9 @@
 //! - [`figure`]: ASCII grouped bars (Fig. 1) and log-scale series charts
 //!   (Fig. 2–4);
 //! - [`csv`]: CSV writer;
-//! - [`json`]: a minimal JSON serializer over `serde::Serialize` plus a
-//!   pull tokenizer, with the `JsonValue` tree parser built on it (kept
-//!   in-tree so the approved dependency set stays small);
+//! - [`json`]: the JSON writing primitives (string escaping, numbers,
+//!   member keys) plus a pull tokenizer, with the `JsonValue` tree parser
+//!   built on it (kept in-tree so the dependency set stays small);
 //! - [`metric`]: the unified typed measurement record ([`MetricSet`]) —
 //!   provenance-stamped metrics with generic CSV/JSON/table emitters,
 //!   the campaign pipeline's single result currency;
@@ -39,11 +39,13 @@
 //!  runner measurements
 //!        │
 //!        ▼
-//!  MetricSet ──► rows() ──► MetricRow ──► CSV / JSON / TextTable
+//!  MetricSet ──► rows() ──► MetricRow ──► CSV / TextTable
 //!   (typed value + unit,         (flat emitter currency;
 //!    provenance: chip, id,        lossless both ways via
-//!    params digest, wall,         rows_from_csv / sets_from_json)
+//!    params digest, wall,         rows_from_csv)
 //!    power context)
+//!        │
+//!        └──► sets_to_json ⇄ sets_from_json (lossless JSON)
 //! ```
 //!
 //! ## Example: building and round-tripping a `MetricSet`
@@ -58,7 +60,7 @@
 //! assert_eq!(set.value("gflops"), Some(2375.0));
 //!
 //! // Lossless JSON round-trip: parse(sets_to_json(x)) == x.
-//! let json = metric::sets_to_json(&[set.clone()]).unwrap();
+//! let Ok(json) = metric::sets_to_json(&[set.clone()]);
 //! let back = metric::sets_from_json(&json).unwrap();
 //! assert_eq!(back, vec![set]);
 //! ```
@@ -104,7 +106,6 @@ pub mod prelude {
     pub use crate::envelope::{Request, Response};
     pub use crate::experiment::{ExperimentMeta, RepetitionProtocol};
     pub use crate::figure::{grouped_bar_chart, series_chart, SeriesChartConfig};
-    pub use crate::json::to_json_string;
     pub use crate::metric::{Metric, MetricRow, MetricSet, MetricValue, PowerContext, Provenance};
     pub use crate::obs::{CampaignEvent, EventBroadcaster, EventKind, Exposition, Histogram};
     pub use crate::stats::Summary;

@@ -13,23 +13,24 @@
 //! Serialization is lossless both ways: [`rows_to_csv`]/[`rows_from_csv`]
 //! and [`sets_to_json`]/[`sets_from_json`] round-trip exactly (floats go
 //! through the shortest-representation formatter), which is what makes
-//! the disk-persistent result cache sound. Wall-time is deliberately
-//! `#[serde(skip)]`ed: it varies run to run, and the campaign's
+//! the disk-persistent result cache sound. The JSON writer and its
+//! decoder read their member names from one set of tables. Wall-time is
+//! deliberately never written: it varies run to run, and the campaign's
 //! value-identity digest must not.
 
 use crate::csv::{self, CsvWriter};
-use crate::json::{self, to_json_string, JsonError, Member, Token, Tokenizer};
+use crate::json::{self, Member, Token, Tokenizer};
 use crate::table::TextTable;
-use serde::Serialize;
 use std::borrow::Cow;
-use std::fmt;
+use std::convert::Infallible;
+use std::fmt::{self, Write as _};
 use Member::Known;
 
 /// A typed metric value.
 ///
 /// JSON shape: `{"Float":1.5}`, `{"Int":3}`, `{"Bool":true}`,
-/// `{"Text":"pass"}` (the serde newtype-variant convention).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// `{"Text":"pass"}`: an object whose one member names the variant.
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// A real-valued measurement (finite; non-finite serializes as null
     /// and will not round-trip).
@@ -123,7 +124,7 @@ impl From<&str> for MetricValue {
 }
 
 /// One named, unit-carrying measurement.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
     /// Metric name (`"gbs"`, `"gflops"`, `"power_mw"`, …).
     pub name: String,
@@ -152,7 +153,7 @@ impl Metric {
 /// Power/thermal context captured over the same window as the metrics it
 /// accompanies — the provenance that makes a cross-chip efficiency claim
 /// checkable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerContext {
     /// Window-averaged package power, watts.
     pub package_watts: f64,
@@ -173,7 +174,7 @@ impl PowerContext {
 }
 
 /// Where a [`MetricSet`]'s numbers came from.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
     /// Paper artifact id (`"fig1"`, …, or an extension id).
     pub experiment: String,
@@ -183,10 +184,9 @@ pub struct Provenance {
     /// string the result cache keys on.
     pub params: String,
     /// Wall-clock seconds the producing unit took, stamped by the
-    /// campaign scheduler. Excluded from serialization: wall-time varies
-    /// run to run and must not perturb value-identity digests; the cache
-    /// persists it out-of-band.
-    #[serde(skip)]
+    /// campaign scheduler. [`sets_to_json`] never writes it: wall-time
+    /// varies run to run and must not perturb value-identity digests; the
+    /// cache persists it out-of-band.
     pub wall_time_s: Option<f64>,
     /// Power/thermal context of the measurement window, where measured.
     pub power: Option<PowerContext>,
@@ -194,7 +194,7 @@ pub struct Provenance {
 
 /// One coordinate of an experiment grid: provenance + the typed metrics
 /// measured there.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricSet {
     /// Measurement provenance.
     pub provenance: Provenance,
@@ -309,9 +309,9 @@ impl fmt::Display for MetricSet {
     }
 }
 
-/// One flattened (coordinate, metric) cell — what the CSV/JSON/table
+/// One flattened (coordinate, metric) cell — what the CSV and table
 /// emitters iterate over.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricRow {
     /// Paper artifact id.
     pub experiment: String,
@@ -460,20 +460,107 @@ pub fn rows_from_csv(text: &str) -> Result<Vec<MetricRow>, MetricParseError> {
     Ok(rows)
 }
 
-/// JSON array of a row slice (flat shape, for external consumers).
-pub fn rows_to_json(rows: &[MetricRow]) -> Result<String, JsonError> {
-    to_json_string(&rows)
+/// The members of a set, of its provenance, of a power context and of a
+/// metric, in the order [`sets_to_json`] writes them and the decoders
+/// predict them; and the variants of a metric value, in the order
+/// [`MetricValue`] declares them.
+const SET: [&str; 4] = ["provenance", "implementation", "n", "metrics"];
+const PROVENANCE: [&str; 4] = ["experiment", "chip", "params", "power"];
+const POWER: [&str; 4] = ["package_watts", "energy_j", "window_s", "dvfs_cap"];
+const METRIC: [&str; 3] = ["name", "value", "unit"];
+const VARIANTS: [&str; 4] = ["Float", "Int", "Bool", "Text"];
+
+/// JSON array of full sets (structured shape; the persistence format),
+/// with no whitespace, absent options as `null` and floats in their
+/// shortest round-trip text. Wall-time is never written — see
+/// [`Provenance::wall_time_s`]. Writing cannot fail; the `Result` keeps
+/// the shape of the callers that propagate it.
+pub fn sets_to_json(sets: &[MetricSet]) -> Result<String, Infallible> {
+    let mut out = String::from("[");
+    for (index, set) in sets.iter().enumerate() {
+        if index > 0 {
+            out.push(',');
+        }
+        write_set(&mut out, set);
+    }
+    out.push(']');
+    Ok(out)
 }
 
-/// JSON array of full sets (structured shape; the persistence format).
-/// Accepts owned or borrowed sets, so callers holding `Vec<&MetricSet>`
-/// views serialize without cloning. Wall-time is excluded by
-/// construction — see [`Provenance::wall_time_s`].
-pub fn sets_to_json<S>(sets: &[S]) -> Result<String, JsonError>
-where
-    S: std::borrow::Borrow<MetricSet> + Serialize,
-{
-    to_json_string(&sets)
+fn write_set(out: &mut String, set: &MetricSet) {
+    let provenance = &set.provenance;
+    json::write_key(out, '{', SET[0]);
+    json::write_key(out, '{', PROVENANCE[0]);
+    json::escape_into(out, &provenance.experiment);
+    json::write_key(out, ',', PROVENANCE[1]);
+    write_optional_string(out, provenance.chip.as_deref());
+    json::write_key(out, ',', PROVENANCE[2]);
+    json::escape_into(out, &provenance.params);
+    json::write_key(out, ',', PROVENANCE[3]);
+    match provenance.power {
+        Some(power) => {
+            let fields = [
+                power.package_watts,
+                power.energy_j,
+                power.window_s,
+                power.dvfs_cap,
+            ];
+            for (index, (name, value)) in POWER.iter().zip(fields).enumerate() {
+                json::write_key(out, if index == 0 { '{' } else { ',' }, name);
+                json::write_f64(out, value);
+            }
+            out.push('}');
+        }
+        None => out.push_str("null"),
+    }
+    out.push('}');
+    json::write_key(out, ',', SET[1]);
+    write_optional_string(out, set.implementation.as_deref());
+    json::write_key(out, ',', SET[2]);
+    match set.n {
+        Some(n) => write!(out, "{n}").expect("writing to a String cannot fail"),
+        None => out.push_str("null"),
+    }
+    json::write_key(out, ',', SET[3]);
+    out.push('[');
+    for (index, metric) in set.metrics.iter().enumerate() {
+        if index > 0 {
+            out.push(',');
+        }
+        json::write_key(out, '{', METRIC[0]);
+        json::escape_into(out, &metric.name);
+        json::write_key(out, ',', METRIC[1]);
+        write_value(out, &metric.value);
+        json::write_key(out, ',', METRIC[2]);
+        json::escape_into(out, &metric.unit);
+        out.push('}');
+    }
+    out.push_str("]}");
+}
+
+/// A `{"Variant":payload}` value.
+fn write_value(out: &mut String, value: &MetricValue) {
+    let variant = match value {
+        MetricValue::Float(_) => 0,
+        MetricValue::Int(_) => 1,
+        MetricValue::Bool(_) => 2,
+        MetricValue::Text(_) => 3,
+    };
+    json::write_key(out, '{', VARIANTS[variant]);
+    match value {
+        MetricValue::Float(v) => json::write_f64(out, *v),
+        MetricValue::Int(v) => write!(out, "{v}").expect("writing to a String cannot fail"),
+        MetricValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        MetricValue::Text(text) => json::escape_into(out, text),
+    }
+    out.push('}');
+}
+
+fn write_optional_string(out: &mut String, text: Option<&str>) {
+    match text {
+        Some(text) => json::escape_into(out, text),
+        None => out.push_str("null"),
+    }
 }
 
 /// Rebuild sets from [`sets_to_json`] output.
@@ -490,9 +577,10 @@ pub fn sets_from_json(text: &str) -> Result<Vec<MetricSet>, MetricParseError> {
 /// campaign's disk cache and its service client all read sets through
 /// it.
 ///
-/// Each object's members are declared once, in the order the emitter
-/// writes them, and read with [`Tokenizer::next_member`]: on the
-/// emitter's own output every key is one predicted comparison, and
+/// Each object's members are declared once, in the tables
+/// [`sets_to_json`] writes from, and read with
+/// [`Tokenizer::next_member`]: on the writer's own output every key is
+/// one predicted comparison, and
 /// every value a typed read. Members may still come in any order,
 /// spaced or with escaped keys, and unknown ones are skipped; when a key
 /// repeats, its first occurrence counts and later ones are only checked
@@ -509,15 +597,6 @@ pub fn decode_sets(tokens: &mut Tokenizer<'_>) -> Result<Vec<MetricSet>, MetricP
     }
     Ok(sets)
 }
-
-/// The members of a set, of its provenance, of a power context and of a
-/// metric, in the order the emitter writes them; and the variants of a
-/// metric value, in the order [`MetricValue`] declares them.
-const SET: [&str; 4] = ["provenance", "implementation", "n", "metrics"];
-const PROVENANCE: [&str; 4] = ["experiment", "chip", "params", "power"];
-const POWER: [&str; 4] = ["package_watts", "energy_j", "window_s", "dvfs_cap"];
-const METRIC: [&str; 3] = ["name", "value", "unit"];
-const VARIANTS: [&str; 4] = ["Float", "Int", "Bool", "Text"];
 
 fn decode_set(tokens: &mut Tokenizer<'_>) -> Result<MetricSet, MetricParseError> {
     if !tokens.begin_object()? {
@@ -833,6 +912,47 @@ mod tests {
         assert_eq!(before, after);
         // And re-emission is byte-identical (canonical form).
         assert_eq!(sets_to_json(&after).unwrap(), text);
+    }
+
+    #[test]
+    fn json_writes_the_pinned_bytes() {
+        // The writer and the decoder share their name tables, so a
+        // renamed member would still round-trip. These are the bytes
+        // earlier builds wrote, which cache files and campaign
+        // fingerprints are made of.
+        let sets = [
+            MetricSet::new("tables", "tables=1,2,3").metric("rows", i64::MIN, "rows"),
+            MetricSet::for_chip("fig2", "chip=M4;sizes=16384", "M4")
+                .with_implementation("GPU \"MPS\" \\ tsch\u{fc}\u{df}\n\u{1}")
+                .with_n(u64::MAX)
+                .with_power(PowerContext {
+                    package_watts: 14.2,
+                    energy_j: -0.0,
+                    window_s: 1e21,
+                    dvfs_cap: 1.0,
+                })
+                .metric("gflops", 2900.0, "GFLOPS")
+                .metric("tiny", 1e-7, "s")
+                .metric("lost", f64::NAN, "GFLOPS")
+                .metric("verified", true, "flag")
+                .metric("state", "hot \"M4\"", "label"),
+        ];
+        let Ok(json) = sets_to_json(&sets);
+        let expected = concat!(
+            r#"[{"provenance":{"experiment":"tables","chip":null,"params":"tables=1,2,3","#,
+            r#""power":null},"implementation":null,"n":null,"metrics":[{"name":"rows","#,
+            r#""value":{"Int":-9223372036854775808},"unit":"rows"}]},"#,
+            r#"{"provenance":{"experiment":"fig2","chip":"M4","params":"chip=M4;sizes=16384","#,
+            r#""power":{"package_watts":14.2,"energy_j":-0,"window_s":1000000000000000000000,"#,
+            r#""dvfs_cap":1}},"implementation":"GPU \"MPS\" \\ tschüß\n\u0001","#,
+            r#""n":18446744073709551615,"metrics":["#,
+            r#"{"name":"gflops","value":{"Float":2900},"unit":"GFLOPS"},"#,
+            r#"{"name":"tiny","value":{"Float":0.0000001},"unit":"s"},"#,
+            r#"{"name":"lost","value":{"Float":null},"unit":"GFLOPS"},"#,
+            r#"{"name":"verified","value":{"Bool":true},"unit":"flag"},"#,
+            r#"{"name":"state","value":{"Text":"hot \"M4\""},"unit":"label"}]}]"#,
+        );
+        assert_eq!(json, expected);
     }
 
     #[test]

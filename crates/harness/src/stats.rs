@@ -1,9 +1,7 @@
 //! Summary statistics over repetition samples.
 
-use serde::Serialize;
-
 /// Summary of a set of samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample count.
     pub count: usize,

@@ -27,7 +27,6 @@ use crate::kernel::{BandInvocation, ComputeKernel, KernelParams};
 use crate::library::ComputePipelineState;
 use crate::types::MtlSize;
 use oranges_soc::time::SimDuration;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// One encoded compute dispatch.
@@ -40,7 +39,7 @@ struct ComputePass {
 }
 
 /// Execution record of one dispatch.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PassReport {
     /// Kernel function name.
     pub kernel: String,

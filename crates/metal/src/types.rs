@@ -1,9 +1,7 @@
 //! Geometry types mirroring `MTLSize`.
 
-use serde::Serialize;
-
 /// A 3-D extent (threads or threadgroups), like `MTLSize`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MtlSize {
     /// Width (x).
     pub width: u64,

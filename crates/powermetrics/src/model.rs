@@ -26,10 +26,9 @@
 use crate::rails::RailPowers;
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::device::DeviceModel;
-use serde::Serialize;
 
 /// Which benchmark implementation class is running — the calibration key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkClass {
     /// Nothing running (between windows).
     Idle,

@@ -1,10 +1,9 @@
 //! Power rails — the quantities `powermetrics` reports.
 
-use serde::Serialize;
 use std::ops::{Add, AddAssign, Mul};
 
 /// Instantaneous (or window-averaged) power per rail, in milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RailPowers {
     /// CPU clusters (P + E + AMX).
     pub cpu_mw: f64,
@@ -85,7 +84,7 @@ impl Mul<f64> for RailPowers {
 }
 
 /// Energy accumulated per rail, in millijoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RailEnergy {
     /// CPU energy, mJ.
     pub cpu_mj: f64,

@@ -10,11 +10,10 @@
 use crate::model::{PowerModel, WorkClass};
 use crate::rails::{RailEnergy, RailPowers};
 use oranges_soc::time::{SimDuration, SimInstant};
-use serde::Serialize;
 use std::fmt;
 
 /// A workload interval to be metered.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Activity {
     /// Implementation class (the calibration key).
     pub class: WorkClass,
@@ -37,7 +36,7 @@ impl Activity {
 }
 
 /// One emitted sample (a SIGINFO window).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Window start on the virtual timeline.
     pub window_start: SimInstant,

@@ -13,10 +13,9 @@ use crate::model::{PowerModel, WorkClass};
 use crate::sampler::{Activity, Sampler, SamplerError};
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::time::SimDuration;
-use serde::Serialize;
 
 /// Result of one measured run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerReading {
     /// Average CPU rail power over the workload window, mW.
     pub cpu_mw: f64,

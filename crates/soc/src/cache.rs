@@ -8,10 +8,9 @@
 //! tier for small matrices.
 
 use crate::chip::ChipSpec;
-use serde::{Deserialize, Serialize};
 
 /// One level of the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLevel {
     /// Human name ("L1d (P)", "L2 (P)", "SLC", …).
     pub name: &'static str,
@@ -23,7 +22,7 @@ pub struct CacheLevel {
 }
 
 /// Which level a working set resides in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Residency {
     /// Fits in per-core L1 data cache.
     L1,
@@ -36,7 +35,7 @@ pub enum Residency {
 }
 
 /// The cache hierarchy of one chip as seen by a P-cluster workload.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheHierarchy {
     /// L1 data (single P core).
     pub l1: CacheLevel,

@@ -5,11 +5,10 @@
 //! need (per-engine theoretical FLOPS, AMX peak, byte-exact cache capacities).
 
 use crate::error::SocError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four M-series generations the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ChipGeneration {
     /// Apple M1 (2020, Firestorm/Icestorm).
     M1,
@@ -64,7 +63,7 @@ impl fmt::Display for ChipGeneration {
 }
 
 /// Process technology node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessNode {
     /// TSMC N5 (5 nm) — M1.
     N5,
@@ -97,7 +96,7 @@ impl ProcessNode {
 }
 
 /// ARM ISA revision (Table 1 row "CPU Architecture").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ArmIsa {
     /// ARMv8.5-A — M1.
     V8_5A,
@@ -119,7 +118,7 @@ impl ArmIsa {
 }
 
 /// Memory technology generation (Table 1 row "Memory Technology").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryTechnology {
     /// LPDDR4X — M1 (67 GB/s class).
     Lpddr4x,
@@ -150,7 +149,7 @@ impl MemoryTechnology {
 }
 
 /// AMX / SME coprocessor capabilities (Table 1 row "AMX Characteristics").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AmxCapabilities {
     /// FP16 tile arithmetic.
     pub fp16: bool,
@@ -179,7 +178,7 @@ impl AmxCapabilities {
 }
 
 /// Unified-memory capacity options (Table 1 row "Max Unified Memory").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryOptions {
     /// Available capacities in GiB for the base chip.
     pub capacities_gb: &'static [u32],
@@ -193,7 +192,7 @@ impl MemoryOptions {
 }
 
 /// One row-set of Table 1: the complete baseline-chip specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipSpec {
     /// Which generation this spec describes.
     pub generation: ChipGeneration,
@@ -720,16 +719,8 @@ mod tests {
     }
 
     #[test]
-    fn specs_serialize_round_trip() {
-        // serde derive sanity — the harness stores specs in JSON reports.
+    fn debug_output_names_the_chip() {
         let spec = ChipGeneration::M2.spec();
-        let json = serde_json_like(spec);
-        assert!(json.contains("M2"));
-    }
-
-    /// Tiny stand-in (no serde_json in the dependency set): Debug format is
-    /// enough to check the fields are visible to serialization layers.
-    fn serde_json_like(spec: &ChipSpec) -> String {
-        format!("{spec:?}")
+        assert!(format!("{spec:?}").contains("M2"));
     }
 }

@@ -9,11 +9,10 @@
 //! spills onto E-cores — the model follows that policy.
 
 use crate::chip::{ChipSpec, E_CORE_NEON_PIPES, NEON_F32_FLOPS_PER_PIPE_CYCLE, P_CORE_NEON_PIPES};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which kind of core a hardware thread lands on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreKind {
     /// High-performance ("big") core.
     Performance,
@@ -31,7 +30,7 @@ impl fmt::Display for CoreKind {
 }
 
 /// One homogeneous cluster of cores.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreCluster {
     /// P or E.
     pub kind: CoreKind,
@@ -58,7 +57,7 @@ impl CoreCluster {
 }
 
 /// The full CPU complex of a chip: one P cluster + one E cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuComplex {
     /// Performance cluster.
     pub p_cluster: CoreCluster,
@@ -67,7 +66,7 @@ pub struct CpuComplex {
 }
 
 /// The set of cores assigned to a workload of `t` threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadPlacement {
     /// Threads running on performance cores.
     pub p_threads: u32,

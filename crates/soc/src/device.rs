@@ -9,11 +9,10 @@
 use crate::chip::ChipGeneration;
 use crate::error::SocError;
 use crate::thermal::{CoolingKind, ThermalModel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Enclosure form factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FormFactor {
     /// Fanless laptop.
     MacBookAir,
@@ -32,7 +31,7 @@ impl FormFactor {
 }
 
 /// One device under test (a Table 3 column).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceModel {
     /// Which chip the device carries.
     pub chip: ChipGeneration,

@@ -7,10 +7,9 @@
 //! of native throughput.
 
 use crate::chip::{ChipSpec, GPU_ALUS_PER_CORE};
-use serde::{Deserialize, Serialize};
 
 /// Numeric precision on the GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuPrecision {
     /// Native single precision.
     Fp32,
@@ -41,7 +40,7 @@ impl GpuPrecision {
 }
 
 /// GPU execution configuration for one chip.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Number of GPU cores in the tested configuration.
     pub cores: u32,

@@ -8,11 +8,10 @@
 //! can cite them exactly as the paper does.
 
 use crate::error::SocError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Broad class of a reference system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReferenceKind {
     /// CPU (or CPU side of a superchip).
     Cpu,
@@ -23,7 +22,7 @@ pub enum ReferenceKind {
 }
 
 /// A memory-bandwidth data point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthPoint {
     /// Theoretical peak, GB/s.
     pub theoretical_gbs: f64,
@@ -43,7 +42,7 @@ impl BandwidthPoint {
 }
 
 /// A compute data point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputePoint {
     /// Theoretical peak, TFLOPS.
     pub theoretical_tflops: f64,
@@ -65,7 +64,7 @@ impl ComputePoint {
 }
 
 /// One reference system with the data points the paper quotes.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceSystem {
     /// Name as used in the paper.
     pub name: &'static str,

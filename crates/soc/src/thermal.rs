@@ -9,10 +9,9 @@
 //! cooling out; crossing the throttle threshold lowers the DVFS cap.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// How a device sheds heat (Table 3 "Cooling").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoolingKind {
     /// Passive (fanless MacBook Air).
     Passive,
@@ -47,7 +46,7 @@ impl CoolingKind {
 }
 
 /// First-order thermal state of a package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalModel {
     cooling: CoolingKind,
     /// Thermal capacitance, J/°C (package + heat spreader).

@@ -9,7 +9,6 @@
 //! spans, never from host wall-clock. This keeps every experiment
 //! bit-reproducible regardless of the machine running it.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -18,9 +17,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 ///
 /// Stored as integer nanoseconds (like the paper's reported time deltas);
 /// `u64` nanoseconds cover ~584 years, far beyond any benchmark run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration {
     nanos: u64,
 }
@@ -169,9 +166,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// A point on the virtual timeline (nanoseconds since simulation start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimInstant {
     nanos: u64,
 }

@@ -32,10 +32,9 @@ pub use report::render_report;
 
 use oranges_soc::time::SimDuration;
 use oranges_umem::bandwidth::StreamKernelKind;
-use serde::Serialize;
 
 /// Result for one kernel after all repetitions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelResult {
     /// Which kernel.
     pub kernel: StreamKernelKind,
@@ -52,7 +51,7 @@ pub struct KernelResult {
 }
 
 /// A full STREAM run (one agent on one chip).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StreamRun {
     /// Human-readable agent label ("CPU" / "GPU").
     pub agent: &'static str,

@@ -24,10 +24,9 @@ use crate::controller::{Agent, MemoryController};
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::cores::CpuComplex;
 use oranges_soc::time::SimDuration;
-use serde::Serialize;
 
 /// The four STREAM kernels (McCalpin).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamKernelKind {
     /// `c[i] = a[i]` — 1 read + 1 write per element.
     Copy,
@@ -80,7 +79,7 @@ impl StreamKernelKind {
 
 /// Generic access-pattern descriptor for non-STREAM workloads (GEMM uses
 /// this to account its DRAM traffic).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessPattern {
     /// Bytes read from DRAM.
     pub read_bytes: u64,
@@ -172,10 +171,9 @@ fn efficiency(chip: ChipGeneration, agent: Agent, kernel: StreamKernelKind) -> f
 }
 
 /// The effective-bandwidth model for one chip.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BandwidthModel {
     controller: MemoryController,
-    #[serde(skip)]
     cpu: CpuComplex,
 }
 

@@ -7,10 +7,9 @@
 //! and the arbitration policy used when several agents stream at once.
 
 use oranges_soc::chip::{ChipGeneration, ChipSpec, MemoryTechnology};
-use serde::Serialize;
 
 /// A bus agent — a client of the memory controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Agent {
     /// The CPU complex (both clusters; AMX loads/stores also arrive here).
     Cpu,
@@ -33,7 +32,7 @@ impl Agent {
 }
 
 /// The memory controller of one chip.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryController {
     chip: ChipGeneration,
     /// Total bus width in bits (128 on all baseline M-series chips).

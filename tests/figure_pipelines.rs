@@ -82,13 +82,3 @@ fn tables_render() {
     assert!(t2.contains("matrix multiplication"));
     assert!(t3.contains("devices used"));
 }
-
-#[test]
-fn json_reports_serialize() {
-    let data = fig1::run();
-    let json = oranges_harness::json::to_json_string(&data).unwrap();
-    assert!(json.contains("\"points\""));
-    assert!(json.contains("\"M1\""));
-    assert!(json.starts_with('{'));
-    assert!(json.ends_with('}'));
-}
