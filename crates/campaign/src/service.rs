@@ -1744,34 +1744,41 @@ pub(crate) fn unit_line(id: u64, unit: &UnitReport) -> String {
     // Reopen the body: drop its closing brace, the envelope's, and the
     // newline.
     line.truncate(line.len() - "}}\n".len());
+    let [.., key] = ExperimentOutput::MEMBERS;
     let sets = unit.output.json();
-    line.reserve(sets.len() + ",\"sets\":}}\n".len());
-    line.push_str(",\"sets\":");
+    line.reserve(sets.len() + key.len() + ",\"\":}}\n".len());
+    json::write_key(&mut line, ',', key);
     line.push_str(sets);
     line.push_str("}}\n");
     line
 }
 
+/// The `unit` body's own members, written before its output's
+/// [`ExperimentOutput::MEMBERS`].
+const UNIT_MEMBERS: [&str; 5] = ["index", "id", "params", "source", "from_cache"];
+
 /// The `unit` body fields before `sets`, in wire order.
 fn unit_head(unit: &UnitReport) -> Vec<(String, JsonValue)> {
+    let [index, id, params, source, from_cache] = UNIT_MEMBERS;
+    let [wall_time_s, rendered, _] = ExperimentOutput::MEMBERS;
     let mut fields = vec![
-        ("index".to_string(), JsonValue::integer(unit.index as u64)),
-        ("id".to_string(), JsonValue::String(unit.key.id.clone())),
+        (index.to_string(), JsonValue::integer(unit.index as u64)),
+        (id.to_string(), JsonValue::String(unit.key.id.clone())),
         (
-            "params".to_string(),
+            params.to_string(),
             JsonValue::String(unit.key.params.clone()),
         ),
         (
-            "source".to_string(),
+            source.to_string(),
             JsonValue::String(unit.source.as_str().to_string()),
         ),
-        ("from_cache".to_string(), JsonValue::Bool(unit.from_cache())),
+        (from_cache.to_string(), JsonValue::Bool(unit.from_cache())),
     ];
     if let Some(wall) = unit.output.wall_time_s() {
-        fields.push(("wall_time_s".to_string(), JsonValue::number(wall)));
+        fields.push((wall_time_s.to_string(), JsonValue::number(wall)));
     }
-    if let Some(rendered) = &unit.output.rendered {
-        fields.push(("rendered".to_string(), JsonValue::String(rendered.clone())));
+    if let Some(text) = &unit.output.rendered {
+        fields.push((rendered.to_string(), JsonValue::String(text.clone())));
     }
     fields
 }
@@ -1780,9 +1787,10 @@ fn unit_head(unit: &UnitReport) -> Vec<(String, JsonValue)> {
 /// byte for byte once emitted.
 #[cfg(test)]
 fn unit_body(unit: &UnitReport) -> JsonValue {
+    let [.., key] = ExperimentOutput::MEMBERS;
     let sets = json::parse(unit.output.json()).expect("canonical JSON parses");
     let mut fields = unit_head(unit);
-    fields.push(("sets".to_string(), sets));
+    fields.push((key.to_string(), sets));
     JsonValue::Object(fields)
 }
 
@@ -2298,11 +2306,9 @@ fn tree_body(tokens: &mut Tokenizer<'_>) -> Result<JsonValue, ServiceError> {
 /// between: [`ExperimentOutput::decode`] reads the output envelope and
 /// hands the unit's own members back here.
 pub(crate) fn decode_served_unit(tokens: &mut Tokenizer<'_>) -> Result<ServedUnit, ServiceError> {
-    /// The unit's own members, in the order [`unit_head`] writes them.
-    const MEMBERS: [&str; 5] = ["index", "id", "params", "source", "from_cache"];
     let (mut index, mut id, mut params, mut source, mut from_cache) =
         (None, None, None, None, None);
-    let output = ExperimentOutput::decode_carried(tokens, &MEMBERS, |member, tokens| {
+    let output = ExperimentOutput::decode_carried(tokens, &UNIT_MEMBERS, |member, tokens| {
         match member {
             Known(0) if index.is_none() => index = Some(tokens.read_or_skip(Tokenizer::u64_value)?),
             Known(1) if id.is_none() => id = Some(tokens.read_or_skip(Tokenizer::string_value)?),
@@ -2407,6 +2413,29 @@ mod tests {
                 .to_line();
             assert_eq!(unit_line(41, unit), tree, "{}", unit.key);
         }
+    }
+
+    #[test]
+    fn unit_lines_write_the_members_the_client_reads_in_its_order() {
+        let unit = unit_with("chip=M2", Some("chart"), Some(0.05));
+        let line = unit_line(7, &unit);
+        let mut tokens = Tokenizer::new(line.trim_end());
+        assert_eq!(tokens.next_token().unwrap(), Some(json::Token::BeginObject));
+        while tokens.next_key().unwrap().expect("the envelope has a body") != "body" {
+            tokens.skip_value().unwrap();
+        }
+        assert_eq!(tokens.next_token().unwrap(), Some(json::Token::BeginObject));
+        let mut keys = Vec::new();
+        while let Some(key) = tokens.next_key().unwrap() {
+            keys.push(key.into_owned());
+            tokens.skip_value().unwrap();
+        }
+        let expected: Vec<&str> = UNIT_MEMBERS
+            .iter()
+            .chain(&ExperimentOutput::MEMBERS)
+            .copied()
+            .collect();
+        assert_eq!(keys, expected);
     }
 
     #[test]

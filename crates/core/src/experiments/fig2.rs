@@ -71,8 +71,6 @@ pub struct Fig2Point {
     pub n: usize,
     /// Mean GFLOPS over the repetitions.
     pub gflops: f64,
-    /// Repetition statistics (of GFLOPS).
-    pub stats: Summary,
     /// The cell's one-shot functional verification: `Some(passed)` when
     /// its FLOPs are within the verification ceiling (the configured
     /// `verify_max_flops`, clamped to [`DEFAULT_FUNCTIONAL_LIMIT`]), `None`
@@ -120,13 +118,17 @@ pub fn run_chip(platform: &mut Platform, config: &Fig2Config) -> Result<Vec<Fig2
             if skips_size(name, n) {
                 continue;
             }
-            // The five timed repetitions (model path — deterministic),
-            // with power piggybacked on the same windows.
-            let runs = config
-                .protocol
-                .try_run(|_| platform.gemm_modeled(name, n))?;
+            // The five timed repetitions, with power piggybacked on the
+            // same windows. The model path is a pure function of (chip,
+            // implementation, n), as the platform test
+            // `modeled_runs_are_pure_functions_of_their_cell` proves, so
+            // one evaluation stands for all five. The copies are still
+            // averaged: the mean of five equal f64s is not always that
+            // value, and the campaign fingerprints pin the averaged bits.
+            let run = platform.gemm_modeled(name, n)?;
+            let runs = vec![run; config.protocol.reps as usize];
             let samples: Vec<f64> = runs.iter().map(|r| r.gflops()).collect();
-            let stats = Summary::of(&samples).expect("non-empty repetitions");
+            let gflops = Summary::of(&samples).expect("non-empty repetitions").mean;
             let count = runs.len() as f64;
             let mean = |f: &dyn Fn(&PowerContext) -> f64| {
                 runs.iter().map(|r| f(&r.power_context())).sum::<f64>() / count
@@ -135,8 +137,7 @@ pub fn run_chip(platform: &mut Platform, config: &Fig2Config) -> Result<Vec<Fig2
                 chip,
                 implementation: name,
                 n,
-                gflops: stats.mean,
-                stats,
+                gflops,
                 verified: verdicts.get(&(name, n)).copied(),
                 power: PowerContext {
                     package_watts: mean(&|p| p.package_watts),

@@ -92,7 +92,7 @@ impl Experiment for MixedPrecisionExperiment {
     }
 
     fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol { reps: 1, warmup: 0 }
+        RepetitionProtocol { reps: 1 }
     }
 
     fn run(&self, platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {

@@ -132,7 +132,7 @@ impl Experiment for TablesExperiment {
     }
 
     fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol { reps: 1, warmup: 0 }
+        RepetitionProtocol { reps: 1 }
     }
 
     fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {

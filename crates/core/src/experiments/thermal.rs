@@ -140,7 +140,7 @@ impl Experiment for ThermalExperiment {
     }
 
     fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol { reps: 1, warmup: 0 }
+        RepetitionProtocol { reps: 1 }
     }
 
     fn run(&self, platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {

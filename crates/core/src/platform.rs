@@ -264,6 +264,47 @@ mod tests {
         assert!((run.gflops() / 1e3 - 2.9).abs() < 0.1, "{}", run.gflops());
     }
 
+    /// Figures 2 and 3 evaluate each modeled cell once and let that run
+    /// stand for all five repetitions, which holds only while
+    /// `gemm_modeled` is a pure function of (chip, implementation, n).
+    /// Per-repetition or per-platform state (a warm-up counter, a cache
+    /// that functional products leave behind) would fail here. The
+    /// `{:?}` text is compared so that `-0.0` and NaN cannot hide.
+    #[test]
+    fn modeled_runs_are_pure_functions_of_their_cell() {
+        let mut sizes = oranges_gemm::suite::paper_sizes();
+        sizes.extend([2, 24, 40, 100, 1000, 1520, 9040, 65_536]);
+        for chip in ChipGeneration::ALL {
+            let mut fresh = Platform::new(chip);
+            let mut used = Platform::new(chip);
+            let names = used.implementation_names();
+            let n = 64;
+            let a = Matrix::random(used.address_space(), n, 1).unwrap();
+            let b = Matrix::random(used.address_space(), n, 2).unwrap();
+            let mut c = vec![0.0f32; n * n];
+            for &name in &names {
+                let outcome = used
+                    .gemm_on(name, n, a.as_slice(), b.as_slice(), &mut c)
+                    .unwrap();
+                assert!(outcome.functional, "{chip} {name}");
+            }
+            for &name in names.iter().rev() {
+                for &n in sizes.iter().rev() {
+                    used.gemm_modeled(name, n).unwrap();
+                }
+            }
+            for &name in &names {
+                for &n in &sizes {
+                    let reference = format!("{:?}", used.gemm_modeled(name, n).unwrap());
+                    for rep in 0..5 {
+                        let run = format!("{:?}", fresh.gemm_modeled(name, n).unwrap());
+                        assert_eq!(run, reference, "{chip} {name} n={n} rep {rep}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn unknown_implementation_is_an_error() {
         let mut platform = Platform::new(ChipGeneration::M3);

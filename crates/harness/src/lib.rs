@@ -6,7 +6,7 @@
 //! renderings of the four figures, CSV files and JSON reports.
 //!
 //! - [`stats`]: min/max/mean/median/σ summaries;
-//! - [`experiment`]: repetition protocol with warm-up;
+//! - [`experiment`]: the repetition protocol (how many repetitions);
 //! - [`table`]: aligned text tables (Tables 1–3 renderers live in the
 //!   `oranges` crate; this is the generic engine);
 //! - [`figure`]: ASCII grouped bars (Fig. 1) and log-scale series charts

@@ -4,7 +4,6 @@
 
 use oranges_harness::csv::{parse, CsvWriter};
 use oranges_harness::envelope::{Request, Response};
-use oranges_harness::experiment::RepetitionProtocol;
 use oranges_harness::json::JsonValue;
 use oranges_harness::metric::{self, MetricRow, MetricSet, MetricValue, PowerContext};
 use oranges_harness::obs::{
@@ -102,22 +101,6 @@ proptest! {
         for (parsed_row, row) in parsed[1..].iter().zip(&rows) {
             prop_assert_eq!(parsed_row, row);
         }
-    }
-
-    #[test]
-    fn protocol_runs_exact_count(reps in 1u32..30, warmup in 0u32..10) {
-        let protocol = RepetitionProtocol { reps, warmup };
-        let mut calls = 0u32;
-        let kept = protocol
-            .try_run(|_| {
-                calls += 1;
-                Ok::<_, ()>(calls)
-            })
-            .unwrap();
-        prop_assert_eq!(calls, reps + warmup);
-        prop_assert_eq!(kept.len(), reps as usize);
-        // The kept values are the last `reps` calls.
-        prop_assert_eq!(kept[0], warmup + 1);
     }
 
     #[test]

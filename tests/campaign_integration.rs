@@ -33,6 +33,7 @@ fn full_grid_concurrent_equals_serial_and_rerun_is_all_hits() {
     // despite per-run wall-times differing (they are excluded from the
     // canonical form by design).
     assert_eq!(concurrent.digest(), serial.digest());
+    assert_eq!(concurrent.fingerprint(), "eb58ccace1744c65");
     // And the flat metric-row streams agree cell for cell.
     assert_eq!(concurrent.rows(), serial.rows());
     assert!(concurrent.rows().len() > 100, "the grid is not trivial");
@@ -147,6 +148,49 @@ fn references_unit_reports_the_paper_grid_peaks() {
             Some(efficiency.to_bits()),
             "{chip}"
         );
+    }
+}
+
+/// The fingerprints of grids the benchmark, the daemon and the fleet
+/// run, pinned: a change to any emitted value (a mean averaged
+/// differently, a power context, a `verified` flag) moves one of them.
+/// Sizes of 8192 and up cross §4's skip rule for CPU-Single and CPU-OMP,
+/// and the last grid verifies sizes off the power-of-two lattice.
+#[test]
+fn grid_fingerprints_are_pinned() {
+    use ExperimentKind::{Fig2, Fig3, Fig4};
+    let power_grid = |gemm: Vec<usize>, power: Vec<usize>| {
+        CampaignSpec::new(vec![Fig2, Fig3, Fig4], ChipGeneration::ALL.to_vec())
+            .with_gemm_sizes(gemm)
+            .with_power_sizes(power)
+            .with_verify_max_flops(0)
+    };
+    let pins = [
+        (
+            CampaignSpec::paper_grid().with_verify_max_flops(0),
+            "c951867bbf0d3385",
+        ),
+        (
+            power_grid(vec![24, 40], vec![1000, 1100]),
+            "c9afb6bea65c5d06",
+        ),
+        (
+            power_grid(vec![1520, 9040], vec![2048, 12032]),
+            "9ca90eb3375e5aac",
+        ),
+        (
+            power_grid(vec![48, 16384], vec![1088, 16320]),
+            "1d118fb65be86da4",
+        ),
+        (
+            CampaignSpec::new(vec![Fig2], ChipGeneration::ALL.to_vec())
+                .with_gemm_sizes(vec![24, 100, 200, 300]),
+            "4b804061d6a8da39",
+        ),
+    ];
+    for (spec, fingerprint) in pins {
+        let report = run_campaign(&spec, &ResultCache::new()).expect("pinned grid");
+        assert_eq!(report.fingerprint(), fingerprint, "{spec:?}");
     }
 }
 

@@ -2,6 +2,7 @@
 
 use oranges::prelude::*;
 use oranges_umem::page::PAGE_SIZE;
+use proptest::prelude::*;
 
 #[test]
 fn every_chip_builds_a_full_platform() {
@@ -74,4 +75,44 @@ fn stream_and_gemm_share_the_platform() {
     assert!(gemm.outcome.functional);
     let gpu_stream = platform.stream_gpu_quick();
     assert!(gpu_stream.validated);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A modeled run is a pure function of (chip, backend, n): five
+    /// consecutive calls on a fresh platform print exactly what one call
+    /// prints on a platform that first ran functional products through
+    /// every backend and modeled runs in reverse order. Figures 2 and 3
+    /// let one modeled run stand for all five repetitions on this basis.
+    #[test]
+    fn modeled_runs_do_not_depend_on_platform_history(
+        chip in 0usize..4,
+        backend in 0usize..6,
+        n in 2usize..=65_536,
+    ) {
+        let chip = ChipGeneration::ALL[chip];
+        let mut fresh = Platform::new(chip);
+        let name = fresh.implementation_names()[backend];
+        let runs: Vec<String> = (0..5)
+            .map(|_| format!("{:?}", fresh.gemm_modeled(name, n).unwrap()))
+            .collect();
+
+        let mut used = Platform::new(chip);
+        let names = used.implementation_names();
+        let side = 32;
+        let a = vec![0.5f32; side * side];
+        let b = vec![0.25f32; side * side];
+        let mut c = vec![0.0f32; side * side];
+        for &other in &names {
+            used.gemm_on(other, side, &a, &b, &mut c).unwrap();
+        }
+        for &other in names.iter().rev() {
+            used.gemm_modeled(other, n).unwrap();
+        }
+        let reference = format!("{:?}", used.gemm_modeled(name, n).unwrap());
+        for run in &runs {
+            prop_assert_eq!(run, &reference);
+        }
+    }
 }
