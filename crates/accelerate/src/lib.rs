@@ -12,8 +12,8 @@
 //!   alpha/beta) executing real FP32 arithmetic on host threads and timed
 //!   by [`AccelerateModel`];
 //! - [`threading`]: the scoped row-block thread pool behind blocked
-//!   `sgemm` (crossbeam; one worker per performance core, capped at the
-//!   host's parallelism);
+//!   `sgemm` (`std::thread::scope`; one worker per performance core,
+//!   capped at the host's parallelism);
 //! - [`timing`]: the calibrated sustained-throughput model (Figure 2
 //!   Accelerate anchors: 0.90 / 1.09 / 1.38 / 1.49 TFLOPS on M1–M4).
 

@@ -2,8 +2,8 @@
 //!
 //! Accelerate parallelizes large GEMMs across the performance cluster; the
 //! simulator's functional path does the same on host threads: the output
-//! row range is split into contiguous blocks, one crossbeam scoped thread
-//! per block, the calling thread taking the first. The block count is the
+//! row range is split into contiguous blocks, one scoped thread per
+//! block, the calling thread taking the first. The block count is the
 //! caller's worker count capped at the cores the process-wide
 //! [`core_budget`] leaves this call: the caller's own core plus at most
 //! one slab per spare core. A chip with more cores than the host never
@@ -59,15 +59,15 @@ pub fn parallel_row_blocks<F>(
         });
     let first = work.next();
     let body = &body;
-    crossbeam::thread::scope(|scope| {
+    // The scope joins every worker and re-raises a worker's panic here.
+    std::thread::scope(|scope| {
         for (range, slice) in work {
-            scope.spawn(move |_| body(range, slice));
+            scope.spawn(move || body(range, slice));
         }
         if let Some((range, slice)) = first {
             body(range, slice);
         }
-    })
-    .expect("parallel row-block execution panicked");
+    });
 }
 
 #[cfg(test)]

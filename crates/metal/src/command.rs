@@ -15,7 +15,7 @@
 //! always through the timing model. Functional execution splits the
 //! output into contiguous bands, the caller's own core plus at most one
 //! band per spare core ([`oranges_kernels::core_budget`]) and at most one
-//! per threadgroup, and runs them on crossbeam scoped threads, the
+//! per threadgroup, and runs them on `std::thread::scope` threads, the
 //! calling thread taking the first. `wait_until_completed` then exposes
 //! per-pass [`PassReport`]s — the numbers every benchmark in the paper
 //! reads.
@@ -344,15 +344,15 @@ fn run_functional(
     // The calling thread runs the first band itself.
     let mut bands = out_slice.chunks_mut(band_len).enumerate();
     let first = bands.next();
-    crossbeam::thread::scope(|scope| {
+    // The scope joins every band and re-raises a band's panic here.
+    std::thread::scope(|scope| {
         for (band_index, chunk) in bands {
-            scope.spawn(move |_| run_band(band_index, chunk));
+            scope.spawn(move || run_band(band_index, chunk));
         }
         if let Some((band_index, chunk)) = first {
             run_band(band_index, chunk);
         }
-    })
-    .expect("functional shader execution panicked");
+    });
 
     Ok(())
 }

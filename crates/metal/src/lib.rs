@@ -17,7 +17,7 @@
 //!   naive SGEMM, tiled "Cutlass-style" SGEMM, and the four STREAM kernels;
 //! - [`kernel`] — the `ComputeKernel` trait: every shader both *executes*
 //!   (real FP32 arithmetic over contiguous output bands, one per host
-//!   thread, on crossbeam scoped threads) and *describes itself* (a
+//!   thread, on `std::thread::scope` threads) and *describes itself* (a
 //!   [`kernel::Workload`] consumed by the timing model);
 //! - [`command`] — `CommandQueue` / `CommandBuffer` / compute encoder with
 //!   commit/wait semantics and per-pass execution reports;

@@ -15,7 +15,6 @@
 //! implementation spawned a fresh thread scope per kernel pass (8
 //! short-lived threads per iteration).
 
-use crossbeam::thread;
 use oranges_kernels::stream::fused_iteration_f64;
 
 /// stream.c's `scalar`.
@@ -72,21 +71,21 @@ impl StreamArrays {
         }
         let threads = threads.clamp(1, self.len());
         let chunk = self.len().div_ceil(threads);
-        thread::scope(|scope| {
+        // The scope joins every worker and re-raises a worker's panic here.
+        std::thread::scope(|scope| {
             for ((a_chunk, b_chunk), c_chunk) in self
                 .a
                 .chunks_mut(chunk)
                 .zip(self.b.chunks_mut(chunk))
                 .zip(self.c.chunks_mut(chunk))
             {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..iterations {
                         fused_iteration_f64(a_chunk, b_chunk, c_chunk, STREAM_SCALAR);
                     }
                 });
             }
-        })
-        .expect("stream kernel thread panicked");
+        });
     }
 
     /// stream.c's closed-form expected values after `iterations` full
