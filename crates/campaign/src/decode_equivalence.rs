@@ -1,17 +1,22 @@
 //! Differential tests of the typed decoders against the tree walks they
 //! replaced.
 //!
-//! `metric::decode_sets`, `ExperimentOutput::decode`, the cache loader
-//! and the service client's `unit` decoder read JSON straight from
-//! tokens. The functions in [`oracle`] are the previous readers — parse
-//! into a `JsonValue` tree, then look members up — kept as the
-//! reference. Generated `MetricSet`s go through `sets_to_json`,
-//! `unit_line` and saved cache files, then through member shuffles,
-//! unknown and repeated members and malformed edits. Both readers must
-//! accept or reject alike and agree on everything they accept. The one
-//! allowed difference: the typed decoders reject a `Float` or
-//! power-context value that parses to ±infinity, which the tree walks
-//! let through.
+//! `metric::decode_sets`, `ExperimentOutput::decode`, the cache loader,
+//! the service client's `unit` decoder and the readers the service's
+//! body table generates read JSON straight from tokens. The functions in
+//! [`oracle`] are the previous readers — parse into a `JsonValue` tree,
+//! then look members up — kept as the reference. Generated `MetricSet`s
+//! go through `sets_to_json`, `unit_line` and saved cache files, and
+//! generated bodies through the daemon's response writer, then through
+//! member shuffles, unknown and repeated members and malformed edits.
+//! Both readers must accept or reject alike and agree on everything they
+//! accept. Two differences are allowed:
+//!
+//! - the typed decoders reject a `Float` or power-context value that
+//!   parses to ±infinity, which the tree walks let through;
+//! - the body readers require every member the table declares, so they
+//!   reject a missing or mistyped member the tree walks never read:
+//!   [`NEWLY_REQUIRED`].
 //!
 //! The typed decoders predict each member's key from the emitter's
 //! order and fall back to a general key read when the prediction
@@ -26,14 +31,18 @@
 //! the same bytes on every clone, and an equality that still tells `0.0`
 //! from `-0.0`.
 
-use crate::cache::{decode_document, ResultCache};
+use crate::cache::{decode_document, CacheStats, ResultCache};
 use crate::engine::UnitSource;
 use crate::plan::UnitKey;
 use crate::report::UnitReport;
-use crate::service::{decode_served_unit, unit_line};
+use crate::service::{
+    body_line, decode_served_unit, read_body, read_terminal, unit_line, BusyBody, CancelAck,
+    CancelAckBody, DoneBody, HealthReport, LostUnit, ServiceError, ServiceGauges, ServiceStats,
+    ServiceSummary, WireValue,
+};
 use oranges::experiments::ExperimentOutput;
 use oranges_harness::envelope::Response;
-use oranges_harness::json::{self, JsonValue, MAX_DEPTH};
+use oranges_harness::json::{self, JsonValue, Tokenizer, MAX_DEPTH};
 use oranges_harness::metric::{self, MetricSet, MetricValue, PowerContext};
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
@@ -163,8 +172,9 @@ mod oracle {
         Ok(output)
     }
 
-    /// `Response::from_line` as a tree, then `parse_served_unit`.
-    pub fn unit_line(line: &str) -> Result<Unit, String> {
+    /// `Response::from_line` as a tree: the id, kind, error and the whole
+    /// parsed line.
+    pub fn envelope(line: &str) -> Result<(u64, String, Option<String>, JsonValue), String> {
         let value = json::parse(line.trim_end_matches(['\n', '\r'])).map_err(|e| e.to_string())?;
         if !matches!(value, JsonValue::Object(_)) {
             return Err("envelope line is not an object".into());
@@ -183,6 +193,12 @@ mod oracle {
             .and_then(JsonValue::as_str)
             .ok_or("response has no string 'kind'")?
             .to_string();
+        Ok((id, kind, error, value))
+    }
+
+    /// [`envelope`], then `parse_served_unit`.
+    pub fn unit_line(line: &str) -> Result<Unit, String> {
+        let (id, kind, error, value) = envelope(line)?;
         let body = value.get("body").ok_or("unit has no body")?;
         let str_field = |name: &str| {
             body.get(name)
@@ -212,6 +228,87 @@ mod oracle {
             },
             source,
             output,
+        })
+    }
+
+    /// Read member `name` of a `kind` response body with `read`: how the
+    /// client read every body but `unit`'s.
+    fn member<'a, V>(
+        body: &'a JsonValue,
+        kind: &str,
+        name: &str,
+        read: impl FnOnce(&'a JsonValue) -> Option<V>,
+    ) -> Result<V, String> {
+        let value = body
+            .get(name)
+            .ok_or_else(|| format!("{kind} body has no '{name}'"))?;
+        read(value).ok_or_else(|| format!("{kind} body member '{name}' has the wrong type"))
+    }
+
+    /// `parse_cache_body`.
+    fn cache(value: &JsonValue) -> Result<CacheStats, String> {
+        Ok(CacheStats {
+            hits: member(value, "cache", "hits", JsonValue::as_u64)?,
+            misses: member(value, "cache", "misses", JsonValue::as_u64)?,
+            entries: member(value, "cache", "entries", JsonValue::as_u64)? as usize,
+        })
+    }
+
+    /// `run_terminal`: the end of a `run` stream.
+    pub fn terminal(kind: &str, body: &JsonValue) -> Result<Terminal, String> {
+        let int = |name| member(body, kind, name, JsonValue::as_u64);
+        let string = |name| member(body, kind, name, JsonValue::as_str).map(str::to_string);
+        match kind {
+            "done" => Ok(Terminal::Done {
+                computed_units: int("computed_units")? as usize,
+                coalesced_units: int("coalesced_units")? as usize,
+                fingerprint: string("fingerprint")?,
+                model_digest: string("model_digest")?,
+                cache: member(body, kind, "cache", Some).and_then(cache)?,
+            }),
+            "busy" => Ok(Terminal::Busy {
+                queued: int("queued")?,
+                cap: int("cap")?,
+            }),
+            "cancelled" => Ok(Terminal::Cancelled(string("unit")?)),
+            "deadline_exceeded" => Ok(Terminal::DeadlineExceeded(string("unit")?)),
+            other => Err(format!("unexpected response kind '{other}' during run")),
+        }
+    }
+
+    /// `HealthReport::from_body`.
+    pub fn health(body: &JsonValue) -> Result<HealthReport, String> {
+        Ok(HealthReport {
+            ready: member(body, "health", "ready", JsonValue::as_bool)?,
+            draining: member(body, "health", "draining", JsonValue::as_bool)?,
+            workers_alive: member(body, "health", "workers_alive", JsonValue::as_u64)?,
+            workers_configured: member(body, "health", "workers_configured", JsonValue::as_u64)?,
+            cache_entries: member(body, "health", "cache_entries", JsonValue::as_u64)?,
+            endpoint: member(body, "health", "endpoint", JsonValue::as_str)?.to_string(),
+        })
+    }
+
+    /// `decode_stats`, with the series as their values in member order.
+    pub fn stats(body: &JsonValue) -> Result<Stats, String> {
+        Ok(Stats {
+            cache: member(body, "stats", "cache", Some).and_then(cache)?,
+            model_digest: member(body, "stats", "model_digest", JsonValue::as_str)?.to_string(),
+            series: ServiceSummary::default()
+                .members()
+                .into_iter()
+                .chain(ServiceGauges::default().members())
+                .map(|(name, _)| member(body, "stats", name, JsonValue::as_u64))
+                .collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// `ServiceClient::cancel`'s reads of the ack.
+    pub fn cancel_ack(body: &JsonValue) -> Result<CancelAck, String> {
+        let int = |name| member(body, "cancelled", name, JsonValue::as_u64);
+        Ok(CancelAck {
+            active: member(body, "cancelled", "active", JsonValue::as_bool)?,
+            waiters_cancelled: int("waiters_cancelled")?,
+            jobs_abandoned: int("jobs_abandoned")?,
         })
     }
 
@@ -311,6 +408,139 @@ fn typed_unit_line(line: &str) -> Result<Unit, String> {
     })
 }
 
+/// How a `run` stream ended, as the client reports it.
+#[derive(Debug, PartialEq)]
+enum Terminal {
+    Done {
+        computed_units: usize,
+        coalesced_units: usize,
+        fingerprint: String,
+        model_digest: String,
+        cache: CacheStats,
+    },
+    Busy {
+        queued: u64,
+        cap: u64,
+    },
+    Cancelled(String),
+    DeadlineExceeded(String),
+}
+
+/// A decoded `stats` body, its series as values in member order.
+#[derive(Debug, PartialEq)]
+struct Stats {
+    cache: CacheStats,
+    model_digest: String,
+    series: Vec<u64>,
+}
+
+/// The members the body readers require that the tree walks never read.
+const NEWLY_REQUIRED: [&str; 4] = ["units", "wall_s", "needed", "token"];
+
+/// The body readers the client runs, by what a line answers.
+#[derive(Debug, Clone, Copy)]
+enum Reader {
+    /// The end of a `run` stream: `done`, `busy`, `cancelled` or
+    /// `deadline_exceeded`.
+    Terminal,
+    Health,
+    Stats,
+    CancelAck,
+}
+
+/// What the client reports for a response line's body, however it was
+/// read.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Terminal(Terminal),
+    Health(HealthReport),
+    Stats(Stats),
+    CancelAck(CancelAck),
+}
+
+/// The envelope and the body the client reports for `line`, read with
+/// the typed readers.
+fn typed_answer(
+    line: &str,
+    reader: Reader,
+) -> Result<(u64, String, Option<String>, Answer), String> {
+    let (response, answer) =
+        Response::decode_line(line, |kind, tokens| typed_body(reader, kind, tokens))
+            .map_err(|e| e.to_string())?;
+    let answer = answer.ok_or_else(|| format!("{} has no body", response.kind))?;
+    Ok((response.id, response.kind, response.error, answer))
+}
+
+fn typed_body(
+    reader: Reader,
+    kind: &str,
+    tokens: &mut Tokenizer<'_>,
+) -> Result<Answer, ServiceError> {
+    Ok(match reader {
+        Reader::Terminal => Answer::Terminal(match read_terminal(kind, tokens)? {
+            Ok(done) => Terminal::Done {
+                computed_units: done.computed_units,
+                coalesced_units: done.coalesced_units,
+                fingerprint: done.fingerprint,
+                model_digest: done.model_digest,
+                cache: done.cache,
+            },
+            Err(ServiceError::Busy { queued, cap }) => Terminal::Busy { queued, cap },
+            Err(ServiceError::Cancelled(unit)) => Terminal::Cancelled(unit),
+            Err(ServiceError::DeadlineExceeded(unit)) => Terminal::DeadlineExceeded(unit),
+            Err(other) => return Err(other),
+        }),
+        Reader::Health => Answer::Health(read_body(tokens, kind)?),
+        Reader::Stats => {
+            let stats: ServiceStats = read_body(tokens, kind)?;
+            Answer::Stats(Stats {
+                cache: stats.cache,
+                model_digest: stats.model_digest,
+                series: [stats.summary.values(), stats.gauges.values()].concat(),
+            })
+        }
+        Reader::CancelAck => {
+            let ack: CancelAckBody = read_body(tokens, kind)?;
+            Answer::CancelAck(CancelAck {
+                active: ack.active,
+                waiters_cancelled: ack.waiters_cancelled,
+                jobs_abandoned: ack.jobs_abandoned,
+            })
+        }
+    })
+}
+
+/// The same, read as a tree with the [`oracle`] readers.
+fn oracle_answer(
+    line: &str,
+    reader: Reader,
+) -> Result<(u64, String, Option<String>, Answer), String> {
+    let (id, kind, error, value) = oracle::envelope(line)?;
+    let body = value
+        .get("body")
+        .ok_or_else(|| format!("{kind} has no body"))?;
+    let answer = match reader {
+        Reader::Terminal => Answer::Terminal(oracle::terminal(&kind, body)?),
+        Reader::Health => Answer::Health(oracle::health(body)?),
+        Reader::Stats => Answer::Stats(oracle::stats(body)?),
+        Reader::CancelAck => Answer::CancelAck(oracle::cancel_ack(body)?),
+    };
+    Ok((id, kind, error, answer))
+}
+
+fn compare_answers(line: &str, reader: Reader) -> Result<(), TestCaseError> {
+    agree(
+        line,
+        typed_answer(line, reader),
+        oracle_answer(line, reader),
+        |error, _| {
+            NEWLY_REQUIRED
+                .iter()
+                .any(|name| error.contains(&format!("'{name}'")))
+        },
+    )
+}
+
 /// A decoded cache document.
 #[derive(Debug)]
 struct Load {
@@ -337,21 +567,20 @@ fn non_finite(sets: &[MetricSet]) -> bool {
 }
 
 /// The agreement rule: equal results, or both rejected, or the typed
-/// reader alone rejecting an input the oracle decodes to a non-finite
-/// value.
+/// reader alone rejecting an input for an allowed difference, which
+/// `allowed` judges from the typed reader's error and the oracle's value.
 fn agree<T: std::fmt::Debug + PartialEq>(
     input: &str,
     typed: Result<T, String>,
     oracle: Result<T, String>,
-    oracle_non_finite: impl Fn(&T) -> bool,
+    allowed: impl Fn(&str, &T) -> bool,
 ) -> Result<(), TestCaseError> {
     match (&typed, &oracle) {
         (Ok(a), Ok(b)) => prop_assert!(a == b, "{a:?} != {b:?} for {input}"),
         (Err(_), Err(_)) => {}
-        (Err(e), Ok(b)) => prop_assert!(
-            oracle_non_finite(b),
-            "only the typed reader rejected {input}: {e}"
-        ),
+        (Err(e), Ok(b)) => {
+            prop_assert!(allowed(e, b), "only the typed reader rejected {input}: {e}")
+        }
         (Ok(_), Err(e)) => prop_assert!(false, "only the oracle rejected {input}: {e}"),
     }
     Ok(())
@@ -401,7 +630,7 @@ fn compare_loads(text: &str) -> Result<(), TestCaseError> {
     let decoded_non_finite = oracle
         .as_ref()
         .is_ok_and(|o| o.decoded.iter().any(|(_, out)| non_finite(&out.sets)));
-    agree(text, typed, oracle_view, |_| decoded_non_finite)
+    agree(text, typed, oracle_view, |_, _| decoded_non_finite)
 }
 
 // ---------------------------------------------------------------------------
@@ -695,8 +924,90 @@ fn saved_document(rng: &mut TestRng) -> String {
     text
 }
 
+fn count(rng: &mut TestRng) -> u64 {
+    pick(rng, &[0, 1, 7, 2048, u64::MAX])
+}
+
+fn random_cache(rng: &mut TestRng) -> CacheStats {
+    CacheStats {
+        hits: count(rng),
+        misses: count(rng),
+        entries: count(rng) as usize,
+    }
+}
+
+/// A response line carrying one of the declared bodies, written by the
+/// daemon's writer from random values, and the reader the client runs
+/// on it.
+fn random_body_line(rng: &mut TestRng) -> (String, Reader) {
+    let id = rng.below(1000);
+    match rng.below(7) {
+        0 => {
+            let done = DoneBody {
+                units: count(rng) as usize,
+                computed_units: count(rng) as usize,
+                coalesced_units: count(rng) as usize,
+                fingerprint: text(rng),
+                model_digest: text(rng),
+                wall_s: finite_float(rng).abs(),
+                cache: random_cache(rng),
+            };
+            (body_line(id, "done", &done), Reader::Terminal)
+        }
+        1 => {
+            let busy = BusyBody {
+                queued: count(rng) as usize,
+                cap: count(rng) as usize,
+                needed: count(rng) as usize,
+            };
+            (body_line(id, "busy", &busy), Reader::Terminal)
+        }
+        2 | 3 => {
+            let kind = pick(rng, &["cancelled", "deadline_exceeded"]);
+            (
+                body_line(id, kind, &LostUnit { unit: text(rng) }),
+                Reader::Terminal,
+            )
+        }
+        4 => {
+            let health = HealthReport {
+                ready: rng.below(2) == 0,
+                draining: rng.below(2) == 0,
+                workers_alive: count(rng),
+                workers_configured: count(rng),
+                cache_entries: count(rng),
+                endpoint: text(rng),
+            };
+            (body_line(id, "health", &health), Reader::Health)
+        }
+        5 => {
+            let (cache, model_digest) = (random_cache(rng), text(rng));
+            let stats = stats_with(cache, &model_digest, std::iter::repeat_with(|| count(rng)));
+            (body_line(id, "stats", &stats), Reader::Stats)
+        }
+        _ => {
+            let ack = CancelAckBody {
+                token: text(rng),
+                active: rng.below(2) == 0,
+                waiters_cancelled: count(rng),
+                jobs_abandoned: count(rng),
+            };
+            (body_line(id, "cancelled", &ack), Reader::CancelAck)
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn typed_bodies_decode_like_the_tree_walk(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let (line, reader) = random_body_line(&mut rng);
+        let written = typed_answer(&line, reader).expect("a written body decodes");
+        prop_assert_eq!(Ok(written), oracle_answer(&line, reader));
+        compare_answers(&(edit(&mut rng, &line) + "\n"), reader)?;
+    }
 
     #[test]
     fn typed_sets_decode_like_the_tree_walk(seed in any::<u64>()) {
@@ -706,7 +1017,7 @@ proptest! {
         prop_assert_eq!(metric::sets_from_json(&text), Ok(sets));
         let text = edit(&mut rng, &text);
         let typed = metric::sets_from_json(&text).map_err(|e| e.to_string());
-        agree(&text, typed, oracle::sets(&text), |sets| non_finite(sets))?;
+        agree(&text, typed, oracle::sets(&text), |_, sets| non_finite(sets))?;
     }
 
     #[test]
@@ -722,7 +1033,7 @@ proptest! {
             &line,
             typed_unit_line(&line),
             oracle::unit_line(&line),
-            |unit| non_finite(&unit.output.sets),
+            |_, unit| non_finite(&unit.output.sets),
         )?;
     }
 
@@ -733,6 +1044,200 @@ proptest! {
         compare_loads(&text)?;
         compare_loads(&edit(&mut rng, &text))?;
     }
+}
+
+/// A `stats` body whose series hold `values`, in member order.
+pub(crate) fn stats_with(
+    cache: CacheStats,
+    model_digest: &str,
+    values: impl IntoIterator<Item = u64>,
+) -> ServiceStats {
+    let mut stats = ServiceStats {
+        cache,
+        model_digest: model_digest.to_string(),
+        ..ServiceStats::default()
+    };
+    let series = stats.summary.members_mut().into_iter();
+    for ((_, slot), value) in series.chain(stats.gauges.members_mut()).zip(values) {
+        let text = value.to_string();
+        assert!(slot
+            .read(&mut Tokenizer::new(&text), "stats")
+            .expect("a number"));
+    }
+    stats
+}
+
+/// `line` with one body member (at `path`: its index, then the index
+/// inside an object member) dropped, or its value replaced by one of
+/// another type.
+fn edit_member(line: &str, path: &[usize], drop: bool) -> String {
+    fn members(value: &mut JsonValue) -> &mut Vec<(String, JsonValue)> {
+        match value {
+            JsonValue::Object(members) => members,
+            other => panic!("{other:?} is not an object"),
+        }
+    }
+    let mut tree = json::parse(line.trim_end()).expect("written lines parse");
+    let (member, outer) = path.split_last().expect("a member path");
+    // The body is the envelope's last member.
+    let mut object = members(&mut members(&mut tree).last_mut().expect("a body").1);
+    for &index in outer {
+        object = members(&mut object[index].1);
+    }
+    if drop {
+        object.remove(*member);
+    } else {
+        let value = &mut object[*member].1;
+        *value = match *value {
+            JsonValue::String(_) => JsonValue::Bool(true),
+            _ => JsonValue::String("7".to_string()),
+        };
+    }
+    tree.to_json_string() + "\n"
+}
+
+/// The `kind` line the daemon writes for `body` decodes to `expected`,
+/// with the tree walk and with the client's reader; and once any member,
+/// or a member of an object member, is dropped or given a value of
+/// another type, the client's reader rejects it, naming that member.
+fn decodes_strictly(
+    kind: &str,
+    body: &impl WireValue,
+    reader: Reader,
+    expected: Answer,
+) -> Result<(), TestCaseError> {
+    let line = body_line(2, kind, body);
+    let typed = typed_answer(&line, reader).map(|(.., answer)| answer);
+    let oracle = oracle_answer(&line, reader).map(|(.., answer)| answer);
+    prop_assert_eq!(&typed, &oracle);
+    prop_assert_eq!(typed, Ok(expected));
+    let tree = json::parse(line.trim_end()).expect("written lines parse");
+    let Some(JsonValue::Object(members)) = tree.get("body") else {
+        panic!("{line} has no object body");
+    };
+    let mut paths = Vec::new();
+    for (index, (name, value)) in members.iter().enumerate() {
+        paths.push((vec![index], name));
+        if let JsonValue::Object(inner) = value {
+            paths.extend((0..inner.len()).map(|at| (vec![index, at], &inner[at].0)));
+        }
+    }
+    for (path, name) in paths {
+        for drop in [true, false] {
+            let edited = edit_member(&line, &path, drop);
+            let error = typed_answer(&edited, reader).expect_err("a strict reader");
+            prop_assert!(
+                error.contains(&format!("'{name}'")),
+                "{}: {}",
+                edited,
+                error
+            );
+        }
+    }
+    Ok(())
+}
+
+const CACHE: CacheStats = CacheStats {
+    hits: 5,
+    misses: 2,
+    entries: 2,
+};
+
+#[test]
+fn done_and_stats_bodies_decode_strictly() -> Result<(), TestCaseError> {
+    let done = DoneBody {
+        units: 1,
+        computed_units: 1,
+        coalesced_units: 0,
+        fingerprint: "10fadd834fccef58".to_string(),
+        model_digest: "b2d98ac9c92d8c4e".to_string(),
+        wall_s: 0.000715732,
+        cache: CACHE,
+    };
+    let expected = Terminal::Done {
+        computed_units: 1,
+        coalesced_units: 0,
+        fingerprint: done.fingerprint.clone(),
+        model_digest: done.model_digest.clone(),
+        cache: CACHE,
+    };
+    decodes_strictly("done", &done, Reader::Terminal, Answer::Terminal(expected))?;
+    let stats = stats_with(CACHE, &done.model_digest, 1..);
+    let expected = Stats {
+        cache: CACHE,
+        model_digest: done.model_digest,
+        series: (1..=24).collect(),
+    };
+    decodes_strictly("stats", &stats, Reader::Stats, Answer::Stats(expected))
+}
+
+#[test]
+fn busy_terminals_decode_strictly() -> Result<(), TestCaseError> {
+    let busy = BusyBody {
+        queued: 1,
+        cap: 2,
+        needed: 4,
+    };
+    let expected = Terminal::Busy { queued: 1, cap: 2 };
+    decodes_strictly("busy", &busy, Reader::Terminal, Answer::Terminal(expected))
+}
+
+#[test]
+fn cancelled_terminals_decode_strictly() -> Result<(), TestCaseError> {
+    let lost = LostUnit {
+        unit: "fig4[chip=M1]".to_string(),
+    };
+    let expected = Terminal::Cancelled(lost.unit.clone());
+    decodes_strictly(
+        "cancelled",
+        &lost,
+        Reader::Terminal,
+        Answer::Terminal(expected),
+    )?;
+    // The ack to a `cancel` request is a `cancelled` line too.
+    let ack = CancelAckBody {
+        token: "run-7".to_string(),
+        active: true,
+        waiters_cancelled: 3,
+        jobs_abandoned: 2,
+    };
+    let expected = CancelAck {
+        active: true,
+        waiters_cancelled: 3,
+        jobs_abandoned: 2,
+    };
+    decodes_strictly(
+        "cancelled",
+        &ack,
+        Reader::CancelAck,
+        Answer::CancelAck(expected),
+    )
+}
+
+#[test]
+fn deadline_exceeded_terminals_decode_strictly() -> Result<(), TestCaseError> {
+    let lost = LostUnit {
+        unit: "fig4[chip=M1]".to_string(),
+    };
+    let expected = Terminal::DeadlineExceeded(lost.unit.clone());
+    decodes_strictly(
+        "deadline_exceeded",
+        &lost,
+        Reader::Terminal,
+        Answer::Terminal(expected),
+    )
+}
+
+#[test]
+fn health_body_round_trips_through_the_client_parser() -> Result<(), TestCaseError> {
+    let endpoint = "unix:/tmp/oranges.sock".parse().expect("an endpoint");
+    let report = HealthReport::of(true, 2, 4, 7, &endpoint);
+    decodes_strictly(
+        "health",
+        &report,
+        Reader::Health,
+        Answer::Health(report.clone()),
+    )
 }
 
 #[test]
@@ -867,7 +1372,7 @@ proptest! {
         let text = metric::sets_to_json(&sets).expect("finite sets serialize");
         let text = byte_edit(&mut rng, &text);
         let typed = metric::sets_from_json(&text).map_err(|e| e.to_string());
-        agree(&text, typed, oracle::sets(&text), |sets| non_finite(sets))?;
+        agree(&text, typed, oracle::sets(&text), |_, sets| non_finite(sets))?;
 
         let unit = random_unit(&mut rng);
         let line = unit_line(rng.below(1000), &unit);
@@ -876,11 +1381,14 @@ proptest! {
             &line,
             typed_unit_line(&line),
             oracle::unit_line(&line),
-            |unit| non_finite(&unit.output.sets),
+            |_, unit| non_finite(&unit.output.sets),
         )?;
 
         let text = saved_document(&mut rng);
         compare_loads(&byte_edit(&mut rng, &text))?;
+
+        let (line, reader) = random_body_line(&mut rng);
+        compare_answers(&(byte_edit(&mut rng, line.trim_end()) + "\n"), reader)?;
     }
 }
 

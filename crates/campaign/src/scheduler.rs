@@ -16,7 +16,7 @@
 //! that also dedupes across campaigns.
 
 use crate::cache::ResultCache;
-use crate::engine::{ExecutionEngine, Subscription};
+use crate::engine::{ExecutionEngine, Subscription, UnitDelivery};
 use crate::plan::{Plan, UnitKey};
 use crate::report::{CampaignReport, UnitReport};
 use crate::spec::{CampaignSpec, SpecParseError};
@@ -102,49 +102,98 @@ pub(crate) fn expand_plan(spec: &CampaignSpec) -> Result<Plan, CampaignError> {
     }
 }
 
-/// Drain a whole-plan subscription into plan-ordered unit reports.
-/// Every unit is awaited (units are independent, so siblings of a
+/// The deliveries of one whole-plan subscription, assembled in plan
+/// order. Every unit is awaited (units are independent, so siblings of a
 /// failing unit finish and land in the cache for the next run); the
 /// error reported is the earliest failing unit's, matching serial
-/// semantics.
-fn assemble(plan: &Plan, subscription: &Subscription) -> Result<Vec<UnitReport>, CampaignError> {
-    let mut slots: Vec<Option<UnitReport>> = (0..plan.len()).map(|_| None).collect();
-    let mut first_error: Option<(usize, CampaignError)> = None;
-    for _ in 0..subscription.expected() {
-        let delivery = subscription
-            .recv()
-            .ok_or_else(|| CampaignError::Worker("engine shut down mid-campaign".to_string()))?;
+/// semantics. Receiving stays with the caller: [`assemble`] blocks on
+/// each delivery, the service's reactor drains what is queued on each
+/// wakeup.
+pub(crate) struct Assembly {
+    slots: Vec<Option<UnitReport>>,
+    first_error: Option<(usize, CampaignError)>,
+    received: usize,
+}
+
+impl Assembly {
+    pub(crate) fn new(plan: &Plan) -> Self {
+        Assembly {
+            slots: (0..plan.len()).map(|_| None).collect(),
+            first_error: None,
+            received: 0,
+        }
+    }
+
+    /// Whether every unit of the plan was delivered.
+    pub(crate) fn is_complete(&self) -> bool {
+        self.received == self.slots.len()
+    }
+
+    /// Slot a delivery by its plan index and return its report, or keep
+    /// its error if no earlier unit failed.
+    pub(crate) fn deliver(&mut self, plan: &Plan, delivery: UnitDelivery) -> Option<&UnitReport> {
+        self.received += 1;
         match delivery.outcome {
             Ok(outcome) => {
                 let unit = &plan.units[delivery.index];
-                slots[delivery.index] = Some(UnitReport {
+                Some(self.slots[delivery.index].insert(UnitReport {
                     index: unit.index,
                     key: unit.key.clone(),
                     source: outcome.source,
                     wall: outcome.wall,
                     output: outcome.output,
-                });
+                }))
             }
             Err(error) => {
-                if first_error
+                if self
+                    .first_error
                     .as_ref()
                     .is_none_or(|(index, _)| delivery.index < *index)
                 {
-                    first_error = Some((delivery.index, error));
+                    self.first_error = Some((delivery.index, error));
                 }
+                None
             }
         }
     }
-    if let Some((_, error)) = first_error {
-        return Err(error);
+
+    /// The engine shut down with deliveries missing: that fails the run,
+    /// whatever else failed.
+    pub(crate) fn engine_gone(&mut self) {
+        self.first_error = Some((
+            0,
+            CampaignError::Worker("engine shut down mid-campaign".to_string()),
+        ));
     }
-    plan.units
-        .iter()
-        .zip(slots)
-        .map(|(unit, slot)| {
-            slot.ok_or_else(|| CampaignError::Worker(format!("unit {} never reported", unit.key)))
-        })
-        .collect()
+
+    /// The reports in plan order, or the error that decides the run.
+    pub(crate) fn finish(self, plan: &Plan) -> Result<Vec<UnitReport>, CampaignError> {
+        if let Some((_, error)) = self.first_error {
+            return Err(error);
+        }
+        plan.units
+            .iter()
+            .zip(self.slots)
+            .map(|(unit, slot)| {
+                slot.ok_or_else(|| {
+                    CampaignError::Worker(format!("unit {} never reported", unit.key))
+                })
+            })
+            .collect()
+    }
+}
+
+/// Drain a whole-plan subscription into plan-ordered unit reports.
+fn assemble(plan: &Plan, subscription: &Subscription) -> Result<Vec<UnitReport>, CampaignError> {
+    let mut assembly = Assembly::new(plan);
+    while !assembly.is_complete() {
+        let Some(delivery) = subscription.recv() else {
+            assembly.engine_gone();
+            break;
+        };
+        assembly.deliver(plan, delivery);
+    }
+    assembly.finish(plan)
 }
 
 /// Run a campaign on a private, call-scoped engine sized by
@@ -319,6 +368,57 @@ mod tests {
             }
             other => panic!("expected a spec error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_assembly_keeps_the_earliest_error_and_names_what_never_arrived() {
+        use crate::engine::{UnitOutcome, UnitSource};
+        let plan = Plan::expand(&tiny_spec(1));
+        let cancelled = |index: usize| UnitDelivery {
+            index,
+            outcome: Err(CampaignError::Cancelled {
+                key: plan.units[index].key.clone(),
+            }),
+        };
+        let computed = |index: usize| UnitDelivery {
+            index,
+            outcome: Ok(UnitOutcome {
+                source: UnitSource::Computed,
+                output: std::sync::Arc::new(
+                    oranges::experiments::ExperimentOutput::from_sets(vec![], None)
+                        .expect("no sets serialize"),
+                ),
+                wall: Duration::ZERO,
+            }),
+        };
+
+        // Slotted by plan index, whatever the arrival order; the
+        // earliest plan index's error decides the run.
+        let mut assembly = Assembly::new(&plan);
+        assert_eq!(
+            assembly.deliver(&plan, computed(3)).map(|r| r.index),
+            Some(3)
+        );
+        assert!(assembly.deliver(&plan, cancelled(2)).is_none());
+        assembly.deliver(&plan, cancelled(1));
+        assert!(!assembly.is_complete());
+        assembly.deliver(&plan, computed(0));
+        assert!(assembly.is_complete());
+        let key = plan.units[1].key.clone();
+        assert_eq!(
+            assembly.finish(&plan).err(),
+            Some(CampaignError::Cancelled { key })
+        );
+
+        // A slot nothing filled is named; an engine that went away fails
+        // the run whatever else failed.
+        let never = CampaignError::Worker(format!("unit {} never reported", plan.units[0].key));
+        assert_eq!(Assembly::new(&plan).finish(&plan).err(), Some(never));
+        let mut assembly = Assembly::new(&plan);
+        assembly.deliver(&plan, cancelled(0));
+        assembly.engine_gone();
+        let gone = CampaignError::Worker("engine shut down mid-campaign".to_string());
+        assert_eq!(assembly.finish(&plan).err(), Some(gone));
     }
 
     #[test]

@@ -114,7 +114,7 @@ use crate::engine::{
 };
 use crate::plan::{Plan, UnitKey};
 use crate::report::{CampaignReport, UnitReport};
-use crate::scheduler::CampaignError;
+use crate::scheduler::{Assembly, CampaignError};
 use crate::spec::{CampaignSpec, SpecParseError};
 use oranges::experiments::ExperimentOutput;
 use oranges_harness::envelope::{EnvelopeError, Request, Response};
@@ -124,8 +124,9 @@ use oranges_harness::reactor::{
     Event, FrameError, Reactor, ReadInterest, Token, WakeHandle, WRITE_BACKLOG_THRESHOLD,
 };
 use oranges_harness::transport::{Endpoint, Listener, Stream, Transport};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -277,20 +278,159 @@ impl ServiceConfig {
     }
 }
 
-/// Read member `name` of a `kind` response body with `read`. A missing
-/// or mistyped member is a protocol error naming it.
-fn member<'a, V>(
-    body: &'a JsonValue,
+/// A response body member's value: how the daemon writes it into the
+/// line and how the client reads it back.
+pub(crate) trait WireValue {
+    /// Append the value's JSON text.
+    fn write(&self, line: &mut String);
+
+    /// Read the next value into `self`: `false` when it has another type,
+    /// which the caller rejects. `kind` names an object in its errors.
+    fn read(&mut self, tokens: &mut Tokenizer<'_>, kind: &str) -> Result<bool, ServiceError>;
+}
+
+/// Implements [`WireValue`] for each scalar member type, from how its
+/// value is written and the typed read that takes it.
+macro_rules! wire_scalars {
+    ($($ty:ty: |$value:ident, $line:ident| $write:expr, |$tokens:ident| $read:expr;)+) => {$(
+        impl WireValue for $ty {
+            fn write(&self, $line: &mut String) {
+                let $value = self;
+                $write;
+            }
+
+            fn read(&mut self, $tokens: &mut Tokenizer<'_>, _: &str) -> Result<bool, ServiceError> {
+                let value: Option<$ty> = $read;
+                Ok(value.map(|value| *self = value).is_some())
+            }
+        }
+    )+};
+}
+
+wire_scalars! {
+    u64: |value, line| write!(line, "{value}").expect("writing to a String cannot fail"),
+        |tokens| tokens.u64_value()?;
+    usize: |value, line| write!(line, "{value}").expect("writing to a String cannot fail"),
+        |tokens| tokens.u64_value()?.and_then(|value| usize::try_from(value).ok());
+    f64: |value, line| json::write_f64(line, *value),
+        |tokens| tokens.f64_value()?.map(|(value, _)| value);
+    bool: |value, line| line.push_str(if *value { "true" } else { "false" }),
+        |tokens| match tokens.next_value()? {
+            json::Token::Bool(flag) => Some(flag),
+            _ => None,
+        };
+    String: |value, line| json::escape_into(line, value),
+        |tokens| tokens.string_value()?.map(Cow::into_owned);
+}
+
+/// Write `members` as a JSON object, in their order.
+fn write_object<'a>(
+    line: &mut String,
+    members: impl IntoIterator<Item = (&'static str, &'a dyn WireValue)>,
+) {
+    let mut separator = '{';
+    for (name, value) in members {
+        json::write_key(line, separator, name);
+        value.write(line);
+        separator = ',';
+    }
+    line.push('}');
+}
+
+/// Read the object at `tokens` into `members`, in any order: the first
+/// occurrence of each is read, repeated and unknown members are skipped,
+/// and a missing or mistyped member is an error naming it. `false` when
+/// the value is not an object.
+fn read_object(
+    tokens: &mut Tokenizer<'_>,
     kind: &str,
-    name: &str,
-    read: impl FnOnce(&'a JsonValue) -> Option<V>,
-) -> Result<V, ServiceError> {
-    let value = body
-        .get(name)
-        .ok_or_else(|| ServiceError::Protocol(format!("{kind} body has no '{name}'")))?;
-    read(value).ok_or_else(|| {
-        ServiceError::Protocol(format!("{kind} body member '{name}' has the wrong type"))
-    })
+    mut members: Vec<(&'static str, &mut dyn WireValue)>,
+) -> Result<bool, ServiceError> {
+    if !tokens.begin_object()? {
+        return Ok(false);
+    }
+    let names: Vec<&str> = members.iter().map(|(name, _)| *name).collect();
+    let mut unread = vec![true; names.len()];
+    let mut next = 0;
+    while let Some(member) = tokens.next_member(&names, &mut next)? {
+        match member {
+            Known(index) if unread[index] => {
+                unread[index] = false;
+                let (name, value) = &mut members[index];
+                if !value.read(tokens, name)? {
+                    let message = format!("{kind} body member '{name}' has the wrong type");
+                    return Err(ServiceError::Protocol(message));
+                }
+            }
+            _ => tokens.skip_value()?,
+        }
+    }
+    let Some(index) = unread.iter().position(|&unread| unread) else {
+        return Ok(true);
+    };
+    let message = format!("{kind} body has no '{}'", names[index]);
+    Err(ServiceError::Protocol(message))
+}
+
+/// Declares every response body except `unit` and `event` once: each
+/// struct's members in wire order, with their types. A `..{ … }` block
+/// ends a body with [`service_series!`] structs, whose fields are written
+/// as members of the body itself. An `impl` entry declares the members of
+/// a struct defined elsewhere. Generates the structs, with `Default` (the
+/// value a reader fills), and per struct its [`WireValue`] writer and
+/// reader.
+macro_rules! response_bodies {
+    () => {};
+    (
+        impl $name:ident {
+            $($field:ident: $ty:ty,)+
+            $(..{$($series:ident: $series_ty:ty,)+})?
+        }
+        $($rest:tt)*
+    ) => {
+        impl WireValue for $name {
+            fn write(&self, line: &mut String) {
+                let members = vec![$((stringify!($field), &self.$field as &dyn WireValue)),+];
+                write_object(line, members.into_iter()$($(.chain(self.$series.members()))+)?);
+            }
+
+            fn read(
+                &mut self,
+                tokens: &mut Tokenizer<'_>,
+                kind: &str,
+            ) -> Result<bool, ServiceError> {
+                let members =
+                    vec![$((stringify!($field), &mut self.$field as &mut dyn WireValue)),+];
+                let members = members.into_iter()$($(.chain(self.$series.members_mut()))+)?;
+                read_object(tokens, kind, members.collect())
+            }
+        }
+
+        response_bodies!($($rest)*);
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$doc:meta])* $field:ident: $ty:ty,)+
+            $(..{$($(#[$series_doc:meta])* $series:ident: $series_ty:ty,)+})?
+        }
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        #[derive(Default)]
+        $vis struct $name {
+            $($(#[$doc])* $vis $field: $ty,)+
+            $($($(#[$series_doc])* $vis $series: $series_ty,)+)?
+        }
+
+        response_bodies! {
+            impl $name {
+                $($field: $ty,)+
+                $(..{$($series: $series_ty,)+})?
+            }
+            $($rest)*
+        }
+    };
 }
 
 /// How a series renders in the `metrics` exposition.
@@ -299,10 +439,8 @@ enum SeriesKind {
     Gauge,
 }
 
-/// One flat `stats` member and the exposition sample it renders as.
+/// The exposition sample one flat `stats` member renders as.
 struct Series {
-    /// The `stats` member name, which is also the struct field.
-    member: &'static str,
     kind: SeriesKind,
     /// The exposition family.
     family: &'static str,
@@ -316,8 +454,8 @@ struct Series {
 /// exposition families in `stats` member order: kind, family name and
 /// HELP text, then each member's doc comment, field name (also its
 /// `stats` member name) and, in a labeled family, its label. Generates
-/// the structs, [`SERIES`], and per struct its values in member order
-/// and a `stats` body decoder.
+/// the structs, [`SERIES`], and per struct its member names and values
+/// in member order, for the `stats` body in [`response_bodies!`].
 macro_rules! service_series {
     ($(
         $(#[$meta:meta])*
@@ -337,22 +475,24 @@ macro_rules! service_series {
 
             impl $name {
                 /// The fields' values, in `stats` member order.
-                fn values(&self) -> Vec<u64> {
+                pub(crate) fn values(&self) -> Vec<u64> {
                     vec![$($(self.$field),+),+]
                 }
 
-                /// Read the fields out of a `stats` body.
-                fn decode(body: &JsonValue) -> Result<Self, ServiceError> {
-                    Ok($name {$($(
-                        $field: member(body, "stats", stringify!($field), JsonValue::as_u64)?,
-                    )+)+})
+                /// The fields as `stats` members, in member order.
+                pub(crate) fn members(&self) -> Vec<(&'static str, &dyn WireValue)> {
+                    vec![$($((stringify!($field), &self.$field as &dyn WireValue)),+),+]
+                }
+
+                /// [`members`](Self::members), to read into.
+                pub(crate) fn members_mut(&mut self) -> Vec<(&'static str, &mut dyn WireValue)> {
+                    vec![$($((stringify!($field), &mut self.$field as &mut dyn WireValue)),+),+]
                 }
             }
         )+
 
         /// Every flat `stats` series, in `stats` member order.
         const SERIES: &[Series] = &[$($($(Series {
-            member: stringify!($field),
             kind: SeriesKind::$kind,
             family: $family,
             help: $help,
@@ -564,25 +704,84 @@ impl ServiceShared {
     }
 }
 
-/// Liveness + readiness, answered by the `health` method. A daemon that
-/// answers at all is *live*; it is *ready* only while it is not
-/// draining and every configured engine worker thread is still running
-/// — the signal a supervisor or fleet orchestrator should gate
-/// dispatch on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HealthReport {
-    /// Overall readiness: not draining, all workers alive.
-    pub ready: bool,
-    /// The daemon received `shutdown` and is draining connections.
-    pub draining: bool,
-    /// Engine worker threads still running.
-    pub workers_alive: u64,
-    /// Engine worker threads configured at bind.
-    pub workers_configured: u64,
-    /// Entries in the warm cache (0 is healthy — a cold daemon).
-    pub cache_entries: u64,
-    /// The resolved listening endpoint.
-    pub endpoint: String,
+response_bodies! {
+    /// Liveness + readiness, answered by the `health` method. A daemon
+    /// that answers at all is *live*; it is *ready* only while it is not
+    /// draining and every configured engine worker thread is still
+    /// running — the signal a supervisor or fleet orchestrator should
+    /// gate dispatch on.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct HealthReport {
+        /// Overall readiness: not draining, all workers alive.
+        ready: bool,
+        /// The daemon received `shutdown` and is draining connections.
+        draining: bool,
+        /// Engine worker threads still running.
+        workers_alive: u64,
+        /// Engine worker threads configured at bind.
+        workers_configured: u64,
+        /// Entries in the warm cache (0 is healthy — a cold daemon).
+        cache_entries: u64,
+        /// The resolved listening endpoint.
+        endpoint: String,
+    }
+
+    /// Daemon-side statistics from a `stats` request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ServiceStats {
+        /// Cache statistics.
+        cache: CacheStats,
+        /// The daemon's model-constants digest.
+        model_digest: String,
+        ..{
+            /// Cumulative service + engine counters.
+            summary: ServiceSummary,
+            /// Point-in-time gauges at the moment the daemon answered.
+            gauges: ServiceGauges,
+        }
+    }
+
+    // The `cache` object of the `done` and `stats` bodies.
+    impl CacheStats {
+        hits: u64,
+        misses: u64,
+        entries: usize,
+    }
+
+    /// The `done` body: campaign totals, the value-identity fingerprint,
+    /// and the daemon's model-constants digest (so a remote caller can
+    /// apply the versioned-cache staleness rule).
+    pub(crate) struct DoneBody {
+        units: usize,
+        computed_units: usize,
+        coalesced_units: usize,
+        fingerprint: String,
+        model_digest: String,
+        wall_s: f64,
+        cache: CacheStats,
+    }
+
+    /// The `busy` terminal: the run needed more queue slots than the cap
+    /// had free.
+    pub(crate) struct BusyBody {
+        queued: usize,
+        cap: usize,
+        needed: usize,
+    }
+
+    /// The `cancelled` and `deadline_exceeded` terminals: the first unit
+    /// the run lost.
+    pub(crate) struct LostUnit {
+        unit: String,
+    }
+
+    /// The `cancelled` answer to a `cancel` request.
+    pub(crate) struct CancelAckBody {
+        token: String,
+        active: bool,
+        waiters_cancelled: u64,
+        jobs_abandoned: u64,
+    }
 }
 
 impl HealthReport {
@@ -605,42 +804,22 @@ impl HealthReport {
             endpoint: endpoint.to_string(),
         }
     }
+}
 
-    /// The `health` response body.
-    pub fn to_body(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("ready".to_string(), JsonValue::Bool(self.ready)),
-            ("draining".to_string(), JsonValue::Bool(self.draining)),
-            (
-                "workers_alive".to_string(),
-                JsonValue::integer(self.workers_alive),
-            ),
-            (
-                "workers_configured".to_string(),
-                JsonValue::integer(self.workers_configured),
-            ),
-            (
-                "cache_entries".to_string(),
-                JsonValue::integer(self.cache_entries),
-            ),
-            (
-                "endpoint".to_string(),
-                JsonValue::String(self.endpoint.clone()),
-            ),
-        ])
-    }
+/// The `kind` response line whose body the table declares.
+pub(crate) fn body_line(id: u64, kind: &str, body: &impl WireValue) -> String {
+    Response::ok(id, kind).write_line(Some(|line: &mut String| body.write(line)))
+}
 
-    /// Parse a `health` response body (the client side).
-    pub fn from_body(body: &JsonValue) -> Result<HealthReport, ServiceError> {
-        Ok(HealthReport {
-            ready: member(body, "health", "ready", JsonValue::as_bool)?,
-            draining: member(body, "health", "draining", JsonValue::as_bool)?,
-            workers_alive: member(body, "health", "workers_alive", JsonValue::as_u64)?,
-            workers_configured: member(body, "health", "workers_configured", JsonValue::as_u64)?,
-            cache_entries: member(body, "health", "cache_entries", JsonValue::as_u64)?,
-            endpoint: member(body, "health", "endpoint", JsonValue::as_str)?.to_string(),
-        })
-    }
+/// Read a `kind` response body the table declares.
+pub(crate) fn read_body<B: WireValue + Default>(
+    tokens: &mut Tokenizer<'_>,
+    kind: &str,
+) -> Result<B, ServiceError> {
+    let mut body = B::default();
+    let read = body.read(tokens, kind)?;
+    read.then_some(body)
+        .ok_or_else(|| ServiceError::Protocol(format!("{kind} body has the wrong type")))
 }
 
 /// The long-running campaign daemon: one listener (any [`Transport`]),
@@ -856,18 +1035,13 @@ enum ConnState {
     Subscribing(SubState),
 }
 
-/// One in-flight `run`, pumped incrementally from notify wakeups — the
-/// reactor-shaped twin of the scheduler's blocking assembly, preserving
-/// its semantics exactly: units stream as delivered, the
-/// earliest-plan-index error wins, a shut-down engine or a
-/// never-reported unit is a worker error.
+/// One in-flight `run`, pumped incrementally from notify wakeups into
+/// the scheduler's [`Assembly`]; each unit streams as it is delivered.
 struct RunState {
     id: u64,
     plan: Plan,
     subscription: Subscription,
-    slots: Vec<Option<UnitReport>>,
-    first_error: Option<(usize, CampaignError)>,
-    received: usize,
+    assembly: Assembly,
     started: Instant,
     /// Deregisters the run's `run_token` when the run state drops — on
     /// every exit path, including a connection that dies mid-stream.
@@ -881,17 +1055,6 @@ struct SubState {
     /// draining events (let the broadcaster's bounded buffer fill and
     /// count drops) until [`Event::Writable`] reports recovery.
     paused: bool,
-}
-
-/// What one completed delivery asks the dispatch loop to do — computed
-/// under the connection-table borrow, acted on after it ends.
-enum PumpStep {
-    /// Write a `unit` response; `bool` = that was the final delivery.
-    Unit(String, bool),
-    /// An error delivery was recorded; `bool` = final delivery.
-    Recorded(bool),
-    /// No delivery queued.
-    Idle,
 }
 
 /// The reactor dispatch loop: the daemon's single I/O thread. Owns the
@@ -1065,8 +1228,11 @@ impl<T: Transport> Dispatcher<'_, T> {
     }
 
     fn respond(&mut self, token: Token, response: &Response) {
-        self.reactor
-            .enqueue_write(token, response.to_line().as_bytes());
+        self.write(token, response.to_line());
+    }
+
+    fn write(&mut self, token: Token, line: String) {
+        self.reactor.enqueue_write(token, line.as_bytes());
     }
 
     fn handle_command_line(&mut self, token: Token, line: String) {
@@ -1088,13 +1254,13 @@ impl<T: Transport> Dispatcher<'_, T> {
         match request.method.as_str() {
             "ping" => self.respond(token, &Response::ok(request.id, "pong")),
             "stats" => {
-                let body = stats_body(
-                    &self.shared.cache.stats(),
-                    self.shared.cache.model_digest(),
-                    &self.shared.summary(self.reactor),
-                    &self.shared.gauges(self.reactor),
-                );
-                self.respond(token, &Response::ok(request.id, "stats").with_body(body));
+                let stats = ServiceStats {
+                    cache: self.shared.cache.stats(),
+                    model_digest: self.shared.cache.model_digest().to_string(),
+                    summary: self.shared.summary(self.reactor),
+                    gauges: self.shared.gauges(self.reactor),
+                };
+                self.write(token, body_line(request.id, "stats", &stats));
             }
             "metrics" => {
                 let text = metrics_text(
@@ -1102,15 +1268,12 @@ impl<T: Transport> Dispatcher<'_, T> {
                     &self.shared.summary(self.reactor),
                     &self.shared.gauges(self.reactor),
                 );
-                self.respond(
-                    token,
-                    &Response::ok(request.id, "metrics").with_body(JsonValue::String(text)),
-                );
+                self.write(token, body_line(request.id, "metrics", &text));
             }
-            "health" => {
-                let body = self.shared.health().to_body();
-                self.respond(token, &Response::ok(request.id, "health").with_body(body));
-            }
+            "health" => self.write(
+                token,
+                body_line(request.id, "health", &self.shared.health()),
+            ),
             "subscribe" => self.handle_subscribe(token, &request),
             "run" => self.handle_run(token, &request),
             "cancel" => self.handle_cancel(token, &request),
@@ -1185,14 +1348,12 @@ impl<T: Transport> Dispatcher<'_, T> {
             }) => {
                 // Typed rejection: the engine is exactly as it was, the
                 // client knows to back off and retry.
-                return self.respond(
-                    token,
-                    &Response::ok(request.id, "busy").with_body(JsonValue::Object(vec![
-                        ("queued".to_string(), JsonValue::integer(queued as u64)),
-                        ("cap".to_string(), JsonValue::integer(cap as u64)),
-                        ("needed".to_string(), JsonValue::integer(needed as u64)),
-                    ])),
-                );
+                let busy = BusyBody {
+                    queued,
+                    cap,
+                    needed,
+                };
+                return self.write(token, body_line(request.id, "busy", &busy));
             }
         };
         // Register the run's cancel handle under its token (if any)
@@ -1224,14 +1385,11 @@ impl<T: Transport> Dispatcher<'_, T> {
             drop(cancels);
             guard.token = Some(run_token);
         }
-        let slots = (0..plan.len()).map(|_| None).collect();
         let run = RunState {
             id: request.id,
+            assembly: Assembly::new(&plan),
             plan,
             subscription,
-            slots,
-            first_error: None,
-            received: 0,
             started,
             _guard: guard,
         };
@@ -1252,84 +1410,44 @@ impl<T: Transport> Dispatcher<'_, T> {
     /// delivery, finish the run with its terminal response.
     fn pump_run(&mut self, token: Token) {
         loop {
-            let step = {
+            // Under the connection-table borrow: the `unit` line to
+            // write, and whether the run is complete.
+            let (line, complete) = {
                 let Some(conn) = self.conns.get_mut(&token.id()) else {
                     return;
                 };
                 let ConnState::Running(run) = &mut conn.state else {
                     return;
                 };
-                let expected = run.subscription.expected();
                 match run.subscription.try_recv() {
                     Ok(delivery) => {
-                        run.received += 1;
-                        let done = run.received == expected;
-                        match delivery.outcome {
-                            Ok(outcome) => {
-                                let unit = &run.plan.units[delivery.index];
-                                let report = UnitReport {
-                                    index: unit.index,
-                                    key: unit.key.clone(),
-                                    source: outcome.source,
-                                    wall: outcome.wall,
-                                    output: outcome.output,
-                                };
-                                let line = unit_line(run.id, &report);
-                                run.slots[delivery.index] = Some(report);
-                                PumpStep::Unit(line, done)
-                            }
-                            Err(error) => {
-                                // The earliest-plan-index error becomes
-                                // the terminal response, like the
-                                // blocking assembly always did.
-                                if run
-                                    .first_error
-                                    .as_ref()
-                                    .map(|(index, _)| delivery.index < *index)
-                                    .unwrap_or(true)
-                                {
-                                    run.first_error = Some((delivery.index, error));
-                                }
-                                PumpStep::Recorded(done)
-                            }
-                        }
+                        let line = run
+                            .assembly
+                            .deliver(&run.plan, delivery)
+                            .map(|report| unit_line(run.id, report));
+                        (line, run.assembly.is_complete())
                     }
-                    Err(TryRecvError::Empty) => PumpStep::Idle,
-                    Err(TryRecvError::Disconnected) => {
-                        if run.received < expected {
-                            // Deliveries are missing and no sender is
-                            // left: the engine shut down underneath us.
-                            run.first_error = Some((
-                                0,
-                                CampaignError::Worker("engine shut down mid-campaign".to_string()),
-                            ));
-                            PumpStep::Recorded(true)
-                        } else {
-                            PumpStep::Idle
-                        }
+                    Err(TryRecvError::Disconnected) if !run.assembly.is_complete() => {
+                        // Deliveries are missing and no sender is left:
+                        // the engine shut down underneath us.
+                        run.assembly.engine_gone();
+                        (None, true)
                     }
+                    Err(_) => return,
                 }
             };
-            match step {
-                PumpStep::Unit(line, done) => {
-                    self.reactor.enqueue_write(token, line.as_bytes());
-                    self.shared.units_streamed.fetch_add(1, Ordering::Relaxed);
-                    if !self.reactor.is_registered(token) {
-                        // The write failed (client vanished): its Closed
-                        // event is queued, and dropping the run state
-                        // there cancels whatever nobody else wants.
-                        return;
-                    }
-                    if done {
-                        return self.finish_run(token);
-                    }
+            if let Some(line) = line {
+                self.write(token, line);
+                self.shared.units_streamed.fetch_add(1, Ordering::Relaxed);
+                if !self.reactor.is_registered(token) {
+                    // The write failed (client vanished): its Closed
+                    // event is queued, and dropping the run state there
+                    // cancels whatever nobody else wants.
+                    return;
                 }
-                PumpStep::Recorded(done) => {
-                    if done {
-                        return self.finish_run(token);
-                    }
-                }
-                PumpStep::Idle => return,
+            }
+            if complete {
+                return self.finish_run(token);
             }
         }
     }
@@ -1347,62 +1465,39 @@ impl<T: Transport> Dispatcher<'_, T> {
             conn.state = state;
             return;
         };
-        let RunState {
-            id,
-            plan,
-            subscription,
-            slots,
-            first_error,
-            started,
-            _guard,
-            received: _,
-        } = run;
-        let response = match first_error {
-            Some((_, CampaignError::Cancelled { key })) => {
-                Response::ok(id, "cancelled").with_body(JsonValue::Object(vec![(
-                    "unit".to_string(),
-                    JsonValue::String(key.to_string()),
-                )]))
+        let id = run.id;
+        let lost = |kind, key: UnitKey| {
+            let unit = key.to_string();
+            body_line(id, kind, &LostUnit { unit })
+        };
+        let line = match run.assembly.finish(&run.plan) {
+            Ok(units) => {
+                let report = CampaignReport::new(
+                    units,
+                    self.shared.engine.workers().clamp(1, run.plan.len().max(1)),
+                    run.started.elapsed(),
+                    self.shared.cache.stats(),
+                );
+                self.shared.runs.fetch_add(1, Ordering::Relaxed);
+                let done = DoneBody {
+                    units: report.units.len(),
+                    computed_units: report.computed_units(),
+                    coalesced_units: report.coalesced_units(),
+                    fingerprint: report.fingerprint(),
+                    model_digest: self.shared.cache.model_digest().to_string(),
+                    wall_s: report.wall.as_secs_f64(),
+                    cache: report.cache,
+                };
+                body_line(id, "done", &done)
             }
-            Some((_, CampaignError::DeadlineExceeded { key })) => {
-                Response::ok(id, "deadline_exceeded").with_body(JsonValue::Object(vec![(
-                    "unit".to_string(),
-                    JsonValue::String(key.to_string()),
-                )]))
-            }
-            Some((_, error)) => Response::failure(id, error.to_string()),
-            None => {
-                let mut units = Vec::with_capacity(plan.len());
-                let mut missing = None;
-                for (unit, slot) in plan.units.iter().zip(slots) {
-                    match slot {
-                        Some(report) => units.push(report),
-                        None => {
-                            missing = Some(format!("unit {} never reported", unit.key));
-                            break;
-                        }
-                    }
-                }
-                match missing {
-                    Some(message) => Response::failure(id, message),
-                    None => {
-                        let report = CampaignReport::new(
-                            units,
-                            self.shared.engine.workers().clamp(1, plan.len().max(1)),
-                            started.elapsed(),
-                            self.shared.cache.stats(),
-                        );
-                        self.shared.runs.fetch_add(1, Ordering::Relaxed);
-                        Response::ok(id, "done")
-                            .with_body(done_body(&report, self.shared.cache.model_digest()))
-                    }
-                }
-            }
+            Err(CampaignError::Cancelled { key }) => lost("cancelled", key),
+            Err(CampaignError::DeadlineExceeded { key }) => lost("deadline_exceeded", key),
+            Err(error) => Response::failure(id, error.to_string()).to_line(),
         };
         // The subscription resolved every unit; dropping it (and the
         // token guard) now is the threaded handler's end-of-run scope.
-        drop(subscription);
-        self.respond(token, &response);
+        drop(run.subscription);
+        self.write(token, line);
         self.after_command(token);
     }
 
@@ -1441,16 +1536,17 @@ impl<T: Transport> Dispatcher<'_, T> {
     /// finished — is *not* an error (the race against normal completion
     /// is inherent); the ack reports `active: false` and zero counts.
     fn handle_cancel(&mut self, token: Token, request: &Request) {
+        let [.., member] = REQUEST_MEMBERS;
         let run_token = request
             .body
             .as_ref()
-            .and_then(|body| body.get("token"))
+            .and_then(|body| body.get(member))
             .and_then(JsonValue::as_str)
             .map(str::to_string);
         let Some(run_token) = run_token else {
             return self.respond(
                 token,
-                &Response::failure(request.id, "cancel request has no 'token'"),
+                &Response::failure(request.id, format!("cancel request has no '{member}'")),
             );
         };
         let handle = self
@@ -1464,21 +1560,13 @@ impl<T: Transport> Dispatcher<'_, T> {
             Some(handle) => (true, handle.cancel()),
             None => (false, Default::default()),
         };
-        self.respond(
-            token,
-            &Response::ok(request.id, "cancelled").with_body(JsonValue::Object(vec![
-                ("token".to_string(), JsonValue::String(run_token)),
-                ("active".to_string(), JsonValue::Bool(active)),
-                (
-                    "waiters_cancelled".to_string(),
-                    JsonValue::integer(outcome.waiters_cancelled as u64),
-                ),
-                (
-                    "jobs_abandoned".to_string(),
-                    JsonValue::integer(outcome.jobs_abandoned as u64),
-                ),
-            ])),
-        );
+        let ack = CancelAckBody {
+            token: run_token,
+            active,
+            waiters_cancelled: outcome.waiters_cancelled as u64,
+            jobs_abandoned: outcome.jobs_abandoned as u64,
+        };
+        self.write(token, body_line(request.id, "cancelled", &ack));
     }
 
     /// Serve one `subscribe` request: acknowledge, then dedicate the
@@ -1602,15 +1690,19 @@ impl<T: Transport> Dispatcher<'_, T> {
     }
 }
 
-/// Scheduling fields a `run` request may carry alongside its spec
-/// (`priority`, `deadline_ms`, `run_token` — the spec parser ignores
-/// sibling keys it does not know, so they ride in the same body).
+/// Request body members for the client's writer and the daemon's reader:
+/// the scheduling fields a `run` body carries beside its spec (the spec
+/// parser ignores keys it does not know), then a `cancel` body's token.
+const REQUEST_MEMBERS: [&str; 4] = ["priority", "deadline_ms", "run_token", "token"];
+
+/// The scheduling fields of a `run` request.
 struct RunRequestOptions {
     options: SubmitOptions,
     token: Option<String>,
 }
 
 fn parse_run_options(body: &JsonValue) -> Result<RunRequestOptions, String> {
+    let [priority, deadline_ms, run_token, _] = REQUEST_MEMBERS;
     let string = |name: &str| {
         body.get(name)
             .map(|value| {
@@ -1620,24 +1712,24 @@ fn parse_run_options(body: &JsonValue) -> Result<RunRequestOptions, String> {
             })
             .transpose()
     };
-    let priority = match string("priority")? {
+    let priority = match string(priority)? {
         Some(token) => {
             Priority::parse(token).ok_or_else(|| format!("unknown priority '{token}'"))?
         }
         None => Priority::Normal,
     };
-    let deadline = match body.get("deadline_ms") {
+    let deadline = match body.get(deadline_ms) {
         Some(value) => {
             let ms = value
                 .as_u64()
-                .ok_or_else(|| "deadline_ms must be a non-negative integer".to_string())?;
+                .ok_or_else(|| format!("{deadline_ms} must be a non-negative integer"))?;
             Some(Duration::from_millis(ms))
         }
         None => None,
     };
     Ok(RunRequestOptions {
         options: SubmitOptions { priority, deadline },
-        token: string("run_token")?.map(str::to_string),
+        token: string(run_token)?.map(str::to_string),
     })
 }
 
@@ -1729,154 +1821,42 @@ fn metrics_text(
 
 /// The `unit` response line: the unit's coordinates plus its full
 /// provenance-stamped sets — exactly the envelope shape
-/// [`ExperimentOutput::decode`] reads on the client.
-///
-/// The envelope and the body fields before `sets` go through the
-/// emitter; `sets` is the unit's cached canonical JSON, spliced in as
-/// bytes rather than parsed into a tree and emitted again. That is
-/// byte-identical to emitting the whole tree, because `sets` is the
-/// body's last field and `output.json()` is emitter output, which never
-/// holds a raw newline.
+/// [`ExperimentOutput::decode`] reads on the client. `sets` is the
+/// unit's cached canonical JSON, copied in as bytes rather than parsed
+/// and emitted again; it is emitter output, which never holds a raw
+/// newline.
 pub(crate) fn unit_line(id: u64, unit: &UnitReport) -> String {
-    let mut line = Response::ok(id, "unit")
-        .with_body(JsonValue::Object(unit_head(unit)))
-        .to_line();
-    // Reopen the body: drop its closing brace, the envelope's, and the
-    // newline.
-    line.truncate(line.len() - "}}\n".len());
-    let [.., key] = ExperimentOutput::MEMBERS;
-    let sets = unit.output.json();
-    line.reserve(sets.len() + key.len() + ",\"\":}}\n".len());
-    json::write_key(&mut line, ',', key);
-    line.push_str(sets);
-    line.push_str("}}\n");
-    line
+    let [index, key_id, params, source, from_cache] = UNIT_MEMBERS;
+    let [wall_time_s, rendered, sets] = ExperimentOutput::MEMBERS;
+    Response::ok(id, "unit").write_line(Some(|line: &mut String| {
+        line.reserve(unit.output.json().len() + 256);
+        json::write_key(line, '{', index);
+        unit.index.write(line);
+        json::write_key(line, ',', key_id);
+        unit.key.id.write(line);
+        json::write_key(line, ',', params);
+        unit.key.params.write(line);
+        json::write_key(line, ',', source);
+        json::escape_into(line, unit.source.as_str());
+        json::write_key(line, ',', from_cache);
+        unit.from_cache().write(line);
+        if let Some(wall) = unit.output.wall_time_s() {
+            json::write_key(line, ',', wall_time_s);
+            wall.write(line);
+        }
+        if let Some(text) = &unit.output.rendered {
+            json::write_key(line, ',', rendered);
+            text.write(line);
+        }
+        json::write_key(line, ',', sets);
+        line.push_str(unit.output.json());
+        line.push('}');
+    }))
 }
 
 /// The `unit` body's own members, written before its output's
 /// [`ExperimentOutput::MEMBERS`].
 const UNIT_MEMBERS: [&str; 5] = ["index", "id", "params", "source", "from_cache"];
-
-/// The `unit` body fields before `sets`, in wire order.
-fn unit_head(unit: &UnitReport) -> Vec<(String, JsonValue)> {
-    let [index, id, params, source, from_cache] = UNIT_MEMBERS;
-    let [wall_time_s, rendered, _] = ExperimentOutput::MEMBERS;
-    let mut fields = vec![
-        (index.to_string(), JsonValue::integer(unit.index as u64)),
-        (id.to_string(), JsonValue::String(unit.key.id.clone())),
-        (
-            params.to_string(),
-            JsonValue::String(unit.key.params.clone()),
-        ),
-        (
-            source.to_string(),
-            JsonValue::String(unit.source.as_str().to_string()),
-        ),
-        (from_cache.to_string(), JsonValue::Bool(unit.from_cache())),
-    ];
-    if let Some(wall) = unit.output.wall_time_s() {
-        fields.push((wall_time_s.to_string(), JsonValue::number(wall)));
-    }
-    if let Some(text) = &unit.output.rendered {
-        fields.push((rendered.to_string(), JsonValue::String(text.clone())));
-    }
-    fields
-}
-
-/// The `unit` body as a tree: the reference [`unit_line`] must match
-/// byte for byte once emitted.
-#[cfg(test)]
-fn unit_body(unit: &UnitReport) -> JsonValue {
-    let [.., key] = ExperimentOutput::MEMBERS;
-    let sets = json::parse(unit.output.json()).expect("canonical JSON parses");
-    let mut fields = unit_head(unit);
-    fields.push((key.to_string(), sets));
-    JsonValue::Object(fields)
-}
-
-/// The `done` response body: campaign totals, the value-identity
-/// fingerprint, and the daemon's model-constants digest (so a remote
-/// caller can apply the versioned-cache staleness rule).
-fn done_body(report: &CampaignReport, model_digest: &str) -> JsonValue {
-    JsonValue::Object(vec![
-        (
-            "units".to_string(),
-            JsonValue::integer(report.units.len() as u64),
-        ),
-        (
-            "computed_units".to_string(),
-            JsonValue::integer(report.computed_units() as u64),
-        ),
-        (
-            "coalesced_units".to_string(),
-            JsonValue::integer(report.coalesced_units() as u64),
-        ),
-        (
-            "fingerprint".to_string(),
-            JsonValue::String(report.fingerprint()),
-        ),
-        (
-            "model_digest".to_string(),
-            JsonValue::String(model_digest.to_string()),
-        ),
-        (
-            "wall_s".to_string(),
-            JsonValue::number(report.wall.as_secs_f64()),
-        ),
-        ("cache".to_string(), cache_body(&report.cache)),
-    ])
-}
-
-fn cache_body(stats: &CacheStats) -> JsonValue {
-    JsonValue::Object(vec![
-        ("hits".to_string(), JsonValue::integer(stats.hits)),
-        ("misses".to_string(), JsonValue::integer(stats.misses)),
-        (
-            "entries".to_string(),
-            JsonValue::integer(stats.entries as u64),
-        ),
-    ])
-}
-
-/// The `stats` response body: the `cache` object, `model_digest`, then
-/// every [`SERIES`] member.
-fn stats_body(
-    stats: &CacheStats,
-    model_digest: &str,
-    summary: &ServiceSummary,
-    gauges: &ServiceGauges,
-) -> JsonValue {
-    let mut fields = vec![
-        ("cache".to_string(), cache_body(stats)),
-        (
-            "model_digest".to_string(),
-            JsonValue::String(model_digest.to_string()),
-        ),
-    ];
-    fields.extend(
-        series_values(summary, gauges)
-            .map(|(series, value)| (series.member.to_string(), JsonValue::integer(value))),
-    );
-    JsonValue::Object(fields)
-}
-
-/// Decode a `stats` body (the client side of [`stats_body`]).
-fn decode_stats(body: &JsonValue) -> Result<ServiceStats, ServiceError> {
-    Ok(ServiceStats {
-        cache: member(body, "stats", "cache", Some).and_then(parse_cache_body)?,
-        model_digest: member(body, "stats", "model_digest", JsonValue::as_str)?.to_string(),
-        summary: ServiceSummary::decode(body)?,
-        gauges: ServiceGauges::decode(body)?,
-    })
-}
-
-fn parse_cache_body(value: &JsonValue) -> Result<CacheStats, ServiceError> {
-    Ok(CacheStats {
-        hits: member(value, "cache", "hits", JsonValue::as_u64)?,
-        misses: member(value, "cache", "misses", JsonValue::as_u64)?,
-        entries: member(value, "cache", "entries", JsonValue::as_u64)? as usize,
-    })
-}
 
 /// One unit as served over the wire, rebuilt into the same typed
 /// output a local campaign would produce.
@@ -1975,19 +1955,6 @@ pub struct CancelAck {
     pub jobs_abandoned: u64,
 }
 
-/// Daemon-side statistics from a `stats` request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Cache statistics.
-    pub cache: CacheStats,
-    /// The daemon's model-constants digest.
-    pub model_digest: String,
-    /// Cumulative service + engine counters.
-    pub summary: ServiceSummary,
-    /// Point-in-time gauges at the moment the daemon answered.
-    pub gauges: ServiceGauges,
-}
-
 /// A blocking client for the service protocol, generic over the same
 /// [`Transport`] the daemon binds.
 pub struct ServiceClient<T: Transport> {
@@ -2058,21 +2025,41 @@ impl<T: Transport> ServiceClient<T> {
     }
 
     /// Send one request and read its one answer, which must be of
-    /// `kind`. Returns the answer's body (`null` when it has none).
-    fn call(
+    /// `kind`, reading its body, if it has one, with `read`.
+    fn call<B>(
         &mut self,
         method: &str,
         body: Option<JsonValue>,
         kind: &str,
-    ) -> Result<JsonValue, ServiceError> {
-        let response = self.raw_request(method, body)?;
+        mut read: impl FnMut(&mut Tokenizer<'_>) -> Result<B, ServiceError>,
+    ) -> Result<Option<B>, ServiceError> {
+        let id = self.send(method, body)?;
+        let (response, body) = self.read_decoded(id, |got, tokens| {
+            if got == kind {
+                read(tokens).map(Some)
+            } else {
+                skip_body(tokens).map(|()| None)
+            }
+        })?;
         if response.kind != kind {
             return Err(ServiceError::Protocol(format!(
                 "expected {kind}, got '{}'",
                 response.kind
             )));
         }
-        Ok(response.body.unwrap_or(JsonValue::Null))
+        Ok(body.flatten())
+    }
+
+    /// [`call`](ServiceClient::call) for an answer whose body the table
+    /// declares.
+    fn call_body<B: WireValue + Default>(
+        &mut self,
+        method: &str,
+        body: Option<JsonValue>,
+        kind: &str,
+    ) -> Result<B, ServiceError> {
+        self.call(method, body, kind, |tokens| read_body(tokens, kind))?
+            .ok_or_else(|| ServiceError::Protocol(format!("{kind} has no body")))
     }
 
     /// Submit a spec and collect the full streamed answer. Units arrive
@@ -2115,19 +2102,18 @@ impl<T: Transport> ServiceClient<T> {
         options: &RunOptions,
         mut on_unit: impl FnMut(&ServedUnit),
     ) -> Result<RunOutcome, ServiceError> {
+        let [priority, deadline_ms, run_token, _] = REQUEST_MEMBERS;
         let mut body = spec.to_json_value();
         if let JsonValue::Object(fields) = &mut body {
             if options.priority != Priority::Normal {
-                fields.push((
-                    "priority".to_string(),
-                    JsonValue::String(options.priority.as_str().to_string()),
-                ));
+                let value = JsonValue::String(options.priority.as_str().to_string());
+                fields.push((priority.to_string(), value));
             }
             if let Some(ms) = options.deadline_ms {
-                fields.push(("deadline_ms".to_string(), JsonValue::integer(ms)));
+                fields.push((deadline_ms.to_string(), JsonValue::integer(ms)));
             }
             if let Some(token) = &options.run_token {
-                fields.push(("run_token".to_string(), JsonValue::String(token.clone())));
+                fields.push((run_token.to_string(), JsonValue::String(token.clone())));
             }
         }
         let id = self.send("run", Some(body))?;
@@ -2135,16 +2121,24 @@ impl<T: Transport> ServiceClient<T> {
         loop {
             let (response, body) = self.read_decoded(id, |kind, tokens| match kind {
                 "unit" => decode_served_unit(tokens).map(RunBody::Unit),
-                _ => tree_body(tokens).map(RunBody::Tree),
+                _ => read_terminal(kind, tokens).map(RunBody::End),
             })?;
             match body {
                 Some(RunBody::Unit(unit)) => {
                     on_unit(&unit);
                     units.push(unit);
                 }
-                Some(RunBody::Tree(body)) => {
+                Some(RunBody::End(end)) => {
+                    let done = end?;
                     units.sort_by_key(|unit| unit.index);
-                    return run_terminal(&response.kind, &body, units);
+                    return Ok(RunOutcome {
+                        units,
+                        computed_units: done.computed_units,
+                        coalesced_units: done.coalesced_units,
+                        fingerprint: done.fingerprint,
+                        model_digest: done.model_digest,
+                        cache: done.cache,
+                    });
                 }
                 None => {
                     return Err(ServiceError::Protocol(format!(
@@ -2161,40 +2155,42 @@ impl<T: Transport> ServiceClient<T> {
     /// existed) answers `active: false` with zero counts — cancelling
     /// late is not an error.
     pub fn cancel(&mut self, token: &str) -> Result<CancelAck, ServiceError> {
+        let [.., member] = REQUEST_MEMBERS;
         let body = JsonValue::Object(vec![(
-            "token".to_string(),
+            member.to_string(),
             JsonValue::String(token.to_string()),
         )]);
-        let body = self.call("cancel", Some(body), "cancelled")?;
-        let int = |name| member(&body, "cancelled", name, JsonValue::as_u64);
+        let CancelAckBody {
+            active,
+            waiters_cancelled,
+            jobs_abandoned,
+            ..
+        } = self.call_body("cancel", Some(body), "cancelled")?;
         Ok(CancelAck {
-            active: member(&body, "cancelled", "active", JsonValue::as_bool)?,
-            waiters_cancelled: int("waiters_cancelled")?,
-            jobs_abandoned: int("jobs_abandoned")?,
+            active,
+            waiters_cancelled,
+            jobs_abandoned,
         })
     }
 
     /// Round-trip liveness probe.
     pub fn ping(&mut self) -> Result<(), ServiceError> {
-        self.call("ping", None, "pong").map(drop)
+        self.call("ping", None, "pong", skip_body).map(drop)
     }
 
     /// Fetch daemon statistics.
     pub fn stats(&mut self) -> Result<ServiceStats, ServiceError> {
-        decode_stats(&self.call("stats", None, "stats")?)
+        self.call_body("stats", None, "stats")
     }
 
     /// Fetch the daemon's metrics exposition (Prometheus text format).
     pub fn metrics(&mut self) -> Result<String, ServiceError> {
-        match self.call("metrics", None, "metrics")? {
-            JsonValue::String(text) => Ok(text),
-            _ => Err(ServiceError::Protocol("metrics has no string body".into())),
-        }
+        self.call_body("metrics", None, "metrics")
     }
 
     /// Probe the daemon's liveness and readiness.
     pub fn health(&mut self) -> Result<HealthReport, ServiceError> {
-        HealthReport::from_body(&self.call("health", None, "health")?)
+        self.call_body("health", None, "health")
     }
 
     /// Subscribe to the daemon's live event stream, consuming the
@@ -2207,7 +2203,7 @@ impl<T: Transport> ServiceClient<T> {
         mut self,
         mut on_event: impl FnMut(&CampaignEvent) -> bool,
     ) -> Result<(), ServiceError> {
-        self.call("subscribe", None, "subscribed")?;
+        self.call("subscribe", None, "subscribed", skip_body)?;
         loop {
             let mut line = String::new();
             let read = self
@@ -2243,7 +2239,7 @@ impl<T: Transport> ServiceClient<T> {
 
     /// Ask the daemon to exit after answering.
     pub fn shutdown(&mut self) -> Result<(), ServiceError> {
-        self.call("shutdown", None, "bye").map(drop)
+        self.call("shutdown", None, "bye", skip_body).map(drop)
     }
 
     /// Submit an arbitrary method (protocol testing).
@@ -2253,7 +2249,8 @@ impl<T: Transport> ServiceClient<T> {
         body: Option<JsonValue>,
     ) -> Result<Response, ServiceError> {
         let id = self.send(method, body)?;
-        let (mut response, body) = self.read_decoded(id, |_, tokens| tree_body(tokens))?;
+        let (mut response, body) =
+            self.read_decoded(id, |_, tokens| Ok(json::read_value(tokens)?))?;
         response.body = body;
         Ok(response)
     }
@@ -2263,43 +2260,37 @@ impl<T: Transport> ServiceClient<T> {
 enum RunBody {
     /// A `unit` body, decoded straight into the typed unit.
     Unit(ServedUnit),
-    /// Any other kind's body, as a tree.
-    Tree(JsonValue),
+    /// The terminal body: see [`read_terminal`].
+    End(Result<DoneBody, ServiceError>),
 }
 
-/// Decode the terminal response of a `run` stream: `done` into the
-/// outcome (around the already-sorted `units`), and `busy`, `cancelled`
-/// and `deadline_exceeded` into their typed errors.
-fn run_terminal(
+/// Read the terminal body of a `run` stream: `done`, or the typed error
+/// that `busy`, `cancelled` or `deadline_exceeded` stands for.
+pub(crate) fn read_terminal(
     kind: &str,
-    body: &JsonValue,
-    units: Vec<ServedUnit>,
-) -> Result<RunOutcome, ServiceError> {
-    let int = |name| member(body, kind, name, JsonValue::as_u64);
-    let string = |name| member(body, kind, name, JsonValue::as_str).map(str::to_string);
-    match kind {
-        "done" => Ok(RunOutcome {
-            computed_units: int("computed_units")? as usize,
-            coalesced_units: int("coalesced_units")? as usize,
-            fingerprint: string("fingerprint")?,
-            model_digest: string("model_digest")?,
-            cache: member(body, kind, "cache", Some).and_then(parse_cache_body)?,
-            units,
-        }),
-        "busy" => Err(ServiceError::Busy {
-            queued: int("queued")?,
-            cap: int("cap")?,
-        }),
-        "cancelled" => Err(ServiceError::Cancelled(string("unit")?)),
-        "deadline_exceeded" => Err(ServiceError::DeadlineExceeded(string("unit")?)),
-        other => Err(ServiceError::Protocol(format!(
-            "unexpected response kind '{other}' during run"
-        ))),
-    }
+    tokens: &mut Tokenizer<'_>,
+) -> Result<Result<DoneBody, ServiceError>, ServiceError> {
+    let lost = |tokens: &mut Tokenizer<'_>| read_body(tokens, kind).map(|lost: LostUnit| lost.unit);
+    Ok(match kind {
+        "done" => Ok(read_body(tokens, kind)?),
+        "busy" => {
+            let BusyBody { queued, cap, .. } = read_body(tokens, kind)?;
+            let (queued, cap) = (queued as u64, cap as u64);
+            Err(ServiceError::Busy { queued, cap })
+        }
+        "cancelled" => Err(ServiceError::Cancelled(lost(tokens)?)),
+        "deadline_exceeded" => Err(ServiceError::DeadlineExceeded(lost(tokens)?)),
+        other => {
+            tokens.skip_value()?;
+            Err(ServiceError::Protocol(format!(
+                "unexpected response kind '{other}' during run"
+            )))
+        }
+    })
 }
 
-fn tree_body(tokens: &mut Tokenizer<'_>) -> Result<JsonValue, ServiceError> {
-    Ok(json::read_value(tokens)?)
+fn skip_body(tokens: &mut Tokenizer<'_>) -> Result<(), ServiceError> {
+    Ok(tokens.skip_value()?)
 }
 
 /// Decode a `unit` body straight into a [`ServedUnit`], with no tree in
@@ -2385,6 +2376,30 @@ mod tests {
             wall: Duration::from_millis(1),
             output: StdArc::new(output),
         }
+    }
+
+    /// The `unit` body as a tree: the reference [`unit_line`] must match
+    /// byte for byte once emitted.
+    fn unit_body(unit: &UnitReport) -> JsonValue {
+        let [index, id, params, source, from_cache] = UNIT_MEMBERS;
+        let [wall_time_s, rendered, sets] = ExperimentOutput::MEMBERS;
+        let text = |value: &str| JsonValue::String(value.to_string());
+        let mut fields = vec![
+            (index.to_string(), JsonValue::integer(unit.index as u64)),
+            (id.to_string(), text(&unit.key.id)),
+            (params.to_string(), text(&unit.key.params)),
+            (source.to_string(), text(unit.source.as_str())),
+            (from_cache.to_string(), JsonValue::Bool(unit.from_cache())),
+        ];
+        if let Some(wall) = unit.output.wall_time_s() {
+            fields.push((wall_time_s.to_string(), JsonValue::number(wall)));
+        }
+        if let Some(rendering) = &unit.output.rendered {
+            fields.push((rendered.to_string(), text(rendering)));
+        }
+        let tree = json::parse(unit.output.json()).expect("canonical JSON parses");
+        fields.push((sets.to_string(), tree));
+        JsonValue::Object(fields)
     }
 
     #[test]
@@ -2476,76 +2491,44 @@ mod tests {
 
     #[test]
     fn done_and_stats_bodies_round_trip() {
-        let report = CampaignReport::new(
-            vec![],
-            2,
-            Duration::from_millis(10),
-            CacheStats {
-                hits: 5,
-                misses: 2,
-                entries: 2,
-            },
-        );
+        let cache = CacheStats {
+            hits: 5,
+            misses: 2,
+            entries: 2,
+        };
+        let report = CampaignReport::new(vec![], 2, Duration::from_millis(10), cache);
         let digest = oranges::paper::model_constants_digest();
-        let body = done_body(&report, &digest);
+        let done = DoneBody {
+            units: 0,
+            computed_units: 0,
+            coalesced_units: 0,
+            fingerprint: report.fingerprint(),
+            model_digest: digest.clone(),
+            wall_s: 0.01,
+            cache,
+        };
+        let (_, end) = Response::decode_line(&body_line(2, "done", &done), read_terminal)
+            .expect("the done line decodes");
+        let back = end.expect("done has a body").expect("done is no error");
+        assert_eq!(back.fingerprint, report.fingerprint());
         assert_eq!(
-            body.get("fingerprint").and_then(JsonValue::as_str),
-            Some(report.fingerprint().as_str())
-        );
-        assert_eq!(
-            body.get("model_digest").and_then(JsonValue::as_str),
-            Some(digest.as_str()),
+            back.model_digest, digest,
             "done carries the versioned-cache digest"
         );
-        assert_eq!(
-            body.get("coalesced_units").and_then(JsonValue::as_u64),
-            Some(0)
-        );
-        let cache = parse_cache_body(body.get("cache").unwrap()).unwrap();
-        assert_eq!(cache, report.cache);
+        assert_eq!((back.cache, back.wall_s), (cache, 0.01));
 
         // Every series member crosses the wire with a distinct value:
-        // encode, decode and the table agree on names and order.
-        let mut members = vec![
-            ("cache".to_string(), cache_body(&report.cache)),
-            (
-                "model_digest".to_string(),
-                JsonValue::String(digest.clone()),
-            ),
-        ];
-        members.extend(
-            SERIES
-                .iter()
-                .zip(1..)
-                .map(|(series, value)| (series.member.to_string(), JsonValue::integer(value))),
-        );
-        let wire = JsonValue::Object(members);
-        let stats = decode_stats(&wire).expect("a full stats body decodes");
+        // writer, reader and the table agree on names and order.
+        let stats = crate::decode_equivalence::stats_with(cache, &digest, 1..);
+        let line = body_line(3, "stats", &stats);
+        let (_, back) = Response::decode_line(&line, |kind, tokens| read_body(tokens, kind))
+            .expect("the stats line decodes");
+        assert_eq!(back.as_ref(), Some(&stats));
         assert_eq!(SERIES.len(), 24);
         let values: Vec<u64> = series_values(&stats.summary, &stats.gauges)
             .map(|(_, value)| value)
             .collect();
         assert_eq!(values, (1..=24).collect::<Vec<u64>>());
-        assert_eq!(stats.cache, report.cache);
-        assert_eq!(stats.model_digest, digest);
-        let body = stats_body(&stats.cache, &digest, &stats.summary, &stats.gauges);
-        assert_eq!(body, wire);
-        assert_eq!(decode_stats(&body), Ok(stats));
-    }
-
-    /// Decode a canned `run` terminal line the way the client does.
-    fn terminal(line: &str) -> Result<RunOutcome, ServiceError> {
-        let response = Response::from_line(line).expect("the envelope parses");
-        run_terminal(
-            &response.kind,
-            response.body.as_ref().unwrap_or(&JsonValue::Null),
-            vec![],
-        )
-    }
-
-    /// A protocol error whose message names `member`.
-    fn names_member(result: Result<RunOutcome, ServiceError>, member: &str) -> bool {
-        matches!(result, Err(ServiceError::Protocol(message)) if message.contains(&format!("'{member}'")))
     }
 
     #[test]
@@ -2570,47 +2553,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_terminals_decode_strictly() {
-        assert!(matches!(
-            terminal(r#"{"id":2,"kind":"busy","body":{"queued":1,"cap":2,"needed":4}}"#),
-            Err(ServiceError::Busy { queued: 1, cap: 2 })
-        ));
-        assert!(names_member(
-            terminal(r#"{"id":2,"kind":"busy","body":{"queued":1,"needed":4}}"#),
-            "cap"
-        ));
-        assert!(names_member(
-            terminal(r#"{"id":2,"kind":"busy","body":{"queued":"1","cap":2}}"#),
-            "queued"
-        ));
-    }
-
-    #[test]
-    fn cancelled_terminals_decode_strictly() {
-        assert_eq!(
-            terminal(r#"{"id":2,"kind":"cancelled","body":{"unit":"fig4[chip=M1]"}}"#).err(),
-            Some(ServiceError::Cancelled("fig4[chip=M1]".to_string()))
-        );
-        assert!(names_member(
-            terminal(r#"{"id":2,"kind":"cancelled","body":{}}"#),
-            "unit"
-        ));
-    }
-
-    #[test]
-    fn deadline_exceeded_terminals_decode_strictly() {
-        assert_eq!(
-            terminal(r#"{"id":2,"kind":"deadline_exceeded","body":{"unit":"fig4[chip=M1]"}}"#)
-                .err(),
-            Some(ServiceError::DeadlineExceeded("fig4[chip=M1]".to_string()))
-        );
-        assert!(names_member(
-            terminal(r#"{"id":2,"kind":"deadline_exceeded","body":{"unit":7}}"#),
-            "unit"
-        ));
-    }
-
-    #[test]
     fn the_series_table_matches_the_protocol_doc() {
         let doc = include_str!("../../../docs/PROTOCOL.md");
         // § 10's recorded `stats` line lists every member in wire order.
@@ -2624,7 +2566,14 @@ mod tests {
         };
         let recorded: Vec<&str> = body.iter().map(|(name, _)| name.as_str()).collect();
         let mut expected = vec!["cache", "model_digest"];
-        expected.extend(SERIES.iter().map(|series| series.member));
+        let (summary, gauges) = (ServiceSummary::default(), ServiceGauges::default());
+        expected.extend(
+            summary
+                .members()
+                .into_iter()
+                .chain(gauges.members())
+                .map(|(name, _)| name),
+        );
         assert_eq!(recorded, expected);
 
         // § 6.1's family table names every family and label value.
@@ -2664,16 +2613,5 @@ mod tests {
 
         // A cold cache is healthy.
         assert!(HealthReport::of(false, 1, 1, 0, &endpoint).ready);
-    }
-
-    #[test]
-    fn health_body_round_trips_through_the_client_parser() {
-        let endpoint: Endpoint = "unix:/tmp/oranges.sock".parse().unwrap();
-        let report = HealthReport::of(true, 2, 4, 7, &endpoint);
-        let parsed = HealthReport::from_body(&report.to_body()).expect("parses");
-        assert_eq!(parsed, report);
-        assert_eq!(parsed.endpoint, "unix:/tmp/oranges.sock");
-        // A body missing a field is a typed protocol error.
-        assert!(HealthReport::from_body(&JsonValue::Object(vec![])).is_err());
     }
 }

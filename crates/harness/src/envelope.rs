@@ -7,8 +7,9 @@
 //! through [`crate::json`]. The envelopes are deliberately generic:
 //! `body` is an opaque [`JsonValue`] tree, so the harness stays ignorant
 //! of campaign types while the campaign crate layers its spec/metric
-//! payloads on top. A reader that knows a kind's payload skips the tree:
-//! [`Response::decode_line`] hands it the tokenizer at `body`.
+//! payloads on top. Code that knows a kind's payload skips the tree both
+//! ways: [`Response::write_line`] has it write the body into the line,
+//! and [`Response::decode_line`] hands it the tokenizer at `body`.
 //!
 //! Framing rules:
 //!
@@ -93,7 +94,11 @@ impl Request {
     pub fn to_line(&self) -> String {
         let mut line = format!("{{\"id\":{},\"method\":", self.id);
         json::escape_into(&mut line, &self.method);
-        push_body(&mut line, self.body.as_ref());
+        if let Some(body) = &self.body {
+            json::write_key(&mut line, ',', "body");
+            body.emit_into(&mut line);
+        }
+        line.push_str("}\n");
         line
     }
 
@@ -167,15 +172,27 @@ impl Response {
         self.error.is_some()
     }
 
-    /// Emit as one newline-terminated JSON line.
+    /// Emit as one newline-terminated JSON line, with the body tree.
     pub fn to_line(&self) -> String {
+        let body = self.body.as_ref();
+        self.write_line(body.map(|body| |line: &mut String| body.emit_into(line)))
+    }
+
+    /// Emit as one newline-terminated JSON line whose body, if given,
+    /// `body` writes in place (not [`body`](Response::body)): one JSON
+    /// value with no raw newline, as the [`crate::json`] writers write.
+    pub fn write_line(&self, body: Option<impl FnOnce(&mut String)>) -> String {
         let mut line = format!("{{\"id\":{},\"kind\":", self.id);
         json::escape_into(&mut line, &self.kind);
         if let Some(error) = &self.error {
-            line.push_str(",\"error\":");
+            json::write_key(&mut line, ',', "error");
             json::escape_into(&mut line, error);
         }
-        push_body(&mut line, self.body.as_ref());
+        if let Some(body) = body {
+            json::write_key(&mut line, ',', "body");
+            body(&mut line);
+        }
+        line.push_str("}\n");
         line
     }
 
@@ -262,16 +279,6 @@ impl Response {
         };
         Ok((response, body))
     }
-}
-
-/// Close an envelope line: the `body` field, emitted in place, then the
-/// closing brace and the newline.
-fn push_body(line: &mut String, body: Option<&JsonValue>) {
-    if let Some(body) = body {
-        line.push_str(",\"body\":");
-        body.emit_into(line);
-    }
-    line.push_str("}\n");
 }
 
 fn parse_line(line: &str) -> Result<JsonValue, EnvelopeError> {

@@ -12,8 +12,7 @@ use crate::error::MetalError;
 use oranges_umem::buffer::{SharedAddressSpace, UnifiedBuffer};
 use oranges_umem::page::is_page_aligned;
 use oranges_umem::StorageMode;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// How a buffer came to exist — used by tests and diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +36,7 @@ pub struct Buffer {
 
 impl std::fmt::Debug for Buffer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let guard = self.inner.read();
+        let guard = self.device_read();
         f.debug_struct("Buffer")
             .field("len", &guard.len())
             .field("capacity_bytes", &guard.capacity_bytes())
@@ -103,7 +102,7 @@ impl Buffer {
 
     /// Logical element count.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.device_read().len()
     }
 
     /// Whether the buffer is empty.
@@ -113,57 +112,59 @@ impl Buffer {
 
     /// Allocated byte capacity (page multiple).
     pub fn capacity_bytes(&self) -> u64 {
-        self.inner.read().capacity_bytes()
+        self.device_read().capacity_bytes()
     }
 
     /// Simulated base address.
     pub fn base_address(&self) -> u64 {
-        self.inner.read().base_address()
+        self.device_read().base_address()
     }
 
     /// CPU read of the logical contents (contents-pointer analogue).
     pub fn read_to_vec(&self) -> Result<Vec<f32>, MetalError> {
-        Ok(self.inner.read().as_slice()?.to_vec())
+        Ok(self.device_read().as_slice()?.to_vec())
     }
 
     /// CPU write into the buffer.
     pub fn write_from_slice(&self, data: &[f32]) -> Result<(), MetalError> {
-        Ok(self.inner.write().copy_from_slice(data)?)
+        Ok(self.device_write().copy_from_slice(data)?)
     }
 
     /// CPU fill of the logical contents, as a loop through `contents`
     /// would write it. On a buffer nothing has read or written yet this
     /// only records the value; storage is built on first element access.
     pub fn fill(&self, value: f32) -> Result<(), MetalError> {
-        Ok(self.inner.write().fill(value)?)
+        Ok(self.device_write().fill(value)?)
     }
 
     /// Whether host storage has been built (see
     /// [`UnifiedBuffer::is_materialized`]).
     pub fn is_materialized(&self) -> bool {
-        self.inner.read().is_materialized()
+        self.device_read().is_materialized()
     }
 
     /// Run `f` with a read view of the logical contents (CPU side).
     pub fn with_read<R>(&self, f: impl FnOnce(&[f32]) -> R) -> Result<R, MetalError> {
-        let guard = self.inner.read();
+        let guard = self.device_read();
         Ok(f(guard.as_slice()?))
     }
 
     /// Run `f` with a mutable view of the logical contents (CPU side).
     pub fn with_write<R>(&self, f: impl FnOnce(&mut [f32]) -> R) -> Result<R, MetalError> {
-        let mut guard = self.inner.write();
+        let mut guard = self.device_write();
         Ok(f(guard.as_mut_slice()?))
     }
 
-    /// Device-side read lock over the full padded extent (executor use).
-    pub(crate) fn device_read(&self) -> parking_lot::RwLockReadGuard<'_, UnifiedBuffer<f32>> {
-        self.inner.read()
+    /// Read lock over the full padded extent (the executor's device
+    /// side, and every CPU-side read). A holder's panic does not poison
+    /// the buffer for other handles.
+    pub(crate) fn device_read(&self) -> RwLockReadGuard<'_, UnifiedBuffer<f32>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Device-side write lock (executor use).
-    pub(crate) fn device_write(&self) -> parking_lot::RwLockWriteGuard<'_, UnifiedBuffer<f32>> {
-        self.inner.write()
+    /// Write lock, as [`device_read`](Buffer::device_read).
+    pub(crate) fn device_write(&self) -> RwLockWriteGuard<'_, UnifiedBuffer<f32>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether two handles alias the same underlying storage.

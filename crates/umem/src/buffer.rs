@@ -20,8 +20,7 @@
 use crate::address::{AddressSpace, Allocation};
 use crate::error::UmemError;
 use crate::page::is_page_aligned;
-use parking_lot::Mutex;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Metal-style storage mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,22 +53,28 @@ impl SharedAddressSpace {
 
     /// Allocate a page-rounded region.
     pub fn allocate(&self, bytes: u64) -> Result<Allocation, UmemError> {
-        self.inner.lock().allocate(bytes)
+        self.space().allocate(bytes)
     }
 
     /// Free a region.
     pub fn free(&self, alloc: Allocation) {
-        self.inner.lock().free(alloc);
+        self.space().free(alloc);
     }
 
     /// Bytes currently allocated.
     pub fn allocated(&self) -> u64 {
-        self.inner.lock().allocated()
+        self.space().allocated()
     }
 
     /// Bytes available.
     pub fn available(&self) -> u64 {
-        self.inner.lock().available()
+        self.space().available()
+    }
+
+    /// The locked space. A holder's panic does not poison it for other
+    /// buffers.
+    fn space(&self) -> MutexGuard<'_, AddressSpace> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -308,8 +308,7 @@ fn unhealthy_endpoints_fail_fast_before_any_shard_is_dispatched() {
     // `Unhealthy` error naming the shard — and the healthy sibling
     // must never receive a shard. Stand up a minimal wire-level fake
     // so the not-ready answer is deterministic, not a drain race.
-    use oranges_campaign::service::HealthReport;
-    use oranges_harness::envelope::{Request, Response};
+    use oranges_harness::envelope::Request;
     use std::io::{BufRead, BufReader, Write};
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake daemon");
@@ -327,17 +326,15 @@ fn unhealthy_endpoints_fail_fast_before_any_shard_is_dispatched() {
         reader.read_line(&mut line).expect("read probe request");
         let request = Request::from_line(&line).expect("parse probe request");
         assert_eq!(request.method, "health", "the probe leads with health");
-        let report = HealthReport::of(true, 2, 2, 0, &fake_endpoint);
-        assert!(!report.ready, "draining implies not ready");
+        // A draining daemon's answer, as PROTOCOL § 6.2 spells it.
+        let answer = format!(
+            "{{\"id\":{},\"kind\":\"health\",\"body\":{{\"ready\":false,\"draining\":true,\
+             \"workers_alive\":2,\"workers_configured\":2,\"cache_entries\":0,\
+             \"endpoint\":\"{fake_endpoint}\"}}}}\n",
+            request.id
+        );
         let mut stream = stream;
-        stream
-            .write_all(
-                Response::ok(request.id, "health")
-                    .with_body(report.to_body())
-                    .to_line()
-                    .as_bytes(),
-            )
-            .expect("answer probe");
+        stream.write_all(answer.as_bytes()).expect("answer probe");
     });
     let (live, daemon) = start_tcp_daemon();
 
