@@ -1465,17 +1465,24 @@ impl<T: Transport> Dispatcher<'_, T> {
             conn.state = state;
             return;
         };
-        let id = run.id;
+        let RunState {
+            id,
+            plan,
+            subscription,
+            assembly,
+            started,
+            _guard: guard,
+        } = run;
         let lost = |kind, key: UnitKey| {
             let unit = key.to_string();
             body_line(id, kind, &LostUnit { unit })
         };
-        let line = match run.assembly.finish(&run.plan) {
+        let line = match assembly.finish(&plan) {
             Ok(units) => {
                 let report = CampaignReport::new(
                     units,
-                    self.shared.engine.workers().clamp(1, run.plan.len().max(1)),
-                    run.started.elapsed(),
+                    self.shared.engine.workers().clamp(1, plan.len().max(1)),
+                    started.elapsed(),
                     self.shared.cache.stats(),
                 );
                 self.shared.runs.fetch_add(1, Ordering::Relaxed);
@@ -1494,9 +1501,11 @@ impl<T: Transport> Dispatcher<'_, T> {
             Err(CampaignError::DeadlineExceeded { key }) => lost("deadline_exceeded", key),
             Err(error) => Response::failure(id, error.to_string()).to_line(),
         };
-        // The subscription resolved every unit; dropping it (and the
-        // token guard) now is the threaded handler's end-of-run scope.
-        drop(run.subscription);
+        // The subscription resolved every unit. Release it and the
+        // `run_token` registration before the terminal line: the run
+        // ends here, and a request pipelined behind it, replayed below,
+        // may reuse the token (PROTOCOL § 4.1).
+        drop((subscription, guard));
         self.write(token, line);
         self.after_command(token);
     }

@@ -113,8 +113,9 @@ impl Platform {
 
     /// `c := a · b` through one implementation of this platform's suite,
     /// on the caller's `n×n` operands and with no power window — Figure
-    /// 2's one-shot verification, which reuses one A and B across the
-    /// whole suite. The outcome's `functional` flag says whether real
+    /// 2's one-shot verification, which multiplies each verified size's
+    /// A and B once, through CPU-Single, and lets that product stand for
+    /// the suite. The outcome's `functional` flag says whether real
     /// arithmetic ran (the size was under the implementation's ceiling).
     pub fn gemm_on(
         &mut self,

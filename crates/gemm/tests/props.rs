@@ -151,3 +151,49 @@ proptest! {
         all_agree(gen, n, seed)?;
     }
 }
+
+/// Figure 2 verifies each size with one product, CPU-Single's, and every
+/// implementation takes that product's verdict. That stands only while
+/// all six compute the verified paper sizes (n = 32 to 256, the default
+/// verification ceiling) bit for bit alike, on every chip. A backend
+/// whose arithmetic changes fails here, and then needs a product of its
+/// own in `fig2::verify_sizes`.
+#[test]
+fn all_implementations_agree_at_the_verified_paper_sizes() -> Result<(), TestCaseError> {
+    for gen in ChipGeneration::ALL {
+        for n in [32, 64, 128, 256] {
+            all_agree(gen, n, 1)?;
+        }
+    }
+    Ok(())
+}
+
+/// The same bits up to the functional ceiling, as a spec may ask Figure 2
+/// to verify: the MR/NR tails around the largest paper size, the Metal
+/// bands' host-default KC (512), above which k is split (the chips' KC of
+/// 1024 never splits it), and n = 669, the largest size any backend
+/// computes (598,389,057 FLOPs). At n = 670 every backend is modeled only.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "six backends up to n = 669 on four chips take minutes in debug; run with --release"
+)]
+fn all_implementations_agree_up_to_the_functional_ceiling() -> Result<(), TestCaseError> {
+    let over = 670;
+    let (a, b) = (vec![0.0f32; over * over], vec![0.0f32; over * over]);
+    for gen in ChipGeneration::ALL {
+        for n in [255, 257, 511, 512, 513, 668, 669] {
+            all_agree(gen, n, 2)?;
+        }
+        for mut implementation in suite_for(gen) {
+            let mut c = vec![0.0f32; over * over];
+            let outcome = implementation.run(over, &a, &b, &mut c).unwrap();
+            prop_assert!(
+                !outcome.functional,
+                "{} on {gen} computes n = {over}",
+                implementation.name()
+            );
+        }
+    }
+    Ok(())
+}

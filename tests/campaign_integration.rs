@@ -194,6 +194,31 @@ fn grid_fingerprints_are_pinned() {
     }
 }
 
+/// Figure 2 verified above the paper's sizes, as a wire spec may ask, up
+/// to the backends' functional ceiling: n = 513 splits k at the Metal
+/// bands' host-default KC (512), and n = 669 is the largest size any
+/// backend computes. All 72 cells (6 implementations × 3 sizes × 4
+/// chips) verify, and the grid's fingerprint is pinned.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "verifying n = 669 on four chips takes tens of seconds in debug; run with --release"
+)]
+fn verdicts_up_to_the_functional_ceiling_are_pinned() {
+    let spec = CampaignSpec::new(vec![ExperimentKind::Fig2], ChipGeneration::ALL.to_vec())
+        .with_gemm_sizes(vec![500, 513, 669])
+        .with_verify_max_flops(oranges_gemm::DEFAULT_FUNCTIONAL_LIMIT);
+    let report = run_campaign(&spec, &ResultCache::new()).expect("fig2 campaign");
+    let verified: Vec<&MetricValue> = report
+        .sets()
+        .into_iter()
+        .filter_map(|s| s.get("verified").map(|m| &m.value))
+        .collect();
+    assert_eq!(verified.len(), 72);
+    assert!(verified.iter().all(|v| **v == MetricValue::Bool(true)));
+    assert_eq!(report.fingerprint(), "18923db4ac7df41e");
+}
+
 /// (c) Worker-count parity: 1 vs N produce identical results.
 #[test]
 fn worker_count_parity() {

@@ -325,6 +325,63 @@ fn escaped_astral_run_tokens_stay_distinct_over<T: TestTransport>() {
     daemon.join().expect("daemon");
 }
 
+/// A `run_token` is registered exactly as long as its run (PROTOCOL
+/// § 4.1): a run pipelined behind a finished run in the same write may
+/// reuse its token, and a `cancel` pipelined after both finds nothing
+/// active.
+fn a_pipelined_run_may_reuse_a_finished_run_token_over<T: TestTransport>() {
+    use oranges_harness::envelope::Response;
+    use oranges_harness::json::JsonValue;
+    use oranges_harness::transport::Stream;
+    use std::io::{BufRead, BufReader, Write};
+
+    let (endpoint, daemon) = start_daemon::<T>("token-reuse", |c| c);
+    let stream = T::connect(&endpoint).expect("connect raw client");
+    let mut writer = stream.try_clone().expect("clone the connection");
+    let mut reader = BufReader::new(stream);
+    let run = |id: u64| {
+        format!(
+            "{{\"id\":{id},\"method\":\"run\",\"body\":{{\"experiments\":[\"fig4\"],\
+             \"chips\":[\"M1\"],\"power_sizes\":[2048],\"run_token\":\"t\"}}}}\n"
+        )
+    };
+    let pipeline = [
+        run(1),
+        run(2),
+        "{\"id\":3,\"method\":\"cancel\",\"body\":{\"token\":\"t\"}}\n".to_string(),
+        "{\"id\":4,\"method\":\"shutdown\"}\n".to_string(),
+    ]
+    .concat();
+    writer
+        .write_all(pipeline.as_bytes())
+        .expect("send the pipeline");
+    let mut responses = Vec::new();
+    loop {
+        let mut line = String::new();
+        if reader.read_line(&mut line).expect("read a reply") == 0 {
+            break;
+        }
+        responses.push(Response::from_line(&line).expect("replies are envelopes"));
+    }
+    let kinds: Vec<(u64, &str)> = responses.iter().map(|r| (r.id, r.kind.as_str())).collect();
+    assert_eq!(
+        kinds,
+        [
+            (1, "unit"),
+            (1, "done"),
+            (2, "unit"),
+            (2, "done"),
+            (3, "cancelled"),
+            (4, "bye")
+        ],
+        "{responses:?}"
+    );
+    let ack = responses[4].body.as_ref().expect("a cancel ack body");
+    assert_eq!(ack.get("token").and_then(JsonValue::as_str), Some("t"));
+    assert_eq!(ack.get("active"), Some(&JsonValue::Bool(false)));
+    daemon.join().expect("daemon");
+}
+
 fn protocol_errors_are_in_band_and_do_not_kill_the_connection_over<T: TestTransport>() {
     let (endpoint, daemon) = start_daemon::<T>("errors", |c| c);
     let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
@@ -1130,10 +1187,11 @@ fn cancelling_a_run_spares_a_coalesced_sibling_over<T: TestTransport>() {
 
         // The victim: a 16-unit grid at batch priority, under a
         // cancellation token. Fig4 runs first, so the sibling below can
-        // ride it; the Fig2 tail verifies a 96³ GEMM per chip — a
-        // backlog far slower than the sibling's round trips, which the
-        // cancel abandons before most of it ever runs. Signal the
-        // moment the first unit streams.
+        // ride it; the Fig2 tail verifies a 176³ GEMM per chip (one
+        // product per size stands for all six backends, so this is the
+        // work six 96³ products were) — a backlog far slower than the
+        // sibling's round trips, which the cancel abandons before most
+        // of it ever runs. Signal the moment the first unit streams.
         let victim_spec = CampaignSpec::new(
             vec![
                 ExperimentKind::Fig4,
@@ -1143,9 +1201,9 @@ fn cancelling_a_run_spares_a_coalesced_sibling_over<T: TestTransport>() {
             ],
             ChipGeneration::ALL.to_vec(),
         )
-        .with_gemm_sizes(vec![96])
+        .with_gemm_sizes(vec![176])
         .with_power_sizes(vec![2048, 4096])
-        .with_verify_max_flops(2 * 96 * 96 * 96);
+        .with_verify_max_flops(2 * 176 * 176 * 176);
         let (first_unit_tx, first_unit_rx) = std::sync::mpsc::channel::<()>();
         let victim_endpoint = endpoint.clone();
         let victim = std::thread::spawn(move || {
@@ -1502,6 +1560,11 @@ macro_rules! transport_matrix {
             #[test]
             fn escaped_astral_run_tokens_stay_distinct() {
                 escaped_astral_run_tokens_stay_distinct_over::<$transport>();
+            }
+
+            #[test]
+            fn a_pipelined_run_may_reuse_a_finished_run_token() {
+                a_pipelined_run_may_reuse_a_finished_run_token_over::<$transport>();
             }
 
             #[test]
