@@ -6,22 +6,19 @@
 //! them in one place, written in the standard single-core style that lets
 //! LLVM emit wide code and keeps the FP pipelines full:
 //!
-//! - [`reduce`] — dot / sum / max with **4–8 independent accumulators**,
-//!   breaking the FP dependency chain a naive `acc += …` loop serializes
-//!   on (an FP add every ~4 cycles instead of every cycle's worth of
-//!   throughput);
 //! - [`stream`] — the four STREAM array passes plus a **fused
 //!   full-iteration** that performs Copy → Scale → Add → Triad in one
 //!   memory sweep (legal because all four passes are elementwise on the
 //!   same index: 4 words of traffic per element instead of 10);
-//! - [`elem`] — an unrolled f32 `axpy`;
 //! - [`gemm`] — an `MR×NR` register-tiled SGEMM microkernel over packed
 //!   panels with a k-unrolled inner loop;
 //! - [`block`] — the Goto/BLIS cache-blocked macrokernel above that tile:
 //!   NC/KC/MC panel loops with [`block::CacheParams`]-derived block sizes,
 //!   packing once per panel and seeding tile accumulators from C so the
 //!   KC split stays bitwise-faithful to the scalar loop. Its tile stays in
-//!   registers for the whole k loop, with no stack round trip per k step.
+//!   registers for the whole k loop, with no stack round trip per k step;
+//! - [`reduce`] and [`ulp`] — the f64-widening strided dot and the fused
+//!   diff/threshold/count pass that sampled GEMM verification runs.
 //!
 //! [`core_budget`] sizes the host-parallel functional GEMMs built on these
 //! kernels: a call gets its caller's own core plus every core no other
@@ -34,21 +31,21 @@
 //!
 //! | kernel family | twin relation |
 //! |---|---|
-//! | `stream::{triad_f64, fused_iteration_f64}`, `elem::axpy_f32` | **bitwise** — elementwise ops are not reordered |
+//! | `stream::fused_iteration_f64` | **bitwise** — the four literal passes' elementwise ops, not reordered |
 //! | `gemm::sgemm_f32` | **bitwise** — one accumulator per output element, k-order preserved (the tile itself supplies the ILP) |
 //! | `block::sgemm_f32_blocked` | **bitwise** — KC panels ascend and re-seed from stored f32 partials (store/load is exact), so the element-wise op sequence equals the scalar loop |
-//! | `reduce::*` (dot/sum) | **ULP-bounded** — multi-accumulator reductions reorder the sum |
-//! | `reduce::max_f32` | value-equal — max is order-insensitive |
+//! | `reduce::dot_f32_to_f64_strided` | **ULP-bounded** — four accumulators reorder the sum |
 //! | `ulp::diff_stats_f32` | exact — fused diff/threshold/count pass matches its three separate sweeps |
 //!
 //! The bitwise rows are what let consumers swap these kernels in without
-//! perturbing campaign value-identity fingerprints; the ULP rows feed
-//! tolerance-checked paths only (sampled GEMM verification).
+//! perturbing campaign value-identity fingerprints; the ULP row feeds
+//! tolerance-checked paths only (sampled GEMM verification). One
+//! release-only test also times the blocked macrokernel against the
+//! unblocked microkernel, so the blocking keeps paying for itself.
 
 #![forbid(unsafe_code)]
 
 pub mod block;
-pub mod elem;
 pub mod gemm;
 pub mod reduce;
 pub mod stream;
@@ -56,7 +53,6 @@ pub mod ulp;
 
 pub use block::{sgemm_f32_blocked, sgemm_f32_blocked_with, BlockSizes, CacheParams};
 pub use gemm::{sgemm_f32, sgemm_f32_scalar};
-pub use reduce::{dot_f32, dot_f64, max_f32, sum_f32, sum_f64};
 pub use stream::fused_iteration_f64;
 pub use ulp::{diff_stats_f32, ulp_distance_f32, ulp_distance_f64, DiffStats};
 
