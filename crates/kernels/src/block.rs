@@ -15,9 +15,10 @@
 //!
 //! A is packed into `MR`-row k-major panels and B into `NR`-column
 //! row-major panels once per block, then the microkernel runs over
-//! resident panels. Block sizes come from [`CacheParams`] (defaults tuned
-//! for the CI-class host; the `gemm` and `accelerate` backends plug in
-//! per-chip geometry) or an explicit [`BlockSizes`] override.
+//! resident panels. Block sizes come from [`CacheParams`] (an x86-64
+//! server core's geometry by default; the `gemm` and `accelerate`
+//! backends plug in per-chip geometry) or an explicit [`BlockSizes`]
+//! override.
 //!
 //! # Bitwise equivalence
 //!
@@ -40,7 +41,7 @@
 //! `&[f32; MR]`/`&[f32; NR]` views — a shape LLVM turns into packed
 //! vector code (the slice-iterator form in the unblocked path compiles to
 //! scalar FP). The microkernel copies the tile into a local that never
-//! escapes, so its 8 accumulator vectors stay in registers for the whole
+//! escapes, so its accumulator vectors stay in registers for the whole
 //! k loop and are stored back once per call. The copy matters: the
 //! caller seeds and stores the tile with runtime row and column counts,
 //! and a tile indexed that way lives on the stack, so accumulating into
@@ -48,6 +49,29 @@
 //! slice bound, on every k step. Per-lane IEEE semantics are unchanged
 //! (Rust never contracts `mul`+`add` into FMA), so vectorization does not
 //! affect the bitwise contract.
+//!
+//! # Two builds of one body
+//!
+//! The panel loops, both packing routines and the tile are one private
+//! body, and all of it is `#[inline(always)]`, so each caller compiles
+//! its own copy. [`sgemm_f32_blocked_with`] checks its arguments, then
+//! picks a copy per call. On an x86-64 CPU where
+//! `is_x86_feature_detected!("avx2")` holds, it runs the copy built under
+//! `#[target_feature(enable = "avx2")]`: each 8-lane accumulator row of
+//! the tile is one 256-bit ymm register instead of two 128-bit xmm ones,
+//! so a k step takes half the multiply and add instructions. Everywhere
+//! else (x86-64 without AVX2, aarch64 and any other target) it runs the
+//! copy built for the target's baseline, SSE2 or NEON. No build flag,
+//! option or Cargo feature chooses between them, and calling the AVX2
+//! copy is the crate's one `unsafe` block.
+//!
+//! Both copies give the same bits, because neither changes an element's
+//! operation sequence. The `fma` feature stays off and no `mul_add` is
+//! written, so every `acc += a * b` is a rounded multiply followed by a
+//! rounded add in both builds, and a wider register changes how many
+//! columns one instruction updates, not the ascending k order of any
+//! element's sum. The unit tests run the portable body directly beside
+//! the public entry, so an AVX2 host still proves the fallback.
 
 use crate::gemm::{MR, NR};
 
@@ -77,8 +101,11 @@ impl CacheParams {
         }
     }
 
-    /// Defaults for the CI-class x86 host the bench trajectory runs on
-    /// (48 KiB L1d, 2 MiB private L2 — measured on the reference runner).
+    /// Defaults for an x86-64 server core with 48 KiB of L1d and 2 MiB of
+    /// private L2, the geometry of Intel Xeon cores since Sapphire Rapids.
+    /// The Metal shader bands and the timing gates block with these; the
+    /// `gemm` and `accelerate` backends pass per-chip geometry to
+    /// [`CacheParams::new`] instead.
     pub const fn host_default() -> Self {
         Self::new(48 * 1024, 2 * 1024 * 1024)
     }
@@ -146,7 +173,13 @@ pub fn sgemm_f32_blocked(
 
 /// [`sgemm_f32_blocked`] with explicit panel-loop bounds (the form the
 /// equivalence suite uses to park block boundaries on awkward sizes).
+///
+/// The panel loops run as their AVX2 build on an x86-64 CPU that has
+/// AVX2, and as the target's baseline build everywhere else; both give
+/// the same bits.
 #[allow(clippy::too_many_arguments)]
+// The one `unsafe` block in this crate: the call into the AVX2 build.
+#[allow(unsafe_code)]
 pub fn sgemm_f32_blocked_with(
     m: usize,
     n: usize,
@@ -178,6 +211,57 @@ pub fn sgemm_f32_blocked_with(
         return;
     }
 
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `macrokernel_avx2` is a safe function whose only extra
+        // requirement is the `avx2` target feature, and the check above
+        // found it on the CPU running this call.
+        unsafe { macrokernel_avx2(m, n, k, a, lda, b, ldb, c, ldc, sizes) };
+        return;
+    }
+    macrokernel(m, n, k, a, lda, b, ldb, c, ldc, sizes);
+}
+
+/// [`macrokernel`] built for AVX2, without `fma` (see the module docs).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn macrokernel_avx2(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    sizes: &BlockSizes,
+) {
+    macrokernel(m, n, k, a, lda, b, ldb, c, ldc, sizes);
+}
+
+/// The NC/KC/MC panel loops over the 4×8 tile, for arguments
+/// [`sgemm_f32_blocked_with`] has checked: `m`, `n` and `k` positive, and
+/// every slice and block size in range.
+///
+/// It and everything it calls are `#[inline(always)]`, so each caller
+/// compiles its own copy of the whole loop nest: the baseline build in
+/// [`sgemm_f32_blocked_with`] and the AVX2 build in `macrokernel_avx2`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn macrokernel(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    sizes: &BlockSizes,
+) {
     let mc = sizes.mc.min(m.next_multiple_of(MR));
     let kc = sizes.kc.min(k);
     let nc = sizes.nc.min(n.next_multiple_of(NR));
@@ -233,6 +317,7 @@ pub fn sgemm_f32_blocked_with(
 
 /// Pack the `mcb×kcb` A block at `(ic, pc)` into `MR`-row k-major panels
 /// (`panel[p*MR + r]`), zero-padding partial row groups.
+#[inline(always)]
 fn pack_a(a_pack: &mut [f32], a: &[f32], lda: usize, ic: usize, pc: usize, mcb: usize, kcb: usize) {
     for ip in 0..mcb.div_ceil(MR) {
         let rows = MR.min(mcb - ip * MR);
@@ -251,6 +336,7 @@ fn pack_a(a_pack: &mut [f32], a: &[f32], lda: usize, ic: usize, pc: usize, mcb: 
 
 /// Pack the `kcb×ncb` B block at `(pc, jc)` into `NR`-column row-major
 /// panels (`panel[p*NR + j]`), zero-padding partial column groups.
+#[inline(always)]
 fn pack_b(b_pack: &mut [f32], b: &[f32], ldb: usize, pc: usize, jc: usize, kcb: usize, ncb: usize) {
     for jp in 0..ncb.div_ceil(NR) {
         let cols = NR.min(ncb - jp * NR);
@@ -273,7 +359,7 @@ fn pack_b(b_pack: &mut [f32], b: &[f32], ldb: usize, pc: usize, jc: usize, kcb: 
 /// accumulators in vector registers for the whole k loop and stores them
 /// back once; the panels are walked as fixed-size `&[f32; MR]`/`&[f32;
 /// NR]` steps, so no k step re-checks a slice bound.
-#[inline]
+#[inline(always)]
 fn microkernel_4x8(acc: &mut [[f32; NR]; MR], ap: &[f32], bp: &[f32], kc: usize) {
     let a_steps = ap[..kc * MR].chunks_exact(MR);
     let b_steps = bp[..kc * NR].chunks_exact(NR);
@@ -293,7 +379,18 @@ fn microkernel_4x8(acc: &mut [[f32; NR]; MR], ap: &[f32], bp: &[f32], kc: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::sgemm_f32_scalar;
+    use crate::gemm::{sgemm_f32, sgemm_f32_scalar};
+
+    type Blocked =
+        fn(usize, usize, usize, &[f32], usize, &[f32], usize, &mut [f32], usize, &BlockSizes);
+
+    /// The public entry, which takes the AVX2 build where the CPU has
+    /// AVX2, and the portable body it falls back to everywhere else; a
+    /// test over both proves both paths on any host.
+    const BLOCKED: [(&str, Blocked); 2] = [
+        ("sgemm_f32_blocked_with", sgemm_f32_blocked_with),
+        ("macrokernel", macrokernel),
+    ];
 
     fn det_matrix(rows: usize, cols: usize, seed: u32) -> Vec<f32> {
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
@@ -340,11 +437,13 @@ mod tests {
         ] {
             let a = det_matrix(m, k, 1);
             let b = det_matrix(k, n, 2);
-            let mut fast = vec![f32::NAN; m * n];
             let mut slow = vec![f32::NAN; m * n];
-            sgemm_f32_blocked_with(m, n, k, &a, k, &b, n, &mut fast, n, &sizes);
             sgemm_f32_scalar(m, n, k, &a, k, &b, n, &mut slow, n);
-            assert_eq!(fast, slow, "m={m} n={n} k={k}");
+            for (name, blocked) in BLOCKED {
+                let mut fast = vec![f32::NAN; m * n];
+                blocked(m, n, k, &a, k, &b, n, &mut fast, n, &sizes);
+                assert_eq!(fast, slow, "{name} m={m} n={n} k={k}");
+            }
         }
     }
 
@@ -371,19 +470,88 @@ mod tests {
         let (lda, ldb, ldc) = (7, 5, 9);
         let a = det_matrix(3, lda, 3);
         let b = det_matrix(4, ldb, 4);
-        let mut fast = vec![-2.0f32; 3 * ldc];
         let mut slow = vec![-2.0f32; 3 * ldc];
         let sizes = BlockSizes {
             mc: 4,
             kc: 2,
             nc: 8,
         };
-        sgemm_f32_blocked_with(3, 5, 4, &a, lda, &b, ldb, &mut fast, ldc, &sizes);
         sgemm_f32_scalar(3, 5, 4, &a, lda, &b, ldb, &mut slow, ldc);
-        assert_eq!(fast, slow);
-        // Storage beyond each row's n columns is untouched.
-        assert_eq!(fast[5], -2.0);
-        assert_eq!(fast[ldc + 5], -2.0);
+        for (name, blocked) in BLOCKED {
+            let mut fast = vec![-2.0f32; 3 * ldc];
+            blocked(3, 5, 4, &a, lda, &b, ldb, &mut fast, ldc, &sizes);
+            assert_eq!(fast, slow, "{name}");
+            // Storage beyond each row's n columns is untouched.
+            assert_eq!(fast[5], -2.0, "{name}");
+            assert_eq!(fast[ldc + 5], -2.0, "{name}");
+        }
+    }
+
+    /// Times each speed-up against a baseline built for the same ISA, so
+    /// each shows what it adds: the portable body against the unblocked
+    /// [`sgemm_f32`] shows that the cache blocking pays, and, where the
+    /// CPU has AVX2, the public entry against the portable body shows that
+    /// the AVX2 build pays. Each side is the minimum of 3 calls after one
+    /// warm-up call, since the minimum filters scheduler noise. Timings
+    /// mean nothing unoptimized, so this runs in release only.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing gate; run with --release")]
+    fn blocking_and_the_avx2_build_each_pay_at_one_isa() {
+        use std::hint::black_box;
+        fn min_of_3_secs(mut call: impl FnMut()) -> f64 {
+            call();
+            (0..3)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    call();
+                    started.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        }
+        let sizes = CacheParams::host_default().block_sizes();
+        for n in [128usize, 256] {
+            let a = det_matrix(n, n, 31);
+            let b = det_matrix(n, n, 32);
+            let mut c = vec![0.0f32; n * n];
+            let unblocked_s = min_of_3_secs(|| {
+                sgemm_f32(n, n, n, black_box(&a), n, black_box(&b), n, &mut c, n);
+                black_box(&c);
+            });
+            let mut blocked_s = |blocked: Blocked| {
+                min_of_3_secs(|| {
+                    blocked(
+                        n,
+                        n,
+                        n,
+                        black_box(&a),
+                        n,
+                        black_box(&b),
+                        n,
+                        &mut c,
+                        n,
+                        &sizes,
+                    );
+                    black_box(&c);
+                })
+            };
+            let portable_s = blocked_s(macrokernel);
+            assert!(
+                portable_s <= unblocked_s,
+                "n={n}: portable blocked {:.3} ms is slower than unblocked {:.3} ms",
+                portable_s * 1e3,
+                unblocked_s * 1e3
+            );
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let dispatched_s = blocked_s(sgemm_f32_blocked_with);
+                assert!(
+                    dispatched_s <= portable_s,
+                    "n={n}: AVX2 blocked {:.3} ms is slower than portable {:.3} ms",
+                    dispatched_s * 1e3,
+                    portable_s * 1e3
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!   NC/KC/MC panel loops with [`block::CacheParams`]-derived block sizes,
 //!   packing once per panel and seeding tile accumulators from C so the
 //!   KC split stays bitwise-faithful to the scalar loop. Its tile stays in
-//!   registers for the whole k loop, with no stack round trip per k step;
+//!   registers for the whole k loop, with no stack round trip per k step.
+//!   On an x86-64 CPU with AVX2 it runs an AVX2 build of the same body,
+//!   chosen per call at run time, and the target's baseline build
+//!   everywhere else;
 //! - [`reduce`] and [`ulp`] — the f64-widening strided dot and the fused
 //!   diff/threshold/count pass that sampled GEMM verification runs.
 //!
@@ -33,17 +36,28 @@
 //! |---|---|
 //! | `stream::fused_iteration_f64` | **bitwise** — the four literal passes' elementwise ops, not reordered |
 //! | `gemm::sgemm_f32` | **bitwise** — one accumulator per output element, k-order preserved (the tile itself supplies the ILP) |
-//! | `block::sgemm_f32_blocked` | **bitwise** — KC panels ascend and re-seed from stored f32 partials (store/load is exact), so the element-wise op sequence equals the scalar loop |
+//! | `block::sgemm_f32_blocked` | **bitwise** — KC panels ascend and re-seed from stored f32 partials (store/load is exact), so the element-wise op sequence equals the scalar loop, in the AVX2 build and the baseline build alike (no FMA in either) |
 //! | `reduce::dot_f32_to_f64_strided` | **ULP-bounded** — four accumulators reorder the sum |
 //! | `ulp::diff_stats_f32` | exact — fused diff/threshold/count pass matches its three separate sweeps |
 //!
 //! The bitwise rows are what let consumers swap these kernels in without
 //! perturbing campaign value-identity fingerprints; the ULP row feeds
-//! tolerance-checked paths only (sampled GEMM verification). One
-//! release-only test also times the blocked macrokernel against the
-//! unblocked microkernel, so the blocking keeps paying for itself.
+//! tolerance-checked paths only (sampled GEMM verification). Two
+//! release-only tests also time the blocked macrokernel. One times the
+//! public entry against the unblocked microkernel. The other times each
+//! speed-up within one ISA: the baseline build against the unblocked
+//! microkernel, so the blocking keeps paying for itself, and, on an AVX2
+//! CPU, the AVX2 build against the baseline build.
+//!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe_code`, and allows it on one item:
+//! [`block::sgemm_f32_blocked_with`], whose one `unsafe` block calls the
+//! AVX2 build after `is_x86_feature_detected!("avx2")` has found the
+//! feature on the running CPU. That detection is the call's only
+//! precondition. CI fails on any other `unsafe` in this crate.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod block;
 pub mod gemm;
