@@ -26,9 +26,3 @@ pub mod timing;
 
 pub use blas::{Blas, BlasReport, Order, Transpose};
 pub use timing::AccelerateModel;
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::blas::{Blas, BlasReport, Order, Transpose};
-    pub use crate::timing::AccelerateModel;
-}

@@ -10,7 +10,7 @@ use oranges_soc::chip::ChipGeneration;
 use oranges_soc::time::SimDuration;
 
 /// Measured Accelerate SGEMM peak, TFLOPS (paper Fig. 2).
-pub fn peak_tflops(chip: ChipGeneration) -> f64 {
+pub(crate) fn peak_tflops(chip: ChipGeneration) -> f64 {
     match chip {
         ChipGeneration::M1 => 0.90,
         ChipGeneration::M2 => 1.09,

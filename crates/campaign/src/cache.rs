@@ -22,9 +22,8 @@
 //! constants it was filled under, the disk envelope stamps it, and the
 //! loader **invalidates** a file written under different constants —
 //! dropping the stale entries so they are recomputed — instead of
-//! letting them surface later as inexplicable
-//! [`merge_from`](ResultCache::merge_from) conflicts.
-//! [`merge_from`](ResultCache::merge_from) honors the same rule for
+//! letting them surface later as inexplicable merge conflicts. The
+//! fleet's merge of its shards' caches honors the same rule for
 //! in-memory stores: entries from a cache with a different model digest
 //! are dropped as stale, never merged and never conflicting.
 
@@ -47,18 +46,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently stored.
     pub entries: usize,
-}
-
-impl CacheStats {
-    /// Hits over lookups (0.0 when never used).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -268,7 +255,7 @@ impl ResultCache {
     ///    and leaves this cache untouched.
     ///
     /// Statistics are unaffected.
-    pub fn merge_from(&self, other: &ResultCache) -> Result<MergeStats, CacheMergeError> {
+    pub(crate) fn merge_from(&self, other: &ResultCache) -> Result<MergeStats, CacheMergeError> {
         if other.inner.model_digest != self.inner.model_digest {
             return Ok(MergeStats {
                 stale: other.stats().entries,
@@ -335,7 +322,7 @@ pub struct CacheLoad {
     pub file_digest: String,
 }
 
-/// What a [`ResultCache::merge_from`] call did.
+/// What merging one shard's cache into the fleet's cache did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MergeStats {
     /// Entries newly added from the other cache.
@@ -705,7 +692,6 @@ mod tests {
         assert_eq!(hit.sets[0].value("v"), Some(1.0));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert_eq!(stats.hit_rate(), 0.5);
     }
 
     #[test]

@@ -303,7 +303,7 @@ mod oracle {
     }
 
     /// `ServiceClient::cancel`'s reads of the ack.
-    pub fn cancel_ack(body: &JsonValue) -> Result<CancelAck, String> {
+    pub(crate) fn cancel_ack(body: &JsonValue) -> Result<CancelAck, String> {
         let int = |name| member(body, "cancelled", name, JsonValue::as_u64);
         Ok(CancelAck {
             active: member(body, "cancelled", "active", JsonValue::as_bool)?,

@@ -47,7 +47,7 @@ use crate::scheduler::CampaignError;
 use oranges::experiments::ExperimentOutput;
 use oranges::platform::PlatformPool;
 use oranges_harness::obs::{
-    CampaignEvent, EventBroadcaster, EventKind, EventStream, Histogram, HistogramSnapshot,
+    CampaignEvent, EventBroadcaster, EventKind, Histogram, HistogramSnapshot,
 };
 use oranges_soc::chip::ChipGeneration;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -319,7 +319,7 @@ pub struct EngineStats {
     /// Whole submissions turned away with [`AdmitError::Busy`].
     pub submissions_rejected: u64,
     /// Lifecycle events lost to full subscriber buffers (see
-    /// [`ExecutionEngine::subscribe_events`]).
+    /// [`ExecutionEngine::events`]).
     pub events_dropped: u64,
 }
 
@@ -340,7 +340,7 @@ impl EngineStats {
 /// a subscription's channel (see
 /// [`ExecutionEngine::submit_with_notify`]). Must be cheap and
 /// non-blocking — it runs on engine worker threads.
-pub type DeliveryNotify = Arc<dyn Fn() + Send + Sync>;
+pub(crate) type DeliveryNotify = Arc<dyn Fn() + Send + Sync>;
 
 /// A waiter attached to one in-flight computation.
 struct Waiter {
@@ -514,7 +514,7 @@ impl Subscription {
     }
 
     /// Next delivery if one is already queued, without blocking — the
-    /// companion to [`ExecutionEngine::submit_with_notify`]: a reactor
+    /// companion to a submission with a delivery notify: a reactor
     /// drains this on each delivery wakeup instead of parking a thread.
     pub fn try_recv(&self) -> Result<UnitDelivery, mpsc::TryRecvError> {
         self.receiver.try_recv()
@@ -532,7 +532,7 @@ impl Subscription {
     /// A clonable handle that can cancel this subscription from
     /// anywhere — the service's `cancel` wire method keeps one per
     /// `run_token`. Holding it does not keep the engine alive.
-    pub fn cancel_handle(&self) -> CancelHandle {
+    pub(crate) fn cancel_handle(&self) -> CancelHandle {
         CancelHandle {
             sub: self.sub,
             shared: Arc::downgrade(&self.shared),
@@ -555,12 +555,12 @@ impl Drop for Subscription {
     }
 }
 
-/// Cancels one subscription from outside it (see
-/// [`Subscription::cancel_handle`]). Cancelling an already-resolved or
+/// Cancels one subscription from outside it (the daemon holds one per
+/// running request). Cancelling an already-resolved or
 /// already-cancelled subscription is a harmless no-op that reports
 /// zeros.
 #[derive(Clone)]
-pub struct CancelHandle {
+pub(crate) struct CancelHandle {
     sub: u64,
     shared: Weak<EngineShared>,
 }
@@ -693,17 +693,8 @@ impl ExecutionEngine {
     /// Number of worker threads still running. Anything less than
     /// [`workers`](ExecutionEngine::workers) means a worker died to an
     /// engine bug — the readiness signal a health probe wants.
-    pub fn alive_workers(&self) -> usize {
+    pub(crate) fn alive_workers(&self) -> usize {
         self.handles.iter().filter(|h| !h.is_finished()).count()
-    }
-
-    /// Subscribe to the engine's lifecycle events over a bounded
-    /// channel holding up to `capacity` events. Publishing never
-    /// blocks: if this subscriber falls behind, events are dropped for
-    /// it and counted in [`EngineStats::events_dropped`]. Dropping the
-    /// stream unsubscribes.
-    pub fn subscribe_events(&self, capacity: usize) -> EventStream {
-        self.shared.events.subscribe(capacity)
     }
 
     /// The engine's event broadcaster — the service publishes its own
@@ -720,7 +711,7 @@ impl ExecutionEngine {
 
     /// Per-experiment compute-latency snapshots, sorted by experiment
     /// id for deterministic exposition output.
-    pub fn latency_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
+    pub(crate) fn latency_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
         let map = self
             .shared
             .latency
@@ -780,7 +771,7 @@ impl ExecutionEngine {
     /// alike — so a readiness-driven consumer (the service reactor)
     /// can drain [`Subscription::try_recv`] on wakeups instead of
     /// parking a thread in [`Subscription::recv`].
-    pub fn submit_with_notify(
+    pub(crate) fn submit_with_notify(
         &self,
         units: &[PlanUnit],
         cache: &ResultCache,
@@ -1307,7 +1298,6 @@ mod tests {
     use super::*;
     use oranges::experiments::{Experiment, ExperimentError};
     use oranges::platform::Platform;
-    use oranges_harness::RepetitionProtocol;
     use std::sync::atomic::AtomicUsize;
 
     type Gate = Arc<(Mutex<bool>, Condvar)>;
@@ -1348,9 +1338,6 @@ mod tests {
         fn chip(&self) -> Option<ChipGeneration> {
             None
         }
-        fn protocol(&self) -> RepetitionProtocol {
-            RepetitionProtocol::GEMM
-        }
         fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
             let (lock, condvar) = &*self.gate;
             let mut released = lock.lock().expect("gate");
@@ -1375,9 +1362,6 @@ mod tests {
         fn chip(&self) -> Option<ChipGeneration> {
             None
         }
-        fn protocol(&self) -> RepetitionProtocol {
-            RepetitionProtocol::GEMM
-        }
         fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
             panic!("intentional test panic");
         }
@@ -1401,9 +1385,6 @@ mod tests {
         }
         fn chip(&self) -> Option<ChipGeneration> {
             None
-        }
-        fn protocol(&self) -> RepetitionProtocol {
-            RepetitionProtocol::GEMM
         }
         fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
             // Read between two barriers, so no sibling has left `run`
@@ -1565,7 +1546,11 @@ mod tests {
 
     /// Pull events off `stream` until `want` of them match `kind` (or
     /// a generous timeout expires), returning everything seen.
-    fn collect_until(stream: &EventStream, kind: EventKind, want: usize) -> Vec<CampaignEvent> {
+    fn collect_until(
+        stream: &oranges_harness::obs::EventStream,
+        kind: EventKind,
+        want: usize,
+    ) -> Vec<CampaignEvent> {
         let mut seen = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         while seen
@@ -1586,7 +1571,7 @@ mod tests {
     fn lifecycle_events_and_latency_histograms_cover_every_path() {
         let engine = ExecutionEngine::new(2);
         let cache = ResultCache::new();
-        let stream = engine.subscribe_events(64);
+        let stream = engine.events().subscribe(64);
         assert_eq!(engine.event_subscribers(), 1);
 
         let (experiment, gate, _) = GatedExperiment::new("observed");
@@ -1638,7 +1623,7 @@ mod tests {
         let cache = ResultCache::new();
         // Capacity-1 subscriber that never reads: every unit's started+
         // completed pair overflows it immediately.
-        let _slow = engine.subscribe_events(1);
+        let _slow = engine.events().subscribe(1);
         for round in 0..8 {
             let (experiment, gate, _) = GatedExperiment::new(&format!("burst{round}"));
             release(&gate);

@@ -55,8 +55,8 @@
 //!   shared engine over the warm cache — overlapping requests from
 //!   different clients coalesce, and each client's provenance-stamped
 //!   `MetricSet` JSON streams back the moment its units complete;
-//! - [`orchestrate`] — the **fleet orchestrator**
-//!   ([`Orchestrator::fleet`](orchestrate::Orchestrator::fleet)): N
+//! - `orchestrate` — the **fleet orchestrator**
+//!   ([`Orchestrator::fleet`]): N
 //!   campaign daemons addressed by
 //!   [`Endpoint`](oranges_harness::transport::Endpoint), one per
 //!   measurement host (or N loopback daemons for process isolation on
@@ -161,7 +161,7 @@ pub mod cache;
 mod decode_equivalence;
 pub mod engine;
 #[cfg(unix)]
-pub mod orchestrate;
+pub(crate) mod orchestrate;
 pub mod plan;
 pub mod report;
 pub mod scheduler;
@@ -177,8 +177,8 @@ pub use cache::{
     CacheLoad, CacheMergeError, CachePersistError, CacheStats, MergeStats, ResultCache,
 };
 pub use engine::{
-    AdmitError, CancelHandle, CancelOutcome, EngineStats, ExecutionEngine, Priority, SubmitOptions,
-    Subscription, UnitDelivery, UnitOutcome, UnitSource,
+    AdmitError, CancelOutcome, EngineStats, ExecutionEngine, Priority, SubmitOptions, Subscription,
+    UnitDelivery, UnitOutcome, UnitSource,
 };
 #[cfg(unix)]
 pub use orchestrate::{OrchestrateError, OrchestratedRun, Orchestrator};

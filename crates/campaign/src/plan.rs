@@ -98,14 +98,6 @@ impl Plan {
         self.units.is_empty()
     }
 
-    /// The distinct content keys (what the cache will actually compute).
-    pub fn distinct_keys(&self) -> usize {
-        let mut keys: Vec<&UnitKey> = self.units.iter().map(|u| &u.key).collect();
-        keys.sort();
-        keys.dedup();
-        keys.len()
-    }
-
     /// Deterministic 1-of-`count` partition for multi-process scale-out:
     /// shard `index` keeps every unit whose plan position is congruent to
     /// `index` modulo `count` (round-robin, so expensive kinds spread
@@ -143,7 +135,6 @@ mod tests {
     fn paper_grid_expands_to_16_units() {
         let plan = Plan::expand(&CampaignSpec::paper_grid());
         assert_eq!(plan.len(), 16, "4 figures x 4 chips");
-        assert_eq!(plan.distinct_keys(), 16);
         // Deterministic order: kind-major, chip-minor.
         assert_eq!(plan.units[0].key.id, "fig1");
         assert!(plan.units[0].key.params.contains("M1"));
@@ -205,7 +196,6 @@ mod tests {
         );
         let plan = Plan::expand(&spec);
         assert_eq!(plan.len(), 2);
-        assert_eq!(plan.distinct_keys(), 1);
         assert_eq!(plan.units[0].key, plan.units[1].key);
     }
 }

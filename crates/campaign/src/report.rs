@@ -142,7 +142,7 @@ impl CampaignReport {
     }
 
     /// The slowest unit of the campaign, if any ran.
-    pub fn slowest_unit(&self) -> Option<&UnitReport> {
+    pub(crate) fn slowest_unit(&self) -> Option<&UnitReport> {
         self.units.iter().max_by_key(|u| u.wall)
     }
 

@@ -282,7 +282,8 @@ mod tests {
         let second = run_campaign(&tiny_spec(2), &cache).unwrap();
         assert!(second.units.iter().all(|u| u.from_cache()));
         assert_eq!(first.digest(), second.digest());
-        assert_eq!(second.cache.hit_rate(), 0.5, "4 misses then 4 hits");
+        let (hits, misses) = (second.cache.hits, second.cache.misses);
+        assert_eq!((hits, misses), (4, 4), "4 misses then 4 hits");
     }
 
     #[test]

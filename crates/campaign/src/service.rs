@@ -977,8 +977,10 @@ fn quarantine_path(path: &std::path::Path) -> PathBuf {
 }
 
 /// The accept thread's whole job: hand accepted streams to the reactor
-/// over its wakeup channel. Transient accept failures (EMFILE under fd
-/// pressure, say) are retried; only a persistent streak aborts the
+/// over its wakeup channel. Running out of descriptors or buffers is
+/// back-pressure: the open connections keep being served, and `accept`
+/// is retried until one closes, with one log line per streak. Other
+/// failures are retried too; only a persistent streak of them aborts the
 /// daemon — by flagging the drain and waking the dispatch loop, so the
 /// cache is still persisted.
 fn accept_loop<T: Transport>(
@@ -987,7 +989,9 @@ fn accept_loop<T: Transport>(
     wake: WakeHandle<T::Stream>,
 ) -> Option<ServiceError> {
     const MAX_CONSECUTIVE_ACCEPT_FAILURES: u32 = 64;
+    const RETRY: Duration = Duration::from_millis(20);
     let mut accept_failures = 0u32;
+    let mut exhausted = false;
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             return None;
@@ -995,10 +999,21 @@ fn accept_loop<T: Transport>(
         match listener.accept() {
             Ok(stream) => {
                 accept_failures = 0;
+                exhausted = false;
                 if shared.shutdown.load(Ordering::Relaxed) {
                     return None; // the drain's wake-up dial, not a client
                 }
                 wake.accepted(stream);
+            }
+            Err(error) if is_resource_exhaustion(&error) => {
+                if !exhausted {
+                    exhausted = true;
+                    eprintln!(
+                        "campaign service: accept error: {error}; \
+                         retrying until a connection closes"
+                    );
+                }
+                std::thread::sleep(RETRY);
             }
             Err(error) => {
                 accept_failures += 1;
@@ -1008,10 +1023,26 @@ fn accept_loop<T: Transport>(
                     wake.shutdown();
                     return Some(io_err("accepting connection (giving up)", error));
                 }
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(RETRY);
             }
         }
     }
+}
+
+/// Whether `accept` failed for want of descriptors or buffers (EMFILE,
+/// ENFILE, ENOBUFS, ENOMEM) rather than because the listener broke.
+fn is_resource_exhaustion(error: &std::io::Error) -> bool {
+    const ENOMEM: i32 = 12;
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const ENOBUFS: i32 = 105;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const ENOBUFS: i32 = 55;
+    matches!(
+        error.raw_os_error(),
+        Some(ENOMEM | ENFILE | EMFILE | ENOBUFS)
+    )
 }
 
 /// Protocol state of one reactor-registered connection.

@@ -49,7 +49,7 @@ impl ExperimentKind {
     ];
 
     /// The four paper figures — the acceptance grid.
-    pub const FIGURES: [ExperimentKind; 4] = [
+    pub(crate) const FIGURES: [ExperimentKind; 4] = [
         ExperimentKind::Fig1,
         ExperimentKind::Fig2,
         ExperimentKind::Fig3,
@@ -57,7 +57,7 @@ impl ExperimentKind {
     ];
 
     /// Whether this kind expands into one unit per chip.
-    pub fn per_chip(&self) -> bool {
+    pub(crate) fn per_chip(&self) -> bool {
         !matches!(self, ExperimentKind::Tables | ExperimentKind::References)
     }
 
@@ -260,9 +260,7 @@ impl CampaignSpec {
     }
 
     /// Serialize to the JSON wire format the campaign service and the
-    /// shard orchestrator exchange: [`to_json_value`] emitted.
-    ///
-    /// [`to_json_value`]: CampaignSpec::to_json_value
+    /// shard orchestrator exchange.
     pub fn to_json(&self) -> String {
         self.to_json_value().to_json_string()
     }
@@ -270,7 +268,7 @@ impl CampaignSpec {
     /// The spec as a JSON tree, the body of a service `run` request.
     /// Stable field order; `None` overrides are omitted, so the emitted
     /// document stays minimal and byte-deterministic.
-    pub fn to_json_value(&self) -> JsonValue {
+    pub(crate) fn to_json_value(&self) -> JsonValue {
         let ids = self
             .experiments
             .iter()

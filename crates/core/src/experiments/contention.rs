@@ -11,7 +11,6 @@ use crate::experiments::experiment::{
     chip_mismatch, Experiment, ExperimentError, ExperimentOutput,
 };
 use crate::platform::Platform;
-use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 use oranges_umem::bandwidth::{BandwidthModel, StreamKernelKind};
 use oranges_umem::controller::Agent;
@@ -33,12 +32,12 @@ pub struct ContentionPoint {
 
 impl ContentionPoint {
     /// Aggregate bandwidth under contention.
-    pub fn aggregate_gbs(&self) -> f64 {
+    pub(crate) fn aggregate_gbs(&self) -> f64 {
         self.cpu_contended_gbs + self.gpu_contended_gbs
     }
 
     /// Aggregate as a fraction of the theoretical peak.
-    pub fn aggregate_fraction(&self, chip: ChipGeneration) -> f64 {
+    pub(crate) fn aggregate_fraction(&self, chip: ChipGeneration) -> f64 {
         self.aggregate_gbs() / chip.spec().memory_bandwidth_gbs
     }
 }
@@ -56,7 +55,7 @@ pub fn run() -> Vec<ContentionPoint> {
 }
 
 /// One chip's contention split.
-pub fn run_chip(chip: ChipGeneration) -> ContentionPoint {
+pub(crate) fn run_chip(chip: ChipGeneration) -> ContentionPoint {
     let model = BandwidthModel::of(chip);
     let threads = chip.spec().total_cores();
     let cpu_alone = model.stream_gbs(Agent::Cpu, StreamKernelKind::Triad, threads);
@@ -94,10 +93,6 @@ impl Experiment for ContentionExperiment {
 
     fn chip(&self) -> Option<ChipGeneration> {
         Some(self.chip)
-    }
-
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol::STREAM_CPU
     }
 
     fn run(&self, platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {

@@ -6,8 +6,8 @@
 //! implement it and the campaign crate sits above this one.
 //!
 //! An experiment names itself ([`Experiment::id`]), digests its
-//! parameters into a stable cache key ([`Experiment::params`]), declares
-//! its §4 repetition protocol, and runs against a [`Platform`] producing
+//! parameters into a stable cache key ([`Experiment::params`]), and runs
+//! against a [`Platform`] producing
 //! an [`ExperimentOutput`]: provenance-stamped [`MetricSet`]s plus their
 //! canonical JSON (value identity / caching). The simulation is
 //! deterministic, so the same id + params always produce byte-identical
@@ -17,7 +17,6 @@ use crate::platform::Platform;
 use oranges_gemm::GemmError;
 use oranges_harness::json::{JsonParseError, JsonValue, Member, Token, Tokenizer};
 use oranges_harness::metric::{self, MetricParseError, MetricRow, MetricSet};
-use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 use std::fmt;
 use std::sync::OnceLock;
@@ -267,9 +266,6 @@ pub trait Experiment: Send + Sync {
     /// unit a platform of exactly this chip.
     fn chip(&self) -> Option<ChipGeneration>;
 
-    /// The §4 repetition protocol the unit runs under.
-    fn protocol(&self) -> RepetitionProtocol;
-
     /// Run the unit against `platform` (guaranteed by the scheduler to
     /// match [`chip`], when chip-scoped).
     ///
@@ -287,10 +283,14 @@ pub trait Experiment: Send + Sync {
     }
 }
 
+/// §4: "each experiment was repeated five times". Figures 2 and 3
+/// average this many copies of each cell's one modeled run.
+pub(crate) const GEMM_REPETITIONS: usize = 5;
+
 /// Format a size list for parameter digests. Lossless — the digest is a
 /// cache key, so two different sweeps must never collide (a min-max-count
 /// summary would alias e.g. `[2048, 4096, 8192]` and `[2048, 6144, 8192]`).
-pub fn digest_sizes(sizes: &[usize]) -> String {
+pub(crate) fn digest_sizes(sizes: &[usize]) -> String {
     if sizes.is_empty() {
         return "none".to_string();
     }
@@ -304,7 +304,7 @@ pub fn digest_sizes(sizes: &[usize]) -> String {
 /// The error returned when a chip-scoped experiment is handed a platform
 /// of a different chip (the scheduler never does this; direct callers
 /// might).
-pub fn chip_mismatch(expected: ChipGeneration, got: ChipGeneration) -> ExperimentError {
+pub(crate) fn chip_mismatch(expected: ChipGeneration, got: ChipGeneration) -> ExperimentError {
     ExperimentError::Other(format!(
         "experiment is scoped to {expected} but was given a {got} platform"
     ))

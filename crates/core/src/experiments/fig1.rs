@@ -6,7 +6,6 @@ use crate::experiments::experiment::{
 use crate::platform::Platform;
 use oranges_harness::figure::{grouped_bar_chart, Bar, BarGroup};
 use oranges_harness::metric::{self, MetricSet};
-use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 use oranges_stream::cpu::CpuStream;
 use oranges_stream::gpu::GpuStream;
@@ -56,7 +55,7 @@ impl Fig1Data {
 /// One chip's bars (8: 2 agents × 4 kernels) with the paper's
 /// configuration (10 CPU reps with thread sweep, 20 GPU reps, maxima
 /// reported).
-pub fn run_chip(chip: ChipGeneration) -> Vec<Fig1Point> {
+pub(crate) fn run_chip(chip: ChipGeneration) -> Vec<Fig1Point> {
     let mut points = Vec::with_capacity(8);
     let cpu = CpuStream::new(chip).run();
     for result in &cpu.results {
@@ -133,7 +132,7 @@ pub fn render(data: &Fig1Data) -> String {
 
 /// Convert bandwidth points to provenance-stamped [`MetricSet`]s — one
 /// per bar, implementation `"Kernel (Agent)"`, metric `gbs`.
-pub fn metric_sets(points: &[Fig1Point]) -> Vec<MetricSet> {
+pub(crate) fn metric_sets(points: &[Fig1Point]) -> Vec<MetricSet> {
     points
         .iter()
         .map(|p| {
@@ -147,7 +146,7 @@ pub fn metric_sets(points: &[Fig1Point]) -> Vec<MetricSet> {
 /// The kernel and agent of an implementation label [`metric_sets`]
 /// writes (`"Triad (GPU)"` → `("Triad", "GPU")`); `None` for any other
 /// label.
-pub fn kernel_and_agent(implementation: &str) -> Option<(&str, &str)> {
+pub(crate) fn kernel_and_agent(implementation: &str) -> Option<(&str, &str)> {
     implementation.strip_suffix(')')?.split_once(" (")
 }
 
@@ -174,10 +173,6 @@ impl Experiment for Fig1Experiment {
 
     fn chip(&self) -> Option<ChipGeneration> {
         Some(self.chip)
-    }
-
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol::STREAM_CPU
     }
 
     fn run(&self, platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {

@@ -14,12 +14,11 @@
 //! nothing multiplies.
 
 use crate::experiments::experiment::{
-    chip_mismatch, digest_sizes, Experiment, ExperimentError, ExperimentOutput,
+    chip_mismatch, digest_sizes, Experiment, ExperimentError, ExperimentOutput, GEMM_REPETITIONS,
 };
 use crate::platform::Platform;
 use oranges_gemm::suite::{paper_sizes, skips_size};
 use oranges_gemm::{gemm_flops, verify_sampled, GemmError, Matrix, DEFAULT_FUNCTIONAL_LIMIT};
-use oranges_harness::experiment::RepetitionProtocol;
 use oranges_harness::figure::{series_chart, Series, SeriesChartConfig};
 use oranges_harness::metric::{self, MetricSet, PowerContext};
 use oranges_harness::stats::Summary;
@@ -31,8 +30,6 @@ use std::collections::HashMap;
 pub struct Fig2Config {
     /// Matrix sizes to sweep.
     pub sizes: Vec<usize>,
-    /// Repetition protocol (paper: 5 reps).
-    pub protocol: RepetitionProtocol,
     /// Verify numerics functionally for cells at or below this many FLOPs
     /// (at most [`DEFAULT_FUNCTIONAL_LIMIT`]; a larger value is clamped).
     pub verify_max_flops: u64,
@@ -44,7 +41,6 @@ impl Default for Fig2Config {
     fn default() -> Self {
         Fig2Config {
             sizes: paper_sizes(),
-            protocol: RepetitionProtocol::GEMM,
             verify_max_flops: gemm_flops(256),
             chips: ChipGeneration::ALL.to_vec(),
         }
@@ -57,7 +53,6 @@ impl Fig2Config {
     pub fn smoke() -> Self {
         Fig2Config {
             sizes: vec![64, 256, 1024],
-            protocol: RepetitionProtocol::GEMM,
             verify_max_flops: gemm_flops(64),
             chips: vec![ChipGeneration::M1, ChipGeneration::M4],
         }
@@ -115,7 +110,10 @@ impl Fig2Data {
 
 /// Run one chip's grid on an existing platform (the campaign path; the
 /// platform's chip decides the cells). `config.chips` is ignored here.
-pub fn run_chip(platform: &mut Platform, config: &Fig2Config) -> Result<Vec<Fig2Point>, GemmError> {
+pub(crate) fn run_chip(
+    platform: &mut Platform,
+    config: &Fig2Config,
+) -> Result<Vec<Fig2Point>, GemmError> {
     let chip = platform.chip();
     let names = platform.implementation_names();
     let verdicts = verify_sizes(platform, &names, config)?;
@@ -133,7 +131,7 @@ pub fn run_chip(platform: &mut Platform, config: &Fig2Config) -> Result<Vec<Fig2
             // averaged: the mean of five equal f64s is not always that
             // value, and the campaign fingerprints pin the averaged bits.
             let run = platform.gemm_modeled(name, n)?;
-            let runs = vec![run; config.protocol.reps as usize];
+            let runs = vec![run; GEMM_REPETITIONS];
             let samples: Vec<f64> = runs.iter().map(|r| r.gflops()).collect();
             let gflops = Summary::of(&samples).expect("non-empty repetitions").mean;
             let count = runs.len() as f64;
@@ -254,7 +252,7 @@ pub fn render_panel(data: &Fig2Data, chip: ChipGeneration) -> String {
 /// Convert grid cells to provenance-stamped [`MetricSet`]s. `params` is
 /// the producing configuration's digest (campaign units pass their cache
 /// key; standalone callers a descriptive label).
-pub fn metric_sets(points: &[Fig2Point], params: &str) -> Vec<MetricSet> {
+pub(crate) fn metric_sets(points: &[Fig2Point], params: &str) -> Vec<MetricSet> {
     points
         .iter()
         .map(|p| {
@@ -302,7 +300,6 @@ impl Fig2Experiment {
     fn config(&self) -> Fig2Config {
         Fig2Config {
             sizes: self.sizes.clone(),
-            protocol: Experiment::protocol(self),
             verify_max_flops: self.verify_max_flops,
             chips: vec![self.chip],
         }
@@ -325,10 +322,6 @@ impl Experiment for Fig2Experiment {
 
     fn chip(&self) -> Option<ChipGeneration> {
         Some(self.chip)
-    }
-
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol::GEMM
     }
 
     fn run(&self, platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {

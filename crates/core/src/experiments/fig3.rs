@@ -6,12 +6,11 @@
 //! The figure's x-axis covers n ∈ {2048 … 16384}.
 
 use crate::experiments::experiment::{
-    chip_mismatch, digest_sizes, Experiment, ExperimentError, ExperimentOutput,
+    chip_mismatch, digest_sizes, Experiment, ExperimentError, ExperimentOutput, GEMM_REPETITIONS,
 };
 use crate::platform::Platform;
 use oranges_gemm::suite::skips_size;
 use oranges_gemm::GemmError;
-use oranges_harness::experiment::RepetitionProtocol;
 use oranges_harness::figure::{series_chart, Series, SeriesChartConfig};
 use oranges_harness::metric::{self, MetricSet, PowerContext};
 use oranges_soc::chip::ChipGeneration;
@@ -21,9 +20,6 @@ use oranges_soc::chip::ChipGeneration;
 pub struct Fig3Config {
     /// Matrix sizes (the paper's Figure 3 shows 2048…16384).
     pub sizes: Vec<usize>,
-    /// Repetition protocol (power piggybacks the five GEMM reps, which
-    /// share one modeled run).
-    pub protocol: RepetitionProtocol,
     /// Chips to run.
     pub chips: Vec<ChipGeneration>,
 }
@@ -32,7 +28,6 @@ impl Default for Fig3Config {
     fn default() -> Self {
         Fig3Config {
             sizes: vec![2048, 4096, 8192, 16384],
-            protocol: RepetitionProtocol::GEMM,
             chips: ChipGeneration::ALL.to_vec(),
         }
     }
@@ -80,7 +75,10 @@ impl Fig3Data {
 
 /// Run one chip's grid on an existing platform (the campaign path).
 /// `config.chips` is ignored; the platform's chip decides the cells.
-pub fn run_chip(platform: &mut Platform, config: &Fig3Config) -> Result<Vec<Fig3Point>, GemmError> {
+pub(crate) fn run_chip(
+    platform: &mut Platform,
+    config: &Fig3Config,
+) -> Result<Vec<Fig3Point>, GemmError> {
     let chip = platform.chip();
     let mut points = Vec::new();
     for name in platform.implementation_names() {
@@ -100,7 +98,7 @@ pub fn run_chip(platform: &mut Platform, config: &Fig3Config) -> Result<Vec<Fig3
                 run.power.window.as_secs_f64(),
                 run.power.energy_j,
             );
-            let samples = vec![sample; config.protocol.reps as usize];
+            let samples = [sample; GEMM_REPETITIONS];
             let count = samples.len() as f64;
             let power_mw = samples.iter().map(|s| s.0).sum::<f64>() / count;
             let window_s = samples.iter().map(|s| s.1).sum::<f64>() / count;
@@ -164,17 +162,12 @@ impl Experiment for Fig3Experiment {
         Some(self.chip)
     }
 
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol::GEMM
-    }
-
     fn run(&self, platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
         if platform.chip() != self.chip {
             return Err(chip_mismatch(self.chip, platform.chip()));
         }
         let config = Fig3Config {
             sizes: self.sizes.clone(),
-            protocol: Experiment::protocol(self),
             chips: vec![self.chip],
         };
         let points = run_chip(platform, &config)?;
@@ -216,7 +209,7 @@ pub fn render_panel(data: &Fig3Data, chip: ChipGeneration) -> String {
 
 /// Convert power cells to provenance-stamped [`MetricSet`]s; the cell's
 /// window/energy become its [`PowerContext`].
-pub fn metric_sets(points: &[Fig3Point], params: &str) -> Vec<MetricSet> {
+pub(crate) fn metric_sets(points: &[Fig3Point], params: &str) -> Vec<MetricSet> {
     points
         .iter()
         .map(|p| {
@@ -286,7 +279,6 @@ mod tests {
         let config = Fig3Config {
             sizes: vec![64],
             chips: vec![ChipGeneration::M2],
-            ..Fig3Config::default()
         };
         let data = run(&config).unwrap();
         let cpu = data

@@ -11,7 +11,6 @@ use oranges_gemm::suite::skips_size;
 use oranges_gemm::GemmError;
 use oranges_harness::figure::{series_chart, Series, SeriesChartConfig};
 use oranges_harness::metric::{self, MetricSet, PowerContext};
-use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 
 /// Experiment configuration (same grid as Figure 3).
@@ -74,7 +73,10 @@ impl Fig4Data {
 
 /// Run one chip's grid on an existing platform (the campaign path).
 /// `config.chips` is ignored; the platform's chip decides the cells.
-pub fn run_chip(platform: &mut Platform, config: &Fig4Config) -> Result<Vec<Fig4Point>, GemmError> {
+pub(crate) fn run_chip(
+    platform: &mut Platform,
+    config: &Fig4Config,
+) -> Result<Vec<Fig4Point>, GemmError> {
     let chip = platform.chip();
     let mut points = Vec::new();
     for name in platform.implementation_names() {
@@ -141,10 +143,6 @@ impl Experiment for Fig4Experiment {
         Some(self.chip)
     }
 
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol::GEMM
-    }
-
     fn run(&self, platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
         if platform.chip() != self.chip {
             return Err(chip_mismatch(self.chip, platform.chip()));
@@ -188,7 +186,7 @@ pub fn render_panel(data: &Fig4Data, chip: ChipGeneration) -> String {
 }
 
 /// Convert efficiency cells to provenance-stamped [`MetricSet`]s.
-pub fn metric_sets(points: &[Fig4Point], params: &str) -> Vec<MetricSet> {
+pub(crate) fn metric_sets(points: &[Fig4Point], params: &str) -> Vec<MetricSet> {
     points
         .iter()
         .map(|p| {

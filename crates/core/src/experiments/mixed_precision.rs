@@ -14,7 +14,6 @@ use crate::experiments::experiment::{
 };
 use crate::platform::Platform;
 use oranges_harness::metric::MetricSet;
-use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::gpu::{GpuPrecision, GpuSpec};
 
@@ -43,7 +42,7 @@ fn mps_efficiency(chip: ChipGeneration) -> f64 {
 }
 
 /// Project the MPS peak across the precision ladder for one chip.
-pub fn run_chip(chip: ChipGeneration) -> Vec<PrecisionPoint> {
+pub(crate) fn run_chip(chip: ChipGeneration) -> Vec<PrecisionPoint> {
     let precisions = [
         GpuPrecision::Fp16,
         GpuPrecision::Fp32,
@@ -91,10 +90,6 @@ impl Experiment for MixedPrecisionExperiment {
         Some(self.chip)
     }
 
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol { reps: 1 }
-    }
-
     fn run(&self, platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
         if platform.chip() != self.chip {
             return Err(chip_mismatch(self.chip, platform.chip()));
@@ -121,7 +116,7 @@ impl Experiment for MixedPrecisionExperiment {
 /// FP16 (round-to-nearest-even via `f32 -> half bits -> f32` on every
 /// operand and partial sum) versus f64, over a length-`k` product of
 /// `R ∈ [0,1)` values. This is the accuracy side of the trade-off.
-pub fn fp16_dot_relative_error(k: usize, seed: u64) -> f64 {
+pub(crate) fn fp16_dot_relative_error(k: usize, seed: u64) -> f64 {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     let mut next = move || {
         state ^= state << 13;

@@ -11,7 +11,6 @@ use crate::experiments::{fig1, fig2, fig4};
 use crate::ledger::Ledger;
 use crate::platform::Platform;
 use oranges_harness::metric::MetricSet;
-use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::ChipGeneration;
 
 /// The HPC Perspective comparisons (R1–R3) as one chip-independent
@@ -32,10 +31,6 @@ impl Experiment for ReferencesExperiment {
 
     fn chip(&self) -> Option<ChipGeneration> {
         None
-    }
-
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol::GEMM
     }
 
     fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {

@@ -4,7 +4,6 @@ use crate::experiments::experiment::{Experiment, ExperimentError, ExperimentOutp
 use crate::platform::Platform;
 use oranges_gemm::suite::TABLE2;
 use oranges_harness::table::{Align, TextTable};
-use oranges_harness::RepetitionProtocol;
 use oranges_soc::chip::{ChipGeneration, ChipSpec};
 use oranges_soc::device::DeviceModel;
 
@@ -129,10 +128,6 @@ impl Experiment for TablesExperiment {
 
     fn chip(&self) -> Option<ChipGeneration> {
         None
-    }
-
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol { reps: 1 }
     }
 
     fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {

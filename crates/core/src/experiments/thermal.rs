@@ -13,7 +13,6 @@ use crate::experiments::experiment::{
 };
 use crate::platform::Platform;
 use oranges_harness::metric::PowerContext;
-use oranges_harness::RepetitionProtocol;
 use oranges_powermetrics::{PowerModel, WorkClass};
 use oranges_soc::chip::ChipGeneration;
 use oranges_soc::device::DeviceModel;
@@ -44,7 +43,7 @@ pub struct SustainedPoint {
 impl SustainedPoint {
     /// The run's power/thermal provenance: end-state cap, integrated
     /// energy, and the mean effective power over the window.
-    pub fn power_context(&self) -> PowerContext {
+    pub(crate) fn power_context(&self) -> PowerContext {
         PowerContext {
             package_watts: if self.window_s > 0.0 {
                 self.energy_j / self.window_s
@@ -67,7 +66,7 @@ pub fn run(class: WorkClass, minutes: f64) -> Vec<SustainedPoint> {
 }
 
 /// One chip's sustained run.
-pub fn run_chip(chip: ChipGeneration, class: WorkClass, minutes: f64) -> SustainedPoint {
+pub(crate) fn run_chip(chip: ChipGeneration, class: WorkClass, minutes: f64) -> SustainedPoint {
     let step = SimDuration::from_secs_f64(1.0);
     let steps = (minutes * 60.0) as u64;
     let device = DeviceModel::of(chip);
@@ -137,10 +136,6 @@ impl Experiment for ThermalExperiment {
 
     fn chip(&self) -> Option<ChipGeneration> {
         Some(self.chip)
-    }
-
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol { reps: 1 }
     }
 
     fn run(&self, platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {

@@ -16,7 +16,7 @@
 //! | `oranges-powermetrics` | the power sampler, text format, SIGINFO windows |
 //! | `oranges-stream` | STREAM for CPU (thread sweep) and GPU |
 //! | `oranges-gemm` | the six Table 2 GEMM implementations |
-//! | `oranges-harness` | repetition protocol, stats, tables, figures, CSV/JSON, run records |
+//! | `oranges-harness` | stats, tables, figures, CSV/JSON, run records |
 //! | `oranges-campaign` | concurrent campaign orchestration: plan, worker pool, result cache |
 //!
 //! This crate ties the substrate together:

@@ -37,7 +37,7 @@ impl MeasuredRun {
     /// [`MetricSet`](oranges_harness::metric::MetricSet)s derived from
     /// it. Paper-protocol runs are short enough that DVFS never engages,
     /// so the thermal state is nominal (cap 1.0).
-    pub fn power_context(&self) -> PowerContext {
+    pub(crate) fn power_context(&self) -> PowerContext {
         PowerContext {
             package_watts: self.power.package_watts(),
             energy_j: self.power.energy_j,

@@ -27,17 +27,6 @@ impl CpuAccelerate {
             blas: Blas::new(chip),
         }
     }
-
-    /// Override the functional ceiling.
-    pub fn with_functional_limit(mut self, limit: u64) -> Self {
-        self.blas = self.blas.with_functional_limit(limit);
-        self
-    }
-
-    /// Modeled sustained GFLOPS at size `n`.
-    pub fn modeled_gflops(&self, n: usize) -> f64 {
-        self.blas.model().sustained_gflops(n as u64)
-    }
 }
 
 impl GemmImplementation for CpuAccelerate {
@@ -163,24 +152,15 @@ mod tests {
             (ChipGeneration::M4, 1490.0),
         ];
         for (chip, gflops) in expected {
-            let implementation = CpuAccelerate::new(chip);
-            let g = implementation.modeled_gflops(16384);
+            let g = CpuAccelerate::new(chip).model_run(16384).unwrap().gflops();
             assert!((g - gflops).abs() / gflops < 0.02, "{chip}: {g}");
         }
     }
 
     #[test]
     fn duty_is_high_for_real_problems() {
-        let mut implementation = CpuAccelerate::new(ChipGeneration::M1).with_functional_limit(0);
-        let n = 1024;
-        let outcome = implementation
-            .run(
-                n,
-                &vec![0.0; n * n],
-                &vec![0.0; n * n],
-                &mut vec![0.0; n * n],
-            )
-            .unwrap();
+        let mut implementation = CpuAccelerate::new(ChipGeneration::M1);
+        let outcome = implementation.model_run(1024).unwrap();
         assert!(outcome.duty > 0.99, "{}", outcome.duty);
         assert!(!outcome.functional);
     }

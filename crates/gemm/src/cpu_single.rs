@@ -37,7 +37,6 @@ fn base_gflops(chip: ChipGeneration) -> f64 {
 pub struct CpuSingle {
     chip: ChipGeneration,
     hierarchy: CacheHierarchy,
-    functional_limit: u64,
 }
 
 impl CpuSingle {
@@ -46,14 +45,7 @@ impl CpuSingle {
         CpuSingle {
             chip,
             hierarchy: CacheHierarchy::of(chip.spec()),
-            functional_limit: DEFAULT_FUNCTIONAL_LIMIT,
         }
-    }
-
-    /// Override the functional ceiling.
-    pub fn with_functional_limit(mut self, limit: u64) -> Self {
-        self.functional_limit = limit;
-        self
     }
 
     /// Cache-spill degradation: the naive j-inner access pattern re-walks
@@ -70,7 +62,7 @@ impl CpuSingle {
     }
 
     /// Modeled sustained GFLOPS at size `n`.
-    pub fn modeled_gflops(&self, n: usize) -> f64 {
+    pub(crate) fn modeled_gflops(&self, n: usize) -> f64 {
         base_gflops(self.chip) * self.cache_factor(n)
     }
 }
@@ -108,7 +100,7 @@ impl GemmImplementation for CpuSingle {
             )));
         }
         let flops = gemm_flops(n as u64);
-        let functional = flops <= self.functional_limit;
+        let functional = flops <= DEFAULT_FUNCTIONAL_LIMIT;
         if functional {
             let cache = chip_cache_params(self.chip);
             sgemm_f32_blocked(n, n, n, a, n, b, n, c, n, &cache);
@@ -175,13 +167,8 @@ mod tests {
 
     #[test]
     fn cubic_time_growth() {
-        let mut implementation = CpuSingle::new(ChipGeneration::M3).with_functional_limit(0);
-        let run = |imp: &mut CpuSingle, n: usize| {
-            let mut c = vec![0.0f32; n * n];
-            imp.run(n, &vec![0.0; n * n], &vec![0.0; n * n], &mut c)
-                .unwrap()
-                .duration
-        };
+        let mut implementation = CpuSingle::new(ChipGeneration::M3);
+        let run = |imp: &mut CpuSingle, n: usize| imp.model_run(n).unwrap().duration;
         let t256 = run(&mut implementation, 256);
         let t512 = run(&mut implementation, 512);
         let ratio = t512.as_secs_f64() / t256.as_secs_f64();

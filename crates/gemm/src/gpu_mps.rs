@@ -25,16 +25,6 @@ impl GpuMps {
             device: Device::system_default(chip),
         }
     }
-
-    /// Build over an explicit device.
-    pub fn with_device(device: Device) -> Self {
-        GpuMps { device }
-    }
-
-    /// The device in use.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
 }
 
 impl GemmImplementation for GpuMps {
@@ -164,16 +154,10 @@ mod tests {
         use crate::cpu_accelerate::CpuAccelerate;
         use crate::gpu_shader::GpuShader;
         let n = 4096;
-        let zeros = vec![0.0f32; n * n];
         for chip in ChipGeneration::ALL {
-            let device = Device::system_default(chip).with_functional_limit(0);
-            let mut mps = GpuMps::with_device(device.clone());
-            let mut c = vec![0.0f32; n * n];
-            let g_mps = mps.run(n, &zeros, &zeros, &mut c).unwrap().gflops();
-            let mut accelerate = CpuAccelerate::new(chip).with_functional_limit(0);
-            let g_acc = accelerate.run(n, &zeros, &zeros, &mut c).unwrap().gflops();
-            let mut naive = GpuShader::with_device(device, crate::gpu_shader::ShaderKind::Naive);
-            let g_naive = naive.run(n, &zeros, &zeros, &mut c).unwrap().gflops();
+            let g_mps = GpuMps::new(chip).model_run(n).unwrap().gflops();
+            let g_acc = CpuAccelerate::new(chip).model_run(n).unwrap().gflops();
+            let g_naive = GpuShader::naive(chip).model_run(n).unwrap().gflops();
             assert!(g_mps > g_acc, "{chip}: MPS {g_mps} vs Accelerate {g_acc}");
             assert!(
                 g_mps > g_naive,
@@ -189,13 +173,8 @@ mod tests {
         use crate::cpu_accelerate::CpuAccelerate;
         let n = 8192;
         let run_pair = |chip| {
-            let device = Device::system_default(chip).with_functional_limit(0);
-            let mut mps = GpuMps::with_device(device);
-            let mut acc = CpuAccelerate::new(chip).with_functional_limit(0);
-            let mut c = vec![0.0f32; n * n];
-            let zeros = vec![0.0f32; n * n];
-            let g = mps.run(n, &zeros, &zeros, &mut c).unwrap().gflops();
-            let a = acc.run(n, &zeros, &zeros, &mut c).unwrap().gflops();
+            let g = GpuMps::new(chip).model_run(n).unwrap().gflops();
+            let a = CpuAccelerate::new(chip).model_run(n).unwrap().gflops();
             (g, a)
         };
         let (m1_gpu, m1_cpu) = run_pair(ChipGeneration::M1);

@@ -19,7 +19,7 @@ use oranges_umem::StorageMode;
 
 /// Which custom shader to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShaderKind {
+pub(crate) enum ShaderKind {
     /// One thread per output element, no tiling.
     Naive,
     /// Threadgroup-memory tiled ("Cutlass-style").
@@ -36,7 +36,7 @@ impl ShaderKind {
 }
 
 /// A custom-shader GPU GEMM implementation.
-pub struct GpuShader {
+pub(crate) struct GpuShader {
     device: Device,
     pipeline: ComputePipelineState,
     kind: ShaderKind,
@@ -54,7 +54,7 @@ impl GpuShader {
     }
 
     /// Build over an explicit device (e.g. with a custom functional limit).
-    pub fn with_device(device: Device, kind: ShaderKind) -> Self {
+    pub(crate) fn with_device(device: Device, kind: ShaderKind) -> Self {
         let pipeline = device
             .new_default_library()
             .pipeline(kind.function_name())
@@ -64,16 +64,6 @@ impl GpuShader {
             pipeline,
             kind,
         }
-    }
-
-    /// The device in use.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
-    /// Which shader variant this is.
-    pub fn kind(&self) -> ShaderKind {
-        self.kind
     }
 }
 

@@ -21,12 +21,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cpu_accelerate;
-pub mod cpu_omp;
-pub mod cpu_single;
+pub(crate) mod cpu_accelerate;
+pub(crate) mod cpu_omp;
+pub(crate) mod cpu_single;
 pub mod error;
-pub mod gpu_mps;
-pub mod gpu_shader;
+pub(crate) mod gpu_mps;
+pub(crate) mod gpu_shader;
 pub mod matrix;
 pub mod suite;
 pub mod verify;

@@ -72,11 +72,6 @@ impl Matrix {
             .expect("benchmark matrices are Shared")
     }
 
-    /// Consume into the unified buffer (for no-copy Metal wrapping).
-    pub fn into_buffer(self) -> UnifiedBuffer<f32> {
-        self.buffer
-    }
-
     /// The underlying allocation's base address.
     pub fn base_address(&self) -> u64 {
         self.buffer.base_address()
@@ -135,13 +130,5 @@ mod tests {
             Matrix::zeros(&space(), 0),
             Err(GemmError::Dimension(_))
         ));
-    }
-
-    #[test]
-    fn into_buffer_supports_no_copy_wrap() {
-        let s = space();
-        let m = Matrix::random(&s, 256, 7).unwrap();
-        let buffer = m.into_buffer();
-        assert!(buffer.supports_no_copy_wrap());
     }
 }

@@ -192,34 +192,8 @@ mod tests {
         for chip in ChipGeneration::ALL {
             let mut gflops = std::collections::HashMap::new();
             for mut implementation in suite_for(chip) {
-                let name = implementation.name();
-                // Force model-only by zero functional limits where needed:
-                // run with zero-filled matrices; functional execution may
-                // still happen for cheap impls but results are unused.
-                let zeros = vec![0.0f32; n * n];
-                let mut c = vec![0.0f32; n * n];
-                // Wrap in a modeled-only variant where available.
-                let outcome = match name {
-                    "CPU-Single" => crate::cpu_single::CpuSingle::new(chip)
-                        .with_functional_limit(0)
-                        .run(n, &zeros, &zeros, &mut c)
-                        .unwrap(),
-                    "CPU-OMP" => crate::cpu_omp::CpuOmp::new(chip)
-                        .with_functional_limit(0)
-                        .run(n, &zeros, &zeros, &mut c)
-                        .unwrap(),
-                    "CPU-Accelerate" => crate::cpu_accelerate::CpuAccelerate::new(chip)
-                        .with_functional_limit(0)
-                        .run(n, &zeros, &zeros, &mut c)
-                        .unwrap(),
-                    _ => {
-                        let _ = &mut implementation;
-                        // GPU paths are above the default functional limit
-                        // at n=4096 already.
-                        implementation.run(n, &zeros, &zeros, &mut c).unwrap()
-                    }
-                };
-                gflops.insert(name, outcome.gflops());
+                let outcome = implementation.model_run(n).unwrap();
+                gflops.insert(implementation.name(), outcome.gflops());
             }
             assert!(gflops["GPU-MPS"] > gflops["CPU-Accelerate"], "{chip}");
             assert!(gflops["CPU-Accelerate"] > gflops["GPU-Naive"], "{chip}");

@@ -4,14 +4,9 @@
 //! benchmark-scale matrices the harness verifies a random sample of output
 //! entries instead, recomputing each sampled entry as an f64 dot product
 //! (tighter than the f32 kernels, so the tolerance bounds kernel error,
-//! not reference error). When a dense reference *is* available (unit
-//! tests, small functional runs), [`verify_dense`] compares whole outputs
-//! in one fused sweep — max-abs diff, max-ULP distance, and the mismatch
-//! count in a single pass over each array instead of separate
-//! diff → threshold → count sweeps.
+//! not reference error).
 
 use oranges_kernels::reduce::dot_f32_to_f64_strided;
-use oranges_kernels::ulp::diff_stats_f32;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,37 +25,6 @@ pub struct VerifyOutcome {
     pub max_rel_error: f64,
     /// Whether all samples were within tolerance.
     pub passed: bool,
-}
-
-/// Result of one fused dense comparison ([`verify_dense`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DenseVerifyOutcome {
-    /// Elements compared.
-    pub compared: usize,
-    /// Elements whose absolute difference exceeded the tolerance.
-    pub mismatches: usize,
-    /// Largest absolute difference seen.
-    pub max_abs_diff: f32,
-    /// Largest elementwise ULP distance seen.
-    pub max_ulp: u64,
-    /// No mismatches and both slices were the same length.
-    pub passed: bool,
-}
-
-/// Compare a computed output against a dense reference in one sweep.
-///
-/// Single pass over each array (the kernels-crate
-/// [`diff_stats_f32`] primitive) producing the max absolute difference,
-/// max ULP distance, and count of elements beyond `abs_tol` at once.
-pub fn verify_dense(got: &[f32], want: &[f32], abs_tol: f32) -> DenseVerifyOutcome {
-    let stats = diff_stats_f32(got, want, abs_tol);
-    DenseVerifyOutcome {
-        compared: stats.compared,
-        mismatches: stats.mismatches,
-        max_abs_diff: stats.max_abs(),
-        max_ulp: stats.max_ulp,
-        passed: stats.mismatches == 0 && got.len() == want.len(),
-    }
 }
 
 /// Verify `c ≈ a · b` on `samples` random entries with relative tolerance
@@ -147,43 +111,5 @@ mod tests {
         let b = vec![0.5f32; n * n];
         let c = vec![0.0f32; n * n];
         assert!(!verify_sampled(n, &a, &b, &c, 32, 1, 1e-5).passed);
-    }
-
-    #[test]
-    fn dense_verify_passes_identical_outputs() {
-        let n = 24;
-        let a = det_matrix(n, 5);
-        let b = det_matrix(n, 6);
-        let mut c = vec![0.0f32; n * n];
-        reference_gemm(n, &a, &b, &mut c);
-        let outcome = verify_dense(&c, &c, 0.0);
-        assert!(outcome.passed);
-        assert_eq!(outcome.mismatches, 0);
-        assert_eq!(outcome.max_ulp, 0);
-        assert_eq!(outcome.compared, n * n);
-    }
-
-    #[test]
-    fn dense_verify_counts_and_bounds_corruption() {
-        let n = 8;
-        let a = det_matrix(n, 7);
-        let b = det_matrix(n, 8);
-        let mut c = vec![0.0f32; n * n];
-        reference_gemm(n, &a, &b, &mut c);
-        let mut bad = c.clone();
-        bad[3] += 0.5;
-        bad[40] -= 0.25;
-        let outcome = verify_dense(&bad, &c, 1e-4);
-        assert!(!outcome.passed);
-        assert_eq!(outcome.mismatches, 2);
-        assert!(outcome.max_abs_diff >= 0.5);
-        assert!(outcome.max_ulp > 0);
-    }
-
-    #[test]
-    fn dense_verify_rejects_length_mismatch() {
-        let outcome = verify_dense(&[1.0, 2.0], &[1.0], 0.0);
-        assert!(!outcome.passed, "shorter reference must not pass");
-        assert_eq!(outcome.compared, 1);
     }
 }

@@ -26,12 +26,6 @@ impl CsvWriter {
         self
     }
 
-    /// Append a row of displayable values.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     fn raw_row(&mut self, cells: Vec<String>) {
         let escaped: Vec<String> = cells.iter().map(|c| escape(c)).collect();
         self.out.push_str(&escaped.join(","));
@@ -41,11 +35,6 @@ impl CsvWriter {
     /// The CSV text.
     pub fn finish(self) -> String {
         self.out
-    }
-
-    /// Rows written so far (including the header).
-    pub fn line_count(&self) -> usize {
-        self.out.lines().count()
     }
 }
 
@@ -115,13 +104,5 @@ mod tests {
     fn width_mismatch_panics() {
         let mut w = CsvWriter::new(&["a", "b"]);
         w.row(&["only one".into()]);
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut w = CsvWriter::new(&["n", "gflops"]);
-        w.row_display(&[256.0, 1234.5]);
-        assert_eq!(w.line_count(), 2);
-        assert!(w.finish().contains("256,1234.5"));
     }
 }

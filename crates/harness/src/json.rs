@@ -242,11 +242,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
 }
 
 /// Parse failure: what went wrong and the byte offset it went wrong at.
@@ -910,7 +905,7 @@ mod tests {
         assert_eq!(items.len(), 3);
         assert_eq!(items[0].as_f64(), Some(1.0));
         assert_eq!(items[1].as_str(), Some("two"));
-        assert!(items[2].is_null());
+        assert_eq!(items[2], JsonValue::Null);
         let object = parse(r#"{"a":1,"b":[true]}"#).unwrap();
         assert_eq!(object.get("a").and_then(JsonValue::as_f64), Some(1.0));
         assert_eq!(

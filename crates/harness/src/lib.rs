@@ -1,12 +1,10 @@
 //! # oranges-harness — benchmark orchestration and reporting
 //!
 //! Everything the paper's experimental section (§4) needs that is not a
-//! kernel: the repetition protocol (five repetitions per GEMM experiment,
-//! ten for CPU STREAM), summary statistics, aligned text tables, ASCII
-//! renderings of the four figures, CSV files and JSON reports.
+//! kernel: summary statistics, aligned text tables, ASCII renderings of
+//! the four figures, CSV files and JSON reports.
 //!
 //! - [`stats`]: min/max/mean/median/σ summaries;
-//! - [`experiment`]: the repetition protocol (how many repetitions);
 //! - [`table`]: aligned text tables (Tables 1–3 renderers live in the
 //!   `oranges` crate; this is the generic engine);
 //! - [`figure`]: ASCII grouped bars (Fig. 1) and log-scale series charts
@@ -70,7 +68,6 @@
 
 pub mod csv;
 pub mod envelope;
-pub mod experiment;
 pub mod figure;
 pub mod json;
 pub mod metric;
@@ -82,7 +79,6 @@ pub mod table;
 #[cfg(unix)]
 pub mod transport;
 
-pub use experiment::{ExperimentMeta, RepetitionProtocol};
 pub use metric::{Metric, MetricRow, MetricSet, MetricValue, PowerContext, Provenance};
 pub use stats::Summary;
 pub use table::TextTable;
@@ -98,18 +94,4 @@ pub fn fnv1a_64_hex(text: &str) -> String {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("{hash:016x}")
-}
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::csv::CsvWriter;
-    pub use crate::envelope::{Request, Response};
-    pub use crate::experiment::{ExperimentMeta, RepetitionProtocol};
-    pub use crate::figure::{grouped_bar_chart, series_chart, SeriesChartConfig};
-    pub use crate::metric::{Metric, MetricRow, MetricSet, MetricValue, PowerContext, Provenance};
-    pub use crate::obs::{CampaignEvent, EventBroadcaster, EventKind, Exposition, Histogram};
-    pub use crate::stats::Summary;
-    pub use crate::table::TextTable;
-    #[cfg(unix)]
-    pub use crate::transport::{Endpoint, Listener, Stream, Transport};
 }

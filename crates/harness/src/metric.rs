@@ -20,7 +20,6 @@
 
 use crate::csv::{self, CsvWriter};
 use crate::json::{self, Member, Token, Tokenizer};
-use crate::table::TextTable;
 use std::borrow::Cow;
 use std::convert::Infallible;
 use std::fmt::{self, Write as _};
@@ -67,7 +66,7 @@ impl MetricValue {
     }
 
     /// The type tag used in the CSV `type` column.
-    pub fn type_tag(&self) -> &'static str {
+    pub(crate) fn type_tag(&self) -> &'static str {
         match self {
             MetricValue::Float(_) => "float",
             MetricValue::Int(_) => "int",
@@ -77,7 +76,7 @@ impl MetricValue {
     }
 
     /// Parse a value back from its `(type_tag, render)` pair.
-    pub fn from_tagged(tag: &str, text: &str) -> Result<Self, MetricParseError> {
+    pub(crate) fn from_tagged(tag: &str, text: &str) -> Result<Self, MetricParseError> {
         match tag {
             "float" => text
                 .parse::<f64>()
@@ -341,11 +340,6 @@ impl MetricRow {
             self.n.unwrap_or(0),
             self.metric.clone(),
         )
-    }
-
-    /// Numeric projection of the value.
-    pub fn value_f64(&self) -> Option<f64> {
-        self.value.as_f64()
     }
 }
 
@@ -812,36 +806,6 @@ fn optional_string(
     }
 }
 
-/// Human-readable table of a row slice — the generic replacement for
-/// per-figure table builders.
-pub fn rows_table(rows: &[MetricRow]) -> String {
-    let mut table = TextTable::new(vec![
-        "Experiment",
-        "Chip",
-        "Implementation",
-        "n",
-        "Metric",
-        "Value",
-        "Unit",
-    ])
-    .numeric();
-    for row in rows {
-        table.row(vec![
-            row.experiment.clone(),
-            row.chip.clone().unwrap_or_default(),
-            row.implementation.clone().unwrap_or_default(),
-            row.n.map(|n| n.to_string()).unwrap_or_default(),
-            row.metric.clone(),
-            match &row.value {
-                MetricValue::Float(v) => format!("{v:.3}"),
-                other => other.render(),
-            },
-            row.unit.clone(),
-        ]);
-    }
-    table.render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -973,14 +937,6 @@ mod tests {
         all.sort_by_key(MetricRow::sort_key);
         assert_eq!(all[0].experiment, "fig1");
         assert_eq!(all.last().unwrap().experiment, "tables");
-    }
-
-    #[test]
-    fn table_renders_all_cells() {
-        let text = rows_table(&rows(&sample_sets()));
-        for needle in ["fig1", "Triad (CPU)", "GB/s", "2900.000", "true", "flag"] {
-            assert!(text.contains(needle), "missing {needle} in\n{text}");
-        }
     }
 
     #[test]

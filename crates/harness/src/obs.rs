@@ -22,7 +22,7 @@
 //! `subscribe` stream out of these; nothing here knows about the wire
 //! protocol.
 
-use crate::json::{self, JsonValue};
+use crate::json::JsonValue;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -258,7 +258,7 @@ pub fn log_spaced_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
 /// from 100 µs to ~52 s (factor 2). Wide enough for both a cache-hit
 /// lookup and a long simulated campaign unit; fixed so histograms from
 /// different daemons are mergeable bucket-by-bucket.
-pub fn default_latency_buckets() -> Vec<f64> {
+pub(crate) fn default_latency_buckets() -> Vec<f64> {
     log_spaced_buckets(1e-4, 2.0, 20)
 }
 
@@ -295,7 +295,8 @@ impl Histogram {
         }
     }
 
-    /// New histogram with the [`default_latency_buckets`] layout.
+    /// New histogram with the workspace's fixed latency layout: 20
+    /// log-spaced bounds from 100 µs to ~52 s (factor 2).
     pub fn latency() -> Histogram {
         Histogram::new(default_latency_buckets())
     }
@@ -438,7 +439,7 @@ impl EventKind {
 }
 
 /// Milliseconds since the Unix epoch, for event timestamps.
-pub fn now_ms() -> u64 {
+pub(crate) fn now_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -571,12 +572,6 @@ impl CampaignEvent {
                 .and_then(JsonValue::as_str)
                 .map(String::from),
         })
-    }
-
-    /// Parse an event from a JSON source string.
-    pub fn from_json_str(text: &str) -> Result<CampaignEvent, String> {
-        let value = json::parse(text).map_err(|e| format!("event parse: {e}"))?;
-        CampaignEvent::from_json(&value)
     }
 }
 
@@ -850,7 +845,8 @@ mod tests {
             .with_wall(0.125)
             .with_detail("computed");
         let text = event.to_json().to_json_string();
-        let back = CampaignEvent::from_json_str(&text).expect("parses");
+        let back =
+            CampaignEvent::from_json(&crate::json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, event);
 
         // Every kind token survives the round trip.

@@ -712,14 +712,6 @@ impl<S: Stream> Reactor<S> {
         )));
     }
 
-    /// Disarm the connection's timer.
-    pub fn clear_timer(&mut self, token: Token) {
-        if let Some(registration) = self.table.get_mut(&token.0) {
-            self.next_timer_generation += 1;
-            registration.timer_generation = self.next_timer_generation;
-        }
-    }
-
     /// Block until the next event. This is the dispatch loop's one
     /// call: wakes, timers, frame-complete lines, flush completions,
     /// EOFs, and errors all surface here, one at a time.
@@ -1276,13 +1268,6 @@ mod tests {
             "the replaced 5 ms deadline must not fire"
         );
         assert_eq!(reactor.timer_wakeups(), 1, "one firing, not two");
-        // A cleared timer never fires.
-        reactor.set_timer(token, Duration::from_millis(5));
-        reactor.clear_timer(token);
-        assert!(
-            reactor.poll_timeout(Duration::from_millis(40)).is_none(),
-            "cleared timer stayed silent"
-        );
     }
 
     #[test]

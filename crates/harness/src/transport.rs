@@ -391,7 +391,7 @@ impl Transport for UnixTransport {
 /// up on an address. An unreachable fleet host (powered off, firewall
 /// dropping SYNs) must fail in seconds, not the OS retry window (~2
 /// minutes), or one sick host would stall an entire fleet campaign.
-pub const TCP_CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
+pub(crate) const TCP_CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// [`Transport`] over TCP — the fleet transport, for daemons and shard
 /// workers on other hosts.
@@ -399,7 +399,7 @@ pub const TCP_CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_s
 /// `TCP_NODELAY` is set on every stream (the protocol is small
 /// newline-framed lines; Nagle buffering would serialize the streamed
 /// `unit` responses behind artificial latency), and dials are bounded
-/// by [`TCP_CONNECT_TIMEOUT`]. Reads are *not* bounded — a `run` over
+/// at 10 s. Reads are *not* bounded — a `run` over
 /// a big spec legitimately streams for a long time.
 #[derive(Debug)]
 pub struct TcpTransport;

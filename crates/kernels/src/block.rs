@@ -111,7 +111,7 @@ impl CacheParams {
     }
 
     /// Derive concrete panel-loop block sizes from this geometry.
-    pub fn block_sizes(&self) -> BlockSizes {
+    pub(crate) fn block_sizes(&self) -> BlockSizes {
         BlockSizes::for_cache(self)
     }
 }
@@ -119,8 +119,8 @@ impl CacheParams {
 /// Concrete NC/KC/MC panel-loop bounds.
 ///
 /// Any positive values are legal (the macrokernel handles partial blocks
-/// and degenerate `mc > m` shapes); [`BlockSizes::for_cache`] derives
-/// cache-fitting defaults.
+/// and degenerate `mc > m` shapes); [`sgemm_f32_blocked`] derives
+/// cache-fitting ones from its [`CacheParams`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockSizes {
     /// A-block rows per MC iteration.
@@ -139,7 +139,7 @@ impl BlockSizes {
     /// - `mc` so the packed `mc×kc` A block fills about half of L2;
     /// - `nc` so the packed `kc×nc` B panel stays within one L2's worth
     ///   of footprint in the level behind it.
-    pub fn for_cache(params: &CacheParams) -> Self {
+    pub(crate) fn for_cache(params: &CacheParams) -> Self {
         let word = core::mem::size_of::<f32>();
         let kc = (params.l1d_bytes / 2 / (word * (MR + NR))).clamp(KU, 1024);
         let kc = kc - kc % KU;

@@ -20,8 +20,8 @@
 //!   On an x86-64 CPU with AVX2 it runs an AVX2 build of the same body,
 //!   chosen per call at run time, and the target's baseline build
 //!   everywhere else;
-//! - [`reduce`] and [`ulp`] — the f64-widening strided dot and the fused
-//!   diff/threshold/count pass that sampled GEMM verification runs.
+//! - [`reduce`] — the f64-widening strided dot that sampled GEMM
+//!   verification runs.
 //!
 //! [`core_budget`] sizes the host-parallel functional GEMMs built on these
 //! kernels: a call gets its caller's own core plus every core no other
@@ -38,7 +38,6 @@
 //! | `gemm::sgemm_f32` | **bitwise** — one accumulator per output element, k-order preserved (the tile itself supplies the ILP) |
 //! | `block::sgemm_f32_blocked` | **bitwise** — KC panels ascend and re-seed from stored f32 partials (store/load is exact), so the element-wise op sequence equals the scalar loop, in the AVX2 build and the baseline build alike (no FMA in either) |
 //! | `reduce::dot_f32_to_f64_strided` | **ULP-bounded** — four accumulators reorder the sum |
-//! | `ulp::diff_stats_f32` | exact — fused diff/threshold/count pass matches its three separate sweeps |
 //!
 //! The bitwise rows are what let consumers swap these kernels in without
 //! perturbing campaign value-identity fingerprints; the ULP row feeds
@@ -63,12 +62,12 @@ pub mod block;
 pub mod gemm;
 pub mod reduce;
 pub mod stream;
-pub mod ulp;
+#[cfg(test)]
+mod ulp;
 
 pub use block::{sgemm_f32_blocked, sgemm_f32_blocked_with, BlockSizes, CacheParams};
 pub use gemm::{sgemm_f32, sgemm_f32_scalar};
 pub use stream::fused_iteration_f64;
-pub use ulp::{diff_stats_f32, ulp_distance_f32, ulp_distance_f64, DiffStats};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -16,7 +16,8 @@
 /// f64-widening dot product of f32 inputs as the literal loop (each
 /// product computed exactly in f64 — the precision the GEMM verifier
 /// needs): the contiguous reference for [`dot_f32_to_f64_strided`].
-pub fn dot_f32_to_f64_scalar(a: &[f32], b: &[f32]) -> f64 {
+#[cfg(test)]
+fn dot_f32_to_f64_scalar(a: &[f32], b: &[f32]) -> f64 {
     let n = a.len().min(b.len());
     let mut acc = 0.0f64;
     for i in 0..n {

@@ -18,7 +18,7 @@
 /// STREAM Copy as the literal loop: `dst[i] = src[i]`.
 // It must stay the naive loop it documents.
 #[allow(clippy::manual_memcpy)]
-pub fn copy_f64_scalar(src: &[f64], dst: &mut [f64]) {
+pub(crate) fn copy_f64_scalar(src: &[f64], dst: &mut [f64]) {
     let n = src.len().min(dst.len());
     for i in 0..n {
         dst[i] = src[i];
@@ -26,7 +26,7 @@ pub fn copy_f64_scalar(src: &[f64], dst: &mut [f64]) {
 }
 
 /// STREAM Scale as the literal loop: `dst[i] = q * src[i]`.
-pub fn scale_f64_scalar(q: f64, src: &[f64], dst: &mut [f64]) {
+pub(crate) fn scale_f64_scalar(q: f64, src: &[f64], dst: &mut [f64]) {
     let n = src.len().min(dst.len());
     for i in 0..n {
         dst[i] = q * src[i];
@@ -34,7 +34,7 @@ pub fn scale_f64_scalar(q: f64, src: &[f64], dst: &mut [f64]) {
 }
 
 /// STREAM Add as the literal loop: `dst[i] = a[i] + b[i]`.
-pub fn add_f64_scalar(a: &[f64], b: &[f64], dst: &mut [f64]) {
+pub(crate) fn add_f64_scalar(a: &[f64], b: &[f64], dst: &mut [f64]) {
     let n = a.len().min(b.len()).min(dst.len());
     for i in 0..n {
         dst[i] = a[i] + b[i];
@@ -42,7 +42,7 @@ pub fn add_f64_scalar(a: &[f64], b: &[f64], dst: &mut [f64]) {
 }
 
 /// STREAM Triad as the literal loop: `dst[i] = b[i] + q * c[i]`.
-pub fn triad_f64_scalar(q: f64, b: &[f64], c: &[f64], dst: &mut [f64]) {
+pub(crate) fn triad_f64_scalar(q: f64, b: &[f64], c: &[f64], dst: &mut [f64]) {
     let n = b.len().min(c.len()).min(dst.len());
     for i in 0..n {
         dst[i] = b[i] + q * c[i];

@@ -1,5 +1,5 @@
-//! ULP (units-in-the-last-place) distance between floats, for bounding
-//! the rounding drift a reordered reduction is allowed.
+//! ULP (units-in-the-last-place) distance between f64 values: the bound
+//! the tests put on the rounding drift of a reordered reduction.
 //!
 //! Finite floats of the same sign map onto consecutive integers under
 //! their bit patterns; mapping negative values through the sign-magnitude
@@ -7,92 +7,18 @@
 //! integer difference. NaNs (and comparisons that would cross infinity)
 //! return the maximum distance — never "close".
 
-fn ordered_f32(x: f32) -> i64 {
-    let bits = x.to_bits() as i32;
-    let ordered = if bits < 0 { i32::MIN - bits } else { bits };
-    ordered as i64
-}
-
 fn ordered_f64(x: f64) -> i128 {
     let bits = x.to_bits() as i64;
     let ordered = if bits < 0 { i64::MIN - bits } else { bits };
     ordered as i128
 }
 
-/// ULP distance between two f32 values (`u64::MAX` if either is NaN).
-pub fn ulp_distance_f32(x: f32, y: f32) -> u64 {
-    if x.is_nan() || y.is_nan() {
-        return u64::MAX;
-    }
-    (ordered_f32(x) - ordered_f32(y)).unsigned_abs()
-}
-
 /// ULP distance between two f64 values (`u128::MAX` if either is NaN).
-pub fn ulp_distance_f64(x: f64, y: f64) -> u128 {
+pub(crate) fn ulp_distance_f64(x: f64, y: f64) -> u128 {
     if x.is_nan() || y.is_nan() {
         return u128::MAX;
     }
     (ordered_f64(x) - ordered_f64(y)).unsigned_abs()
-}
-
-/// Result of one fused [`diff_stats_f32`] sweep over a pair of arrays.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DiffStats {
-    /// Largest absolute difference, as bits of the f32 (so the struct
-    /// stays `Eq`); [`DiffStats::max_abs`] recovers the float. NaN pairs
-    /// force `f32::INFINITY`.
-    max_abs_bits: u32,
-    /// Largest elementwise ULP distance (`u64::MAX` when a pair has a
-    /// NaN on one side only).
-    pub max_ulp: u64,
-    /// Elements whose absolute difference exceeded the threshold
-    /// (NaN-on-one-side pairs always count).
-    pub mismatches: usize,
-    /// Elements compared (the common prefix length).
-    pub compared: usize,
-}
-
-impl DiffStats {
-    /// Largest absolute difference seen.
-    pub fn max_abs(&self) -> f32 {
-        f32::from_bits(self.max_abs_bits)
-    }
-}
-
-/// Fused verification sweep: one pass over the common prefix of `got`
-/// and `want` computing the max absolute difference, max ULP distance,
-/// and the count of elements exceeding `abs_tol` — replacing the
-/// separate diff → threshold → count sweeps (three reads of each array)
-/// with a single read of each.
-///
-/// Pairs where both sides are NaN count as equal (distance 0); a NaN on
-/// one side only is an unconditional mismatch at maximum distance.
-pub fn diff_stats_f32(got: &[f32], want: &[f32], abs_tol: f32) -> DiffStats {
-    let compared = got.len().min(want.len());
-    let mut stats = DiffStats {
-        compared,
-        ..DiffStats::default()
-    };
-    let mut max_abs = 0.0f32;
-    for (&g, &w) in got[..compared].iter().zip(&want[..compared]) {
-        if g.is_nan() || w.is_nan() {
-            if g.is_nan() != w.is_nan() {
-                max_abs = f32::INFINITY;
-                stats.max_ulp = u64::MAX;
-                stats.mismatches += 1;
-            }
-            continue;
-        }
-        let diff = (g - w).abs();
-        max_abs = if diff > max_abs { diff } else { max_abs };
-        let ulp = ulp_distance_f32(g, w);
-        stats.max_ulp = stats.max_ulp.max(ulp);
-        if diff > abs_tol {
-            stats.mismatches += 1;
-        }
-    }
-    stats.max_abs_bits = max_abs.to_bits();
-    stats
 }
 
 #[cfg(test)]
@@ -101,21 +27,16 @@ mod tests {
 
     #[test]
     fn identical_values_are_zero_apart() {
-        assert_eq!(ulp_distance_f32(1.5, 1.5), 0);
         assert_eq!(ulp_distance_f64(-2.25, -2.25), 0);
     }
 
     #[test]
     fn signed_zeros_are_zero_apart() {
-        assert_eq!(ulp_distance_f32(0.0, -0.0), 0);
         assert_eq!(ulp_distance_f64(0.0, -0.0), 0);
     }
 
     #[test]
     fn adjacent_representable_values_are_one_apart() {
-        let x = 1.0f32;
-        let next = f32::from_bits(x.to_bits() + 1);
-        assert_eq!(ulp_distance_f32(x, next), 1);
         let y = -1.0f64;
         let next = f64::from_bits(y.to_bits() + 1); // next representable
         assert_eq!(ulp_distance_f64(y, next), 1);
@@ -123,55 +44,12 @@ mod tests {
 
     #[test]
     fn crossing_zero_counts_both_sides() {
-        let tiny = f32::from_bits(1); // smallest positive subnormal
-        assert_eq!(ulp_distance_f32(tiny, -tiny), 2);
+        let tiny = f64::from_bits(1); // smallest positive subnormal
+        assert_eq!(ulp_distance_f64(tiny, -tiny), 2);
     }
 
     #[test]
     fn nan_is_never_close() {
-        assert_eq!(ulp_distance_f32(f32::NAN, 1.0), u64::MAX);
         assert_eq!(ulp_distance_f64(1.0, f64::NAN), u128::MAX);
-    }
-
-    #[test]
-    fn diff_stats_matches_separate_sweeps() {
-        let got: Vec<f32> = (0..97).map(|i| (i as f32).sin()).collect();
-        let want: Vec<f32> = got
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| if i % 7 == 0 { x + 1e-3 } else { x })
-            .collect();
-        let tol = 1e-4f32;
-        let fused = diff_stats_f32(&got, &want, tol);
-        // The three sweeps it replaces.
-        let max_abs = got
-            .iter()
-            .zip(&want)
-            .map(|(g, w)| (g - w).abs())
-            .fold(0.0f32, f32::max);
-        let max_ulp = got
-            .iter()
-            .zip(&want)
-            .map(|(&g, &w)| ulp_distance_f32(g, w))
-            .max()
-            .unwrap();
-        let mismatches = got
-            .iter()
-            .zip(&want)
-            .filter(|(g, w)| (*g - *w).abs() > tol)
-            .count();
-        assert_eq!(fused.max_abs(), max_abs);
-        assert_eq!(fused.max_ulp, max_ulp);
-        assert_eq!(fused.mismatches, mismatches);
-        assert_eq!(fused.compared, 97);
-    }
-
-    #[test]
-    fn diff_stats_handles_nan_sides() {
-        let stats = diff_stats_f32(&[f32::NAN, f32::NAN, 1.0], &[f32::NAN, 1.0, 1.0], 0.0);
-        assert_eq!(stats.mismatches, 1); // NaN-vs-NaN is equal, NaN-vs-1.0 is not
-        assert_eq!(stats.max_ulp, u64::MAX);
-        assert!(stats.max_abs().is_infinite());
-        assert_eq!(diff_stats_f32(&[], &[1.0], 0.0).compared, 0);
     }
 }

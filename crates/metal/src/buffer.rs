@@ -61,7 +61,7 @@ impl Buffer {
     }
 
     /// `newBufferWithBytes:` — allocate and copy host data in.
-    pub fn with_data(
+    pub(crate) fn with_data(
         space: &SharedAddressSpace,
         data: &[f32],
         mode: StorageMode,
@@ -83,7 +83,7 @@ impl Buffer {
     /// underlying allocation is page-rounded (which [`UnifiedBuffer`]
     /// guarantees), mirroring the paper's "automatically extended"
     /// allocations — but a misaligned allocation is rejected.
-    pub fn from_unified_no_copy(unified: UnifiedBuffer<f32>) -> Result<Self, MetalError> {
+    pub(crate) fn from_unified_no_copy(unified: UnifiedBuffer<f32>) -> Result<Self, MetalError> {
         if !is_page_aligned(unified.base_address()) || !is_page_aligned(unified.capacity_bytes()) {
             return Err(MetalError::NoCopyRequiresPageMultiple {
                 length: unified.capacity_bytes(),
@@ -125,11 +125,6 @@ impl Buffer {
         Ok(self.device_read().as_slice()?.to_vec())
     }
 
-    /// CPU write into the buffer.
-    pub fn write_from_slice(&self, data: &[f32]) -> Result<(), MetalError> {
-        Ok(self.device_write().copy_from_slice(data)?)
-    }
-
     /// CPU fill of the logical contents, as a loop through `contents`
     /// would write it. On a buffer nothing has read or written yet this
     /// only records the value; storage is built on first element access.
@@ -149,12 +144,6 @@ impl Buffer {
         Ok(f(guard.as_slice()?))
     }
 
-    /// Run `f` with a mutable view of the logical contents (CPU side).
-    pub fn with_write<R>(&self, f: impl FnOnce(&mut [f32]) -> R) -> Result<R, MetalError> {
-        let mut guard = self.device_write();
-        Ok(f(guard.as_mut_slice()?))
-    }
-
     /// Read lock over the full padded extent (the executor's device
     /// side, and every CPU-side read). A holder's panic does not poison
     /// the buffer for other handles.
@@ -168,7 +157,7 @@ impl Buffer {
     }
 
     /// Whether two handles alias the same underlying storage.
-    pub fn aliases(&self, other: &Buffer) -> bool {
+    pub(crate) fn aliases(&self, other: &Buffer) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
@@ -241,7 +230,7 @@ mod tests {
     fn concurrent_handles_share_data() {
         let buf = Buffer::new(&space(), 8, StorageMode::Shared).unwrap();
         let clone = buf.clone();
-        buf.write_from_slice(&[9.0; 8]).unwrap();
+        buf.fill(9.0).unwrap();
         assert_eq!(clone.read_to_vec().unwrap(), vec![9.0; 8]);
     }
 }

@@ -74,16 +74,6 @@ impl PassReport {
         (self.duration.saturating_sub(self.overhead)).as_secs_f64() / total
     }
 
-    /// Achieved GFLOPS over the modeled duration.
-    pub fn achieved_gflops(&self) -> f64 {
-        let secs = self.duration.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.flops as f64 / secs / 1e9
-        }
-    }
-
     /// Achieved GB/s over the modeled duration.
     pub fn achieved_gbs(&self) -> f64 {
         let secs = self.duration.as_secs_f64();
@@ -169,11 +159,6 @@ impl CommandBuffer {
             return Err(MetalError::InvalidState("waitUntilCompleted before commit"));
         }
         Ok(&self.reports)
-    }
-
-    /// Total modeled GPU time across all passes (`GPUEndTime − GPUStartTime`).
-    pub fn gpu_duration(&self) -> SimDuration {
-        self.reports.iter().map(|r| r.duration).sum()
     }
 
     /// Per-pass reports (empty before commit).

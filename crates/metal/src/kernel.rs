@@ -116,7 +116,7 @@ pub trait ComputeKernel: Send + Sync {
 
 /// Smooth size ramp used by kernel efficiency curves:
 /// `ramp(n) = 1 / (1 + (n_half / n)^p)` — 0.5 at `n_half`, → 1 for large n.
-pub fn size_ramp(n: f64, n_half: f64, p: f64) -> f64 {
+pub(crate) fn size_ramp(n: f64, n_half: f64, p: f64) -> f64 {
     if n <= 0.0 {
         return 0.0;
     }

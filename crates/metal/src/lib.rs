@@ -52,15 +52,3 @@ pub use device::Device;
 pub use error::MetalError;
 pub use kernel::{ComputeKernel, KernelParams, Workload};
 pub use types::MtlSize;
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::buffer::Buffer;
-    pub use crate::command::{CommandBuffer, CommandQueue, PassReport};
-    pub use crate::device::Device;
-    pub use crate::error::MetalError;
-    pub use crate::kernel::{ComputeKernel, KernelParams, Workload};
-    pub use crate::library::Library;
-    pub use crate::mps::{Matrix, MatrixDescriptor, MatrixMultiplication};
-    pub use crate::types::MtlSize;
-}

@@ -57,7 +57,7 @@ impl MatrixDescriptor {
     }
 
     /// Elements the matrix spans.
-    pub fn element_count(&self) -> usize {
+    pub(crate) fn element_count(&self) -> usize {
         self.rows * self.columns
     }
 }

@@ -43,7 +43,7 @@ pub const fn gemm_flops(n: u64) -> u64 {
 /// B once, write C once. The per-implementation efficiency constant (not
 /// extra modeled traffic) carries all further inefficiency, so calibration
 /// anchors stay exact.
-pub const fn gemm_bytes(n: u64) -> (u64, u64) {
+pub(crate) const fn gemm_bytes(n: u64) -> (u64, u64) {
     (2 * n * n * 4, n * n * 4)
 }
 

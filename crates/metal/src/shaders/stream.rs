@@ -12,7 +12,7 @@ use oranges_soc::time::SimDuration;
 use oranges_umem::bandwidth::StreamKernelKind;
 
 /// The STREAM scalar `q` used when none is supplied (stream.c uses 3.0).
-pub const DEFAULT_SCALAR: f32 = 3.0;
+pub(crate) const DEFAULT_SCALAR: f32 = 3.0;
 
 /// Per-dispatch overhead of a STREAM-class kernel launch.
 const STREAM_DISPATCH_OVERHEAD: SimDuration = SimDuration::from_micros(100);

@@ -32,12 +32,3 @@ pub use model::{PowerModel, WorkClass};
 pub use rails::RailPowers;
 pub use sampler::{Activity, Sample, Sampler, SamplerError};
 pub use session::{PowerReading, PowerSession};
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::format;
-    pub use crate::model::{PowerModel, WorkClass};
-    pub use crate::rails::RailPowers;
-    pub use crate::sampler::{Activity, Sample, Sampler, SamplerError};
-    pub use crate::session::{PowerReading, PowerSession};
-}

@@ -52,7 +52,7 @@ pub enum WorkClass {
 
 impl WorkClass {
     /// Whether the class runs on the GPU rail.
-    pub const fn is_gpu(&self) -> bool {
+    pub(crate) const fn is_gpu(&self) -> bool {
         matches!(
             self,
             WorkClass::GpuNaive | WorkClass::GpuCutlass | WorkClass::GpuMps | WorkClass::GpuStream
@@ -168,7 +168,7 @@ impl PowerModel {
     }
 
     /// Idle rail powers — the floor the sampler sees between workloads.
-    pub fn idle_powers(&self) -> RailPowers {
+    pub(crate) fn idle_powers(&self) -> RailPowers {
         RailPowers {
             cpu_mw: 45.0,
             gpu_mw: 12.0,

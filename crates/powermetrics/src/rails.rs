@@ -42,7 +42,7 @@ impl RailPowers {
 
     /// Clamp package power to a budget (thermal envelope), scaling every
     /// rail proportionally.
-    pub fn clamped_to_watts(&self, budget_w: f64) -> RailPowers {
+    pub(crate) fn clamped_to_watts(&self, budget_w: f64) -> RailPowers {
         let package = self.package_mw();
         let budget_mw = budget_w * 1e3;
         if package <= budget_mw || package <= 0.0 {
@@ -85,7 +85,7 @@ impl Mul<f64> for RailPowers {
 
 /// Energy accumulated per rail, in millijoules.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RailEnergy {
+pub(crate) struct RailEnergy {
     /// CPU energy, mJ.
     pub cpu_mj: f64,
     /// GPU energy, mJ.
@@ -114,7 +114,7 @@ impl RailEnergy {
     }
 
     /// Average powers over a window of `secs`.
-    pub fn average_over(&self, secs: f64) -> RailPowers {
+    pub(crate) fn average_over(&self, secs: f64) -> RailPowers {
         if secs <= 0.0 {
             return RailPowers::ZERO;
         }
@@ -127,7 +127,7 @@ impl RailEnergy {
     }
 
     /// Total energy in joules (all rails).
-    pub fn total_joules(&self) -> f64 {
+    pub(crate) fn total_joules(&self) -> f64 {
         (self.cpu_mj + self.gpu_mj + self.ane_mj + self.dram_mj) / 1e3
     }
 }

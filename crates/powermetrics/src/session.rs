@@ -65,12 +65,6 @@ impl PowerSession {
         }
     }
 
-    /// Override the warm-up period.
-    pub fn with_warmup(mut self, warmup: SimDuration) -> Self {
-        self.warmup = warmup;
-        self
-    }
-
     /// The underlying model.
     pub fn model(&self) -> &PowerModel {
         &self.model

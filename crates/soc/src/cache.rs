@@ -80,19 +80,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// Bandwidth amplification available when the working set is
-    /// cache-resident, relative to DRAM bandwidth. Caches on Apple's big
-    /// cores deliver several times DRAM bandwidth; the exact factors are
-    /// architectural estimates that only shape the small-`n` end of GEMM.
-    pub fn bandwidth_multiplier(&self, residency: Residency) -> f64 {
-        match residency {
-            Residency::L1 => 8.0,
-            Residency::L2 => 4.0,
-            Residency::Slc => 1.8,
-            Residency::Dram => 1.0,
-        }
-    }
-
     /// Minimum STREAM array length (in f64 elements) that defeats the
     /// hierarchy: each of the three arrays must be ≥ 4× the biggest level
     /// (McCalpin's sizing rule applied to the outermost cache).
@@ -139,22 +126,6 @@ mod tests {
         assert_eq!(h.residency(h.l1.capacity_bytes + 1), Residency::L2);
         assert_eq!(h.residency(h.l2.capacity_bytes), Residency::L2);
         assert_eq!(h.residency(h.l2.capacity_bytes + 1), Residency::Slc);
-    }
-
-    #[test]
-    fn bandwidth_multiplier_decays_outward() {
-        let h = hierarchy();
-        let tiers = [
-            Residency::L1,
-            Residency::L2,
-            Residency::Slc,
-            Residency::Dram,
-        ];
-        let mults: Vec<f64> = tiers.iter().map(|t| h.bandwidth_multiplier(*t)).collect();
-        for pair in mults.windows(2) {
-            assert!(pair[0] > pair[1]);
-        }
-        assert_eq!(mults[3], 1.0);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub enum ProcessNode {
 
 impl ProcessNode {
     /// Nominal feature size in nanometres (Table 1 row "Process Technology").
-    pub const fn nanometres(&self) -> u8 {
+    pub(crate) const fn nanometres(&self) -> u8 {
         match self {
             ProcessNode::N5 | ProcessNode::N5P => 5,
             ProcessNode::N3B | ProcessNode::N3E => 3,
@@ -184,13 +184,6 @@ pub struct MemoryOptions {
     pub capacities_gb: &'static [u32],
 }
 
-impl MemoryOptions {
-    /// Largest configurable capacity.
-    pub fn max_gb(&self) -> u32 {
-        self.capacities_gb.iter().copied().max().unwrap_or(0)
-    }
-}
-
 /// One row-set of Table 1: the complete baseline-chip specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipSpec {
@@ -253,23 +246,23 @@ pub struct ChipSpec {
 }
 
 /// Scalar FP32 FLOPs per cycle of one NEON FMA pipe (4 lanes × 2 flops).
-pub const NEON_F32_FLOPS_PER_PIPE_CYCLE: u32 = 8;
+pub(crate) const NEON_F32_FLOPS_PER_PIPE_CYCLE: u32 = 8;
 
 /// Number of 128-bit FP/NEON execution pipes on a performance core.
 ///
 /// Apple's big cores (Firestorm onwards) issue four FP/SIMD micro-ops per
 /// cycle; efficiency cores issue two.
-pub const P_CORE_NEON_PIPES: u32 = 4;
+pub(crate) const P_CORE_NEON_PIPES: u32 = 4;
 /// FP/NEON pipes on an efficiency core.
-pub const E_CORE_NEON_PIPES: u32 = 2;
+pub(crate) const E_CORE_NEON_PIPES: u32 = 2;
 
 /// FP32 MACs per AMX instruction: a 16×16 outer product of two 64-byte
 /// operand registers (16 f32 each), i.e. 256 MACs = 512 FLOPs per issue.
-pub const AMX_F32_FLOPS_PER_ISSUE: u32 = 512;
+pub(crate) const AMX_F32_FLOPS_PER_ISSUE: u32 = 512;
 
 /// GPU shader ALUs per GPU core (Apple G13/G14/G15/G16 family: 128 FP32
 /// lanes per core, each capable of one FMA per cycle).
-pub const GPU_ALUS_PER_CORE: u32 = 128;
+pub(crate) const GPU_ALUS_PER_CORE: u32 = 128;
 
 static M1: ChipSpec = ChipSpec {
     generation: ChipGeneration::M1,
@@ -472,22 +465,6 @@ impl ChipSpec {
         self.gpu_tflops_published * 1e3
             / (self.gpu_cores_max as f64 * GPU_ALUS_PER_CORE as f64 * 2.0)
     }
-
-    /// L1 data capacity of the whole CPU in bytes.
-    pub fn l1_total_bytes(&self) -> u64 {
-        (self.p_cores as u64 * self.l1_p_kib as u64 + self.e_cores as u64 * self.l1_e_kib as u64)
-            * 1024
-    }
-
-    /// L2 capacity of the whole CPU in bytes.
-    pub fn l2_total_bytes(&self) -> u64 {
-        (self.l2_p_mib as u64 + self.l2_e_mib as u64) * 1024 * 1024
-    }
-
-    /// Theoretical memory bandwidth in bytes/second.
-    pub fn memory_bandwidth_bytes(&self) -> f64 {
-        self.memory_bandwidth_gbs * 1e9
-    }
 }
 
 impl fmt::Display for ChipSpec {
@@ -661,9 +638,10 @@ mod tests {
             .map(|s| s.memory_bandwidth_gbs)
             .collect();
         assert_eq!(bw, vec![67.0, 100.0, 100.0, 120.0]);
-        assert_eq!(ChipGeneration::M1.spec().memory_options.max_gb(), 16);
-        assert_eq!(ChipGeneration::M2.spec().memory_options.max_gb(), 24);
-        assert_eq!(ChipGeneration::M4.spec().memory_options.max_gb(), 32);
+        let max_gb = |gen: ChipGeneration| gen.spec().memory_options.capacities_gb.iter().max();
+        assert_eq!(max_gb(ChipGeneration::M1), Some(&16));
+        assert_eq!(max_gb(ChipGeneration::M2), Some(&24));
+        assert_eq!(max_gb(ChipGeneration::M4), Some(&32));
     }
 
     #[test]
@@ -709,13 +687,6 @@ mod tests {
         assert!(s.contains("M4"));
         assert!(s.contains("LPDDR5X"));
         assert!(s.contains("120"));
-    }
-
-    #[test]
-    fn cache_byte_accounting() {
-        let m1 = ChipGeneration::M1.spec();
-        assert_eq!(m1.l1_total_bytes(), (4 * 128 + 4 * 64) * 1024);
-        assert_eq!(m1.l2_total_bytes(), 16 * 1024 * 1024);
     }
 
     #[test]

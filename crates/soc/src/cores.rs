@@ -46,7 +46,7 @@ pub struct CoreCluster {
 
 impl CoreCluster {
     /// FP32 GFLOPS of one core at max clock.
-    pub fn gflops_per_core(&self) -> f64 {
+    pub(crate) fn gflops_per_core(&self) -> f64 {
         self.clock_ghz * (self.neon_pipes * NEON_F32_FLOPS_PER_PIPE_CYCLE) as f64
     }
 
@@ -76,13 +76,6 @@ pub struct ThreadPlacement {
     /// sweep never goes past physical cores, mirroring the paper's
     /// `OMP_NUM_THREADS` from one to the number of physical cores).
     pub oversubscribed: u32,
-}
-
-impl ThreadPlacement {
-    /// Total placed threads (excluding oversubscription).
-    pub fn placed(&self) -> u32 {
-        self.p_threads + self.e_threads
-    }
 }
 
 impl CpuComplex {

@@ -185,8 +185,12 @@ mod tests {
 
     #[test]
     fn thermal_model_matches_cooling() {
-        let m1 = DeviceModel::of(ChipGeneration::M1).thermal_model();
-        let m2 = DeviceModel::of(ChipGeneration::M2).thermal_model();
+        for gen in ChipGeneration::ALL {
+            let device = DeviceModel::of(gen);
+            assert_eq!(device.thermal_model(), ThermalModel::new(device.cooling));
+        }
+        let m1 = DeviceModel::of(ChipGeneration::M1).cooling;
+        let m2 = DeviceModel::of(ChipGeneration::M2).cooling;
         assert!(m1.sustained_watts() < m2.sustained_watts());
     }
 

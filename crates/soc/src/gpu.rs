@@ -23,7 +23,7 @@ pub enum GpuPrecision {
 
 impl GpuPrecision {
     /// Throughput multiplier relative to FP32.
-    pub const fn throughput_factor(&self) -> f64 {
+    pub(crate) const fn throughput_factor(&self) -> f64 {
         match self {
             GpuPrecision::Fp32 => 1.0,
             GpuPrecision::Fp16 => 2.0,
@@ -72,11 +72,6 @@ impl GpuSpec {
         }
     }
 
-    /// Theoretical FP32 GFLOPS from the ALU model at nominal clock.
-    pub fn gflops_nominal(&self) -> f64 {
-        self.cores as f64 * self.alus_per_core as f64 * 2.0 * self.clock_ghz
-    }
-
     /// Roofline GFLOPS used by the timing model: the published figure
     /// (which for M4 includes the boost clock).
     pub fn gflops_roofline(&self) -> f64 {
@@ -89,7 +84,7 @@ impl GpuSpec {
     }
 
     /// Total concurrent hardware threads (ALUs) on the device.
-    pub fn total_alus(&self) -> u64 {
+    pub(crate) fn total_alus(&self) -> u64 {
         self.cores as u64 * self.alus_per_core as u64
     }
 
@@ -118,21 +113,6 @@ mod tests {
         assert_eq!(g.alus_per_core, 128);
         let g4 = GpuSpec::of(ChipGeneration::M4.spec());
         assert_eq!(g4.cores, 10);
-    }
-
-    #[test]
-    fn nominal_gflops_matches_published_for_m1_to_m3() {
-        for gen in [ChipGeneration::M1, ChipGeneration::M2, ChipGeneration::M3] {
-            let g = GpuSpec::of(gen.spec());
-            let rel = (g.gflops_nominal() - g.gflops_roofline()).abs() / g.gflops_roofline();
-            assert!(rel < 0.015, "{gen}: {rel}");
-        }
-    }
-
-    #[test]
-    fn m4_roofline_exceeds_nominal() {
-        let g = GpuSpec::of(ChipGeneration::M4.spec());
-        assert!(g.gflops_roofline() > g.gflops_nominal());
     }
 
     #[test]

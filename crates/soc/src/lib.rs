@@ -39,16 +39,3 @@ pub use chip::{ChipGeneration, ChipSpec};
 pub use device::DeviceModel;
 pub use error::SocError;
 pub use time::{SimDuration, SimInstant};
-
-/// Convenience prelude for downstream crates.
-pub mod prelude {
-    pub use crate::cache::CacheHierarchy;
-    pub use crate::chip::{ChipGeneration, ChipSpec};
-    pub use crate::cores::{CoreCluster, CoreKind, CpuComplex};
-    pub use crate::device::{DeviceModel, FormFactor};
-    pub use crate::error::SocError;
-    pub use crate::gpu::GpuSpec;
-    pub use crate::reference::ReferenceSystem;
-    pub use crate::thermal::{CoolingKind, ThermalModel};
-    pub use crate::time::{SimDuration, SimInstant};
-}

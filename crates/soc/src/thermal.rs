@@ -21,7 +21,7 @@ pub enum CoolingKind {
 
 impl CoolingKind {
     /// Sustained package power the solution can remove indefinitely, W.
-    pub const fn sustained_watts(&self) -> f64 {
+    pub(crate) const fn sustained_watts(&self) -> f64 {
         match self {
             CoolingKind::Passive => 14.0,
             CoolingKind::ActiveAir => 28.0,
@@ -118,11 +118,6 @@ impl ThermalModel {
             let floor = self.cooling.sustained_watts() / self.cooling.burst_watts();
             floor + (1.0 - floor) * (margin / 5.0)
         }
-    }
-
-    /// Steady-state power this package can dissipate without throttling.
-    pub fn sustained_watts(&self) -> f64 {
-        self.cooling.sustained_watts()
     }
 
     /// Reset to ambient (the paper reboots and idles between runs).

@@ -10,7 +10,7 @@
 //! traffic per element instead of 10) with bitwise-identical results. For
 //! the same reason, chunk `i` of iteration `t + 1` depends only on chunk
 //! `i` of iteration `t`: a worker can run *all* iterations of its chunk
-//! without ever synchronizing. [`StreamArrays::run_iterations`] exploits
+//! without ever synchronizing. `StreamArrays::run_iterations` exploits
 //! both — one scoped worker pool serves the whole run, where the previous
 //! implementation spawned a fresh thread scope per kernel pass (8
 //! short-lived threads per iteration).
@@ -65,7 +65,7 @@ impl StreamArrays {
     /// per-iteration thread churn, and no barriers (iteration `t + 1` of
     /// an element depends only on iteration `t` of the *same* element).
     /// Results are bitwise-identical for any thread count.
-    pub fn run_iterations(&mut self, iterations: u32, threads: usize) {
+    pub(crate) fn run_iterations(&mut self, iterations: u32, threads: usize) {
         if self.is_empty() || iterations == 0 {
             return;
         }

@@ -194,7 +194,7 @@ impl BandwidthModel {
     /// CPU thread-scaling factor in (0, 1]: a concave saturating curve on
     /// the core-weighted memory demand. One P-core reaches ~35–40% of the
     /// saturated link; the P-cluster (4 threads) ~85%; all cores ≈100%.
-    pub fn thread_scaling(&self, threads: u32) -> f64 {
+    pub(crate) fn thread_scaling(&self, threads: u32) -> f64 {
         if threads == 0 {
             return 0.0;
         }

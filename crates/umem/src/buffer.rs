@@ -19,7 +19,6 @@
 
 use crate::address::{AddressSpace, Allocation};
 use crate::error::UmemError;
-use crate::page::is_page_aligned;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Metal-style storage mode.
@@ -157,12 +156,8 @@ impl<T: Copy + Default> UnifiedBuffer<T> {
         self.len == 0
     }
 
-    /// Requested bytes (logical length × element size).
-    pub fn byte_len(&self) -> u64 {
-        self.len as u64 * std::mem::size_of::<T>() as u64
-    }
-
-    /// Allocated bytes (page multiple ≥ [`UnifiedBuffer::byte_len`]).
+    /// Allocated bytes (a page multiple at least the logical length ×
+    /// element size).
     pub fn capacity_bytes(&self) -> u64 {
         self.allocation.len
     }
@@ -170,19 +165,6 @@ impl<T: Copy + Default> UnifiedBuffer<T> {
     /// Simulated physical base address (always page-aligned).
     pub fn base_address(&self) -> u64 {
         self.allocation.addr
-    }
-
-    /// Storage mode.
-    pub fn storage_mode(&self) -> StorageMode {
-        self.mode
-    }
-
-    /// Whether a Metal no-copy wrap of this buffer succeeds without a
-    /// fallback copy: base is page-aligned (always true here) and the
-    /// *allocated* length is a page multiple (always true here). Exposed
-    /// because callers wrapping arbitrary sub-ranges must check.
-    pub fn supports_no_copy_wrap(&self) -> bool {
-        is_page_aligned(self.allocation.addr) && is_page_aligned(self.allocation.len)
     }
 
     /// CPU view of the logical elements. Errors on `Private` buffers.
@@ -262,7 +244,6 @@ mod tests {
         let s = space();
         let buf = UnifiedBuffer::<f32>::allocate(&s, 100, StorageMode::Shared).unwrap();
         assert_eq!(buf.len(), 100);
-        assert_eq!(buf.byte_len(), 400);
         assert_eq!(buf.capacity_bytes(), PAGE_SIZE);
         assert_eq!(buf.device_slice().len(), PAGE_SIZE as usize / 4);
         assert!(buf.device_slice().iter().all(|&x| x == 0.0));
@@ -274,7 +255,7 @@ mod tests {
         for _ in 0..10 {
             let buf = UnifiedBuffer::<f64>::allocate(&s, 1000, StorageMode::Shared).unwrap();
             assert_eq!(buf.base_address() % PAGE_SIZE, 0);
-            assert!(buf.supports_no_copy_wrap());
+            assert_eq!(buf.capacity_bytes() % PAGE_SIZE, 0);
         }
     }
 

@@ -38,13 +38,3 @@ pub use buffer::{StorageMode, UnifiedBuffer};
 pub use controller::{Agent, MemoryController};
 pub use error::UmemError;
 pub use page::{round_up_to_page, PAGE_SIZE};
-
-/// Convenience prelude for downstream crates.
-pub mod prelude {
-    pub use crate::address::AddressSpace;
-    pub use crate::bandwidth::{AccessPattern, BandwidthModel, StreamKernelKind};
-    pub use crate::buffer::{StorageMode, UnifiedBuffer};
-    pub use crate::controller::{Agent, MemoryController};
-    pub use crate::error::UmemError;
-    pub use crate::page::{round_up_to_page, PAGE_SIZE};
-}

@@ -24,7 +24,6 @@ use oranges_campaign::prelude::*;
 use oranges_campaign::{
     AdmitError, CampaignError, ExecutionEngine, PlanUnit, Subscription, UnitKey,
 };
-use oranges_harness::RepetitionProtocol;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -67,9 +66,6 @@ impl Experiment for GatedExperiment {
     fn chip(&self) -> Option<ChipGeneration> {
         None
     }
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol::GEMM
-    }
     fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
         let (lock, condvar) = &*self.gate;
         let mut released = lock.lock().expect("gate");
@@ -97,9 +93,6 @@ impl Experiment for LoggingExperiment {
     }
     fn chip(&self) -> Option<ChipGeneration> {
         None
-    }
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol::GEMM
     }
     fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
         self.log.lock().expect("log").push(self.tag.clone());
@@ -641,9 +634,6 @@ impl Experiment for FailingExperiment {
     }
     fn chip(&self) -> Option<ChipGeneration> {
         None
-    }
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol::GEMM
     }
     fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
         Err(ExperimentError::Serialization("deliberate failure".into()))

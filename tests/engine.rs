@@ -11,7 +11,6 @@ use oranges_campaign::prelude::*;
 use oranges_campaign::{
     CampaignError, ExecutionEngine, ExperimentError, ExperimentOutput, Plan, PlanUnit, UnitKey,
 };
-use oranges_harness::RepetitionProtocol;
 use std::sync::Arc;
 
 fn overlapping_specs() -> (CampaignSpec, CampaignSpec) {
@@ -84,9 +83,6 @@ impl Experiment for PanickingExperiment {
     }
     fn chip(&self) -> Option<ChipGeneration> {
         None
-    }
-    fn protocol(&self) -> RepetitionProtocol {
-        RepetitionProtocol::GEMM
     }
     fn run(&self, _platform: &mut Platform) -> Result<ExperimentOutput, ExperimentError> {
         panic!("deliberate unit panic");

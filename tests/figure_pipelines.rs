@@ -45,7 +45,6 @@ fn fig3_and_fig4_pipelines_are_consistent() {
     let fig3_data = fig3::run(&fig3::Fig3Config {
         sizes: vec![2048, 4096],
         chips: chips.clone(),
-        ..fig3::Fig3Config::default()
     })
     .unwrap();
     let fig4_data = fig4::run(&fig4::Fig4Config {
