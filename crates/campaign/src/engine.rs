@@ -130,36 +130,6 @@ impl Priority {
     pub const ALL: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Batch];
 }
 
-/// Per-submission scheduling options for
-/// [`ExecutionEngine::submit_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SubmitOptions {
-    /// Scheduling class (default [`Priority::Normal`]).
-    pub priority: Priority,
-    /// Fail this subscription's still-unresolved units with
-    /// [`CampaignError::DeadlineExceeded`] once this much time has
-    /// passed since submit. Units whose computation is already running
-    /// when the deadline fires still complete (and land in the cache)
-    /// — the deadline fails *deliveries*, never other subscribers.
-    pub deadline: Option<Duration>,
-}
-
-impl SubmitOptions {
-    /// Options at the given priority, no deadline.
-    pub fn priority(priority: Priority) -> SubmitOptions {
-        SubmitOptions {
-            priority,
-            deadline: None,
-        }
-    }
-
-    /// Builder-style deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> SubmitOptions {
-        self.deadline = Some(deadline);
-        self
-    }
-}
-
 /// Typed admission rejection from
 /// [`ExecutionEngine::submit_with`]. A rejected submission leaves the
 /// engine exactly as it found it: no units counted, no queue slots or
@@ -409,12 +379,6 @@ impl EngineState {
     }
 }
 
-/// A subscription deadline awaiting the reaper.
-struct DeadlineEntry {
-    at: Instant,
-    sub: u64,
-}
-
 struct EngineShared {
     state: Mutex<EngineState>,
     wake: Condvar,
@@ -423,10 +387,6 @@ struct EngineShared {
     queue_cap: Option<usize>,
     /// Subscription id allocator (cancellation's addressing scheme).
     next_sub: AtomicU64,
-    /// Registered deadlines, serviced by the reaper thread. Locked
-    /// strictly non-nested with `state`.
-    deadlines: Mutex<Vec<DeadlineEntry>>,
-    deadline_wake: Condvar,
     units_submitted: AtomicU64,
     units_computed: AtomicU64,
     cache_hits: AtomicU64,
@@ -450,14 +410,6 @@ impl EngineShared {
     /// engine shrugs the poison off instead of propagating it.
     fn state(&self) -> std::sync::MutexGuard<'_, EngineState> {
         self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The deadline registry lock (same poison-shrugging rationale as
-    /// [`state`](EngineShared::state)).
-    fn deadlines(&self) -> std::sync::MutexGuard<'_, Vec<DeadlineEntry>> {
-        self.deadlines
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -529,6 +481,17 @@ impl Subscription {
         cancel_subscription(&self.shared, self.sub, CancelKind::Cancelled)
     }
 
+    /// Expire the subscription's deadline now: like
+    /// [`cancel`](Subscription::cancel), but each unresolved unit is
+    /// answered with [`CampaignError::DeadlineExceeded`] and counted in
+    /// [`EngineStats::deadline_expired`]. The engine keeps no clock; the
+    /// caller decides when a deadline is due (the service arms a reactor
+    /// timer per run). A unit already running still completes into the
+    /// cache — a deadline fails *deliveries*, never other subscribers.
+    pub fn expire(&self) -> CancelOutcome {
+        cancel_subscription(&self.shared, self.sub, CancelKind::Deadline)
+    }
+
     /// A clonable handle that can cancel this subscription from
     /// anywhere — the service's `cancel` wire method keeps one per
     /// `run_token`. Holding it does not keep the engine alive.
@@ -584,7 +547,6 @@ impl CancelHandle {
 pub struct ExecutionEngine {
     shared: Arc<EngineShared>,
     handles: Vec<thread::JoinHandle<()>>,
-    reaper: Option<thread::JoinHandle<()>>,
     workers: usize,
 }
 
@@ -608,8 +570,6 @@ impl ExecutionEngine {
             shutdown: AtomicBool::new(false),
             queue_cap,
             next_sub: AtomicU64::new(0),
-            deadlines: Mutex::new(Vec::new()),
-            deadline_wake: Condvar::new(),
             units_submitted: AtomicU64::new(0),
             units_computed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -627,18 +587,9 @@ impl ExecutionEngine {
                 thread::spawn(move || engine_worker_loop(&shared))
             })
             .collect();
-        // The deadline reaper rides along as one more engine thread
-        // (tracked apart from the workers so health gauges stay
-        // honest); it sleeps until the earliest registered deadline and
-        // costs nothing when deadlines are unused.
-        let reaper = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || deadline_reaper_loop(&shared))
-        };
         ExecutionEngine {
             shared,
             handles,
-            reaper: Some(reaper),
             workers,
         }
     }
@@ -738,18 +689,18 @@ impl ExecutionEngine {
     /// Duplicate keys *within* one batch coalesce too (the second
     /// occurrence attaches to the first's computation).
     ///
-    /// Uses default [`SubmitOptions`] (normal priority, no deadline)
-    /// and bypasses nothing: on an engine with a queue cap this
-    /// **panics** when the cap would reject the submission — capped
-    /// engines should call [`submit_with`](ExecutionEngine::submit_with)
-    /// and handle [`AdmitError::Busy`].
+    /// Submits at [`Priority::Normal`] and bypasses nothing: on an
+    /// engine with a queue cap this **panics** when the cap would reject
+    /// the submission — capped engines should call
+    /// [`submit_with`](ExecutionEngine::submit_with) and handle
+    /// [`AdmitError::Busy`].
     pub fn submit(&self, units: &[PlanUnit], cache: &ResultCache) -> Subscription {
-        self.submit_with(units, cache, SubmitOptions::default())
+        self.submit_with(units, cache, Priority::Normal)
             .expect("submission rejected; use submit_with on a capped engine")
     }
 
-    /// [`submit`](ExecutionEngine::submit) with explicit scheduling
-    /// options, and with bounded admission: on a capped engine, a
+    /// [`submit`](ExecutionEngine::submit) in the scheduling class
+    /// `priority`, and with bounded admission: on a capped engine, a
     /// submission that would enqueue more fresh computations than the
     /// cap has free slots is rejected whole with [`AdmitError::Busy`],
     /// leaving the engine value-identical to never having been asked —
@@ -759,9 +710,9 @@ impl ExecutionEngine {
         &self,
         units: &[PlanUnit],
         cache: &ResultCache,
-        options: SubmitOptions,
+        priority: Priority,
     ) -> Result<Subscription, AdmitError> {
-        self.submit_with_notify(units, cache, options, None)
+        self.submit_with_notify(units, cache, priority, None)
     }
 
     /// [`submit_with`](ExecutionEngine::submit_with) plus a delivery
@@ -775,14 +726,13 @@ impl ExecutionEngine {
         &self,
         units: &[PlanUnit],
         cache: &ResultCache,
-        options: SubmitOptions,
+        priority: Priority,
         notify: Option<DeliveryNotify>,
     ) -> Result<Subscription, AdmitError> {
         let (sender, receiver) = mpsc::channel();
         let cache_id = cache.instance_id();
         let sub = self.shared.next_sub.fetch_add(1, Ordering::Relaxed);
         let mut queued_any = false;
-        let mut pending_waiters = false;
         // Events are collected under the lock (so their order matches
         // the classification order) but broadcast only after it is
         // released — the critical section stays queue-work only.
@@ -842,21 +792,20 @@ impl ExecutionEngine {
                         sub,
                         notify: notify.clone(),
                     });
-                    pending_waiters = true;
                     // Priority inheritance: a high-priority join must
                     // not wait behind the batch queue its producer
                     // chose, so the queued job moves to the joiner's
                     // class.
-                    if flight.queued && options.priority.urgency() > flight.priority.urgency() {
+                    if flight.queued && priority.urgency() > flight.priority.urgency() {
                         promotion = Some(flight.priority);
-                        flight.priority = options.priority;
+                        flight.priority = priority;
                     }
                 }
                 if let Some(from) = promotion {
                     let queue = &mut state.queues[from.index()];
                     if let Some(position) = queue.iter().position(|job| job.slot == slot) {
                         if let Some(job) = queue.remove(position) {
-                            state.queues[options.priority.index()].push_back(job);
+                            state.queues[priority.index()].push_back(job);
                         }
                     }
                     continue;
@@ -895,17 +844,16 @@ impl ExecutionEngine {
                             sub,
                             notify: notify.clone(),
                         }],
-                        priority: options.priority,
+                        priority,
                         queued: true,
                     },
                 );
-                state.queues[options.priority.index()].push_back(Job {
+                state.queues[priority.index()].push_back(Job {
                     slot,
                     unit: unit.clone(),
                     cache: cache.clone(),
                 });
                 queued_any = true;
-                pending_waiters = true;
             }
         }
         if queued_any {
@@ -913,17 +861,6 @@ impl ExecutionEngine {
         }
         for event in &events {
             self.shared.events.publish(event);
-        }
-        // Register the deadline only when something is actually left to
-        // wait for (all-cache-hit submissions resolve before return).
-        if let Some(deadline) = options.deadline {
-            if pending_waiters {
-                self.shared.deadlines().push(DeadlineEntry {
-                    at: Instant::now() + deadline,
-                    sub,
-                });
-                self.shared.deadline_wake.notify_all();
-            }
         }
         Ok(Subscription {
             receiver,
@@ -943,16 +880,8 @@ impl Drop for ExecutionEngine {
             self.shared.shutdown.store(true, Ordering::Relaxed);
         }
         self.shared.wake.notify_all();
-        {
-            // Same dance for the reaper, which waits on its own lock.
-            let _deadlines = self.shared.deadlines();
-        }
-        self.shared.deadline_wake.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
-        }
-        if let Some(reaper) = self.reaper.take() {
-            let _ = reaper.join();
         }
     }
 }
@@ -1139,7 +1068,7 @@ fn abort_job(shared: &EngineShared, job: &Job) {
 enum CancelKind {
     /// Explicit cancel, or the subscription was dropped.
     Cancelled,
-    /// The subscription's deadline expired.
+    /// The subscription's deadline expired ([`Subscription::expire`]).
     Deadline,
 }
 
@@ -1201,8 +1130,6 @@ fn cancel_subscription(shared: &EngineShared, sub: u64, kind: CancelKind) -> Can
             .deadline_expired
             .fetch_add(orphaned.len() as u64, Ordering::Relaxed);
     }
-    // The subscription's deadline (if any) is spent either way.
-    shared.deadlines().retain(|entry| entry.sub != sub);
     // Deliveries and events go out after every lock is released.
     let outcome = CancelOutcome {
         waiters_cancelled: orphaned.len(),
@@ -1236,51 +1163,6 @@ fn cancel_subscription(shared: &EngineShared, sub: u64, kind: CancelKind) -> Can
         ));
     }
     outcome
-}
-
-/// The deadline reaper: one engine-owned thread that sleeps until the
-/// earliest registered deadline, then expires that subscription's
-/// unresolved units with [`CampaignError::DeadlineExceeded`].
-fn deadline_reaper_loop(shared: &EngineShared) {
-    let mut deadlines = shared.deadlines();
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let now = Instant::now();
-        let mut expired: Vec<u64> = Vec::new();
-        deadlines.retain(|entry| {
-            if entry.at <= now {
-                expired.push(entry.sub);
-                false
-            } else {
-                true
-            }
-        });
-        if !expired.is_empty() {
-            // Expiry takes the state lock; never hold both.
-            drop(deadlines);
-            for sub in expired {
-                cancel_subscription(shared, sub, CancelKind::Deadline);
-            }
-            deadlines = shared.deadlines();
-            continue;
-        }
-        let next = deadlines.iter().map(|entry| entry.at).min();
-        deadlines = match next {
-            Some(at) => {
-                shared
-                    .deadline_wake
-                    .wait_timeout(deadlines, at.saturating_duration_since(now))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .0
-            }
-            None => shared
-                .deadline_wake
-                .wait(deadlines)
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        };
-    }
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {

@@ -177,8 +177,8 @@ pub use cache::{
     CacheLoad, CacheMergeError, CachePersistError, CacheStats, MergeStats, ResultCache,
 };
 pub use engine::{
-    AdmitError, CancelOutcome, EngineStats, ExecutionEngine, Priority, SubmitOptions, Subscription,
-    UnitDelivery, UnitOutcome, UnitSource,
+    AdmitError, CancelOutcome, EngineStats, ExecutionEngine, Priority, Subscription, UnitDelivery,
+    UnitOutcome, UnitSource,
 };
 #[cfg(unix)]
 pub use orchestrate::{OrchestrateError, OrchestratedRun, Orchestrator};
@@ -192,7 +192,7 @@ pub use spec::{CampaignSpec, ExperimentKind, SpecParseError};
 /// Convenience prelude.
 pub mod prelude {
     pub use crate::cache::ResultCache;
-    pub use crate::engine::{ExecutionEngine, Priority, SubmitOptions, UnitSource};
+    pub use crate::engine::{ExecutionEngine, Priority, UnitSource};
     #[cfg(unix)]
     pub use crate::orchestrate::Orchestrator;
     pub use crate::report::CampaignReport;

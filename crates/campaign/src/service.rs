@@ -35,9 +35,8 @@
 //! | `shutdown` | — | `bye`, then the daemon drains connections and exits |
 //!
 //! The service stack is generic over [`Transport`]: [`CampaignService`]
-//! binds whatever scheme its configured [`Endpoint`] names, the
-//! live-connection registry holds that transport's streams, and the
-//! shutdown drain self-dials through the same transport. Use
+//! binds whatever scheme its configured [`Endpoint`] names, and its
+//! reactor accepts that transport's streams and holds them. Use
 //! [`UnixTransport`](oranges_harness::transport::UnixTransport) or
 //! [`TcpTransport`](oranges_harness::transport::TcpTransport) when the
 //! scheme is fixed at compile time, or
@@ -48,11 +47,14 @@
 //! the whole matrix over each).
 //!
 //! Connections are handled **concurrently** on a single I/O thread: a
-//! readiness reactor ([`oranges_harness::reactor`]) owns every accepted
-//! stream as a nonblocking table entry, so an idle connection or a
-//! parked `subscribe` stream costs a table row, not an OS thread — the
-//! daemon's thread census is O(1) in its connection count (accept +
-//! dispatch + the engine's workers and reaper). Compute stays
+//! readiness reactor ([`oranges_harness::reactor`]) watches the
+//! listener and owns every accepted stream as a nonblocking table
+//! entry, so an idle connection or a parked `subscribe` stream costs a
+//! table row, not an OS thread — the daemon runs the engine's workers
+//! and the thread that calls [`CampaignService::serve`], whatever its
+//! connection count. That thread waits in one `poll(2)` for
+//! connections, requests, engine completions, `subscribe` heartbeats
+//! and run deadlines alike. Compute stays
 //! thread-based in the engine; engine unit completions reach the
 //! reactor through coalescing wakeup notifies, and `unit` responses
 //! for a `run` are written the moment the engine delivers them, not
@@ -110,7 +112,7 @@
 
 use crate::cache::{CachePersistError, CacheStats, ResultCache};
 use crate::engine::{
-    AdmitError, CancelHandle, ExecutionEngine, Priority, SubmitOptions, Subscription, UnitSource,
+    AdmitError, CancelHandle, ExecutionEngine, Priority, Subscription, UnitSource,
 };
 use crate::plan::{Plan, UnitKey};
 use crate::report::{CampaignReport, UnitReport};
@@ -121,7 +123,7 @@ use oranges_harness::envelope::{EnvelopeError, Request, Response};
 use oranges_harness::json::{self, JsonParseError, JsonValue, Member::Known, Tokenizer};
 use oranges_harness::obs::{CampaignEvent, EventKind, EventStream, Exposition};
 use oranges_harness::reactor::{
-    Event, FrameError, Reactor, ReadInterest, Token, WakeHandle, WRITE_BACKLOG_THRESHOLD,
+    Event, FrameError, Reactor, ReadInterest, Token, WRITE_BACKLOG_THRESHOLD,
 };
 use oranges_harness::transport::{Endpoint, Listener, Stream, Transport};
 use std::borrow::Cow;
@@ -129,7 +131,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::TryRecvError;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -571,7 +573,8 @@ service_series! {
             /// (coalesced: a burst of unit completions between two dispatch
             /// turns costs one wakeup).
             reactor_notify_wakeups: kind = "notify",
-            /// Reactor timer expirations delivered (subscribe heartbeats).
+            /// Reactor timer expirations delivered (subscribe heartbeats and
+            /// run deadlines).
             reactor_timer_wakeups: kind = "timer",
         }
     }
@@ -627,8 +630,8 @@ fn series_values(
         .zip(summary.values().into_iter().chain(gauges.values()))
 }
 
-/// Mutable daemon state shared by the accept thread and the reactor
-/// dispatch loop (and read by `stats`/`metrics` handlers).
+/// The daemon's engine, cache and counters, which the dispatch loop
+/// serves from (and the `stats`/`metrics` handlers read).
 struct ServiceShared {
     engine: ExecutionEngine,
     cache: ResultCache,
@@ -637,10 +640,6 @@ struct ServiceShared {
     /// real port; a wildcard host stays a wildcard, faithful to the
     /// bind) — what `local_endpoint()` reports.
     local: Endpoint,
-    /// The self-dialable form of `local` (wildcard host → loopback) —
-    /// what the shutdown handler dials to wake the accept loop.
-    dial: Endpoint,
-    shutdown: AtomicBool,
     /// Active runs that registered a `run_token`, so a `cancel` request
     /// — from *any* connection — can reach their engine subscription.
     /// Entries are removed when their run finishes.
@@ -655,7 +654,7 @@ struct ServiceShared {
 impl ServiceShared {
     /// The counters; the reactor's come from the dispatch loop's own
     /// reactor, which no other thread touches.
-    fn summary<S: Stream>(&self, reactor: &Reactor<S>) -> ServiceSummary {
+    fn summary<S: Stream>(&self, reactor: &Reactor<'_, S>) -> ServiceSummary {
         let engine = self.engine.stats();
         ServiceSummary {
             connections: self.connections.load(Ordering::Relaxed),
@@ -679,7 +678,7 @@ impl ServiceShared {
 
     /// The gauges. One `queue_depths` read yields all four queue gauges,
     /// so the classes always sum to `queue_depth`.
-    fn gauges<S: Stream>(&self, reactor: &Reactor<S>) -> ServiceGauges {
+    fn gauges<S: Stream>(&self, reactor: &Reactor<'_, S>) -> ServiceGauges {
         let depths = self.engine.queue_depths();
         ServiceGauges {
             queue_depth: depths.iter().sum::<usize>() as u64,
@@ -693,9 +692,9 @@ impl ServiceShared {
         }
     }
 
-    fn health(&self) -> HealthReport {
+    fn health(&self, draining: bool) -> HealthReport {
         HealthReport::of(
-            self.shutdown.load(Ordering::Relaxed),
+            draining,
             self.engine.alive_workers(),
             self.engine.workers(),
             self.cache.stats().entries,
@@ -828,7 +827,7 @@ pub(crate) fn read_body<B: WireValue + Default>(
 /// count does not grow with its connection count.
 pub struct CampaignService<T: Transport> {
     listener: T::Listener,
-    shared: Arc<ServiceShared>,
+    shared: ServiceShared,
 }
 
 impl<T: Transport> CampaignService<T> {
@@ -875,24 +874,21 @@ impl<T: Transport> CampaignService<T> {
         let listener = T::bind(&config.listen)
             .map_err(|e| io_err(&format!("binding {}", config.listen), e))?;
         let local = listener.local_endpoint().clone();
-        let dial = listener.dial_endpoint().clone();
         let engine = ExecutionEngine::with_queue_cap(config.workers, config.queue_cap);
         Ok(CampaignService {
             listener,
-            shared: Arc::new(ServiceShared {
+            shared: ServiceShared {
                 engine,
                 cache,
                 config,
                 local,
-                dial,
-                shutdown: AtomicBool::new(false),
                 cancels: Arc::new(Mutex::new(HashMap::new())),
                 connections: AtomicU64::new(0),
                 active_connections: AtomicU64::new(0),
                 requests: AtomicU64::new(0),
                 runs: AtomicU64::new(0),
                 units_streamed: AtomicU64::new(0),
-            }),
+            },
         })
     }
 
@@ -905,47 +901,39 @@ impl<T: Transport> CampaignService<T> {
     /// replaced by the OS-assigned port, and a wildcard host
     /// (`tcp:0.0.0.0:…`) is reported as such — it means "all
     /// interfaces", which is exactly what an operator starting a fleet
-    /// daemon wants to see. (Clients on *this* host can always dial a
-    /// concrete-host endpoint verbatim; the daemon's own shutdown
-    /// self-dial uses the loopback form internally.)
+    /// daemon wants to see. (A client on *this* host dials a concrete
+    /// host verbatim, and a wildcard at loopback on the same port.)
     pub fn local_endpoint(&self) -> &Endpoint {
         &self.shared.local
     }
 
     /// Accept connections and serve them all from one readiness
-    /// reactor — every live connection is a table entry, not a thread —
-    /// until a `shutdown` request arrives, then drain the live
-    /// connections (idle ones get a clean EOF immediately; a connection
-    /// mid-`run` finishes streaming first), persist the cache (when
-    /// configured), release the listener (removing a `unix:` socket
-    /// file), and return the lifetime counters. The cache is persisted
-    /// even if the accept thread has to give up, so computed results
-    /// are never lost to a socket-level failure.
+    /// reactor on the calling thread — the listener and every live
+    /// connection are entries in its poll set, not threads — until a
+    /// `shutdown` request arrives, then stop accepting and drain the
+    /// live connections (idle ones get a clean EOF immediately; a
+    /// connection mid-`run` finishes streaming first), persist the
+    /// cache (when configured), release the listener (removing a
+    /// `unix:` socket file), and return the lifetime counters. The cache
+    /// is persisted even if accepting has to be given up, so computed
+    /// results are never lost to a socket-level failure.
     pub fn serve(self) -> Result<ServiceSummary, ServiceError> {
-        let mut reactor: Reactor<T::Stream> = Reactor::new();
-        let wake = reactor.wake_handle();
-        let listener = &self.listener;
-        let shared = &self.shared;
-        // Two service threads, regardless of connection count: this
-        // caller becomes the dispatch loop, and one scoped thread runs
-        // the blocking accept. The accept thread hands streams to the
-        // reactor over its wakeup channel; the `shutdown` handler wakes
-        // the blocked accept by dialing the endpoint itself.
-        let give_up = std::thread::scope(|scope| {
-            let acceptor = scope.spawn(move || accept_loop::<T>(listener, shared, wake));
-            Dispatcher::<T> {
-                shared,
-                reactor: &mut reactor,
-                conns: HashMap::new(),
-                draining: false,
-            }
-            .run();
-            acceptor.join().unwrap_or(None)
-        });
+        let reactor = Reactor::listen(&self.listener)
+            .map_err(|e| io_err("switching the listener to nonblocking mode", e))?;
+        let mut dispatcher = Dispatcher::<T> {
+            shared: &self.shared,
+            reactor,
+            conns: HashMap::new(),
+            draining: false,
+            accept_failures: 0,
+            exhausted: false,
+            give_up: None,
+        };
+        dispatcher.run();
         self.persist_and_cleanup()?;
-        match give_up {
+        match dispatcher.give_up {
             Some(error) => Err(error),
-            None => Ok(self.shared.summary(&reactor)),
+            None => Ok(self.shared.summary(&dispatcher.reactor)),
         }
     }
 
@@ -974,59 +962,6 @@ fn quarantine_path(path: &std::path::Path) -> PathBuf {
     let mut name = path.as_os_str().to_owned();
     name.push(format!(".corrupt-{unix_ms}"));
     PathBuf::from(name)
-}
-
-/// The accept thread's whole job: hand accepted streams to the reactor
-/// over its wakeup channel. Running out of descriptors or buffers is
-/// back-pressure: the open connections keep being served, and `accept`
-/// is retried until one closes, with one log line per streak. Other
-/// failures are retried too; only a persistent streak of them aborts the
-/// daemon — by flagging the drain and waking the dispatch loop, so the
-/// cache is still persisted.
-fn accept_loop<T: Transport>(
-    listener: &T::Listener,
-    shared: &ServiceShared,
-    wake: WakeHandle<T::Stream>,
-) -> Option<ServiceError> {
-    const MAX_CONSECUTIVE_ACCEPT_FAILURES: u32 = 64;
-    const RETRY: Duration = Duration::from_millis(20);
-    let mut accept_failures = 0u32;
-    let mut exhausted = false;
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return None;
-        }
-        match listener.accept() {
-            Ok(stream) => {
-                accept_failures = 0;
-                exhausted = false;
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return None; // the drain's wake-up dial, not a client
-                }
-                wake.accepted(stream);
-            }
-            Err(error) if is_resource_exhaustion(&error) => {
-                if !exhausted {
-                    exhausted = true;
-                    eprintln!(
-                        "campaign service: accept error: {error}; \
-                         retrying until a connection closes"
-                    );
-                }
-                std::thread::sleep(RETRY);
-            }
-            Err(error) => {
-                accept_failures += 1;
-                eprintln!("campaign service: accept error: {error}");
-                if accept_failures >= MAX_CONSECUTIVE_ACCEPT_FAILURES {
-                    shared.shutdown.store(true, Ordering::Relaxed);
-                    wake.shutdown();
-                    return Some(io_err("accepting connection (giving up)", error));
-                }
-                std::thread::sleep(RETRY);
-            }
-        }
-    }
 }
 
 /// Whether `accept` failed for want of descriptors or buffers (EMFILE,
@@ -1060,7 +995,7 @@ enum ConnState {
     Command,
     /// A `run` is streaming; reads are paused, deliveries arrive via
     /// notify wakeups.
-    Running(RunState),
+    Running(Box<RunState>),
     /// A `subscribe` stream; reads watch only for hangup, events arrive
     /// via notify wakeups, heartbeats via the reactor timer.
     Subscribing(SubState),
@@ -1074,6 +1009,9 @@ struct RunState {
     subscription: Subscription,
     assembly: Assembly,
     started: Instant,
+    /// When the run's `deadline_ms` falls due; the connection's reactor
+    /// timer is armed for it.
+    deadline: Option<Instant>,
     /// Deregisters the run's `run_token` when the run state drops — on
     /// every exit path, including a connection that dies mid-stream.
     _guard: TokenGuard,
@@ -1089,18 +1027,25 @@ struct SubState {
 }
 
 /// The reactor dispatch loop: the daemon's single I/O thread. Owns the
-/// per-connection protocol state and interprets reactor events; the
-/// engine's worker threads only ever touch it through coalescing
-/// notify wakeups.
+/// reactor and the per-connection protocol state and interprets reactor
+/// events; the engine's worker threads only ever touch it through
+/// coalescing notify wakeups.
 struct Dispatcher<'a, T: Transport> {
     shared: &'a ServiceShared,
-    reactor: &'a mut Reactor<T::Stream>,
+    reactor: Reactor<'a, T::Stream>,
     conns: HashMap<u64, Conn>,
     draining: bool,
+    /// Failed `accept`s in a row, resource exhaustion not counted.
+    accept_failures: u32,
+    /// Whether the current streak of exhaustion failures was logged.
+    exhausted: bool,
+    /// The error that made the daemon give up accepting; `serve`
+    /// returns it once the drain is done.
+    give_up: Option<ServiceError>,
 }
 
 impl<T: Transport> Dispatcher<'_, T> {
-    fn run(mut self) {
+    fn run(&mut self) {
         loop {
             if self.draining && self.reactor.is_empty() {
                 // The registration table is empty, but the final close
@@ -1137,11 +1082,38 @@ impl<T: Transport> Dispatcher<'_, T> {
             Event::Rejected(reason) => {
                 eprintln!("campaign service: refusing connection: {reason}")
             }
-            Event::Shutdown => self.begin_drain(false),
+            Event::AcceptFailed(error) => self.on_accept_failed(error),
+        }
+    }
+
+    /// Running out of descriptors or buffers is back-pressure: the open
+    /// connections keep being served, and the reactor retries `accept`
+    /// until one closes, with one log line per streak. Other failures
+    /// are retried too; only a streak of them gives up, through the
+    /// drain, so the cache is still persisted.
+    fn on_accept_failed(&mut self, error: std::io::Error) {
+        const MAX_CONSECUTIVE_ACCEPT_FAILURES: u32 = 64;
+        if is_resource_exhaustion(&error) {
+            if !self.exhausted {
+                self.exhausted = true;
+                eprintln!(
+                    "campaign service: accept error: {error}; \
+                     retrying until a connection closes"
+                );
+            }
+            return;
+        }
+        self.accept_failures += 1;
+        eprintln!("campaign service: accept error: {error}");
+        if self.accept_failures >= MAX_CONSECUTIVE_ACCEPT_FAILURES {
+            self.give_up = Some(io_err("accepting connection (giving up)", error));
+            self.begin_drain();
         }
     }
 
     fn on_accepted(&mut self, token: Token) {
+        self.accept_failures = 0;
+        self.exhausted = false;
         self.shared.connections.fetch_add(1, Ordering::Relaxed);
         self.shared
             .active_connections
@@ -1158,8 +1130,8 @@ impl<T: Transport> Dispatcher<'_, T> {
             },
         );
         if self.draining {
-            // Raced past the shutdown flag in the accept thread:
-            // counted, then drained immediately with a clean EOF.
+            // Accepted in the turn that also read the `shutdown`
+            // request: counted, then drained with a clean EOF.
             self.reactor.close_after_flush(token);
         }
     }
@@ -1220,19 +1192,24 @@ impl<T: Transport> Dispatcher<'_, T> {
     }
 
     fn on_timer(&mut self, token: Token) {
-        // The only armed timer is the subscribe heartbeat — both a
-        // liveness signal for the watcher and how the daemon notices a
-        // vanished client promptly (the heartbeat write fails).
-        let line = {
-            let Some(conn) = self.conns.get(&token.id()) else {
+        let line = match self.conns.get(&token.id()).map(|conn| &conn.state) {
+            // A run's deadline. A timer armed by an earlier run on this
+            // connection is not due for this one, and is ignored.
+            Some(ConnState::Running(run)) => {
+                if run.deadline.is_some_and(|due| due <= Instant::now()) {
+                    // Each lost unit is delivered as `DeadlineExceeded`;
+                    // its notify pumps the run to the terminal.
+                    run.subscription.expire();
+                }
                 return;
-            };
-            let ConnState::Subscribing(sub) = &conn.state else {
-                return;
-            };
-            Response::ok(sub.id, "event")
+            }
+            // The subscribe heartbeat: both a liveness signal for the
+            // watcher and how the daemon notices a vanished client
+            // promptly (the heartbeat write fails).
+            Some(ConnState::Subscribing(sub)) => Response::ok(sub.id, "event")
                 .with_body(CampaignEvent::new(EventKind::Heartbeat).to_json())
-                .to_line()
+                .to_line(),
+            _ => return,
         };
         self.reactor.enqueue_write(token, line.as_bytes());
         if self.reactor.is_registered(token) {
@@ -1288,29 +1265,29 @@ impl<T: Transport> Dispatcher<'_, T> {
                 let stats = ServiceStats {
                     cache: self.shared.cache.stats(),
                     model_digest: self.shared.cache.model_digest().to_string(),
-                    summary: self.shared.summary(self.reactor),
-                    gauges: self.shared.gauges(self.reactor),
+                    summary: self.shared.summary(&self.reactor),
+                    gauges: self.shared.gauges(&self.reactor),
                 };
                 self.write(token, body_line(request.id, "stats", &stats));
             }
             "metrics" => {
                 let text = metrics_text(
                     self.shared,
-                    &self.shared.summary(self.reactor),
-                    &self.shared.gauges(self.reactor),
+                    &self.shared.summary(&self.reactor),
+                    &self.shared.gauges(&self.reactor),
                 );
                 self.write(token, body_line(request.id, "metrics", &text));
             }
             "health" => self.write(
                 token,
-                body_line(request.id, "health", &self.shared.health()),
+                body_line(request.id, "health", &self.shared.health(self.draining)),
             ),
             "subscribe" => self.handle_subscribe(token, &request),
             "run" => self.handle_run(token, &request),
             "cancel" => self.handle_cancel(token, &request),
             "shutdown" => {
                 self.respond(token, &Response::ok(request.id, "bye"));
-                self.begin_drain(true);
+                self.begin_drain();
             }
             other => self.respond(
                 token,
@@ -1368,7 +1345,7 @@ impl<T: Transport> Dispatcher<'_, T> {
         let subscription = match self.shared.engine.submit_with_notify(
             &plan.units,
             &self.shared.cache,
-            run_options.options,
+            run_options.priority,
             Some(notify.callback()),
         ) {
             Ok(subscription) => subscription,
@@ -1422,12 +1399,18 @@ impl<T: Transport> Dispatcher<'_, T> {
             plan,
             subscription,
             started,
+            deadline: run_options.deadline.map(|after| started + after),
             _guard: guard,
         };
         let Some(conn) = self.conns.get_mut(&token.id()) else {
             return; // dropping `run` cancels the fresh subscription
         };
-        conn.state = ConnState::Running(run);
+        conn.state = ConnState::Running(Box::new(run));
+        if let Some(after) = run_options.deadline {
+            // Fires no earlier than the due instant, which was taken
+            // before this call.
+            self.reactor.set_timer(token, after);
+        }
         // The protocol is sequential per connection: the next request
         // must not be framed until this response stream finishes.
         self.reactor.set_read_interest(token, ReadInterest::Paused);
@@ -1503,7 +1486,8 @@ impl<T: Transport> Dispatcher<'_, T> {
             assembly,
             started,
             _guard: guard,
-        } = run;
+            ..
+        } = *run;
         let lost = |kind, key: UnitKey| {
             let unit = key.to_string();
             body_line(id, kind, &LostUnit { unit })
@@ -1689,34 +1673,17 @@ impl<T: Transport> Dispatcher<'_, T> {
         }
     }
 
-    /// Begin the shutdown drain (idempotent): flag it, wake the accept
-    /// thread (when the trigger was a `shutdown` request — an accept
-    /// give-up arrives with the thread already gone), half-close every
-    /// read side, and close every connection that is not mid-`run` once
-    /// its queued output flushes — the clean EOF idle clients and
-    /// subscribers are promised. Mid-`run` connections finish streaming
-    /// first and join the drain from `after_command`.
-    fn begin_drain(&mut self, dial: bool) {
+    /// Begin the shutdown drain (idempotent): flag it, stop accepting,
+    /// half-close every read side, and close every connection that is
+    /// not mid-`run` once its queued output flushes — the clean EOF idle
+    /// clients and subscribers are promised. Mid-`run` connections
+    /// finish streaming first and join the drain from `after_command`.
+    fn begin_drain(&mut self) {
         if self.draining {
             return;
         }
         self.draining = true;
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        if dial {
-            // The accept thread is parked in a blocking accept; dial
-            // the self-dialable endpoint so it wakes, sees the flag,
-            // and exits. If the dial fails (a host that cannot reach
-            // even its own loopback), say so loudly: the accept thread
-            // — and so the daemon — will not exit until the next real
-            // connection arrives.
-            if let Err(error) = T::connect(&self.shared.dial) {
-                eprintln!(
-                    "campaign service: shutdown wake-up dial to {} failed ({error}); \
-                     the daemon drains on the next incoming connection",
-                    self.shared.dial,
-                );
-            }
-        }
+        self.reactor.stop_accepting();
         self.reactor.shutdown_reads();
         for token in self.reactor.tokens() {
             let mid_run = self
@@ -1737,7 +1704,8 @@ const REQUEST_MEMBERS: [&str; 4] = ["priority", "deadline_ms", "run_token", "tok
 
 /// The scheduling fields of a `run` request.
 struct RunRequestOptions {
-    options: SubmitOptions,
+    priority: Priority,
+    deadline: Option<Duration>,
     token: Option<String>,
 }
 
@@ -1768,7 +1736,8 @@ fn parse_run_options(body: &JsonValue) -> Result<RunRequestOptions, String> {
         None => None,
     };
     Ok(RunRequestOptions {
-        options: SubmitOptions { priority, deadline },
+        priority,
+        deadline,
         token: string(run_token)?.map(str::to_string),
     })
 }
@@ -1943,10 +1912,10 @@ pub struct RunOutcome {
     pub cache: CacheStats,
 }
 
-/// Client-side scheduling options for a `run` request — the wire twin
-/// of the engine's [`SubmitOptions`], plus an optional *run token* the
-/// submitter (or anyone who knows the token) can [`cancel`] with from
-/// another connection.
+/// Client-side scheduling options for a `run` request: the engine
+/// [`Priority`], a delivery deadline the daemon times, and an optional
+/// *run token* the submitter (or anyone who knows the token) can
+/// [`cancel`] with from another connection.
 ///
 /// [`cancel`]: ServiceClient::cancel
 #[derive(Debug, Clone, Default)]

@@ -7,7 +7,6 @@
 //! duty cycle is effectively 1.
 
 use crate::error::GemmError;
-use crate::suite::Hardware;
 use crate::{GemmImplementation, GemmOutcome};
 use oranges_accelerate::blas::{Blas, Order, Transpose};
 use oranges_accelerate::timing::CALL_OVERHEAD;
@@ -32,14 +31,6 @@ impl CpuAccelerate {
 impl GemmImplementation for CpuAccelerate {
     fn name(&self) -> &'static str {
         "CPU-Accelerate"
-    }
-
-    fn framework(&self) -> &'static str {
-        "Accelerate"
-    }
-
-    fn hardware(&self) -> Hardware {
-        Hardware::Cpu
     }
 
     fn work_class(&self) -> WorkClass {
@@ -169,8 +160,6 @@ mod tests {
     fn metadata() {
         let implementation = CpuAccelerate::new(ChipGeneration::M3);
         assert_eq!(implementation.name(), "CPU-Accelerate");
-        assert_eq!(implementation.framework(), "Accelerate");
-        assert_eq!(implementation.hardware(), Hardware::Cpu);
         assert_eq!(implementation.work_class(), WorkClass::CpuAccelerate);
     }
 }

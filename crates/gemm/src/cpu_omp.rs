@@ -12,7 +12,6 @@
 
 use crate::error::GemmError;
 use crate::gemm_flops;
-use crate::suite::Hardware;
 use crate::{chip_cache_params, GemmImplementation, GemmOutcome, DEFAULT_FUNCTIONAL_LIMIT};
 use oranges_accelerate::threading::parallel_row_blocks;
 use oranges_kernels::sgemm_f32_blocked;
@@ -65,14 +64,6 @@ impl CpuOmp {
 impl GemmImplementation for CpuOmp {
     fn name(&self) -> &'static str {
         "CPU-OMP"
-    }
-
-    fn framework(&self) -> &'static str {
-        "C++/OpenMP"
-    }
-
-    fn hardware(&self) -> Hardware {
-        Hardware::Cpu
     }
 
     fn work_class(&self) -> WorkClass {
@@ -198,7 +189,6 @@ mod tests {
     fn metadata() {
         let implementation = CpuOmp::new(ChipGeneration::M2);
         assert_eq!(implementation.name(), "CPU-OMP");
-        assert_eq!(implementation.framework(), "C++/OpenMP");
         assert_eq!(implementation.work_class(), WorkClass::CpuOmp);
     }
 }

@@ -17,7 +17,6 @@
 
 use crate::error::GemmError;
 use crate::gemm_flops;
-use crate::suite::Hardware;
 use crate::{chip_cache_params, GemmImplementation, GemmOutcome, DEFAULT_FUNCTIONAL_LIMIT};
 use oranges_kernels::sgemm_f32_blocked;
 use oranges_powermetrics::WorkClass;
@@ -70,14 +69,6 @@ impl CpuSingle {
 impl GemmImplementation for CpuSingle {
     fn name(&self) -> &'static str {
         "CPU-Single"
-    }
-
-    fn framework(&self) -> &'static str {
-        "C++"
-    }
-
-    fn hardware(&self) -> Hardware {
-        Hardware::Cpu
     }
 
     fn work_class(&self) -> WorkClass {
@@ -189,8 +180,6 @@ mod tests {
     fn metadata() {
         let implementation = CpuSingle::new(ChipGeneration::M4);
         assert_eq!(implementation.name(), "CPU-Single");
-        assert_eq!(implementation.framework(), "C++");
-        assert_eq!(implementation.hardware(), Hardware::Cpu);
         assert_eq!(implementation.work_class(), WorkClass::CpuSingle);
     }
 }

@@ -5,7 +5,6 @@
 //! encoded per run, `commit` + `waitUntilCompleted`.
 
 use crate::error::GemmError;
-use crate::suite::Hardware;
 use crate::{GemmImplementation, GemmOutcome};
 use oranges_metal::mps::{Matrix as MpsMatrix, MatrixDescriptor, MatrixMultiplication};
 use oranges_metal::Device;
@@ -30,14 +29,6 @@ impl GpuMps {
 impl GemmImplementation for GpuMps {
     fn name(&self) -> &'static str {
         "GPU-MPS"
-    }
-
-    fn framework(&self) -> &'static str {
-        "Metal"
-    }
-
-    fn hardware(&self) -> Hardware {
-        Hardware::Gpu
     }
 
     fn work_class(&self) -> WorkClass {
@@ -195,8 +186,6 @@ mod tests {
     fn metadata() {
         let implementation = GpuMps::new(ChipGeneration::M4);
         assert_eq!(implementation.name(), "GPU-MPS");
-        assert_eq!(implementation.framework(), "Metal");
-        assert_eq!(implementation.hardware(), Hardware::Gpu);
         assert_eq!(implementation.work_class(), WorkClass::GpuMps);
     }
 }

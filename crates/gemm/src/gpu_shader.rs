@@ -7,7 +7,6 @@
 //! dispatched with the paper's 8×8 threadgroup grid.
 
 use crate::error::GemmError;
-use crate::suite::Hardware;
 use crate::{GemmImplementation, GemmOutcome};
 use oranges_metal::kernel::KernelParams;
 use oranges_metal::library::ComputePipelineState;
@@ -73,14 +72,6 @@ impl GemmImplementation for GpuShader {
             ShaderKind::Naive => "GPU-Naive",
             ShaderKind::Tiled => "GPU-CUTLASS",
         }
-    }
-
-    fn framework(&self) -> &'static str {
-        "Metal"
-    }
-
-    fn hardware(&self) -> Hardware {
-        Hardware::Gpu
     }
 
     fn work_class(&self) -> WorkClass {
@@ -199,18 +190,11 @@ mod tests {
 
     #[test]
     fn naive_outperforms_tiled_in_the_model() {
-        // The paper's inversion, end to end through the dispatch path.
+        // The paper's inversion, priced by the model.
         let n = 2048;
-        let a = vec![0.0f32; 1]; // modeled-only run, data unused
         for chip in ChipGeneration::ALL {
-            let device = Device::system_default(chip).with_functional_limit(0);
-            let mut naive = GpuShader::with_device(device.clone(), ShaderKind::Naive);
-            let mut tiled = GpuShader::with_device(device, ShaderKind::Tiled);
-            let _ = a;
-            let zeros = vec![0.0f32; n * n];
-            let mut c = vec![0.0f32; n * n];
-            let t_naive = naive.run(n, &zeros, &zeros, &mut c).unwrap();
-            let t_tiled = tiled.run(n, &zeros, &zeros, &mut c).unwrap();
+            let t_naive = GpuShader::naive(chip).model_run(n).unwrap();
+            let t_tiled = GpuShader::tiled(chip).model_run(n).unwrap();
             assert!(
                 t_naive.gflops() > t_tiled.gflops(),
                 "{chip}: naive {} vs tiled {}",
@@ -222,14 +206,7 @@ mod tests {
 
     #[test]
     fn small_sizes_are_overhead_dominated() {
-        let device = Device::system_default(ChipGeneration::M4).with_functional_limit(0);
-        let mut implementation = GpuShader::with_device(device, ShaderKind::Naive);
-        let small = {
-            let mut c = vec![0.0f32; 32 * 32];
-            implementation
-                .run(32, &vec![0.0; 32 * 32], &vec![0.0; 32 * 32], &mut c)
-                .unwrap()
-        };
+        let small = GpuShader::naive(ChipGeneration::M4).model_run(32).unwrap();
         assert!(
             small.duty < 0.1,
             "duty {} should be overhead-dominated",
@@ -245,7 +222,5 @@ mod tests {
         let tiled = GpuShader::tiled(ChipGeneration::M1);
         assert_eq!(tiled.name(), "GPU-CUTLASS");
         assert_eq!(tiled.work_class(), WorkClass::GpuCutlass);
-        assert_eq!(tiled.framework(), "Metal");
-        assert_eq!(tiled.hardware(), Hardware::Gpu);
     }
 }

@@ -89,14 +89,9 @@ impl GemmOutcome {
 
 /// One Table 2 implementation.
 pub trait GemmImplementation {
-    /// Figure legend name ("CPU-Single", "GPU-MPS", …).
+    /// Figure legend name ("CPU-Single", "GPU-MPS", …), the key of its
+    /// [`TABLE2`](suite::TABLE2) row.
     fn name(&self) -> &'static str;
-
-    /// Framework column of Table 2.
-    fn framework(&self) -> &'static str;
-
-    /// Hardware column of Table 2.
-    fn hardware(&self) -> Hardware;
 
     /// Power-model calibration class.
     fn work_class(&self) -> WorkClass;

@@ -6,22 +6,29 @@
 //! every connection is a **table entry** on one reactor thread, and the
 //! service's thread census is O(1) in the number of connections.
 //!
-//! The reactor blocks in `poll(2)` on its sockets plus a wake pipe. The
-//! call goes through the `poll` shim in `crates/vendor/poll`, which holds
-//! the workspace's one `unsafe` block; this crate forbids `unsafe`.
+//! The reactor blocks in `poll(2)` on its sockets, its listener and a
+//! wake pipe. The call goes through the `poll` shim in
+//! `crates/vendor/poll`, which holds the workspace's one `unsafe` block;
+//! this crate forbids `unsafe`.
 //!
+//! - **Listener** — a reactor made with [`Reactor::listen`] watches a
+//!   bound [`Listener`], switched to nonblocking mode. When it is
+//!   readable the reactor accepts until the backlog is empty and
+//!   registers each connection ([`Event::Accepted`]). A failed `accept`
+//!   is reported ([`Event::AcceptFailed`]) and takes the listener out
+//!   of the poll set for 20 ms, so a persistent failure cannot spin the
+//!   loop; [`Reactor::stop_accepting`] takes it out for good.
 //! - **Registration table** — the reactor *owns* each registered
 //!   [`Stream`], switched to nonblocking mode. Each entry carries a
 //!   [`FrameBuffer`] (incremental newline framing over arbitrary byte
 //!   segmentation), a [`WriteQueue`] (short-write- and
 //!   `WouldBlock`-tolerant output), a read-interest mode, and an
 //!   optional timer.
-//! - **Wakeup channel** — the accept thread posts new connections,
-//!   engine completions post coalesced [`NotifyHandle`] wakes, and
-//!   shutdown posts a drain signal. A poster sends on an in-process
-//!   channel, then rings a *bell*: one byte into a socket pair whose
-//!   read end sits in the poll set. A shared flag keeps a burst of wakes
-//!   to one bell write.
+//! - **Wakeup channel** — engine completions on other threads post
+//!   coalesced [`NotifyHandle`] wakes: a poster sends its connection's
+//!   token on an in-process channel, then rings a *bell*: one byte into
+//!   a socket pair whose read end sits in the poll set. A shared flag
+//!   keeps a burst of wakes to one bell write.
 //! - **Level-triggered dispatch** — [`Reactor::poll`] returns one
 //!   [`Event`] at a time; readiness that has not been consumed
 //!   (buffered complete lines, queued notifies) is re-reported until
@@ -29,19 +36,20 @@
 //!
 //! A connection is watched for input while it is not paused and its
 //! peer has not hung up, and for output while its write queue holds
-//! bytes. An idle daemon therefore sleeps until a byte, a timer or a
-//! wake arrives; each wait hands `poll` the whole table, O(connections).
+//! bytes. An idle daemon therefore sleeps until a connection, a byte, a
+//! timer or a wake arrives; each wait hands `poll` the whole table,
+//! O(connections).
 //!
 //! What belongs to the reactor vs. its owner:
 //!
-//! - the reactor frames lines (at most [`MAX_LINE_BYTES`] each),
-//!   flushes queued writes, detects EOF and I/O errors, fires timers,
-//!   and forwards wakes;
+//! - the reactor accepts connections, frames lines (at most
+//!   [`MAX_LINE_BYTES`] each), flushes queued writes, detects EOF and
+//!   I/O errors, fires timers, and forwards wakes;
 //! - the owner (the campaign service) interprets lines, decides read
 //!   interest per connection state, enqueues responses, and removes
 //!   connections when the protocol says so.
 
-use crate::transport::Stream;
+use crate::transport::{Listener, Stream};
 use poll::{PollFd, POLLIN, POLLOUT};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -94,7 +102,7 @@ pub enum ReadInterest {
 /// One readiness occurrence, returned by [`Reactor::poll`].
 #[derive(Debug)]
 pub enum Event {
-    /// A new connection was registered from the wakeup channel.
+    /// A connection was accepted from the listener and registered.
     Accepted(Token),
     /// A complete newline-framed line arrived (terminator stripped).
     Line(Token, String),
@@ -118,18 +126,13 @@ pub enum Event {
     /// A write queue that had been above the backpressure threshold
     /// drained back to empty — whatever was paused on it may resume.
     Writable(Token),
-    /// A connection posted through the wakeup channel could not be
-    /// registered (its switch to nonblocking mode failed). It was
-    /// dropped without ever appearing in the table.
+    /// An accepted connection could not be registered (its switch to
+    /// nonblocking mode failed). It was dropped without ever appearing
+    /// in the table.
     Rejected(String),
-    /// The shutdown wake was posted; the owner should begin its drain.
-    Shutdown,
-}
-
-enum Wake<S> {
-    NewConn(S),
-    Notify(Token),
-    Shutdown,
+    /// `accept` on the listener failed. The listener leaves the poll
+    /// set for 20 ms, then is tried again.
+    AcceptFailed(io::Error),
 }
 
 /// The posting end of the reactor's wake pipe.
@@ -138,46 +141,6 @@ struct Bell {
     /// the reactor only after it has read the pipe dry.
     rung: AtomicBool,
     pipe: UnixStream,
-}
-
-/// A clonable handle for posting wakes into the reactor from other
-/// threads — the accept loop's and shutdown path's end of the wakeup
-/// channel.
-pub struct WakeHandle<S> {
-    tx: Sender<Wake<S>>,
-    bell: Arc<Bell>,
-}
-
-impl<S> Clone for WakeHandle<S> {
-    fn clone(&self) -> Self {
-        WakeHandle {
-            tx: self.tx.clone(),
-            bell: Arc::clone(&self.bell),
-        }
-    }
-}
-
-impl<S> WakeHandle<S> {
-    /// Send `wake`, then ring the bell unless a ring is already pending.
-    fn post(&self, wake: Wake<S>) {
-        if self.tx.send(wake).is_ok() && !self.bell.rung.swap(true, Ordering::AcqRel) {
-            (&self.bell.pipe).write_all(&[1]).ok();
-        }
-    }
-}
-
-impl<S: Stream> WakeHandle<S> {
-    /// Hand a freshly accepted connection to the reactor. The reactor
-    /// takes ownership, switches it to nonblocking mode, and reports
-    /// it as [`Event::Accepted`].
-    pub fn accepted(&self, stream: S) {
-        self.post(Wake::NewConn(stream));
-    }
-
-    /// Post the shutdown wake ([`Event::Shutdown`]).
-    pub fn shutdown(&self) {
-        self.post(Wake::Shutdown);
-    }
 }
 
 /// A coalescing completion-notify hook bound to one registered
@@ -190,25 +153,23 @@ impl<S: Stream> WakeHandle<S> {
 /// worker thread finishing a unit costs one atomic swap, at most one
 /// channel send, and at most one bell write, never a syscall against
 /// the connection.
+#[derive(Clone)]
 pub struct NotifyHandle {
+    token: Token,
     pending: Arc<AtomicBool>,
-    send: Arc<dyn Fn() + Send + Sync>,
-}
-
-impl Clone for NotifyHandle {
-    fn clone(&self) -> Self {
-        NotifyHandle {
-            pending: Arc::clone(&self.pending),
-            send: Arc::clone(&self.send),
-        }
-    }
+    tx: Sender<Token>,
+    bell: Arc<Bell>,
 }
 
 impl NotifyHandle {
-    /// Request an [`Event::Notify`] for the bound connection.
+    /// Request an [`Event::Notify`] for the bound connection: send the
+    /// token, then ring the bell unless a ring is already pending.
     pub fn notify(&self) {
-        if !self.pending.swap(true, Ordering::AcqRel) {
-            (self.send)();
+        if !self.pending.swap(true, Ordering::AcqRel)
+            && self.tx.send(self.token).is_ok()
+            && !self.bell.rung.swap(true, Ordering::AcqRel)
+        {
+            (&self.bell.pipe).write_all(&[1]).ok();
         }
     }
 
@@ -434,6 +395,12 @@ const SCAN_READ_BUDGET: usize = 64 * 1024;
 /// until [`Event::Writable`] reports the drain.
 pub const WRITE_BACKLOG_THRESHOLD: usize = 256 * 1024;
 
+/// How long the listener stays out of the poll set after a failed
+/// `accept`. A failure such as running out of descriptors leaves the
+/// connection in the backlog and the listener readable; without the
+/// pause every turn would retry at once.
+const ACCEPT_RETRY: Duration = Duration::from_millis(20);
+
 struct Registration<S> {
     stream: S,
     frame: FrameBuffer,
@@ -446,13 +413,21 @@ struct Registration<S> {
     peer_eof: bool,
 }
 
-/// The event loop: a registration table of owned nonblocking streams,
-/// a wakeup channel, timers, and a level-triggered [`poll`].
+/// The event loop: an optional listener, a registration table of owned
+/// nonblocking streams, a wakeup channel, timers, and a level-triggered
+/// [`poll`].
 ///
 /// [`poll`]: Reactor::poll
-pub struct Reactor<S: Stream> {
-    rx: Receiver<Wake<S>>,
-    wake: WakeHandle<S>,
+pub struct Reactor<'l, S: Stream> {
+    /// The listener to accept from, until [`Reactor::stop_accepting`].
+    listener: Option<&'l dyn Listener<Stream = S>>,
+    /// While set, the listener sits out of the poll set (an `accept`
+    /// failed) until this instant. Never set without a listener.
+    accept_paused_until: Option<Instant>,
+    rx: Receiver<Token>,
+    tx: Sender<Token>,
+    /// The posting end of the wake pipe, shared with notify handles.
+    ringer: Arc<Bell>,
     /// The read end of the wake pipe, the first entry of every poll set.
     bell: UnixStream,
     table: HashMap<u64, Registration<S>>,
@@ -464,14 +439,15 @@ pub struct Reactor<S: Stream> {
     timer_wakeups: u64,
 }
 
-impl<S: Stream> Default for Reactor<S> {
+impl<S: Stream> Default for Reactor<'_, S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<S: Stream> Reactor<S> {
-    /// A reactor with an empty table.
+impl<'l, S: Stream> Reactor<'l, S> {
+    /// A reactor with an empty table and no listener: connections
+    /// arrive only through [`register`](Reactor::register).
     ///
     /// # Panics
     ///
@@ -485,14 +461,14 @@ impl<S: Stream> Reactor<S> {
                 .expect("a fresh socket accepts nonblocking mode");
         }
         Reactor {
+            listener: None,
+            accept_paused_until: None,
             rx,
-            wake: WakeHandle {
-                tx,
-                bell: Arc::new(Bell {
-                    rung: AtomicBool::new(false),
-                    pipe,
-                }),
-            },
+            tx,
+            ringer: Arc::new(Bell {
+                rung: AtomicBool::new(false),
+                pipe,
+            }),
             bell,
             table: HashMap::new(),
             next_token: 0,
@@ -504,9 +480,23 @@ impl<S: Stream> Reactor<S> {
         }
     }
 
-    /// A handle other threads use to post wakes.
-    pub fn wake_handle(&self) -> WakeHandle<S> {
-        self.wake.clone()
+    /// A reactor that also accepts from `listener`, which it switches to
+    /// nonblocking mode: each accepted connection is registered and
+    /// reported as [`Event::Accepted`]. Returns the error if the
+    /// listener refused nonblocking mode.
+    pub fn listen(listener: &'l dyn Listener<Stream = S>) -> io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        Ok(Reactor {
+            listener: Some(listener),
+            ..Reactor::new()
+        })
+    }
+
+    /// Stop watching the listener: connections still in its backlog, or
+    /// arriving later, are never registered.
+    pub fn stop_accepting(&mut self) {
+        self.listener = None;
+        self.accept_paused_until = None;
     }
 
     /// A coalescing notify hook bound to `token`. Firing it from any
@@ -514,17 +504,17 @@ impl<S: Stream> Reactor<S> {
     /// connection; fires are coalesced until that report happens.
     pub fn notify_handle(&self, token: Token) -> Option<NotifyHandle> {
         let registration = self.table.get(&token.0)?;
-        let pending = Arc::clone(&registration.notify_pending);
-        let wake = self.wake.clone();
         Some(NotifyHandle {
-            pending,
-            send: Arc::new(move || wake.post(Wake::Notify(token))),
+            token,
+            pending: Arc::clone(&registration.notify_pending),
+            tx: self.tx.clone(),
+            bell: Arc::clone(&self.ringer),
         })
     }
 
-    /// Directly register a stream (the in-thread form of
-    /// [`WakeHandle::accepted`]); returns its token, or the underlying
-    /// error if the stream refused nonblocking mode.
+    /// Register a stream, switched to nonblocking mode; returns its
+    /// token, or the underlying error if the stream refused nonblocking
+    /// mode.
     pub fn register(&mut self, stream: S) -> io::Result<Token> {
         stream.set_nonblocking(true)?;
         let token = Token(self.next_token);
@@ -745,19 +735,32 @@ impl<S: Stream> Reactor<S> {
     }
 
     /// One scheduling turn: fire due timers; otherwise wait in
-    /// `poll(2)` until a watched socket or the bell is ready, the next
-    /// timer falls due, or `cap` passes; then serve the ready
-    /// connections and drain the wakeup channel, in that order.
+    /// `poll(2)` until a watched socket, the listener or the bell is
+    /// ready, the next timer falls due, a paused listener is due back,
+    /// or `cap` passes; then serve the ready connections, accept, and
+    /// drain the wakeup channel, in that order.
     fn turn_until(&mut self, cap: Option<Instant>) {
         let now = Instant::now();
         self.fire_due_timers(now);
         if !self.pending.is_empty() {
             return;
         }
+        if self.accept_paused_until.is_some_and(|until| until <= now) {
+            self.accept_paused_until = None;
+        }
         let next_timer = self.timers.peek().map(|Reverse((at, _, _))| *at);
-        let deadline = next_timer.into_iter().chain(cap).min();
+        let deadline = next_timer
+            .into_iter()
+            .chain(self.accept_paused_until)
+            .chain(cap)
+            .min();
 
         let mut fds = vec![PollFd::new(self.bell.as_fd(), POLLIN)];
+        let listener = self.listener.filter(|_| self.accept_paused_until.is_none());
+        if let Some(listener) = listener {
+            fds.push(PollFd::new(listener.as_fd(), POLLIN));
+        }
+        let first_connection = fds.len();
         let mut ids = Vec::new();
         for (&id, registration) in &self.table {
             let mut events = 0;
@@ -781,13 +784,39 @@ impl<S: Stream> Reactor<S> {
             std::thread::sleep(Duration::from_millis(1));
             return;
         }
-        for (fd, id) in fds[1..].iter().zip(ids) {
+        for (fd, id) in fds[first_connection..].iter().zip(ids) {
             if fd.revents() != 0 {
                 self.scan_connection(Token(id));
             }
         }
+        if let Some(listener) = listener.filter(|_| fds[1].revents() != 0) {
+            self.accept_pending(listener);
+        }
         if fds[0].revents() != 0 {
             self.drain_wakes();
+        }
+    }
+
+    /// Accept until the backlog is empty, registering each connection.
+    /// A failure is reported and pauses the listener for `ACCEPT_RETRY`.
+    fn accept_pending(&mut self, listener: &dyn Listener<Stream = S>) {
+        loop {
+            let event = match listener.accept() {
+                Ok(stream) => match self.register(stream) {
+                    Ok(token) => Event::Accepted(token),
+                    Err(error) => Event::Rejected(format!(
+                        "cannot switch accepted connection to nonblocking mode: {error}"
+                    )),
+                },
+                Err(error) if error.kind() == io::ErrorKind::WouldBlock => return,
+                Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
+                Err(error) => {
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_RETRY);
+                    self.pending.push_back(Event::AcceptFailed(error));
+                    return;
+                }
+            };
+            self.pending.push_back(event);
         }
     }
 
@@ -800,31 +829,16 @@ impl<S: Stream> Reactor<S> {
     /// than two.
     fn drain_wakes(&mut self) {
         let _ = (&self.bell).read(&mut [0; 64]);
-        self.wake.bell.rung.swap(false, Ordering::AcqRel);
-        while let Ok(wake) = self.rx.try_recv() {
-            self.process_wake(wake);
-        }
-    }
-
-    fn process_wake(&mut self, wake: Wake<S>) {
-        match wake {
-            Wake::NewConn(stream) => match self.register(stream) {
-                Ok(token) => self.pending.push_back(Event::Accepted(token)),
-                Err(error) => self.pending.push_back(Event::Rejected(format!(
-                    "cannot switch accepted connection to nonblocking mode: {error}"
-                ))),
-            },
-            Wake::Notify(token) => {
-                if let Some(registration) = self.table.get(&token.0) {
-                    // Re-arm before reporting: a notify that fires
-                    // while the owner handles this event posts a fresh
-                    // wake instead of being swallowed.
-                    registration.notify_pending.store(false, Ordering::Release);
-                    self.notify_wakeups += 1;
-                    self.pending.push_back(Event::Notify(token));
-                }
+        self.ringer.rung.swap(false, Ordering::AcqRel);
+        while let Ok(token) = self.rx.try_recv() {
+            if let Some(registration) = self.table.get(&token.0) {
+                // Re-arm before reporting: a notify that fires while the
+                // owner handles this event posts a fresh wake instead of
+                // being swallowed.
+                registration.notify_pending.store(false, Ordering::Release);
+                self.notify_wakeups += 1;
+                self.pending.push_back(Event::Notify(token));
             }
-            Wake::Shutdown => self.pending.push_back(Event::Shutdown),
         }
     }
 
@@ -1149,7 +1163,7 @@ mod tests {
         assert_eq!(queue.pending(), 0);
     }
 
-    fn pair() -> (Reactor<TcpStream>, Token, TcpStream) {
+    fn pair() -> (Reactor<'static, TcpStream>, Token, TcpStream) {
         let listener = TcpTransport::bind(&"tcp:127.0.0.1:0".parse::<Endpoint>().unwrap())
             .expect("bind loopback");
         let client = TcpTransport::connect(listener.local_endpoint()).expect("connect");
@@ -1436,28 +1450,30 @@ mod tests {
     }
 
     #[test]
-    fn wake_handle_registers_connections_and_shutdown_is_reported() {
+    fn a_listening_reactor_accepts_the_backlog_in_one_turn_until_it_stops() {
         let listener = TcpTransport::bind(&"tcp:127.0.0.1:0".parse::<Endpoint>().unwrap())
             .expect("bind loopback");
-        let endpoint = listener.local_endpoint().clone();
-        let mut reactor: Reactor<TcpStream> = Reactor::new();
-        let wake = reactor.wake_handle();
-        let poster = std::thread::spawn(move || {
-            let _client = TcpTransport::connect(&endpoint).expect("connect");
-            let served = listener.accept().expect("accept");
-            wake.accepted(served);
-            wake.shutdown();
-            _client
-        });
-        match reactor.poll() {
-            Event::Accepted(_) => {}
-            other => panic!("unexpected event {other:?}"),
+        let _clients: Vec<TcpStream> = (0..3)
+            .map(|_| TcpTransport::connect(listener.local_endpoint()).expect("connect"))
+            .collect();
+        let mut reactor = Reactor::listen(&listener).expect("listen");
+        // The first event comes from a turn that took the whole backlog.
+        assert!(matches!(reactor.poll(), Event::Accepted(_)));
+        assert_eq!(reactor.connections(), 3, "one turn registered all three");
+        for _ in 1..3 {
+            assert!(matches!(reactor.poll(), Event::Accepted(_)));
         }
-        assert_eq!(reactor.connections(), 1);
-        match reactor.poll() {
-            Event::Shutdown => {}
-            other => panic!("unexpected event {other:?}"),
-        }
-        poster.join().expect("poster thread");
+
+        reactor.stop_accepting();
+        let _late = TcpTransport::connect(listener.local_endpoint()).expect("into the backlog");
+        assert!(
+            reactor.poll_timeout(Duration::from_millis(100)).is_none(),
+            "a reactor that stopped accepting reports nothing"
+        );
+        assert_eq!(
+            reactor.connections(),
+            3,
+            "the late connection was not registered"
+        );
     }
 }

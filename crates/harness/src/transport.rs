@@ -14,16 +14,14 @@
 //!   needs: wake a peer parked in a blocking read without cutting off a
 //!   response still being written);
 //! - [`Listener`] — accepts streams and knows its *resolved* local
-//!   endpoint (so `tcp:127.0.0.1:0` gains its real port after bind)
-//!   plus a self-dialable form ([`Listener::dial_endpoint`]: wildcard
-//!   hosts become loopback);
+//!   endpoint (so `tcp:127.0.0.1:0` gains its real port after bind);
 //! - [`Transport`] — pairs the two with `bind`/`connect`, implemented
 //!   by [`UnixTransport`], [`TcpTransport`], and the scheme-dispatching
 //!   [`AnyTransport`].
 //!
 //! The traits are deliberately minimal: exactly the surface the service
-//! stack uses (`Read` + `Write`, a descriptor to poll, `try_clone`,
-//! `shutdown_read`, blocking `accept`), nothing speculative. Code generic
+//! stack uses (`Read` + `Write`, descriptors to poll, nonblocking mode,
+//! `try_clone`, `shutdown_read`, `accept`), nothing speculative. Code generic
 //! over [`Transport`] is oblivious to the address family; code that must
 //! pick one at runtime (a `--listen` flag, a `--fleet` list) uses
 //! [`AnyTransport`], which dispatches on the endpoint's scheme. The
@@ -243,28 +241,28 @@ pub trait Stream: Read + Write + AsFd + Send + Sized + 'static {
 }
 
 /// Accepts inbound [`Stream`]s for one bound endpoint.
-pub trait Listener: Send + Sync + Sized + 'static {
+///
+/// A listener is also a descriptor ([`AsFd`]): the reactor watches it
+/// beside its connections and accepts when `poll(2)` reports it
+/// readable.
+pub trait Listener: AsFd + Send + 'static {
     /// The stream type this listener produces.
     type Stream: Stream;
 
-    /// Block until a peer connects.
+    /// Take the next pending connection. Blocks until a peer connects,
+    /// unless the listener is nonblocking: then an empty backlog is
+    /// [`io::ErrorKind::WouldBlock`].
     fn accept(&self) -> io::Result<Self::Stream>;
+
+    /// Switch `accept` between blocking and nonblocking, as
+    /// [`Stream::set_nonblocking`] does for reads and writes.
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
 
     /// The *resolved* local endpoint, faithful to the bind: port 0
     /// becomes the real port, but a wildcard host (`0.0.0.0`/`::`)
     /// stays a wildcard — this is the address to report to operators
     /// ("listening on all interfaces"), not necessarily one to dial.
     fn local_endpoint(&self) -> &Endpoint;
-
-    /// An endpoint *this host* can dial to reach the listener: like
-    /// [`local_endpoint`](Listener::local_endpoint), but with a
-    /// wildcard host replaced by a loopback literal. This is what the
-    /// service's shutdown self-dial uses; for listeners whose local
-    /// endpoint is already dialable (unix paths, concrete hosts) the
-    /// two are the same, which the default method reflects.
-    fn dial_endpoint(&self) -> &Endpoint {
-        self.local_endpoint()
-    }
 
     /// Release any on-disk artifacts of the bind (the Unix listener's
     /// socket file). Called by the service after the drain; a no-op for
@@ -334,12 +332,22 @@ impl Listener for UnixTransportListener {
         self.inner.accept().map(|(stream, _)| stream)
     }
 
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        self.inner.set_nonblocking(nonblocking)
+    }
+
     fn local_endpoint(&self) -> &Endpoint {
         &self.local
     }
 
     fn cleanup(&self) {
         std::fs::remove_file(&self.path).ok();
+    }
+}
+
+impl AsFd for UnixTransportListener {
+    fn as_fd(&self) -> BorrowedFd<'_> {
+        self.inner.as_fd()
     }
 }
 
@@ -405,13 +413,11 @@ pub(crate) const TCP_CONNECT_TIMEOUT: std::time::Duration = std::time::Duration:
 pub struct TcpTransport;
 
 /// [`TcpTransport`]'s listening half, carrying the resolved local
-/// endpoint (real port for `:0` binds) and its self-dialable form
-/// (loopback for wildcard hosts).
+/// endpoint (real port for `:0` binds).
 #[derive(Debug)]
 pub struct TcpTransportListener {
     inner: TcpListener,
     local: Endpoint,
-    dial: Endpoint,
 }
 
 impl Stream for TcpStream {
@@ -437,12 +443,18 @@ impl Listener for TcpTransportListener {
         Ok(stream)
     }
 
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        self.inner.set_nonblocking(nonblocking)
+    }
+
     fn local_endpoint(&self) -> &Endpoint {
         &self.local
     }
+}
 
-    fn dial_endpoint(&self) -> &Endpoint {
-        &self.dial
+impl AsFd for TcpTransportListener {
+    fn as_fd(&self) -> BorrowedFd<'_> {
+        self.inner.as_fd()
     }
 }
 
@@ -465,23 +477,11 @@ impl Transport for TcpTransport {
         };
         let inner = TcpListener::bind(authority.as_str())?;
         let addr = inner.local_addr()?;
-        // `local` is faithful to the bind (a wildcard stays a wildcard —
-        // the operator should see "listening on all interfaces"), while
-        // `dial` is an address this host can actually connect to, which
-        // for a wildcard bind means loopback.
-        let dial_ip: std::net::IpAddr = if addr.ip().is_unspecified() {
-            if addr.is_ipv6() {
-                std::net::Ipv6Addr::LOCALHOST.into()
-            } else {
-                std::net::Ipv4Addr::LOCALHOST.into()
-            }
-        } else {
-            addr.ip()
-        };
+        // Faithful to the bind: a wildcard stays a wildcard, so the
+        // operator sees "listening on all interfaces".
         Ok(TcpTransportListener {
             inner,
             local: Endpoint::Tcp(tcp_authority(&addr.ip(), addr.port())),
-            dial: Endpoint::Tcp(tcp_authority(&dial_ip, addr.port())),
         })
     }
 
@@ -608,6 +608,13 @@ impl Listener for AnyListener {
         }
     }
 
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        match self {
+            AnyListener::Unix(listener) => listener.set_nonblocking(nonblocking),
+            AnyListener::Tcp(listener) => listener.set_nonblocking(nonblocking),
+        }
+    }
+
     fn local_endpoint(&self) -> &Endpoint {
         match self {
             AnyListener::Unix(listener) => listener.local_endpoint(),
@@ -615,17 +622,19 @@ impl Listener for AnyListener {
         }
     }
 
-    fn dial_endpoint(&self) -> &Endpoint {
-        match self {
-            AnyListener::Unix(listener) => listener.dial_endpoint(),
-            AnyListener::Tcp(listener) => listener.dial_endpoint(),
-        }
-    }
-
     fn cleanup(&self) {
         match self {
             AnyListener::Unix(listener) => listener.cleanup(),
             AnyListener::Tcp(listener) => listener.cleanup(),
+        }
+    }
+}
+
+impl AsFd for AnyListener {
+    fn as_fd(&self) -> BorrowedFd<'_> {
+        match self {
+            AnyListener::Unix(listener) => listener.as_fd(),
+            AnyListener::Tcp(listener) => listener.as_fd(),
         }
     }
 }
@@ -721,15 +730,11 @@ mod tests {
         let listener = TcpTransport::bind(&"tcp:0.0.0.0:0".parse().unwrap()).expect("bind");
         // The reported endpoint tells the truth: all interfaces.
         let local = listener.local_endpoint().to_string();
-        assert!(local.starts_with("tcp:0.0.0.0:"), "{local}");
-        assert!(!local.ends_with(":0"), "port resolved");
-        // The dial form is something this host can actually connect to.
-        let dial = listener.dial_endpoint().to_string();
-        assert!(dial.starts_with("tcp:127.0.0.1:"), "{dial}");
-        let _client = TcpTransport::connect(listener.dial_endpoint()).expect("self-dialable");
-        // Concrete-host binds dial as themselves.
-        let concrete = TcpTransport::bind(&"tcp:127.0.0.1:0".parse().unwrap()).expect("bind");
-        assert_eq!(concrete.local_endpoint(), concrete.dial_endpoint());
+        let port = local.strip_prefix("tcp:0.0.0.0:").expect("a wildcard");
+        assert_ne!(port, "0", "port resolved");
+        // This host reaches it on loopback at that port.
+        let loopback = format!("tcp:127.0.0.1:{port}").parse().unwrap();
+        let _client = TcpTransport::connect(&loopback).expect("dialable on loopback");
     }
 
     #[test]
@@ -799,8 +804,10 @@ mod tests {
     /// data that has arrived is still readable.
     fn nonblocking_readiness_contract<T: Transport>(endpoint: &Endpoint) {
         let listener = T::bind(endpoint).expect("bind");
-        let dial = listener.dial_endpoint().clone();
-        let mut client = T::connect(&dial).expect("connect");
+        listener.set_nonblocking(true).expect("nonblocking accept");
+        let idle = listener.accept().map(drop);
+        assert_eq!(idle.map_err(|e| e.kind()), Err(io::ErrorKind::WouldBlock));
+        let mut client = T::connect(listener.local_endpoint()).expect("connect");
         let mut server = listener.accept().expect("accept");
         server.set_nonblocking(true).expect("nonblocking mode");
 

@@ -167,15 +167,11 @@ fn a_high_priority_probe_overtakes_a_saturating_batch_backlog() {
         .map(|i| logging_unit(i, &format!("batch{i}"), &log))
         .collect();
     let batch = engine
-        .submit_with(&backlog, &cache, SubmitOptions::priority(Priority::Batch))
+        .submit_with(&backlog, &cache, Priority::Batch)
         .expect("uncapped engine admits");
     // ...then a single high-priority probe arrives last.
     let probe = engine
-        .submit_with(
-            &[logging_unit(0, "probe", &log)],
-            &cache,
-            SubmitOptions::priority(Priority::High),
-        )
+        .submit_with(&[logging_unit(0, "probe", &log)], &cache, Priority::High)
         .expect("uncapped engine admits");
     assert_eq!(engine.queue_depths(), [1, 0, 6], "per-class depths");
 
@@ -213,14 +209,10 @@ fn fair_queueing_bounds_both_classes_under_saturation() {
         .map(|i| logging_unit(i, &format!("batch{i}"), &log))
         .collect();
     let batch = engine
-        .submit_with(
-            &batch_units,
-            &cache,
-            SubmitOptions::priority(Priority::Batch),
-        )
+        .submit_with(&batch_units, &cache, Priority::Batch)
         .expect("admitted");
     let high = engine
-        .submit_with(&high_units, &cache, SubmitOptions::priority(Priority::High))
+        .submit_with(&high_units, &cache, Priority::High)
         .expect("admitted");
 
     release(&blocker_gate);
@@ -251,22 +243,14 @@ fn a_coalesced_higher_priority_join_promotes_the_queued_job() {
     let (shared, shared_gate, runs) = GatedExperiment::new("promoted");
     release(&shared_gate); // runs freely once dispatched
     let batch = engine
-        .submit_with(
-            &[unit_of(0, shared.clone())],
-            &cache,
-            SubmitOptions::priority(Priority::Batch),
-        )
+        .submit_with(&[unit_of(0, shared.clone())], &cache, Priority::Batch)
         .expect("admitted");
     assert_eq!(engine.queue_depths(), [0, 0, 1]);
 
     // A high-priority submission of the same key coalesces — and drags
     // the queued job into the high class with it.
     let probe = engine
-        .submit_with(
-            &[unit_of(0, shared)],
-            &cache,
-            SubmitOptions::priority(Priority::High),
-        )
+        .submit_with(&[unit_of(0, shared)], &cache, Priority::High)
         .expect("admitted");
     assert_eq!(
         engine.queue_depths(),
@@ -304,7 +288,7 @@ fn a_busy_rejection_leaves_the_engine_value_identical_to_never_submitted() {
         .map(|i| logging_unit(i, &format!("big{i}"), &log))
         .collect();
     let error = engine
-        .submit_with(&units, &cache, SubmitOptions::default())
+        .submit_with(&units, &cache, Priority::Normal)
         .expect_err("needs 4 slots, cap is 2");
     assert_eq!(
         error,
@@ -335,7 +319,7 @@ fn a_busy_rejection_leaves_the_engine_value_identical_to_never_submitted() {
         .map(|i| logging_unit(i, &format!("fit{i}"), &log))
         .collect();
     let admitted = engine
-        .submit_with(&fitting, &cache, SubmitOptions::default())
+        .submit_with(&fitting, &cache, Priority::Normal)
         .expect("2 fresh units fit a cap of 2");
     release(&blocker_gate);
     drain_ok(&admitted);
@@ -355,11 +339,7 @@ fn cache_hits_and_coalesced_joins_need_no_queue_slots() {
 
     // Fill the single queue slot with a fresh unit...
     let fresh = engine
-        .submit_with(
-            &[logging_unit(0, "fresh", &log)],
-            &cache,
-            SubmitOptions::default(),
-        )
+        .submit_with(&[logging_unit(0, "fresh", &log)], &cache, Priority::Normal)
         .expect("one fresh unit fits");
     assert_eq!(engine.queue_depth(), 1, "cap reached");
 
@@ -369,7 +349,7 @@ fn cache_hits_and_coalesced_joins_need_no_queue_slots() {
         .submit_with(
             &[warm, logging_unit(1, "fresh", &log)],
             &cache,
-            SubmitOptions::default(),
+            Priority::Normal,
         )
         .expect("hits and joins are free at admission");
     let stats = engine.stats();
@@ -394,15 +374,11 @@ fn cancellation_frees_queue_slots_a_retry_can_use() {
         .map(|i| logging_unit(i, &format!("filler{i}"), &log))
         .collect();
     let occupant = engine
-        .submit_with(&filler, &cache, SubmitOptions::default())
+        .submit_with(&filler, &cache, Priority::Normal)
         .expect("fills the cap exactly");
     let probe_unit = logging_unit(0, "retry", &log);
     let error = engine
-        .submit_with(
-            std::slice::from_ref(&probe_unit),
-            &cache,
-            SubmitOptions::default(),
-        )
+        .submit_with(std::slice::from_ref(&probe_unit), &cache, Priority::Normal)
         .expect_err("queue full");
     assert_eq!(
         error,
@@ -433,7 +409,7 @@ fn cancellation_frees_queue_slots_a_retry_can_use() {
 
     // The rejected submission now fits.
     let retried = engine
-        .submit_with(&[probe_unit], &cache, SubmitOptions::default())
+        .submit_with(&[probe_unit], &cache, Priority::Normal)
         .expect("slot freed by cancellation");
     release(&blocker_gate);
     drain_ok(&retried);
@@ -534,19 +510,14 @@ fn a_deadline_fails_only_its_own_subscribers() {
 
     let (shared, shared_gate, runs) = GatedExperiment::new("slow");
     release(&shared_gate);
-    // The impatient submission enqueues the job with a short deadline;
-    // a patient sibling coalesces with none.
-    let impatient = engine
-        .submit_with(
-            &[unit_of(0, shared.clone())],
-            &cache,
-            SubmitOptions::default().with_deadline(Duration::from_millis(50)),
-        )
-        .expect("admitted");
+    // The impatient submission enqueues the job; a patient sibling
+    // coalesces onto it.
+    let impatient = engine.submit(&[unit_of(0, shared.clone())], &cache);
     let patient = engine.submit(&[unit_of(0, shared)], &cache);
 
-    // The reaper fails the impatient delivery while the worker is still
-    // held — typed, not silent.
+    // The impatient deadline expires while the worker is still held: its
+    // delivery fails — typed, not silent.
+    impatient.expire();
     let delivery = impatient
         .recv_timeout(Duration::from_secs(10))
         .expect("deadline delivery");
@@ -586,13 +557,8 @@ fn a_deadline_with_no_siblings_abandons_the_queued_job() {
     let (blocker_sub, blocker_gate) = occupy_single_worker(&engine, &cache);
     let log = Arc::new(Mutex::new(Vec::new()));
 
-    let doomed = engine
-        .submit_with(
-            &[logging_unit(0, "expired", &log)],
-            &cache,
-            SubmitOptions::default().with_deadline(Duration::from_millis(50)),
-        )
-        .expect("admitted");
+    let doomed = engine.submit(&[logging_unit(0, "expired", &log)], &cache);
+    doomed.expire();
     let delivery = doomed
         .recv_timeout(Duration::from_secs(10))
         .expect("deadline delivery");
@@ -662,7 +628,7 @@ fn the_engine_stats_counter_identity_holds_with_every_leg_exercised() {
         .map(|i| logging_unit(i, &format!("big{i}"), &log))
         .collect();
     engine
-        .submit_with(&big, &cache, SubmitOptions::default())
+        .submit_with(&big, &cache, Priority::Normal)
         .expect_err("9 fresh units against a cap of 8");
 
     release(&blocker_gate);
@@ -773,7 +739,7 @@ mod interleavings {
                             .map(|(index, i)| super::unit_of(index, keyed[i].0.clone()))
                             .collect();
                         let sub = engine
-                            .submit_with(&units, &cache, SubmitOptions::priority(priority))
+                            .submit_with(&units, &cache, priority)
                             .expect("uncapped engine admits everything");
                         active.push((sub, mask));
                     }

@@ -1310,6 +1310,166 @@ fn cancelling_a_run_spares_a_coalesced_sibling_over<T: TestTransport>() {
     panic!("the cancel never beat the 16-unit victim across 3 attempts");
 }
 
+/// One Fig. 2 unit per chip, each verifying a 256³ and a 320³ GEMM:
+/// work that holds a daemon's worker for about 6 ms a unit in an
+/// optimized build and 1 s unoptimized.
+fn gemm_verifying_spec(chips: Vec<ChipGeneration>) -> CampaignSpec {
+    CampaignSpec::new(vec![ExperimentKind::Fig2], chips)
+        .with_gemm_sizes(vec![256, 320])
+        .with_verify_max_flops(2 * 320 * 320 * 320)
+}
+
+/// Poll `stats` until the daemon has admitted `units` units in all.
+fn await_submitted<T: TestTransport>(client: &mut ServiceClient<T>, units: u64) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while client.stats().expect("stats").summary.units_submitted < units {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{units} units never admitted"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// The deadline contract over the wire: a run that waits behind work
+/// occupying the daemon's only worker gets a *typed*
+/// `deadline_exceeded` terminal naming its lost unit, `stats` counts the
+/// expired delivery, and the connection goes on serving.
+fn a_run_past_its_deadline_gets_a_typed_terminal_over<T: TestTransport>() {
+    // The probe queues behind all four blocker units (one worker, one
+    // priority class, FIFO): about 25 ms of optimized work against a
+    // 5 ms deadline. Expiry still races completion, so an attempt where
+    // the backlog drained before the deadline fired is retried.
+    for attempt in 0..3 {
+        let (endpoint, daemon) =
+            start_daemon::<T>(&format!("deadline{attempt}"), |c| c.with_workers(1));
+        let blocker_endpoint = endpoint.clone();
+        let blocker = std::thread::spawn(move || {
+            let mut client =
+                ServiceClient::<T>::connect(&blocker_endpoint).expect("blocker connect");
+            let options = RunOptions::default().with_token("blocker");
+            client.run_with(&gemm_verifying_spec(ChipGeneration::ALL.to_vec()), &options)
+        });
+        let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
+        await_submitted(&mut client, 4);
+
+        let probe = CampaignSpec::new(vec![ExperimentKind::Fig4], vec![ChipGeneration::M1])
+            .with_power_sizes(vec![2048]);
+        let late = client.run_with(&probe, &RunOptions::default().with_deadline_ms(5));
+        // Cancel the backlog, so only the unit on the worker still runs.
+        client.cancel("blocker").expect("cancel answers");
+        let _ = blocker.join().expect("blocker thread");
+        match late {
+            Err(ServiceError::DeadlineExceeded(unit)) => {
+                assert!(unit.starts_with("fig4["), "names the lost unit: {unit}");
+            }
+            Ok(_) => {
+                client.shutdown().expect("shutdown");
+                daemon.join().expect("daemon");
+                continue;
+            }
+            other => panic!("expected a typed deadline_exceeded terminal, got {other:?}"),
+        }
+        assert_eq!(client.stats().expect("stats").summary.deadline_expired, 1);
+
+        // The same connection answers and completes a run.
+        client.ping().expect("ping after the deadline");
+        let outcome = client.run(&probe).expect("a run with no deadline");
+        assert_eq!(outcome.units.len(), 1);
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("daemon");
+        return;
+    }
+    panic!("the deadline never beat the blocker's backlog across 3 attempts");
+}
+
+/// `health` turns not-ready when the drain begins: a request pipelined
+/// behind a run that is still queued when `shutdown` arrives is answered
+/// during the drain, with `ready: false`.
+fn health_answers_not_ready_during_the_drain_over<T: TestTransport>() {
+    use std::io::{BufRead, BufReader, Write};
+    let (endpoint, daemon) = start_daemon::<T>("drain-health", |c| c.with_workers(1));
+    // Two units hold the only worker: one on it, one queued.
+    let blocker_endpoint = endpoint.clone();
+    let blocker = std::thread::spawn(move || {
+        let mut client = ServiceClient::<T>::connect(&blocker_endpoint).expect("blocker connect");
+        client.run(&gemm_verifying_spec(vec![
+            ChipGeneration::M1,
+            ChipGeneration::M2,
+        ]))
+    });
+    let mut control = ServiceClient::<T>::connect(&endpoint).expect("connect");
+    await_submitted(&mut control, 2);
+
+    // A run queued behind them, with `health` pipelined after it.
+    let mut stream = T::connect(&endpoint).expect("connect");
+    let run = r#"{"id":1,"method":"run","body":{"experiments":["fig4"],"chips":["M1"],"power_sizes":[2048]}}"#;
+    let health = r#"{"id":2,"method":"health"}"#;
+    stream
+        .write_all(format!("{run}\n{health}\n").as_bytes())
+        .expect("pipeline");
+    await_submitted(&mut control, 3);
+    control.shutdown().expect("shutdown");
+
+    let lines: Vec<String> = BufReader::new(stream)
+        .lines()
+        .map(|line| line.expect("a line"))
+        .collect();
+    assert!(lines
+        .iter()
+        .any(|l| l.starts_with(r#"{"id":1,"kind":"done""#)));
+    let health = lines
+        .iter()
+        .find(|l| l.starts_with(r#"{"id":2,"kind":"health""#))
+        .expect("the pipelined health is answered in the drain");
+    assert!(
+        health.contains(r#""ready":false,"draining":true"#),
+        "{health}"
+    );
+    blocker
+        .join()
+        .expect("blocker thread")
+        .expect("a run streaming when the drain began completes");
+    daemon.join().expect("daemon");
+}
+
+/// A deadline belongs to its run: a warm run completes from cache well
+/// inside its deadline, and the next run on the same connection, which
+/// has none and outlasts that deadline, still ends `done`.
+fn a_finished_runs_deadline_does_not_expire_the_next_run_over<T: TestTransport>() {
+    let (endpoint, daemon) = start_daemon::<T>("stale-deadline", |c| c.with_workers(1));
+    let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
+    let warm = CampaignSpec::new(vec![ExperimentKind::Fig4], vec![ChipGeneration::M1])
+        .with_power_sizes(vec![2048]);
+    client.run(&warm).expect("cold run");
+
+    // Time one chip's GEMM-verifying unit, then give the warm run a
+    // quarter of that as its deadline, so the next such unit outlasts it
+    // in any build.
+    let started = std::time::Instant::now();
+    client
+        .run(&gemm_verifying_spec(vec![ChipGeneration::M1]))
+        .expect("timing run");
+    let deadline_ms = (started.elapsed().as_millis() as u64 / 4).max(1);
+    let outcome = client
+        .run_with(&warm, &RunOptions::default().with_deadline_ms(deadline_ms))
+        .expect("the warm run beats its deadline");
+    assert_eq!(outcome.computed_units, 0, "served from cache");
+
+    let started = std::time::Instant::now();
+    let outcome = client
+        .run(&gemm_verifying_spec(vec![ChipGeneration::M2]))
+        .expect("a run with no deadline ends done");
+    assert!(
+        started.elapsed() > std::time::Duration::from_millis(deadline_ms),
+        "the run outlasted the earlier run's {deadline_ms} ms deadline"
+    );
+    assert_eq!(outcome.computed_units, 1);
+    assert_eq!(client.stats().expect("stats").summary.deadline_expired, 0);
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+}
+
 /// Soft fd limit for this process (Linux `/proc/self/limits`), if
 /// readable — the soak sizes its connection count to it.
 fn fd_soft_limit() -> Option<usize> {
@@ -1679,6 +1839,21 @@ macro_rules! transport_matrix {
                 cancelling_a_run_spares_a_coalesced_sibling_over::<$transport>();
             }
 
+            #[test]
+            fn a_run_past_its_deadline_gets_a_typed_terminal() {
+                a_run_past_its_deadline_gets_a_typed_terminal_over::<$transport>();
+            }
+
+            #[test]
+            fn a_finished_runs_deadline_does_not_expire_the_next_run() {
+                a_finished_runs_deadline_does_not_expire_the_next_run_over::<$transport>();
+            }
+
+            #[test]
+            fn health_answers_not_ready_during_the_drain() {
+                health_answers_not_ready_during_the_drain_over::<$transport>();
+            }
+
             /// Connection-scaling soak: expensive, so ignored by
             /// default; CI runs the whole binary at `--release` with
             /// `-- --include-ignored --test-threads=1`, so that its
@@ -1695,6 +1870,30 @@ macro_rules! transport_matrix {
 #[cfg(unix)]
 transport_matrix!(unix_transport, UnixTransport);
 transport_matrix!(tcp_transport, TcpTransport);
+
+/// A daemon bound to every interface reports the wildcard, is reached on
+/// loopback at its port, and still shuts down: `shutdown` answers `bye`
+/// and `serve` returns.
+#[test]
+fn a_daemon_bound_to_the_wildcard_address_still_shuts_down() {
+    let listen: Endpoint = "tcp:0.0.0.0:0".parse().expect("static endpoint");
+    let service = CampaignService::<TcpTransport>::bind(ServiceConfig::new(listen).with_workers(1))
+        .expect("bind service");
+    let local = service.local_endpoint().to_string();
+    let port = local
+        .strip_prefix("tcp:0.0.0.0:")
+        .unwrap_or_else(|| panic!("the wildcard stays a wildcard: {local}"));
+    let loopback: Endpoint = format!("tcp:127.0.0.1:{port}").parse().expect("endpoint");
+    let daemon = std::thread::spawn(move || service.serve());
+    let mut client = ServiceClient::<TcpTransport>::connect(&loopback).expect("connect");
+    client.ping().expect("ping");
+    client.shutdown().expect("bye");
+    let summary = daemon
+        .join()
+        .expect("daemon thread")
+        .expect("serve returns");
+    assert_eq!(summary.connections, 1);
+}
 
 /// Spec bodies with arbitrary `u64` sizes, sent to a live daemon.
 mod size_limits {
